@@ -24,8 +24,9 @@ JSON report {"command", "params", "trials", "failures", "elapsed_ms",
 except for elapsed_ms.  When --seed is omitted the GIRARD_LAB_SEED
 environment variable is used, then 0.
 
-Exit codes: 0 all checks passed, 1 verification failure, 2 usage error,
-3 malformed graph file.
+Exit codes: 0 all checks passed, 1 verification failure, 2 usage error
+(including an out-of-range value and an --out path that cannot be
+written), 3 malformed graph file.
 """
 
 from __future__ import annotations
@@ -137,6 +138,8 @@ def _load_graph(path: str) -> ColoredDigraph:
 
 
 def _random_graphs(args: argparse.Namespace, seed: int) -> list[tuple[int, ColoredDigraph]]:
+    if args.n is None or args.k is None:
+        raise UsageError("--random needs --n and --k")
     rng = random.Random(seed)
     out = []
     for _ in range(args.trials):
@@ -204,7 +207,7 @@ def _run_theorem3(args) -> RunReport:
         report.failures.append(
             {"r": args.r, "n": args.n, "residual": str(res.residual)}
         )
-    elif not cross_check_against_loops(args.r, args.n):
+    elif not cross_check_against_loops(args.r, args.n, symbolic=res):
         report.failures.append(
             {"r": args.r, "n": args.n,
              "residual": "symbolic and all-loops-graph paths disagree"}
@@ -316,6 +319,26 @@ def _run_powersum(args) -> RunReport:
 # -- parser and driver -------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _density(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
 def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", help="write a JSON report here")
 
@@ -326,13 +349,13 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
     source.add_argument(
         "--random", action="store_true", help="verify seeded random graphs"
     )
-    p.add_argument("--n", type=int, help="vertex count for --random")
-    p.add_argument("--k", type=int, help="color count for --random")
-    p.add_argument("--density", type=float, default=1.0,
-                   help="edge probability for --random (default 1.0)")
-    p.add_argument("--weight-bound", type=int, default=3,
+    p.add_argument("--n", type=_positive_int, help="vertex count for --random")
+    p.add_argument("--k", type=_positive_int, help="color count for --random")
+    p.add_argument("--density", type=_density, default=1.0,
+                   help="edge probability in (0, 1] for --random (default 1.0)")
+    p.add_argument("--weight-bound", type=_positive_int, default=3,
                    help="weights drawn from nonzero [-W, W] (default 3)")
-    p.add_argument("--trials", type=int, default=10,
+    p.add_argument("--trials", type=_positive_int, default=10,
                    help="number of random graphs (default 10)")
     p.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
 
@@ -349,43 +372,44 @@ def build_parser() -> argparse.ArgumentParser:
     which = verify.add_subparsers(dest="target", required=True)
 
     t1 = which.add_parser("theorem1", help="generalized power-sum identity")
-    t1.add_argument("--m", type=int, required=True)
-    t1.add_argument("--r", type=int, required=True)
+    t1.add_argument("--m", type=_positive_int, required=True)
+    t1.add_argument("--r", type=_positive_int, required=True)
     _add_out(t1)
     t1.set_defaults(run=_run_theorem1)
 
     t2 = which.add_parser("theorem2", help="walk/cycle identity on a digraph")
     _add_graph_source(t2)
-    t2.add_argument("--r", type=int, required=True)
+    t2.add_argument("--r", type=_positive_int, required=True)
     t2.add_argument("--literal-ell", action="store_true",
                     help="use the single-set ell(r, C) closing term")
     _add_out(t2)
     t2.set_defaults(run=_run_theorem2)
 
     t3 = which.add_parser("theorem3", help="multi-alphabet Newton-Girard identity")
-    t3.add_argument("--r", type=int, required=True)
-    t3.add_argument("--n", type=int, required=True)
+    t3.add_argument("--r", type=_positive_int, required=True)
+    t3.add_argument("--n", type=_positive_int, required=True)
     _add_out(t3)
     t3.set_defaults(run=_run_theorem3)
 
     ng = which.add_parser("newton-girard", help="classical Newton-Girard on roots")
-    ng.add_argument("--n", type=int, required=True)
-    ng.add_argument("--r", type=int, required=True)
+    ng.add_argument("--n", type=_positive_int, required=True)
+    ng.add_argument("--r", type=_positive_int, required=True)
     source = ng.add_mutually_exclusive_group(required=True)
     source.add_argument("--roots", help="comma-separated integer roots")
     source.add_argument("--random", action="store_true")
-    ng.add_argument("--trials", type=int, default=20)
+    ng.add_argument("--trials", type=_positive_int, default=20)
     ng.add_argument("--seed", type=int)
     _add_out(ng)
     ng.set_defaults(run=_run_newton_girard)
 
     lm = which.add_parser("lemma21", help="binomial-transform power-sum check")
-    lm.add_argument("--alpha", type=int, required=True)
+    lm.add_argument("--alpha", type=_positive_int, required=True)
     source = lm.add_mutually_exclusive_group(required=True)
     source.add_argument("--c", help="comma-separated integer sequence c_1..c_m")
     source.add_argument("--random", action="store_true")
-    lm.add_argument("--m", type=int, default=6, help="sequence length for --random")
-    lm.add_argument("--trials", type=int, default=20)
+    lm.add_argument("--m", type=_positive_int, default=6,
+                    help="sequence length for --random")
+    lm.add_argument("--trials", type=_positive_int, default=20)
     lm.add_argument("--seed", type=int)
     _add_out(lm)
     lm.set_defaults(run=_run_lemma21)
@@ -394,28 +418,19 @@ def build_parser() -> argparse.ArgumentParser:
     inv_which = inv.add_subparsers(dest="target", required=True)
     audit = inv_which.add_parser("audit", help="exhaustive pairing audit")
     _add_graph_source(audit)
-    audit.add_argument("--r", type=int, required=True)
+    audit.add_argument("--r", type=_positive_int, required=True)
     _add_out(audit)
     audit.set_defaults(run=_run_involution_audit)
 
     ps = top.add_parser("powersum", help="compute 1^m + ... + n^m several ways")
-    ps.add_argument("--m", type=int, required=True)
-    ps.add_argument("--n", type=int, required=True)
+    ps.add_argument("--m", type=_positive_int, required=True)
+    ps.add_argument("--n", type=_positive_int, required=True)
     ps.add_argument("--method", required=True,
                     choices=["stirling", "bernoulli", "direct", "all"])
     _add_out(ps)
     ps.set_defaults(run=_run_powersum)
 
     return parser
-
-
-def _check_random_args(args: argparse.Namespace) -> None:
-    if getattr(args, "random", False) and hasattr(args, "n"):
-        if getattr(args, "graph", None) is None and hasattr(args, "k"):
-            if args.n is None or args.k is None:
-                raise UsageError("--random needs --n and --k")
-            if args.n < 1 or args.k < 1 or args.trials < 1:
-                raise UsageError("--n, --k and --trials must be >= 1")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -428,7 +443,6 @@ def main(argv: list[str] | None = None) -> int:
 
     started = time.perf_counter()
     try:
-        _check_random_args(args)
         report = args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -452,8 +466,12 @@ def main(argv: list[str] | None = None) -> int:
         f"({report.trials - len(report.failures)}/{report.trials} checks)"
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json())
+        except OSError as exc:
+            print(f"error: cannot write report {args.out}: {exc}", file=sys.stderr)
+            return 2
     return 0 if passed else 1
 
 

@@ -192,42 +192,56 @@ def linear_subdigraphs(
     """All (nonempty) linear subdigraphs, optionally filtered.
 
     `length` filters on total edge count, `colors` on the exact color set.
+    The result is in depth-first order over the cycles sorted by their
+    smallest vertex, so a filtered list is the full list with the
+    non-matching entries left out.
     """
-    want_colors = frozenset(colors) if colors is not None else None
-    pool = sorted(colored_cycles(g), key=lambda c: (c[0][0], c))
+    want_cmask = None
+    if colors is not None:
+        want_colors = frozenset(colors)
+        if not want_colors <= g.color_set():
+            return []  # no subdigraph uses a color the graph lacks
+        want_cmask = _bitmask(want_colors)
+    # Each pooled cycle carries (cycle, vertex mask, color mask, size); a
+    # cycle either filter rules out could never join a match, so it is
+    # dropped here rather than tested at every node of the search.
+    pool = []
+    for cycle in sorted(colored_cycles(g), key=lambda c: (c[0][0], c)):
+        cmask = _bitmask(e[2] for e in cycle)
+        if length is not None and len(cycle) > length:
+            continue
+        if want_cmask is not None and cmask & ~want_cmask:
+            continue
+        pool.append((cycle, _bitmask(e[0] for e in cycle), cmask, len(cycle)))
     out: list[LinearSubdigraph] = []
 
     def extend(
-        start: int,
-        chosen: list[tuple[Edge, ...]],
-        used_v: set[int],
-        used_c: set[int],
-        total: int,
+        start: int, chosen: list[tuple[Edge, ...]], used_v: int, used_c: int, total: int
     ) -> None:
-        if chosen:
-            if (length is None or total == length) and (
-                want_colors is None or used_c == want_colors
-            ):
-                out.append(LinearSubdigraph(tuple(chosen)))
+        if chosen and (length is None or total == length) and (
+            want_cmask is None or used_c == want_cmask
+        ):
+            out.append(LinearSubdigraph(tuple(chosen)))
         for idx in range(start, len(pool)):
-            cycle = pool[idx]
-            size = len(cycle)
+            cycle, vmask, cmask, size = pool[idx]
+            if vmask & used_v or cmask & used_c:
+                continue
             if length is not None and total + size > length:
                 continue
-            verts = {e[0] for e in cycle}
-            if verts & used_v:
-                continue
-            cols = {e[2] for e in cycle}
-            if cols & used_c:
-                continue
-            if want_colors is not None and not cols <= want_colors:
-                continue
             chosen.append(cycle)
-            extend(idx + 1, chosen, used_v | verts, used_c | cols, total + size)
+            extend(idx + 1, chosen, used_v | vmask, used_c | cmask, total + size)
             chosen.pop()
 
-    extend(0, [], set(), set(), 0)
+    extend(0, [], 0, 0, 0)
     return out
+
+
+def _bitmask(items: Iterable[int]) -> int:
+    """The int with bit i set for each i in `items`."""
+    mask = 0
+    for i in items:
+        mask |= 1 << i
+    return mask
 
 
 def closed_walks(

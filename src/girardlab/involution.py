@@ -31,6 +31,7 @@ r * ell closing term of the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .digraph import ColoredDigraph
 from .enumeration import (
@@ -42,7 +43,7 @@ from .enumeration import (
     linear_subdigraphs,
     make_subdigraph,
 )
-from .newton import total_subdigraph_sum, verify_walk_cycle_identity
+from .newton import verify_walk_cycle_identity
 from .poly import Poly, poly_sum
 
 __all__ = [
@@ -146,17 +147,25 @@ def underlying_subdigraph(pair: WalkGammaPair) -> LinearSubdigraph:
     return make_subdigraph(list(pair.gamma.cycles) + [walk_cycle])
 
 
-def enumerate_pairs(g: ColoredDigraph, r: int) -> list[WalkGammaPair]:
+def enumerate_pairs(
+    g: ColoredDigraph,
+    r: int,
+    *,
+    subdigraphs: Sequence[LinearSubdigraph] | None = None,
+) -> list[WalkGammaPair]:
     """All pairs with total length r, walk length >= 1, disjoint colors.
 
     The length-zero walk has no object form; its would-be contribution is
     exactly the ell(r, S) convention terms, which the audit and the
-    identity checker add analytically.
+    identity checker add analytically.  `subdigraphs` is the full
+    `linear_subdigraphs(g)` list when the caller already holds it.
     """
     if r < 1:
         raise ValueError("enumerate_pairs requires r >= 1")
+    if subdigraphs is None:
+        subdigraphs = linear_subdigraphs(g)
     gammas_by_length: dict[int, list[LinearSubdigraph]] = {}
-    for gamma in linear_subdigraphs(g):
+    for gamma in subdigraphs:
         if gamma.length < r:
             gammas_by_length.setdefault(gamma.length, []).append(gamma)
     pairs: list[WalkGammaPair] = []
@@ -204,7 +213,8 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
     if r < 1:
         raise ValueError("audit_involution requires r >= 1")
     problems: list[str] = []
-    pairs = enumerate_pairs(g, r)
+    subdigraphs = linear_subdigraphs(g)
+    pairs = enumerate_pairs(g, r, subdigraphs=subdigraphs)
     pair_set = set(pairs)
     if len(pair_set) != len(pairs):
         problems.append("enumerate_pairs returned duplicates")
@@ -241,9 +251,7 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
         groups: dict[LinearSubdigraph, list[WalkGammaPair]] = {}
         for pair in good:
             groups.setdefault(underlying_subdigraph(pair), []).append(pair)
-        expected = {
-            gamma for gamma in linear_subdigraphs(g, length=r)
-        }
+        expected = {gamma for gamma in subdigraphs if gamma.length == r}
         if set(groups) != expected:
             problems.append(
                 "GOOD pairs do not cover exactly the r-edge subdigraphs"
@@ -259,10 +267,11 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
             if got != want:
                 problems.append("GOOD group weight sum is off")
 
-    correction = Poly.const(r) * total_subdigraph_sum(g, r)
+    report = verify_walk_cycle_identity(g, r, subdigraphs=subdigraphs)
+    # no subdigraph has r > n edges, so the r > n report's zero correction
+    # is r * (aggregated ell) there too
+    correction = report.aggregated_correction
     total = poly_sum(p.weight(g) for p in pairs) + correction
-
-    report = verify_walk_cycle_identity(g, r)
     if total != report.residual:
         problems.append("audit total disagrees with the identity residual")
 

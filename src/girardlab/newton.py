@@ -28,7 +28,7 @@ from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
 from .digraph import ColoredDigraph, self_loop_digraph
-from .enumeration import closed_walks, linear_subdigraph_sum, linear_subdigraphs
+from .enumeration import LinearSubdigraph, closed_walks, linear_subdigraphs
 from .exactnum import factorial
 from .poly import Poly, VarId, avar, poly_prod, poly_sum
 
@@ -73,14 +73,21 @@ class NewtonReport:
         return self.residual.is_zero
 
 
-def _subdigraph_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], Poly]:
+def _subdigraph_buckets(
+    g: ColoredDigraph, subdigraphs: Iterable[LinearSubdigraph]
+) -> dict[tuple[int, frozenset[int]], Poly]:
     """(length, color set) -> signed subdigraph sum, nonempty ones only."""
     buckets: dict = {}
-    for gamma in linear_subdigraphs(g):
+    for gamma in subdigraphs:
         key = (gamma.length, gamma.colors)
         sign = -1 if gamma.cycle_count % 2 else 1
         buckets[key] = buckets.get(key, Poly.zero()) + sign * gamma.weight(g)
     return buckets
+
+
+def _closing_sum(ell: Mapping[tuple[int, frozenset[int]], Poly], r: int) -> Poly:
+    """sum over all size-r color sets S of ell(r, S), read off the buckets."""
+    return poly_sum(val for (length, _), val in ell.items() if length == r)
 
 
 def _walk_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], Poly]:
@@ -93,10 +100,12 @@ def _walk_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], Poly]:
 
 
 def _split_terms(
-    g: ColoredDigraph, r: int, include_empty_walk: bool
+    g: ColoredDigraph,
+    r: int,
+    ell: Mapping[tuple[int, frozenset[int]], Poly],
+    include_empty_walk: bool,
 ) -> dict[ColorPair, Poly]:
     """Contributions c(|T|, T) * ell(|S|, S) for disjoint S, T summing to r."""
-    ell = _subdigraph_buckets(g)
     cwk = _walk_buckets(g)
     colors = sorted(g.color_set())
     terms: dict[ColorPair, Poly] = {}
@@ -125,28 +134,40 @@ def color_split_sum(g: ColoredDigraph, r: int) -> Poly:
     vanishes outright when r > n."""
     if r < 1:
         raise ValueError("color_split_sum requires r >= 1")
-    return poly_sum(_split_terms(g, r, include_empty_walk=True).values())
+    ell = _subdigraph_buckets(g, linear_subdigraphs(g))
+    return poly_sum(_split_terms(g, r, ell, include_empty_walk=True).values())
 
 
 def total_subdigraph_sum(g: ColoredDigraph, r: int) -> Poly:
     """Aggregated closing sum: sum over all size-r color sets S of ell(r, S)."""
     if r < 1:
         raise ValueError("total_subdigraph_sum requires r >= 1")
-    buckets = _subdigraph_buckets(g)
-    return poly_sum(
-        val for (length, _), val in buckets.items() if length == r
-    )
+    return _closing_sum(_subdigraph_buckets(g, linear_subdigraphs(g)), r)
 
 
-def verify_walk_cycle_identity(g: ColoredDigraph, r: int) -> NewtonReport:
-    """Check the walk/cycle identity on one graph at one r."""
+def verify_walk_cycle_identity(
+    g: ColoredDigraph,
+    r: int,
+    *,
+    subdigraphs: Sequence[LinearSubdigraph] | None = None,
+) -> NewtonReport:
+    """Check the walk/cycle identity on one graph at one r.
+
+    `subdigraphs` is the full `linear_subdigraphs(g)` list when the caller
+    already holds it; otherwise it is enumerated here, once.  Both closing
+    terms are read off the same (length, color set) buckets as the
+    breakdown.
+    """
     if r < 1:
         raise ValueError("r must be >= 1")
+    if subdigraphs is None:
+        subdigraphs = linear_subdigraphs(g)
+    ell = _subdigraph_buckets(g, subdigraphs)
     notes: list[str] = []
     if r > g.colors:
         notes.append(f"vacuous: r={r} exceeds color count k={g.colors}")
     if r > g.n:
-        breakdown = _split_terms(g, r, include_empty_walk=True)
+        breakdown = _split_terms(g, r, ell, include_empty_walk=True)
         zero = Poly.zero()
         residual = poly_sum(breakdown.values())
         return NewtonReport(
@@ -159,10 +180,10 @@ def verify_walk_cycle_identity(g: ColoredDigraph, r: int) -> NewtonReport:
             literal_residual=residual,
             notes=tuple(notes),
         )
-    breakdown = _split_terms(g, r, include_empty_walk=False)
+    breakdown = _split_terms(g, r, ell, include_empty_walk=False)
     base = poly_sum(breakdown.values())
-    aggregated = Poly.const(r) * total_subdigraph_sum(g, r)
-    literal = Poly.const(r) * linear_subdigraph_sum(g, r, g.color_set())
+    aggregated = Poly.const(r) * _closing_sum(ell, r)
+    literal = Poly.const(r) * ell.get((r, g.color_set()), Poly.zero())
     notes.append(
         "closing term aggregates ell(r, S) over all size-r color sets; "
         "the single-set ell(r, C) form matches only when k = r"
@@ -266,9 +287,16 @@ def verify_colored_newton_girard(r: int, n: int) -> NewtonReport:
     )
 
 
-def cross_check_against_loops(r: int, n: int) -> bool:
-    """The two verification paths agree term for term on the all-loops graph."""
-    symbolic = verify_colored_newton_girard(r, n)
+def cross_check_against_loops(
+    r: int, n: int, *, symbolic: NewtonReport | None = None
+) -> bool:
+    """The two verification paths agree term for term on the all-loops graph.
+
+    `symbolic` is `verify_colored_newton_girard(r, n)` when the caller
+    already holds it; otherwise it is computed here.
+    """
+    if symbolic is None:
+        symbolic = verify_colored_newton_girard(r, n)
     graphical = verify_walk_cycle_identity(self_loop_digraph(n, r), r)
     return (
         symbolic.breakdown == dict(graphical.breakdown)

@@ -10,6 +10,7 @@ import pytest
 
 import girardlab
 from girardlab import make_digraph, random_digraph, serialize_digraph
+from girardlab import cli, newton
 from girardlab.cli import main
 
 REPORT_KEYS = {
@@ -276,3 +277,53 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0, proc.stderr
     assert "result: PASS" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify theorem1 --m 0 --r 1",
+        "verify theorem1 --m 2 --r 0",
+        "verify theorem2 --random --n 3 --k 3 --r 0",
+        "verify theorem2 --random --n 3 --k 3 --r 1 --density 0",
+        "verify theorem2 --random --n 3 --k 3 --r 1 --weight-bound 0",
+        "powersum --m 0 --n 3 --method all",
+        "powersum --m 2 --n 0 --method all",
+        "verify lemma21 --alpha 0 --random",
+        "verify lemma21 --alpha 3 --random --m 0",
+        "verify theorem3 --r 0 --n 2",
+        "verify theorem3 --r 2 --n 0",
+        "verify newton-girard --n 2 --r 2 --random --trials 0",
+        "verify newton-girard --n 0 --r 2 --random",
+        "verify newton-girard --n 2 --r 0 --random",
+        "involution audit --random --n 2 --k 2 --r 0",
+    ],
+)
+def test_out_of_range_value_is_usage_error(argv, capsys):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+
+def test_unwritable_report_path_is_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "absent" / "r.json"
+    rc = main(["verify", "theorem1", "--m", "2", "--r", "1", "--out", str(out_path)])
+    assert rc == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: cannot write report")
+
+
+def test_theorem3_computes_the_symbolic_side_once(monkeypatch, capsys):
+    calls = []
+    original = newton.verify_colored_newton_girard
+
+    def counted(r, n):
+        calls.append((r, n))
+        return original(r, n)
+
+    monkeypatch.setattr(newton, "verify_colored_newton_girard", counted)
+    monkeypatch.setattr(cli, "verify_colored_newton_girard", counted)
+    assert main(["verify", "theorem3", "--r", "3", "--n", "2"]) == 0
+    assert calls == [(3, 2)]
+    assert "result: PASS (1/1 checks)" in capsys.readouterr().out

@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from girardlab import (
     EMPTY_SUBDIGRAPH,
     ColoredDigraph,
+    LinearSubdigraph,
     Poly,
     Walk,
     closed_walk_sum,
@@ -18,7 +20,7 @@ from girardlab import (
     self_loop_digraph,
 )
 
-from _support import permute_vertices
+from _support import all_pattern_graphs, permute_vertices
 
 
 def two_cycle_graph(k: int = 2) -> ColoredDigraph:
@@ -214,3 +216,67 @@ def test_sums_are_invariant_under_vertex_relabeling():
                 assert closed_walk_sum(g, p, colors) == closed_walk_sum(
                     h, p, colors
                 )
+
+
+# ---------------------------------------------------------------------------
+# linear_subdigraphs against a brute-force reference
+# ---------------------------------------------------------------------------
+
+
+def reference_subdigraphs(g: ColoredDigraph) -> list[LinearSubdigraph]:
+    """Every nonempty family of pairwise vertex- and color-disjoint cycles
+    from colored_cycles(g), built level by level with plain sets.
+
+    Families are index tuples into the cycles sorted by smallest vertex;
+    sorting the tuples lists them depth first, the enumerator's order.
+    """
+    pool = sorted(colored_cycles(g), key=lambda c: (c[0][0], c))
+    verts = [{e[0] for e in c} for c in pool]
+    cols = [{e[2] for e in c} for c in pool]
+
+    def apart(i: int, j: int) -> bool:
+        return not (verts[i] & verts[j] or cols[i] & cols[j])
+
+    level = [(i,) for i in range(len(pool))]
+    families = list(level)
+    while level:
+        level = [
+            f + (j,)
+            for f in level
+            for j in range(f[-1] + 1, len(pool))
+            if all(apart(i, j) for i in f)
+        ]
+        families += level
+    return [LinearSubdigraph(tuple(pool[i] for i in f)) for f in sorted(families)]
+
+
+def check_against_reference(g: ColoredDigraph) -> None:
+    everything = linear_subdigraphs(g)
+    assert everything == reference_subdigraphs(g)
+    color_sets = [
+        set(s) for size in range(g.colors + 1)
+        for s in combinations(range(1, g.colors + 1), size)
+    ]
+    for length in range(g.n + 2):
+        assert linear_subdigraphs(g, length=length) == [
+            s for s in everything if s.length == length
+        ]
+    for colors in color_sets + [{g.colors + 1}, {0, 1}, {-1}]:
+        want = frozenset(colors)
+        assert linear_subdigraphs(g, colors=colors) == [
+            s for s in everything if s.colors == want
+        ]
+        assert linear_subdigraphs(g, length=len(colors), colors=colors) == [
+            s for s in everything if s.colors == want and s.length == len(colors)
+        ]
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)])
+def test_linear_subdigraphs_match_reference_on_all_patterns(n, k):
+    for g in all_pattern_graphs(n, k):
+        check_against_reference(g)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_linear_subdigraphs_match_reference_on_dense_graphs(seed):
+    check_against_reference(random_digraph(4, 4, 1.0, 3, seed=seed))

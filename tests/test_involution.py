@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from girardlab import enumeration, involution, newton
 from girardlab import (
     BAD,
     EMPTY_SUBDIGRAPH,
@@ -17,6 +18,7 @@ from girardlab import (
     random_digraph,
     self_loop_digraph,
     underlying_subdigraph,
+    verify_walk_cycle_identity,
     walk_concat,
 )
 
@@ -140,3 +142,23 @@ def test_audit_random_graphs():
             assert audit.bad_count % 2 == 0  # perfectly matched
     with pytest.raises(ValueError):
         audit_involution(self_loop_digraph(1, 1), 0)
+
+
+def test_one_subdigraph_enumeration_per_check_and_per_audit(monkeypatch):
+    calls = []
+    original = enumeration.linear_subdigraphs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(newton, "linear_subdigraphs", counted)
+    monkeypatch.setattr(involution, "linear_subdigraphs", counted)
+    g = random_digraph(3, 3, 1.0, 3, seed=41)
+    for r in range(1, 5):  # both cases: r <= n and r > n
+        calls.clear()
+        assert verify_walk_cycle_identity(g, r).passed
+        assert len(calls) == 1
+        calls.clear()
+        assert audit_involution(g, r).ok
+        assert len(calls) == 1
