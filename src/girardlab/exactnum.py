@@ -13,14 +13,10 @@ import threading
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "binomial",
     "factorial",
     "bernoulli_number",
-    "rational_arith",
 ]
-
-Rational = Fraction
 
 
 def binomial(n: int, k: int) -> int:
@@ -66,23 +62,3 @@ def bernoulli_number(k: int) -> Fraction:
             _bernoulli_cache.append(-acc / (m + 1))
         return _bernoulli_cache[k]
 
-
-_RATIONAL_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-
-
-def rational_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Apply one of op in {"add", "sub", "mul", "div"} to two rationals.
-
-    Division by zero raises ZeroDivisionError (never a silent value);
-    an unknown op name raises ValueError.
-    """
-    try:
-        fn = _RATIONAL_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown rational op {op!r}") from None
-    return fn(a, b)

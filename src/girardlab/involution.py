@@ -226,7 +226,12 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
             problems.append(f"pair has total length {pair.total_length}, wanted {r}")
         (bad if classify(pair) == BAD else good).append(pair)
 
+    # weights are summed where the checks below compute them; a pair ->
+    # weight table would cost memory on large audits
+    bad_sum = Poly.zero()
     for pair in bad:
+        weight = pair.weight(g)
+        bad_sum += weight
         image = involute(pair)
         if image not in pair_set:
             problems.append("involution image escapes the enumerated pairs")
@@ -237,17 +242,18 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
             problems.append("involution has a fixed point")
         if involute(image) != pair:
             problems.append("involution fails to return after two applications")
-        if image.weight(g) != -pair.weight(g):
+        if image.weight(g) != -weight:
             problems.append("involution image weight is not the negation")
 
-    bad_sum = poly_sum(p.weight(g) for p in bad)
     if not bad_sum.is_zero:
         problems.append("BAD pair weights do not cancel")
 
     if r > g.n:
         if good:
             problems.append(f"expected no GOOD pairs when r > n, found {len(good)}")
+        good_sum = poly_sum(p.weight(g) for p in good)
     else:
+        good_sum = Poly.zero()
         groups: dict[LinearSubdigraph, list[WalkGammaPair]] = {}
         for pair in good:
             groups.setdefault(underlying_subdigraph(pair), []).append(pair)
@@ -264,6 +270,7 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
             sign = -1 if (gamma.cycle_count - 1) % 2 else 1
             want = Poly.const(r * sign) * gamma.weight(g)
             got = poly_sum(p.weight(g) for p in members)
+            good_sum += got
             if got != want:
                 problems.append("GOOD group weight sum is off")
 
@@ -271,7 +278,7 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
     # no subdigraph has r > n edges, so the r > n report's zero correction
     # is r * (aggregated ell) there too
     correction = report.aggregated_correction
-    total = poly_sum(p.weight(g) for p in pairs) + correction
+    total = bad_sum + good_sum + correction
     if total != report.residual:
         problems.append("audit total disagrees with the identity residual")
 

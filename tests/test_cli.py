@@ -42,6 +42,11 @@ def test_theorem1_passes(capsys):
     assert "result: PASS (1/1 checks)" in out
 
 
+def test_theorem1_at_the_baseline_size(capsys):
+    assert main(["verify", "theorem1", "--m", "12", "--r", "1"]) == 0
+    assert "result: PASS (1/1 checks)" in capsys.readouterr().out
+
+
 def test_theorem2_on_a_graph_file(tmp_path, capsys):
     g = random_digraph(3, 2, 1.0, 3, seed=11)
     path = write_graph(tmp_path, g)

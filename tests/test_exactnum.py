@@ -2,10 +2,8 @@ from fractions import Fraction
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from girardlab import bernoulli_number, binomial, factorial, rational_arith
+from girardlab import bernoulli_number, binomial, factorial
 
 
 def test_binomial_values():
@@ -61,52 +59,3 @@ def test_bernoulli_concurrent_reads_agree():
     assert len(set(results)) == 1
     assert results[0] == bernoulli_number(40)
 
-
-def test_rational_arith_basics():
-    assert rational_arith(Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
-    assert rational_arith(Fraction(1, 6), Fraction(6), "mul") == 1
-    assert rational_arith(Fraction(1), Fraction(3), "div") == Fraction(1, 3)
-    # Fraction canonicalizes on construction: lowest terms, positive denominator
-    assert Fraction(2, 4) == Fraction(1, 2)
-    assert Fraction(2, 4).denominator == 2
-    assert Fraction(3, -6) == Fraction(-1, 2)
-    assert Fraction(3, -6).denominator == 2
-
-
-def test_rational_arith_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        rational_arith(Fraction(1), Fraction(0), "div")
-
-
-def test_rational_arith_unknown_op():
-    with pytest.raises(ValueError):
-        rational_arith(Fraction(1), Fraction(1), "pow")
-
-
-rationals = st.fractions(
-    min_value=-50, max_value=50, max_denominator=50
-)
-
-
-@settings(max_examples=200)
-@given(rationals, rationals, rationals)
-def test_rational_field_axioms(a, b, c):
-    assert rational_arith(a, b, "add") == rational_arith(b, a, "add")
-    assert rational_arith(a, b, "mul") == rational_arith(b, a, "mul")
-    assert rational_arith(rational_arith(a, b, "add"), c, "add") == rational_arith(
-        a, rational_arith(b, c, "add"), "add"
-    )
-    assert rational_arith(rational_arith(a, b, "mul"), c, "mul") == rational_arith(
-        a, rational_arith(b, c, "mul"), "mul"
-    )
-    assert rational_arith(a, rational_arith(b, c, "add"), "mul") == rational_arith(
-        rational_arith(a, b, "mul"), rational_arith(a, c, "mul"), "add"
-    )
-
-
-@settings(max_examples=200)
-@given(rationals, rationals)
-def test_rational_sub_div_roundtrip(a, b):
-    assert rational_arith(rational_arith(a, b, "add"), b, "sub") == a
-    if b != 0:
-        assert rational_arith(rational_arith(a, b, "mul"), b, "div") == a

@@ -162,3 +162,21 @@ def test_one_subdigraph_enumeration_per_check_and_per_audit(monkeypatch):
         calls.clear()
         assert audit_involution(g, r).ok
         assert len(calls) == 1
+
+
+def test_audit_weighs_each_bad_pair_twice_and_each_good_pair_once(monkeypatch):
+    calls = []
+    original = WalkGammaPair.weight
+
+    def counted(self, g):
+        calls.append(self)
+        return original(self, g)
+
+    monkeypatch.setattr(WalkGammaPair, "weight", counted)
+    g = random_digraph(3, 4, 1.0, 3, seed=41)
+    for r in range(2, 5):  # both cases: r <= n and r > n; r = 1 has no BAD
+        calls.clear()
+        audit = audit_involution(g, r)
+        assert audit.ok
+        assert audit.bad_count > 0
+        assert len(calls) == 2 * audit.bad_count + audit.good_count

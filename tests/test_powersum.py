@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from girardlab import powersum
 from girardlab import (
     Poly,
     good_word_sum,
@@ -13,6 +15,7 @@ from girardlab import (
     power_sum_via_bernoulli,
     power_sum_via_stirling,
     power_sum_via_stirling_prefactored,
+    poly_sum,
     rhs_inner_sum,
     stirling2,
     stirling2_recurrence,
@@ -51,6 +54,37 @@ def test_lhs_equals_rhs_small_grid():
     for m in range(1, 4):
         for r in range(1, 4):
             assert power_sum_lhs(m, r) == power_sum_rhs(m, r), (m, r)
+
+
+def test_rhs_transform_equals_the_per_subset_sum():
+    # the Moebius transform against the literal sum over every U, |U| >= 2
+    for m in range(1, 8):
+        for r in range(1, 5):
+            literal = poly_sum(
+                rhs_inner_sum(u, r) * Poly.variable(yvar(max(u)))
+                for size in range(2, m + 2)
+                for u in combinations(range(1, m + 2), size)
+            )
+            assert power_sum_rhs(m, r) == literal, (m, r)
+
+
+def test_rhs_makes_one_product_per_nonempty_subset(monkeypatch):
+    products = []
+    inner = []
+    original = powersum.sum_product
+
+    def counted(*args, **kwargs):
+        products.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(powersum, "sum_product", counted)
+    monkeypatch.setattr(powersum, "rhs_inner_sum", lambda *a: inner.append(a))
+    for m in range(1, 9):
+        for r in (1, 3):
+            products.clear()
+            power_sum_rhs(m, r)
+            assert len(products) == 2**m - 1, (m, r)
+            assert inner == []
 
 
 def test_good_words_are_an_independent_route():
