@@ -11,8 +11,10 @@ The empty walk and the empty subdigraph exist only as conventions inside
 `closed_walk_sum` and `linear_subdigraph_sum` (both equal to 1 at size
 zero); the enumerators never yield them.
 
-Everything here is exhaustive enumeration meant for desk-scale graphs
-(n, k up to about 5).
+The enumerators are exhaustive and meant for desk-scale graphs (n, k up
+to about 5).  The walk sums do not need them: `closed_walk_buckets` sums
+every closed walk by a transfer-matrix DP over (vertex, used-color mask)
+states (Stanley, Enumerative Combinatorics I, 4.7) and builds no walk.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "colored_cycles",
     "linear_subdigraphs",
     "closed_walks",
+    "closed_walk_buckets",
     "linear_subdigraph_sum",
     "closed_walk_sum",
 ]
@@ -248,15 +251,20 @@ def closed_walks(
     g: ColoredDigraph,
     length: int | None = None,
     colors: Iterable[int] | None = None,
+    *,
+    max_length: int | None = None,
 ) -> list[Walk]:
     """All closed colored walks (length >= 1), optionally filtered.
 
     `length` filters on step count, `colors` on the exact color set.  The
     distinct-color rule caps every walk at k steps, so a length filter
-    beyond k simply yields nothing.
+    beyond k simply yields nothing.  `max_length` caps the step count
+    without filtering on it, so a caller that needs every length up to r
+    makes one pass; the walks of each length keep the order they have in
+    `closed_walks(g, length=q)`.
     """
     want_colors = frozenset(colors) if colors is not None else None
-    cap = g.colors if length is None else min(length, g.colors)
+    cap = min(c for c in (length, max_length, g.colors) if c is not None)
     succ = {u: g.successors(u) for u in range(1, g.n + 1)}
     out: list[Walk] = []
 
@@ -268,7 +276,7 @@ def closed_walks(
                 want_colors is None or used_c == want_colors
             ):
                 out.append(Walk(root, tuple(steps)))
-        if len(steps) == cap:
+        if len(steps) >= cap:
             return
         for v in succ[current]:
             for c in range(1, g.colors + 1):
@@ -285,6 +293,43 @@ def closed_walks(
     for root in range(1, g.n + 1):
         extend(root, root, [], set())
     return out
+
+
+def closed_walk_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], Poly]:
+    """(length, color set) -> weight sum of the closed walks with that
+    length and color set.
+
+    The map equals `closed_walks(g)` grouped by (length, colors), with a
+    key for every pair some walk has, even when its sum is zero; but no
+    walk is built.  For each root, a layer maps (vertex, used-color mask)
+    to the weight sum of the walks from the root that end there, and each
+    step pushes it along every edge in every unused color.  The states
+    back at the root are the closed walks of that length; walks go on
+    past the root, as in `closed_walks`.  Every mask has one length, so a
+    root costs at most n * 2^k states times n * k moves: that many `Poly`
+    products.
+    """
+    succ = {u: g.successors(u) for u in range(1, g.n + 1)}
+    colors = range(1, g.colors + 1)
+    buckets: dict = {}
+    for root in range(1, g.n + 1):
+        layer = {(root, 0): Poly.one()}
+        for length in range(1, g.colors + 1):
+            nxt: dict = {}
+            for (u, mask), val in layer.items():
+                for v in succ[u]:
+                    for c in colors:
+                        if mask >> c & 1:
+                            continue
+                        key = (v, mask | 1 << c)
+                        term = val * g.weight(u, v, c)
+                        nxt[key] = nxt[key] + term if key in nxt else term
+            for (v, mask), val in nxt.items():
+                if v == root:
+                    key = (length, frozenset(c for c in colors if mask >> c & 1))
+                    buckets[key] = buckets[key] + val if key in buckets else val
+            layer = nxt
+    return buckets
 
 
 def linear_subdigraph_sum(g: ColoredDigraph, p: int, colors: Iterable[int]) -> Poly:
@@ -307,7 +352,7 @@ def linear_subdigraph_sum(g: ColoredDigraph, p: int, colors: Iterable[int]) -> P
 
 def closed_walk_sum(g: ColoredDigraph, q: int, colors: Iterable[int]) -> Poly:
     """c(g, q, T): sum of weights over closed walks of length q with color
-    set exactly T.
+    set exactly T, looked up in `closed_walk_buckets`.
 
     Conventions: 1 when q = 0 and T is empty (the empty walk), 0 whenever
     q != |T| (a walk's length and color count agree).
@@ -315,6 +360,4 @@ def closed_walk_sum(g: ColoredDigraph, q: int, colors: Iterable[int]) -> Poly:
     t = frozenset(colors)
     if q == 0 and not t:
         return Poly.one()
-    if q != len(t):
-        return Poly.zero()
-    return poly_sum(w.weight(g) for w in closed_walks(g, length=q, colors=t))
+    return closed_walk_buckets(g).get((q, t), Poly.zero())

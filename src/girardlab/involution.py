@@ -168,9 +168,12 @@ def enumerate_pairs(
     for gamma in subdigraphs:
         if gamma.length < r:
             gammas_by_length.setdefault(gamma.length, []).append(gamma)
+    walks_by_length: dict[int, list[Walk]] = {}
+    for w in closed_walks(g, max_length=r):  # one pass for every length
+        walks_by_length.setdefault(w.length, []).append(w)
     pairs: list[WalkGammaPair] = []
     for q in range(1, r + 1):
-        for w in closed_walks(g, length=q):
+        for w in walks_by_length.get(q, []):
             if q == r:
                 pairs.append(WalkGammaPair(w, EMPTY_SUBDIGRAPH))
                 continue

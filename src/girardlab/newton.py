@@ -14,6 +14,10 @@ The closing term aggregates over *all* size-r color sets; the single-set
 form r * ell(r, C) with C = {1..k} is only equivalent when k = r, so
 reports carry both residuals.
 
+The c values come from `enumeration.closed_walk_buckets`, a transfer-matrix
+DP that builds no walk; the ell values come from one enumeration of the
+linear subdigraphs.
+
 Specializing to the all-loops graph (digraph.self_loop_digraph) turns the
 identity into a statement about n alphabets of r symbols a[j]^(1..r), the
 multi-alphabet Newton-Girard identity; collapsing a[j]^(i) := a_j for
@@ -28,7 +32,7 @@ from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
 from .digraph import ColoredDigraph, self_loop_digraph
-from .enumeration import LinearSubdigraph, closed_walks, linear_subdigraphs
+from .enumeration import LinearSubdigraph, closed_walk_buckets, linear_subdigraphs
 from .exactnum import factorial
 from .poly import Poly, VarId, avar, poly_prod, poly_sum
 
@@ -90,23 +94,18 @@ def _closing_sum(ell: Mapping[tuple[int, frozenset[int]], Poly], r: int) -> Poly
     return poly_sum(val for (length, _), val in ell.items() if length == r)
 
 
-def _walk_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], Poly]:
-    """(length, color set) -> walk weight sum, nonempty walks only."""
-    buckets: dict = {}
-    for w in closed_walks(g):
-        key = (w.length, w.colors)
-        buckets[key] = buckets.get(key, Poly.zero()) + w.weight(g)
-    return buckets
-
-
 def _split_terms(
     g: ColoredDigraph,
     r: int,
     ell: Mapping[tuple[int, frozenset[int]], Poly],
     include_empty_walk: bool,
 ) -> dict[ColorPair, Poly]:
-    """Contributions c(|T|, T) * ell(|S|, S) for disjoint S, T summing to r."""
-    cwk = _walk_buckets(g)
+    """Contributions c(|T|, T) * ell(|S|, S) for disjoint S, T summing to r.
+
+    c comes from `closed_walk_buckets` (a transfer-matrix DP, no walk is
+    built); ell is read off the caller's subdigraph buckets.
+    """
+    cwk = closed_walk_buckets(g)
     colors = sorted(g.color_set())
     terms: dict[ColorPair, Poly] = {}
     for s_size in range(0, r + 1):

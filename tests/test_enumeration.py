@@ -9,6 +9,7 @@ from girardlab import (
     LinearSubdigraph,
     Poly,
     Walk,
+    closed_walk_buckets,
     closed_walk_sum,
     closed_walks,
     colored_cycles,
@@ -280,3 +281,92 @@ def test_linear_subdigraphs_match_reference_on_all_patterns(n, k):
 @pytest.mark.parametrize("seed", [3, 17])
 def test_linear_subdigraphs_match_reference_on_dense_graphs(seed):
     check_against_reference(random_digraph(4, 4, 1.0, 3, seed=seed))
+
+
+# ---------------------------------------------------------------------------
+# closed_walk_buckets against the walk enumeration
+# ---------------------------------------------------------------------------
+
+
+def reference_walk_buckets(g: ColoredDigraph) -> dict:
+    """closed_walks(g) grouped by (length, color set), weights summed."""
+    buckets: dict = {}
+    for w in closed_walks(g):
+        key = (w.length, w.colors)
+        buckets[key] = buckets.get(key, Poly.zero()) + w.weight(g)
+    return buckets
+
+
+def check_walk_buckets(g: ColoredDigraph) -> None:
+    got = closed_walk_buckets(g)
+    want = reference_walk_buckets(g)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == value, key
+
+
+def prime_weighted_dense_graph(n: int, k: int) -> ColoredDigraph:
+    """Every ordered pair present, a distinct prime on every colored edge."""
+    primes = [p for p in range(2, 1000) if all(p % d for d in range(2, p))]
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
+    return make_digraph(
+        n, k, {pair: primes[i * k:(i + 1) * k] for i, pair in enumerate(pairs)}
+    )
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)])
+def test_walk_buckets_match_enumeration_on_all_patterns(n, k):
+    for g in all_pattern_graphs(n, k):
+        check_walk_buckets(g)
+
+
+@pytest.mark.parametrize("n,k", [(4, 4), (5, 4)])
+def test_walk_buckets_match_enumeration_on_dense_prime_graphs(n, k):
+    check_walk_buckets(prime_weighted_dense_graph(n, k))
+
+
+def test_walk_buckets_match_enumeration_on_random_graphs():
+    rng = random.Random(88)
+    for _ in range(12):
+        n, k = rng.randint(2, 4), rng.randint(2, 4)
+        check_walk_buckets(random_digraph(n, k, 0.5, 3, seed=rng.randrange(10**6)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_walk_buckets_match_enumeration_on_the_loop_graphs(n):
+    for r in range(1, 6):
+        check_walk_buckets(self_loop_digraph(n, r))
+
+
+def test_walk_buckets_keep_a_key_whose_sum_is_zero():
+    # 1 -> 2 -> 1 in colors (1, 2) weighs -1, in colors (2, 1) weighs +1,
+    # and likewise from root 2: c(2, {1, 2}) cancels but its walks exist.
+    g = make_digraph(2, 2, {(1, 2): [1, 1], (2, 1): [1, -1]})
+    buckets = closed_walk_buckets(g)
+    assert buckets[(2, frozenset({1, 2}))] == Poly.zero()
+    assert set(buckets) == set(reference_walk_buckets(g))
+    assert closed_walk_sum(g, 2, {1, 2}) == Poly.zero()
+
+
+def test_walk_sum_is_a_bucket_lookup():
+    g = prime_weighted_dense_graph(3, 3)
+    buckets = closed_walk_buckets(g)
+    for size in range(0, 5):
+        for t in combinations(range(0, 5), size):
+            want = buckets.get((size, frozenset(t)), Poly.zero())
+            if size == 0:
+                want = Poly.one()
+            assert closed_walk_sum(g, size, t) == want
+            assert closed_walk_sum(g, size + 1, t) == Poly.zero()
+
+
+def test_max_length_caps_without_filtering():
+    g = prime_weighted_dense_graph(3, 3)
+    for cap in range(0, 5):
+        capped = closed_walks(g, max_length=cap)
+        assert all(w.length <= cap for w in capped)
+        for q in range(1, 5):
+            # same walks, in the same order, as the exact-length pass
+            assert [w for w in capped if w.length == q] == (
+                closed_walks(g, length=q) if q <= cap else []
+            )

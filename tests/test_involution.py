@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -12,6 +13,8 @@ from girardlab import (
     WalkGammaPair,
     audit_involution,
     classify,
+    color_split_sum,
+    cross_check_against_loops,
     enumerate_pairs,
     involute,
     make_subdigraph,
@@ -160,6 +163,30 @@ def test_one_subdigraph_enumeration_per_check_and_per_audit(monkeypatch):
         assert verify_walk_cycle_identity(g, r).passed
         assert len(calls) == 1
         calls.clear()
+        assert audit_involution(g, r).ok
+        assert len(calls) == 1
+
+
+def test_walks_are_enumerated_only_by_the_audit(monkeypatch):
+    # the identity, color_split_sum and the theorem3 cross-check take c
+    # from closed_walk_buckets; the audit makes one pass for all lengths
+    calls = []
+    original = enumeration.closed_walks
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("girardlab") and getattr(mod, "closed_walks", None) is original:
+            monkeypatch.setattr(mod, "closed_walks", counted)
+    g = random_digraph(3, 3, 1.0, 3, seed=41)
+    for r in range(1, 5):  # both cases: r <= n and r > n
+        calls.clear()
+        assert verify_walk_cycle_identity(g, r).passed
+        color_split_sum(g, r)
+        assert cross_check_against_loops(r, 3)
+        assert len(calls) == 0
         assert audit_involution(g, r).ok
         assert len(calls) == 1
 
