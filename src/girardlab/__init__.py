@@ -6,146 +6,19 @@ integers, `fractions.Fraction` rationals, and integer-coefficient sparse
 polynomials.  See the README for the identity statements and the CLI.
 """
 
-from .exactnum import bernoulli_number, binomial, factorial
-from .poly import (
-    Poly,
-    PolyParseError,
-    VarId,
-    avar,
-    parse_poly,
-    poly_prod,
-    poly_sum,
-    var_text,
-    xvar,
-    yvar,
-)
-from .powersum import (
-    good_word_sum,
-    power_sum_below,
-    power_sum_direct,
-    power_sum_lhs,
-    power_sum_rhs,
-    power_sum_via_bernoulli,
-    power_sum_via_stirling,
-    power_sum_via_stirling_prefactored,
-    rhs_inner_sum,
-    stirling2,
-    stirling2_recurrence,
-    sum_product,
-    verify_binomial_transform,
-)
-from .digraph import (
-    ColoredDigraph,
-    GraphFormatError,
-    make_digraph,
-    parse_digraph,
-    random_digraph,
-    self_loop_digraph,
-    serialize_digraph,
-    validate,
-)
-from .enumeration import (
-    EMPTY_SUBDIGRAPH,
-    LinearSubdigraph,
-    Walk,
-    closed_walk_buckets,
-    closed_walk_sum,
-    closed_walks,
-    colored_cycles,
-    linear_subdigraph_sum,
-    linear_subdigraphs,
-    make_subdigraph,
-)
-from .newton import (
-    NewtonReport,
-    color_split_sum,
-    cross_check_against_loops,
-    elementary_coefficients,
-    elementary_color_sum,
-    total_subdigraph_sum,
-    uniform_alpha_assignment,
-    verify_classical_newton_girard,
-    verify_colored_newton_girard,
-    verify_walk_cycle_identity,
-)
-from .involution import (
-    BAD,
-    GOOD,
-    InvolutionAudit,
-    WalkGammaPair,
-    audit_involution,
-    classify,
-    enumerate_pairs,
-    involute,
-    underlying_subdigraph,
-    walk_concat,
-)
+from .exactnum import *
+from .poly import *
+from .powersum import *
+from .digraph import *
+from .enumeration import *
+from .newton import *
+from .involution import *
+from . import digraph, enumeration, exactnum, involution, newton, poly, powersum
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "bernoulli_number",
-    "binomial",
-    "factorial",
-    "Poly",
-    "PolyParseError",
-    "VarId",
-    "avar",
-    "parse_poly",
-    "poly_prod",
-    "poly_sum",
-    "var_text",
-    "xvar",
-    "yvar",
-    "good_word_sum",
-    "power_sum_below",
-    "power_sum_direct",
-    "power_sum_lhs",
-    "power_sum_rhs",
-    "power_sum_via_bernoulli",
-    "power_sum_via_stirling",
-    "power_sum_via_stirling_prefactored",
-    "rhs_inner_sum",
-    "stirling2",
-    "stirling2_recurrence",
-    "sum_product",
-    "verify_binomial_transform",
-    "ColoredDigraph",
-    "GraphFormatError",
-    "make_digraph",
-    "parse_digraph",
-    "random_digraph",
-    "self_loop_digraph",
-    "serialize_digraph",
-    "validate",
-    "EMPTY_SUBDIGRAPH",
-    "LinearSubdigraph",
-    "Walk",
-    "closed_walk_buckets",
-    "closed_walk_sum",
-    "closed_walks",
-    "colored_cycles",
-    "linear_subdigraph_sum",
-    "linear_subdigraphs",
-    "make_subdigraph",
-    "NewtonReport",
-    "color_split_sum",
-    "cross_check_against_loops",
-    "elementary_coefficients",
-    "elementary_color_sum",
-    "total_subdigraph_sum",
-    "uniform_alpha_assignment",
-    "verify_classical_newton_girard",
-    "verify_colored_newton_girard",
-    "verify_walk_cycle_identity",
-    "BAD",
-    "GOOD",
-    "InvolutionAudit",
-    "WalkGammaPair",
-    "audit_involution",
-    "classify",
-    "enumerate_pairs",
-    "involute",
-    "underlying_subdigraph",
-    "walk_concat",
+    name
+    for module in (exactnum, poly, powersum, digraph, enumeration, newton, involution)
+    for name in module.__all__
 ]

@@ -137,10 +137,22 @@ def _load_graph(path: str) -> ColoredDigraph:
     return g
 
 
-def _random_graphs(args: argparse.Namespace, seed: int) -> list[tuple[int, ColoredDigraph]]:
+def _graph_instances(
+    args: argparse.Namespace, report: RunReport
+) -> list[tuple[int | None, ColoredDigraph]]:
+    """The (graph seed, graph) list of a `--graph` or `--random` run; records
+    the source in `report.params` and, for `--random`, the seed."""
+    if args.graph is not None:
+        report.params["graph"] = args.graph
+        return [(None, _load_graph(args.graph))]
+    report.seed = _resolve_seed(args)
+    report.params.update(
+        {"n": args.n, "k": args.k, "density": args.density,
+         "weight_bound": args.weight_bound, "trials": args.trials}
+    )
     if args.n is None or args.k is None:
         raise UsageError("--random needs --n and --k")
-    rng = random.Random(seed)
+    rng = random.Random(report.seed)
     out = []
     for _ in range(args.trials):
         graph_seed = rng.randrange(2**31)
@@ -169,21 +181,12 @@ def _run_theorem1(args) -> RunReport:
 
 
 def _run_theorem2(args) -> RunReport:
-    params = {"r": args.r, "literal_ell": bool(args.literal_ell)}
-    report = RunReport(command="verify theorem2", params=params)
+    report = RunReport(
+        command="verify theorem2",
+        params={"r": args.r, "literal_ell": bool(args.literal_ell)},
+    )
     report.notes.append(AGGREGATION_NOTE)
-    if args.graph is not None:
-        params["graph"] = args.graph
-        instances = [(None, _load_graph(args.graph))]
-    else:
-        seed = _resolve_seed(args)
-        report.seed = seed
-        params.update(
-            {"n": args.n, "k": args.k, "density": args.density,
-             "weight_bound": args.weight_bound, "trials": args.trials}
-        )
-        instances = _random_graphs(args, seed)
-    for idx, (graph_seed, g) in enumerate(instances):
+    for idx, (graph_seed, g) in enumerate(_graph_instances(args, report)):
         report.trials += 1
         res = verify_walk_cycle_identity(g, args.r)
         residual = res.literal_residual if args.literal_ell else res.residual
@@ -264,20 +267,8 @@ def _run_lemma21(args) -> RunReport:
 
 
 def _run_involution_audit(args) -> RunReport:
-    params = {"r": args.r}
-    report = RunReport(command="involution audit", params=params)
-    if args.graph is not None:
-        params["graph"] = args.graph
-        instances = [(None, _load_graph(args.graph))]
-    else:
-        seed = _resolve_seed(args)
-        report.seed = seed
-        params.update(
-            {"n": args.n, "k": args.k, "density": args.density,
-             "weight_bound": args.weight_bound, "trials": args.trials}
-        )
-        instances = _random_graphs(args, seed)
-    for idx, (graph_seed, g) in enumerate(instances):
+    report = RunReport(command="involution audit", params={"r": args.r})
+    for idx, (graph_seed, g) in enumerate(_graph_instances(args, report)):
         report.trials += 1
         audit = audit_involution(g, args.r)
         if not audit.ok:

@@ -11,10 +11,17 @@ The empty walk and the empty subdigraph exist only as conventions inside
 `closed_walk_sum` and `linear_subdigraph_sum` (both equal to 1 at size
 zero); the enumerators never yield them.
 
-The enumerators are exhaustive and meant for desk-scale graphs (n, k up
-to about 5).  The walk sums do not need them: `closed_walk_buckets` sums
-every closed walk by a transfer-matrix DP over (vertex, used-color mask)
-states (Stanley, Enumerative Combinatorics I, 4.7) and builds no walk.
+The two generating sums do not enumerate anything.  `closed_walk_buckets`
+sums every closed walk by a transfer-matrix DP over (vertex, used-color
+mask) states (Stanley, Enumerative Combinatorics I, 4.7): at most
+n * 2^k states times n * k moves per root.  `linear_subdigraph_buckets`
+sums every linear subdigraph as a coefficient of det(I - sum_c t_c A_c),
+by a row expansion over (used columns, used colors) states: at most
+C(n, i) * 2^k states times n * (k + 1) moves at row i.  Both keep `Poly`
+values, so symbolic weights work.  The enumerators are exhaustive and
+meant for desk-scale graphs (n, k up to about 5); they serve the
+involution audit, which needs the objects, and the tests, which compare
+the DPs against them.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from itertools import permutations
 from typing import Iterable, Iterator
 
 from .digraph import ColoredDigraph
-from .poly import Poly, poly_prod, poly_sum
+from .poly import Poly, poly_prod
 
 __all__ = [
     "Edge",
@@ -36,6 +43,7 @@ __all__ = [
     "linear_subdigraphs",
     "closed_walks",
     "closed_walk_buckets",
+    "linear_subdigraph_buckets",
     "linear_subdigraph_sum",
     "closed_walk_sum",
 ]
@@ -187,55 +195,29 @@ def colored_cycles(g: ColoredDigraph) -> list[tuple[Edge, ...]]:
     return out
 
 
-def linear_subdigraphs(
-    g: ColoredDigraph,
-    length: int | None = None,
-    colors: Iterable[int] | None = None,
-) -> list[LinearSubdigraph]:
-    """All (nonempty) linear subdigraphs, optionally filtered.
-
-    `length` filters on total edge count, `colors` on the exact color set.
-    The result is in depth-first order over the cycles sorted by their
-    smallest vertex, so a filtered list is the full list with the
-    non-matching entries left out.
-    """
-    want_cmask = None
-    if colors is not None:
-        want_colors = frozenset(colors)
-        if not want_colors <= g.color_set():
-            return []  # no subdigraph uses a color the graph lacks
-        want_cmask = _bitmask(want_colors)
-    # Each pooled cycle carries (cycle, vertex mask, color mask, size); a
-    # cycle either filter rules out could never join a match, so it is
-    # dropped here rather than tested at every node of the search.
-    pool = []
-    for cycle in sorted(colored_cycles(g), key=lambda c: (c[0][0], c)):
-        cmask = _bitmask(e[2] for e in cycle)
-        if length is not None and len(cycle) > length:
-            continue
-        if want_cmask is not None and cmask & ~want_cmask:
-            continue
-        pool.append((cycle, _bitmask(e[0] for e in cycle), cmask, len(cycle)))
+def linear_subdigraphs(g: ColoredDigraph) -> list[LinearSubdigraph]:
+    """All (nonempty) linear subdigraphs, in depth-first order over the
+    cycles sorted by their smallest vertex."""
+    # Each pooled cycle carries (cycle, vertex mask, color mask), so the
+    # search tests ints instead of building sets.
+    pool = [
+        (cycle, _bitmask(e[0] for e in cycle), _bitmask(e[2] for e in cycle))
+        for cycle in sorted(colored_cycles(g), key=lambda c: (c[0][0], c))
+    ]
     out: list[LinearSubdigraph] = []
 
-    def extend(
-        start: int, chosen: list[tuple[Edge, ...]], used_v: int, used_c: int, total: int
-    ) -> None:
-        if chosen and (length is None or total == length) and (
-            want_cmask is None or used_c == want_cmask
-        ):
+    def extend(start: int, chosen: list[tuple[Edge, ...]], used_v: int, used_c: int) -> None:
+        if chosen:
             out.append(LinearSubdigraph(tuple(chosen)))
         for idx in range(start, len(pool)):
-            cycle, vmask, cmask, size = pool[idx]
+            cycle, vmask, cmask = pool[idx]
             if vmask & used_v or cmask & used_c:
                 continue
-            if length is not None and total + size > length:
-                continue
             chosen.append(cycle)
-            extend(idx + 1, chosen, used_v | vmask, used_c | cmask, total + size)
+            extend(idx + 1, chosen, used_v | vmask, used_c | cmask)
             chosen.pop()
 
-    extend(0, [], 0, 0, 0)
+    extend(0, [], 0, 0)
     return out
 
 
@@ -247,24 +229,15 @@ def _bitmask(items: Iterable[int]) -> int:
     return mask
 
 
-def closed_walks(
-    g: ColoredDigraph,
-    length: int | None = None,
-    colors: Iterable[int] | None = None,
-    *,
-    max_length: int | None = None,
-) -> list[Walk]:
-    """All closed colored walks (length >= 1), optionally filtered.
+def closed_walks(g: ColoredDigraph, *, max_length: int | None = None) -> list[Walk]:
+    """All closed colored walks (length >= 1), in depth-first order from
+    each root in turn.
 
-    `length` filters on step count, `colors` on the exact color set.  The
-    distinct-color rule caps every walk at k steps, so a length filter
-    beyond k simply yields nothing.  `max_length` caps the step count
-    without filtering on it, so a caller that needs every length up to r
-    makes one pass; the walks of each length keep the order they have in
-    `closed_walks(g, length=q)`.
+    The distinct-color rule caps every walk at k steps.  `max_length`
+    caps the step count lower, so a caller that needs every length up to
+    r makes one pass; the walks of each length keep their order.
     """
-    want_colors = frozenset(colors) if colors is not None else None
-    cap = min(c for c in (length, max_length, g.colors) if c is not None)
+    cap = g.colors if max_length is None else min(max_length, g.colors)
     succ = {u: g.successors(u) for u in range(1, g.n + 1)}
     out: list[Walk] = []
 
@@ -272,17 +245,12 @@ def closed_walks(
         root: int, current: int, steps: list[tuple[int, int]], used_c: set[int]
     ) -> None:
         if steps and current == root:
-            if (length is None or len(steps) == length) and (
-                want_colors is None or used_c == want_colors
-            ):
-                out.append(Walk(root, tuple(steps)))
+            out.append(Walk(root, tuple(steps)))
         if len(steps) >= cap:
             return
         for v in succ[current]:
             for c in range(1, g.colors + 1):
                 if c in used_c:
-                    continue
-                if want_colors is not None and c not in want_colors:
                     continue
                 steps.append((v, c))
                 used_c.add(c)
@@ -332,9 +300,58 @@ def closed_walk_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], P
     return buckets
 
 
+def linear_subdigraph_buckets(
+    g: ColoredDigraph,
+) -> dict[tuple[int, frozenset[int]], Poly]:
+    """(length, color set) -> sum of (-1)^(cycle count) * weight over the
+    linear subdigraphs with that length and color set.
+
+    That sum is the coefficient of t^S in det(I - sum_c t_c A_c) over
+    Z[w][t]/(t_c^2), where A_c holds the color-c weights: a permutation's
+    non-fixed points are cycles of colored edges, its fixed points are
+    the diagonal 1 or a colored loop, and its sign times the (-1) of
+    each colored entry is (-1)^(cycle count) (Harary 1962).  The row
+    expansion sums every permutation without building one: row i maps
+    (used columns, used colors) to the signed sum of its partial
+    products, and goes to each unused column j with the diagonal 1
+    (j = i) or -w(i, j, c) for each unused color c, flipping the sign for
+    each used column above j (the inversions the move adds).  There is no
+    division, so `Poly` weights work; row i has at most C(n, i) * 2^k
+    states and n * (k + 1) moves each.  Every final state with a color is
+    the bucket of its color set, even when its sum is zero.
+    """
+    layer = {(0, 0): Poly.one()}
+    for i in range(1, g.n + 1):
+        # (column, color bit, entry); the diagonal 1 uses no color
+        moves = [(i, 0, None)] + [
+            (j, 1 << c, -g.weight(i, j, c))
+            for j in g.successors(i)
+            for c in range(1, g.colors + 1)
+        ]
+        nxt: dict = {}
+        for (cols, mask), val in layer.items():
+            neg = -val
+            for j, bit, entry in moves:
+                if cols >> j & 1 or mask & bit:
+                    continue
+                term = neg if (cols >> j).bit_count() % 2 else val
+                if entry is not None:
+                    term = term * entry
+                key = (cols | 1 << j, mask | bit)
+                nxt[key] = nxt[key] + term if key in nxt else term
+        layer = nxt
+    colors = range(1, g.colors + 1)
+    return {
+        (mask.bit_count(), frozenset(c for c in colors if mask >> c & 1)): val
+        for (_, mask), val in layer.items()
+        if mask
+    }
+
+
 def linear_subdigraph_sum(g: ColoredDigraph, p: int, colors: Iterable[int]) -> Poly:
     """ell(g, p, S): sum of (-1)^(cycle count) * weight over subdigraphs
-    with p edges and color set exactly S.
+    with p edges and color set exactly S, looked up in
+    `linear_subdigraph_buckets`.
 
     Conventions: 1 when p = 0 and S is empty (the empty subdigraph), 0
     whenever p != |S| (a subdigraph's edge and color counts agree).
@@ -342,12 +359,7 @@ def linear_subdigraph_sum(g: ColoredDigraph, p: int, colors: Iterable[int]) -> P
     s = frozenset(colors)
     if p == 0 and not s:
         return Poly.one()
-    if p != len(s):
-        return Poly.zero()
-    return poly_sum(
-        Poly.const(-1 if gamma.cycle_count % 2 else 1) * gamma.weight(g)
-        for gamma in linear_subdigraphs(g, length=p, colors=s)
-    )
+    return linear_subdigraph_buckets(g).get((p, s), Poly.zero())
 
 
 def closed_walk_sum(g: ColoredDigraph, q: int, colors: Iterable[int]) -> Poly:

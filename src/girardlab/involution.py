@@ -277,7 +277,8 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
             if got != want:
                 problems.append("GOOD group weight sum is off")
 
-    report = verify_walk_cycle_identity(g, r, subdigraphs=subdigraphs)
+    # the recheck takes c and ell from the DPs, not from the pairs above
+    report = verify_walk_cycle_identity(g, r)
     # no subdigraph has r > n edges, so the r > n report's zero correction
     # is r * (aggregated ell) there too
     correction = report.aggregated_correction

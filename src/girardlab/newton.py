@@ -15,8 +15,9 @@ form r * ell(r, C) with C = {1..k} is only equivalent when k = r, so
 reports carry both residuals.
 
 The c values come from `enumeration.closed_walk_buckets`, a transfer-matrix
-DP that builds no walk; the ell values come from one enumeration of the
-linear subdigraphs.
+DP that builds no walk; the ell values come from
+`enumeration.linear_subdigraph_buckets`, a row expansion of
+det(I - sum_c t_c A_c) that builds no subdigraph.
 
 Specializing to the all-loops graph (digraph.self_loop_digraph) turns the
 identity into a statement about n alphabets of r symbols a[j]^(1..r), the
@@ -32,7 +33,7 @@ from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
 from .digraph import ColoredDigraph, self_loop_digraph
-from .enumeration import LinearSubdigraph, closed_walk_buckets, linear_subdigraphs
+from .enumeration import closed_walk_buckets, linear_subdigraph_buckets
 from .exactnum import factorial
 from .poly import Poly, VarId, avar, poly_prod, poly_sum
 
@@ -77,18 +78,6 @@ class NewtonReport:
         return self.residual.is_zero
 
 
-def _subdigraph_buckets(
-    g: ColoredDigraph, subdigraphs: Iterable[LinearSubdigraph]
-) -> dict[tuple[int, frozenset[int]], Poly]:
-    """(length, color set) -> signed subdigraph sum, nonempty ones only."""
-    buckets: dict = {}
-    for gamma in subdigraphs:
-        key = (gamma.length, gamma.colors)
-        sign = -1 if gamma.cycle_count % 2 else 1
-        buckets[key] = buckets.get(key, Poly.zero()) + sign * gamma.weight(g)
-    return buckets
-
-
 def _closing_sum(ell: Mapping[tuple[int, frozenset[int]], Poly], r: int) -> Poly:
     """sum over all size-r color sets S of ell(r, S), read off the buckets."""
     return poly_sum(val for (length, _), val in ell.items() if length == r)
@@ -103,7 +92,8 @@ def _split_terms(
     """Contributions c(|T|, T) * ell(|S|, S) for disjoint S, T summing to r.
 
     c comes from `closed_walk_buckets` (a transfer-matrix DP, no walk is
-    built); ell is read off the caller's subdigraph buckets.
+    built); ell is read off the caller's `linear_subdigraph_buckets` (a
+    determinant DP, no subdigraph is built).
     """
     cwk = closed_walk_buckets(g)
     colors = sorted(g.color_set())
@@ -133,7 +123,7 @@ def color_split_sum(g: ColoredDigraph, r: int) -> Poly:
     vanishes outright when r > n."""
     if r < 1:
         raise ValueError("color_split_sum requires r >= 1")
-    ell = _subdigraph_buckets(g, linear_subdigraphs(g))
+    ell = linear_subdigraph_buckets(g)
     return poly_sum(_split_terms(g, r, ell, include_empty_walk=True).values())
 
 
@@ -141,27 +131,18 @@ def total_subdigraph_sum(g: ColoredDigraph, r: int) -> Poly:
     """Aggregated closing sum: sum over all size-r color sets S of ell(r, S)."""
     if r < 1:
         raise ValueError("total_subdigraph_sum requires r >= 1")
-    return _closing_sum(_subdigraph_buckets(g, linear_subdigraphs(g)), r)
+    return _closing_sum(linear_subdigraph_buckets(g), r)
 
 
-def verify_walk_cycle_identity(
-    g: ColoredDigraph,
-    r: int,
-    *,
-    subdigraphs: Sequence[LinearSubdigraph] | None = None,
-) -> NewtonReport:
+def verify_walk_cycle_identity(g: ColoredDigraph, r: int) -> NewtonReport:
     """Check the walk/cycle identity on one graph at one r.
 
-    `subdigraphs` is the full `linear_subdigraphs(g)` list when the caller
-    already holds it; otherwise it is enumerated here, once.  Both closing
-    terms are read off the same (length, color set) buckets as the
-    breakdown.
+    Both closing terms are read off the same (length, color set) buckets
+    as the breakdown.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if subdigraphs is None:
-        subdigraphs = linear_subdigraphs(g)
-    ell = _subdigraph_buckets(g, subdigraphs)
+    ell = linear_subdigraph_buckets(g)
     notes: list[str] = []
     if r > g.colors:
         notes.append(f"vacuous: r={r} exceeds color count k={g.colors}")

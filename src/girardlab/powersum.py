@@ -170,17 +170,21 @@ def stirling2(m: int, k: int) -> int:
     return q
 
 
+def _stirling2_row(m: int, top: int) -> list[int]:
+    """[S(m, 0), ..., S(m, top)] from the triangle S(m, k) = k S(m-1, k) +
+    S(m-1, k-1); column k needs only columns <= k of the row above, so
+    the columns past `top` are never built."""
+    row = [1] + [0] * top  # S(0, 0) = 1
+    for _ in range(m):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, top + 1)]
+    return row
+
+
 def stirling2_recurrence(m: int, k: int) -> int:
     """S(m, k) from the triangle S(m, k) = k S(m-1, k) + S(m-1, k-1)."""
     if m < 0 or k < 0:
         raise ValueError("stirling2_recurrence requires m, k >= 0")
-    row = [1]  # S(0, 0) = 1
-    for _ in range(m):
-        prev = row
-        row = [0] * (len(prev) + 1)
-        for kk in range(1, len(prev) + 1):
-            row[kk] = kk * (prev[kk] if kk < len(prev) else 0) + prev[kk - 1]
-    return row[k] if k < len(row) else 0
+    return _stirling2_row(m, k)[k]
 
 
 def verify_binomial_transform(alpha: int, c: Sequence[int]) -> bool:
@@ -194,10 +198,11 @@ def verify_binomial_transform(alpha: int, c: Sequence[int]) -> bool:
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     m = len(c)
+    s = _stirling2_row(alpha, m)
     lhs = sum(k**alpha * c[k - 1] for k in range(1, m + 1))
     rhs = sum(
         factorial(j)
-        * stirling2(alpha, j)
+        * s[j]
         * sum(binomial(k, j) * c[k - 1] for k in range(j, m + 1))
         for j in range(1, m + 1)
     )
@@ -227,9 +232,10 @@ def power_sum_via_stirling(m: int, n: int) -> int:
     """
     if m < 1 or n < 1:
         raise ValueError("power_sum_via_stirling requires m, n >= 1")
+    top = min(m, n)
+    s = _stirling2_row(m, top)
     return sum(
-        binomial(n + 1, k + 1) * stirling2(m, k) * factorial(k)
-        for k in range(0, min(m, n) + 1)
+        binomial(n + 1, k + 1) * s[k] * factorial(k) for k in range(0, top + 1)
     )
 
 

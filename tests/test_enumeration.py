@@ -13,6 +13,7 @@ from girardlab import (
     closed_walk_sum,
     closed_walks,
     colored_cycles,
+    linear_subdigraph_buckets,
     linear_subdigraph_sum,
     linear_subdigraphs,
     make_digraph,
@@ -26,6 +27,11 @@ from _support import all_pattern_graphs, permute_vertices
 
 def two_cycle_graph(k: int = 2) -> ColoredDigraph:
     return make_digraph(2, k, {(1, 2): [2] * k, (2, 1): [3] * k})
+
+
+def walks_of_length(g: ColoredDigraph, q: int) -> list[Walk]:
+    """The closed walks with q steps, in enumeration order."""
+    return [w for w in closed_walks(g) if w.length == q]
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +129,6 @@ def test_linear_subdigraph_census_on_the_loop_graph():
     everything = linear_subdigraphs(g)
     assert len(everything) == 6  # 4 single loops + 2 disjoint loop pairs
     assert len([s for s in everything if s.cycle_count == 2]) == 2
-    assert linear_subdigraphs(g, length=2) == [
-        s for s in everything if s.length == 2
-    ]
-    only_color_one = linear_subdigraphs(g, colors={1})
-    assert {s.colors for s in only_color_one} == {frozenset({1})}
-    assert len(only_color_one) == 2
 
 
 def test_linear_subdigraphs_are_disjoint_and_unique():
@@ -156,15 +156,15 @@ def test_closed_walk_census_on_the_loop_graph():
     g = self_loop_digraph(2, 2)
     walks = closed_walks(g)
     assert len(walks) == 8  # per vertex: 2 one-step + 2 two-step color orders
-    assert len(closed_walks(g, length=1)) == 4
-    assert len(closed_walks(g, length=2)) == 4
-    assert len(closed_walks(g, length=5)) == 0  # capped by the color count
+    assert len(walks_of_length(g, 1)) == 4
+    assert len(walks_of_length(g, 2)) == 4
+    assert len(walks_of_length(g, 5)) == 0  # capped by the color count
     assert all(w.is_closed for w in walks)
     assert all(len(w.colors) == w.length for w in walks)
 
 
 def test_closed_walks_distinguish_roots():
-    walks = closed_walks(two_cycle_graph(k=2), length=2)
+    walks = walks_of_length(two_cycle_graph(k=2), 2)
     assert len(walks) == 4
     assert {w.start for w in walks} == {1, 2}
 
@@ -252,24 +252,7 @@ def reference_subdigraphs(g: ColoredDigraph) -> list[LinearSubdigraph]:
 
 
 def check_against_reference(g: ColoredDigraph) -> None:
-    everything = linear_subdigraphs(g)
-    assert everything == reference_subdigraphs(g)
-    color_sets = [
-        set(s) for size in range(g.colors + 1)
-        for s in combinations(range(1, g.colors + 1), size)
-    ]
-    for length in range(g.n + 2):
-        assert linear_subdigraphs(g, length=length) == [
-            s for s in everything if s.length == length
-        ]
-    for colors in color_sets + [{g.colors + 1}, {0, 1}, {-1}]:
-        want = frozenset(colors)
-        assert linear_subdigraphs(g, colors=colors) == [
-            s for s in everything if s.colors == want
-        ]
-        assert linear_subdigraphs(g, length=len(colors), colors=colors) == [
-            s for s in everything if s.colors == want and s.length == len(colors)
-        ]
+    assert linear_subdigraphs(g) == reference_subdigraphs(g)
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)])
@@ -368,5 +351,70 @@ def test_max_length_caps_without_filtering():
         for q in range(1, 5):
             # same walks, in the same order, as the exact-length pass
             assert [w for w in capped if w.length == q] == (
-                closed_walks(g, length=q) if q <= cap else []
+                walks_of_length(g, q) if q <= cap else []
             )
+
+
+# ---------------------------------------------------------------------------
+# linear_subdigraph_buckets against the subdigraph enumeration
+# ---------------------------------------------------------------------------
+
+
+def reference_subdigraph_buckets(g: ColoredDigraph) -> dict:
+    """linear_subdigraphs(g) grouped by (length, color set), signed
+    weights summed."""
+    buckets: dict = {}
+    for gamma in linear_subdigraphs(g):
+        key = (gamma.length, gamma.colors)
+        sign = -1 if gamma.cycle_count % 2 else 1
+        buckets[key] = buckets.get(key, Poly.zero()) + sign * gamma.weight(g)
+    return buckets
+
+
+def check_subdigraph_buckets(g: ColoredDigraph) -> None:
+    got = linear_subdigraph_buckets(g)
+    want = reference_subdigraph_buckets(g)
+    for key, value in want.items():
+        if not value.is_zero:
+            assert got.get(key) == value, key
+    for key in got.keys() - want.keys():
+        assert got[key].is_zero, key
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)])
+def test_subdigraph_buckets_match_enumeration_on_all_patterns(n, k):
+    for g in all_pattern_graphs(n, k):
+        check_subdigraph_buckets(g)
+
+
+@pytest.mark.parametrize("n,k", [(4, 4), (5, 4)])
+def test_subdigraph_buckets_match_enumeration_on_dense_prime_graphs(n, k):
+    check_subdigraph_buckets(prime_weighted_dense_graph(n, k))
+
+
+def test_subdigraph_buckets_match_enumeration_on_random_graphs():
+    rng = random.Random(89)
+    for _ in range(12):
+        n, k = rng.randint(2, 4), rng.randint(2, 4)
+        check_subdigraph_buckets(
+            random_digraph(n, k, 0.5, 3, seed=rng.randrange(10**6))
+        )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_subdigraph_buckets_match_enumeration_on_the_loop_graphs(n):
+    for r in range(1, 6):
+        check_subdigraph_buckets(self_loop_digraph(n, r))
+
+
+def test_subdigraph_sum_is_a_bucket_lookup():
+    g = prime_weighted_dense_graph(3, 3)
+    buckets = linear_subdigraph_buckets(g)
+    for size in range(0, 4):
+        for s in combinations(range(1, 4), size):
+            want = Poly.one() if size == 0 else buckets[(size, frozenset(s))]
+            assert linear_subdigraph_sum(g, size, s) == want
+            assert linear_subdigraph_sum(g, size + 1, s) == Poly.zero()
+    # a color the graph lacks gives no subdigraph
+    for s in ({g.colors + 1}, {0, 1}, {-1}):
+        assert linear_subdigraph_sum(g, len(s), s) == Poly.zero()

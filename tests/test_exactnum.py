@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import girardlab
 from girardlab import bernoulli_number, binomial, factorial
 
 
@@ -53,9 +57,40 @@ def test_bernoulli_defining_recurrence():
         assert total == 0
 
 
-def test_bernoulli_concurrent_reads_agree():
+B40 = Fraction(-261082718496449122051, 13530)
+
+# In a fresh interpreter, eight threads released by one barrier grow a cold
+# cache at once, for several rounds (the cache is emptied back to B_0
+# between rounds); the lock is what keeps two of them from appending the
+# same entry.
+RACE = """
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from girardlab import exactnum
+sys.setswitchinterval(1e-6)
+for _ in range(20):
+    del exactnum._bernoulli_cache[1:]
+    barrier = threading.Barrier(8)
+    def read(k):
+        barrier.wait(timeout=60)
+        return exactnum.bernoulli_number(k)
     with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(bernoulli_number, [40] * 16))
-    assert len(set(results)) == 1
-    assert results[0] == bernoulli_number(40)
+        for value in pool.map(read, [40] * 8):
+            print(value)
+"""
+
+
+def test_bernoulli_concurrent_reads_agree():
+    src = str(Path(girardlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", RACE],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = [Fraction(line) for line in proc.stdout.split()]
+    assert results == [B40] * 160
+    assert bernoulli_number(40) == B40
 

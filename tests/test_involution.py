@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from girardlab import enumeration, involution, newton
+from girardlab import enumeration
 from girardlab import (
     BAD,
     EMPTY_SUBDIGRAPH,
@@ -17,9 +17,11 @@ from girardlab import (
     cross_check_against_loops,
     enumerate_pairs,
     involute,
+    linear_subdigraph_sum,
     make_subdigraph,
     random_digraph,
     self_loop_digraph,
+    total_subdigraph_sum,
     underlying_subdigraph,
     verify_walk_cycle_identity,
     walk_concat,
@@ -148,6 +150,8 @@ def test_audit_random_graphs():
 
 
 def test_one_subdigraph_enumeration_per_check_and_per_audit(monkeypatch):
+    # the identity, its closing sums, ell and the theorem3 cross-check take
+    # ell from linear_subdigraph_buckets; the audit enumerates once
     calls = []
     original = enumeration.linear_subdigraphs
 
@@ -155,14 +159,18 @@ def test_one_subdigraph_enumeration_per_check_and_per_audit(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(newton, "linear_subdigraphs", counted)
-    monkeypatch.setattr(involution, "linear_subdigraphs", counted)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("girardlab") and getattr(mod, "linear_subdigraphs", None) is original:
+            monkeypatch.setattr(mod, "linear_subdigraphs", counted)
     g = random_digraph(3, 3, 1.0, 3, seed=41)
     for r in range(1, 5):  # both cases: r <= n and r > n
         calls.clear()
         assert verify_walk_cycle_identity(g, r).passed
-        assert len(calls) == 1
-        calls.clear()
+        color_split_sum(g, r)
+        total_subdigraph_sum(g, r)
+        linear_subdigraph_sum(g, r, range(1, r + 1))
+        assert cross_check_against_loops(r, 3)
+        assert len(calls) == 0
         assert audit_involution(g, r).ok
         assert len(calls) == 1
 

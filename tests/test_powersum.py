@@ -153,6 +153,21 @@ def test_stirling2_closed_form_matches_recurrence():
             assert stirling2(m, k) == stirling2_recurrence(m, k), (m, k)
 
 
+def test_stirling_routes_build_one_row_instead_of_calling_the_closed_form(monkeypatch):
+    calls = []
+    original = powersum.stirling2
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(powersum, "stirling2", counted)
+    for n in (1, 7, 300, 1000):
+        assert power_sum_via_stirling(300, n) == power_sum_direct(300, n)
+    assert verify_binomial_transform(400, [1, -2, 3, 0, 5, -1])
+    assert calls == []
+
+
 def test_binomial_transform_hand_cases():
     # alpha = 1, c = (1, 1): 1 + 2 = 3 on both sides
     assert verify_binomial_transform(1, [1, 1])
