@@ -46,6 +46,7 @@ from .digraph import (
     random_digraph,
     validate,
 )
+from .exactnum import binomial, factorial
 from .involution import audit_involution
 from .newton import (
     cross_check_against_loops,
@@ -72,6 +73,12 @@ PREFACTOR_NOTE = (
     "stirling method uses the prefactor-free formula; the 1/(m+1)-scaled "
     "variant fails already at m = n = 1"
 )
+# theorem3's work limits, checked before any polynomial is built.  They keep
+# r = n = 7 (881,174 breakdown terms, 180,216 product terms) and refuse
+# r = n = 8 (11,211,272 breakdown terms); r = 12 makes 2^12 (S, T) entries.
+THEOREM3_MAX_R = 12
+THEOREM3_MAX_TERMS = 10**6
+
 AGGREGATION_NOTE = (
     "closing term aggregates ell(r, S) over all size-r color sets; "
     "--literal-ell checks the single-set ell(r, C) form, valid when k = r"
@@ -200,7 +207,42 @@ def _run_theorem2(args) -> RunReport:
     return report
 
 
+def _theorem3_terms(r: int, n: int) -> tuple[int, int]:
+    """The polynomial terms `verify theorem3` builds at (r, n), exactly:
+    (breakdown terms, product terms).
+
+    The (S, T) entry with |S| = k is the n-term bracket (1 when T is empty)
+    times E(n, S, k), which has k! * C(n, k) terms and shares no variable
+    with the bracket.  The product terms are those the generating function
+    carries over its layers j = 0..n, sum_j sum_S |E(j, S)| =
+    sum_k C(r, k) * k! * C(n + 1, k + 1); the all-loops ell DP of the
+    cross-check carries the same.
+    """
+    k_top = r if r > n else r - 1
+    breakdown = sum(
+        binomial(r, k) * (n if k < r else 1) * binomial(n, k) * factorial(k)
+        for k in range(k_top + 1)
+    )
+    product = sum(
+        binomial(r, k) * factorial(k) * binomial(n + 1, k + 1) for k in range(r + 1)
+    )
+    return breakdown, product
+
+
 def _run_theorem3(args) -> RunReport:
+    if args.r > THEOREM3_MAX_R:
+        raise UsageError(
+            f"verify theorem3 --r {args.r} would make 2^{args.r} (S, T) entries; "
+            f"the limit is 2^{THEOREM3_MAX_R}"
+        )
+    breakdown_terms, product_terms = _theorem3_terms(args.r, args.n)
+    for count, what in [(breakdown_terms, "breakdown terms"),
+                        (product_terms, "generating-function product terms")]:
+        if count > THEOREM3_MAX_TERMS:
+            raise UsageError(
+                f"verify theorem3 --r {args.r} --n {args.n} would build {count:,} "
+                f"{what}; the limit is {THEOREM3_MAX_TERMS:,}"
+            )
     report = RunReport(
         command="verify theorem3", params={"r": args.r, "n": args.n}, trials=1
     )

@@ -200,6 +200,34 @@ def elementary_color_sum(n: int, colors: Iterable[int], length: int) -> Poly:
     )
 
 
+def _elementary_buckets(n: int, r: int) -> dict[frozenset[int], Poly]:
+    """S -> E(n, S, |S|) for every color set S in [r] with |S| <= n.
+
+    E(n, S, |S|) is the coefficient of t^S in
+    prod_{j <= n} (1 + sum_{i <= r} a[j]^(i) t_i) over t_i^2 = 0, the
+    generating function of the elementary symmetric functions (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.2).  The product is a DP
+    over color masks: factor j keeps every bucket and moves it to
+    mask | i with the weight a[j]^(i) for each unused color i.  A set with
+    |S| > n has no key.  Factor j costs |S| products per bucket, so all
+    2^r buckets come from one pass instead of one enumeration per S.
+    """
+    colors = range(1, r + 1)
+    layer = {0: Poly.one()}
+    for j in range(1, n + 1):
+        step = [(1 << i, Poly.variable(avar(j, i))) for i in colors]
+        parts = {mask: [val] for mask, val in layer.items()}
+        for mask, val in layer.items():
+            for bit, weight in step:
+                if not mask & bit:
+                    parts.setdefault(mask | bit, []).append(val * weight)
+        layer = {mask: poly_sum(vals) for mask, vals in parts.items()}
+    return {
+        frozenset(i for i in colors if mask >> i & 1): val
+        for mask, val in layer.items()
+    }
+
+
 def verify_colored_newton_girard(r: int, n: int) -> NewtonReport:
     """Check the multi-alphabet Newton-Girard identity symbolically.
 
@@ -208,18 +236,27 @@ def verify_colored_newton_girard(r: int, n: int) -> NewtonReport:
         (-1)^k * [(r-k)! * sum_j prod_{i in T} a[j]^(i)] * E(n, S, k)
 
     where T runs over the (r-k)-subsets of [r], S is its complement and
-    E is elementary_color_sum; the k = r bracket (T empty) is 1, matching
-    the empty-walk convention.  For r <= n the closing term is
-    r * (-1)^r * E(n, [r], r) -- the (-1)^r carries the cycle-parity sign
-    of the length-r subdigraph sum, and an unsigned closing term would
-    fail for odd r.  The breakdown matches, entry for entry, the
-    walk/cycle identity on the all-loops graph.
+    E(n, S, k) is the coefficient of t^S in the generating function
+    prod_j (1 + sum_i a[j]^(i) t_i), read off `_elementary_buckets`; the
+    k = r bracket (T empty) is 1, matching the empty-walk convention.  For
+    r <= n the closing term is r * (-1)^r * E(n, [r], r) -- the (-1)^r
+    carries the cycle-parity sign of the length-r subdigraph sum, and an
+    unsigned closing term would fail for odd r.  The breakdown matches,
+    entry for entry, the walk/cycle identity on the all-loops graph.
+
+    Independence: on the all-loops graph `linear_subdigraph_buckets` only
+    takes diagonal moves, so its ell DP and the E buckets run the same
+    recursion up to sign.  The independent halves are c (the walk DP)
+    against the closed-form brackets (r-k)! * p_T here, and the E buckets
+    against the per-S enumeration `elementary_color_sum` in the tests.
     """
     if r < 1 or n < 1:
         raise ValueError("verify_colored_newton_girard requires r, n >= 1")
     colors = list(range(1, r + 1))
     case_one = r > n
     k_top = r if case_one else r - 1
+    elementary = _elementary_buckets(n, r)
+    zero = Poly.zero()
     breakdown: dict[ColorPair, Poly] = {}
     for k in range(0, k_top + 1):
         sign = -1 if k % 2 else 1
@@ -233,16 +270,13 @@ def verify_colored_newton_girard(r: int, n: int) -> NewtonReport:
                 )
             else:
                 bracket = Poly.one()
-            breakdown[(s, t)] = Poly.const(sign) * bracket * elementary_color_sum(
-                n, s, k
-            )
+            breakdown[(s, t)] = Poly.const(sign) * bracket * elementary.get(s, zero)
     base = poly_sum(breakdown.values())
     notes = (
         "closing term r*E(n, [r], r) enters with sign (-1)^r "
         "(cycle parity of the length-r subdigraph sum)",
     )
     if case_one:
-        zero = Poly.zero()
         return NewtonReport(
             case="r>n",
             r=r,
@@ -254,7 +288,7 @@ def verify_colored_newton_girard(r: int, n: int) -> NewtonReport:
             notes=notes,
         )
     closing_sign = -1 if r % 2 else 1
-    closing = Poly.const(r * closing_sign) * elementary_color_sum(n, colors, r)
+    closing = Poly.const(r * closing_sign) * elementary[frozenset(colors)]
     return NewtonReport(
         case="r<=n",
         r=r,

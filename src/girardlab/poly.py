@@ -7,11 +7,22 @@ The ring carries three indexed variable families:
 * ``a[j]^(i)`` -- doubly indexed alpha variables (subscript j, superscript i).
 
 Variables are totally ordered by family (all x < all y < all a), then by
-(subscript, superscript).  A monomial is a sorted tuple of (variable,
-exponent) pairs with positive exponents; a polynomial is a map from
-monomials to nonzero integer coefficients.  Every ``Poly`` is canonical by
-construction, so equal polynomials compare equal as objects and serialize
-to identical text.
+(subscript, superscript).  A polynomial is a map from monomials to nonzero
+integer coefficients.  Every ``Poly`` is canonical by construction, so
+equal polynomials compare equal as objects and serialize to identical
+text.
+
+Representation.  At the interface a monomial is a sorted tuple of
+(variable, exponent) pairs with positive exponents (``Monomial``).
+Inside a ``Poly`` it is a sorted tuple of int variable codes, each code
+repeated once per unit of exponent, and the unit monomial is ``()``.
+The code of a variable is family + 3 * Cantor(sub, sup), a bijection
+with no table behind it, so any number of threads can encode and decode
+at once.  A monomial product is ``tuple(sorted(m1 + m2))``, one C-level
+merge of two sorted runs, with no exponent bound to guard; a product of
+polynomials with s and t terms costs s * t of them.  Codes are turned
+back into variables only where a caller sees monomials: ``terms``,
+``variables``, ``evaluate`` and the text form.
 
 Text form: terms are ordered by descending total degree, ties broken by
 the variable order, and rendered like ``3*x[1]^(1)*y[2] - y[3]``.  An
@@ -24,6 +35,8 @@ bit-exactly.
 from __future__ import annotations
 
 import re
+from itertools import groupby
+from math import isqrt
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
@@ -92,37 +105,40 @@ def var_text(v: VarId) -> str:
     return f"{letter}[{v.sub}]^({v.sup})"
 
 
-# A monomial: ((VarId, exponent), ...) sorted by VarId, exponents >= 1.
-# The empty tuple is the unit monomial.
+# A monomial as callers see it: ((VarId, exponent), ...) sorted by VarId,
+# exponents >= 1.  The empty tuple is the unit monomial.
 Monomial = tuple  # tuple[tuple[VarId, int], ...]
 
 _UNIT: Monomial = ()
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    """Merge two sorted exponent lists."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 == v2:
-            out.append((v1, e1 + e2))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+def _var_code(v: VarId) -> int:
+    """family + 3 * Cantor(sub, sup): a bijection onto the non-negative ints."""
+    family, sub, sup = v
+    if family not in _FAMILY_LETTER or sub < 0 or sup < 0:
+        raise ValueError(f"not a variable: {v!r}")
+    w = sub + sup
+    return family + 3 * (w * (w + 1) // 2 + sup)
+
+
+def _code_var(code: int) -> VarId:
+    pair, family = divmod(code, 3)
+    w = (isqrt(8 * pair + 1) - 1) // 2
+    sup = pair - w * (w + 1) // 2
+    return VarId(family, w - sup, sup)
+
+
+def _encode(mono: Monomial) -> tuple[int, ...]:
+    codes = []
+    for v, e in mono:
+        if e < 0:
+            raise ValueError(f"negative exponent in monomial {mono!r}")
+        codes += [_var_code(v)] * e
+    return tuple(sorted(codes))
+
+
+def _decode(codes: tuple[int, ...]) -> Monomial:
+    return tuple(sorted((_code_var(c), len(list(run))) for c, run in groupby(codes)))
 
 
 def _mono_degree(m: Monomial) -> int:
@@ -147,11 +163,15 @@ class Poly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        data = {}
+        data: dict = {}
         if terms:
             for mono, coeff in terms.items():
-                if coeff:
-                    data[mono] = coeff
+                key = _encode(mono)
+                new = data.get(key, 0) + coeff
+                if new:
+                    data[key] = new
+                else:
+                    data.pop(key, None)
         self._terms = data
 
     # -- constructors ------------------------------------------------------
@@ -162,15 +182,20 @@ class Poly:
 
     @staticmethod
     def one() -> "Poly":
-        return Poly({_UNIT: 1})
+        return Poly.const(1)
 
     @staticmethod
     def const(c: int) -> "Poly":
-        return Poly({_UNIT: c})
+        out = Poly()
+        if c:
+            out._terms = {_UNIT: c}
+        return out
 
     @staticmethod
     def variable(v: VarId) -> "Poly":
-        return Poly({((v, 1),): 1})
+        out = Poly()
+        out._terms = {(_var_code(v),): 1}
+        return out
 
     # -- basic queries -----------------------------------------------------
 
@@ -195,14 +220,15 @@ class Poly:
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
         """(monomial, coefficient) pairs in canonical term order."""
-        for mono in sorted(self._terms, key=_term_sort_key):
-            yield mono, self._terms[mono]
+        decoded = [(_decode(mono), coeff) for mono, coeff in self._terms.items()]
+        decoded.sort(key=lambda term: _term_sort_key(term[0]))
+        yield from decoded
 
     def variables(self) -> frozenset[VarId]:
-        return frozenset(v for mono in self._terms for v, _ in mono)
+        return frozenset(map(_code_var, {c for mono in self._terms for c in mono}))
 
     def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono, 0)
+        return self._terms.get(_encode(mono), 0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -255,7 +281,8 @@ class Poly:
         data: dict = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in o._terms.items():
-                mono = _mono_mul(m1, m2)
+                # a constant left factor needs no sort
+                mono = tuple(sorted(m1 + m2)) if m1 else m2
                 new = data.get(mono, 0) + c1 * c2
                 if new:
                     data[mono] = new
@@ -291,13 +318,17 @@ class Poly:
 
     def evaluate(self, assignment: Mapping[VarId, int]) -> int:
         """Evaluate at integer values; every variable present must be assigned."""
+        values: dict[int, int] = {}
         total = 0
         for mono, coeff in self._terms.items():
             val = coeff
-            for v, e in mono:
-                if v not in assignment:
-                    raise ValueError(f"assignment missing variable {var_text(v)}")
-                val *= assignment[v] ** e
+            for code in mono:
+                if code not in values:
+                    v = _code_var(code)
+                    if v not in assignment:
+                        raise ValueError(f"assignment missing variable {var_text(v)}")
+                    values[code] = assignment[v]
+                val *= values[code]
             total += val
         return total
 

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,11 @@ def test_theorem1_passes(capsys):
 
 def test_theorem1_at_the_baseline_size(capsys):
     assert main(["verify", "theorem1", "--m", "12", "--r", "1"]) == 0
+    assert "result: PASS (1/1 checks)" in capsys.readouterr().out
+
+
+def test_theorem3_at_the_workload_size(capsys):
+    assert main(["verify", "theorem3", "--r", "6", "--n", "6"]) == 0
     assert "result: PASS (1/1 checks)" in capsys.readouterr().out
 
 
@@ -298,6 +304,9 @@ def test_console_script_is_installed():
         "verify lemma21 --alpha 3 --random --m 0",
         "verify theorem3 --r 0 --n 2",
         "verify theorem3 --r 2 --n 0",
+        "verify theorem3 --r 8 --n 8",
+        "verify theorem3 --r 25 --n 1",
+        "verify theorem3 --r 1 --n 1000000",
         "verify newton-girard --n 2 --r 2 --random --trials 0",
         "verify newton-girard --n 0 --r 2 --random",
         "verify newton-girard --n 2 --r 0 --random",
@@ -332,3 +341,34 @@ def test_theorem3_computes_the_symbolic_side_once(monkeypatch, capsys):
     assert main(["verify", "theorem3", "--r", "3", "--n", "2"]) == 0
     assert calls == [(3, 2)]
     assert "result: PASS (1/1 checks)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        ("verify theorem3 --r 8 --n 8", "11,211,272 breakdown terms"),
+        ("verify theorem3 --r 25 --n 1", "2^25 (S, T) entries"),
+        ("verify theorem3 --r 1 --n 1000000", "500,001,500,001 generating-function"),
+    ],
+)
+def test_theorem3_refuses_oversized_work_up_front(argv, count, capsys):
+    started = time.perf_counter()
+    assert main(argv.split()) == 2
+    assert time.perf_counter() - started < 1
+    assert count in capsys.readouterr().err
+
+
+def test_theorem3_term_counts_are_exact():
+    # the closed forms behind the work limit count what the run builds
+    for r in range(1, 6):
+        for n in range(1, 6):
+            breakdown, product = cli._theorem3_terms(r, n)
+            report = newton.verify_colored_newton_girard(r, n)
+            assert breakdown == sum(p.term_count() for p in report.breakdown.values())
+            assert product == sum(
+                p.term_count()
+                for j in range(n + 1)
+                for p in newton._elementary_buckets(j, r).values()
+            )
+    assert cli._theorem3_terms(6, 6)[0] == 75_642
+    assert cli._theorem3_terms(7, 7)[0] == 881_174

@@ -1,7 +1,12 @@
 import random
+import sys
+from itertools import combinations
 
 import pytest
 
+from girardlab import newton
+from girardlab.cli import main
+from girardlab.newton import _elementary_buckets
 from girardlab import (
     ColoredDigraph,
     Poly,
@@ -123,6 +128,37 @@ def test_elementary_color_sum_values():
     assert elementary_color_sum(1, {1}, 2) == Poly.zero()  # needs 2 colors
     with pytest.raises(ValueError):
         elementary_color_sum(2, {1}, -1)
+
+
+def test_elementary_buckets_equal_the_per_set_enumeration():
+    # every S in [r]: the generating-function bucket is the per-S sum, and
+    # a missing key is a zero sum (|S| > n)
+    for r in range(1, 6):
+        subsets = [frozenset(c) for k in range(r + 1) for c in combinations(range(1, r + 1), k)]
+        for n in range(1, 6):
+            buckets = _elementary_buckets(n, r)
+            assert set(buckets) <= set(subsets), (r, n)
+            for s in subsets:
+                expected = elementary_color_sum(n, s, len(s))
+                assert buckets.get(s, Poly.zero()) == expected, (r, n, sorted(s))
+                assert (s in buckets) == (len(s) <= n), (r, n, sorted(s))
+
+
+def test_theorem3_never_enumerates_per_color_set(monkeypatch, capsys):
+    calls = []
+    original = newton.elementary_color_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("girardlab") and getattr(mod, "elementary_color_sum", None) is original:
+            monkeypatch.setattr(mod, "elementary_color_sum", counted)
+    for r, n in [(3, 2), (2, 3), (4, 4)]:  # both cases: r > n and r <= n
+        assert main(["verify", "theorem3", "--r", str(r), "--n", str(n)]) == 0
+        assert "result: PASS (1/1 checks)" in capsys.readouterr().out
+    assert calls == []
 
 
 def test_colored_newton_girard_residual_vanishes():

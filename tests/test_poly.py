@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -156,3 +157,125 @@ def test_text_round_trip_is_bit_exact(p):
     again = parse_poly(text)
     assert again == p
     assert str(again) == text
+
+
+def test_no_exponent_cap():
+    p = Poly.variable(xvar(2, 3)) ** 300 - 7 * Y2**257 * A11
+    text = str(p)
+    assert text == "x[2]^(3)^300 - 7*y[2]^257*a[1]^(1)"
+    assert parse_poly(text) == p
+    assert p.coefficient(((xvar(2, 3), 300),)) == 1
+
+
+def test_variable_codes_are_a_bijection():
+    from girardlab.poly import VarId, _code_var, _var_code
+
+    # the variables with sub + sup < 40 take exactly the codes 0 .. 3 * 820 - 1
+    grid = [
+        VarId(f, sub, sup) for f in range(3) for sub in range(40) for sup in range(40 - sub)
+    ]
+    codes = [_var_code(v) for v in grid]
+    assert sorted(codes) == list(range(3 * 820))
+    assert [_code_var(c) for c in codes] == grid
+    with pytest.raises(ValueError):
+        Poly.variable(VarId(3, 1, 1))
+
+
+# -- the tuple-of-(VarId, exponent) representation, kept as a reference ------
+
+
+def ref_mono_mul(m1, m2):
+    """Merge two sorted exponent lists."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        v1, e1 = m1[i]
+        v2, e2 = m2[j]
+        if v1 == v2:
+            out.append((v1, e1 + e2))
+            i += 1
+            j += 1
+        elif v1 < v2:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return tuple(out)
+
+
+def ref_term_key(m):
+    return (-sum(e for _, e in m), tuple((v, -e) for v, e in m))
+
+
+def ref_accumulate(pairs):
+    data = {}
+    for mono, coeff in pairs:
+        data[mono] = data.get(mono, 0) + coeff
+    return {m: c for m, c in data.items() if c}
+
+
+def ref_str(data):
+    if not data:
+        return "0"
+    parts = []
+    for idx, mono in enumerate(sorted(data, key=ref_term_key)):
+        coeff = data[mono]
+        body = "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in mono)
+        mag = abs(coeff)
+        text = (body if mag == 1 else f"{mag}*{body}") if body else str(mag)
+        sign = ("-" if coeff < 0 else "") if idx == 0 else (" - " if coeff < 0 else " + ")
+        parts.append(sign + text)
+    return "".join(parts)
+
+
+WIDE_POOL = VAR_POOL + [xvar(17, 3), xvar(3, 17), yvar(1000), avar(40, 7), avar(7, 40)]
+
+ref_polys = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.sampled_from(WIDE_POOL), st.integers(1, 4)), max_size=4),
+        st.integers(min_value=-5, max_value=5),
+    ),
+    max_size=6,
+).map(
+    lambda terms: ref_accumulate(
+        (
+            functools.reduce(ref_mono_mul, [((v, e),) for v, e in mono], ()),
+            c,
+        )
+        for mono, c in terms
+    )
+)
+
+
+def assert_same(p, data):
+    # canonical: equal to the polynomial built from the reference terms
+    assert p == Poly(data) and hash(p) == hash(Poly(data))
+    assert list(p.terms()) == [(m, data[m]) for m in sorted(data, key=ref_term_key)]
+    assert p.term_count() == len(data)
+    assert p.variables() == frozenset(v for m in data for v, _ in m)
+    assert str(p) == ref_str(data)
+    for mono, coeff in data.items():
+        assert p.coefficient(mono) == coeff
+
+
+@settings(max_examples=200)
+@given(ref_polys, ref_polys)
+def test_int_codes_agree_with_the_variable_tuple_reference(a, b):
+    p, q = Poly(a), Poly(b)
+    assert_same(p, a)
+    assert_same(q, b)
+    assert_same(p + q, ref_accumulate([*a.items(), *b.items()]))
+    assert_same(
+        p * q,
+        ref_accumulate(
+            (ref_mono_mul(m1, m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items()
+        ),
+    )
+    assert p.coefficient(((yvar(999), 1),)) == 0
