@@ -25,8 +25,9 @@ except for elapsed_ms.  When --seed is omitted the GIRARD_LAB_SEED
 environment variable is used, then 0.
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 usage error
-(including an out-of-range value and an --out path that cannot be
-written), 3 malformed graph file.
+(including an out-of-range value, an --out path that cannot be written and
+a run of a subcommand without a graph whose counted work passes its
+limit), 3 malformed graph file.
 """
 
 from __future__ import annotations
@@ -73,11 +74,19 @@ PREFACTOR_NOTE = (
     "stirling method uses the prefactor-free formula; the 1/(m+1)-scaled "
     "variant fails already at m = n = 1"
 )
-# theorem3's work limits, checked before any polynomial is built.  They keep
-# r = n = 7 (881,174 breakdown terms, 180,216 product terms) and refuse
-# r = n = 8 (11,211,272 breakdown terms); r = 12 makes 2^12 (S, T) entries.
+# Work limits, each checked against an exact count before any work starts;
+# a run past one exits 2 at once.  theorem3 keeps r = n = 7 (881,174
+# breakdown terms, 180,216 product terms) and refuses r = n = 8 (11,211,272
+# breakdown terms); r = 12 makes 2^12 (S, T) entries.  theorem1 keeps
+# (m, r) = (14, 1) and refuses (16, 1); its count also keeps r below the
+# recursion depth of the good-word oracle.  The others keep every benchmark
+# invocation and refuse inputs that would run for more than a few seconds.
 THEOREM3_MAX_R = 12
 THEOREM3_MAX_TERMS = 10**6
+THEOREM1_MAX_CODES = 200_000
+NEWTON_GIRARD_MAX_STEPS = 10**6
+LEMMA21_MAX_CELLS = 500_000
+POWERSUM_MAX_STEPS = 400_000
 
 AGGREGATION_NOTE = (
     "closing term aggregates ell(r, S) over all size-r color sets; "
@@ -144,6 +153,19 @@ def _load_graph(path: str) -> ColoredDigraph:
     return g
 
 
+def _limit_work(
+    command: str, count: int, what: str, limit: int, *, at_least: bool = False
+) -> None:
+    """Refuse (exit 2) a run whose work, counted before any of it is done,
+    passes `limit`; the error names the count.  `at_least` marks a count
+    that stopped at its first partial sum past the limit."""
+    if count > limit:
+        bound = "at least " if at_least else ""
+        raise UsageError(
+            f"{command} would need {bound}{count:,} {what}; the limit is {limit:,}"
+        )
+
+
 def _graph_instances(
     args: argparse.Namespace, report: RunReport
 ) -> list[tuple[int | None, ColoredDigraph]]:
@@ -172,7 +194,30 @@ def _graph_instances(
 # -- subcommand handlers ----------------------------------------------------
 
 
+def _theorem1_codes(m: int, r: int, limit: int) -> int:
+    """Variable codes the 2^m - 1 products Pi_r(V) write, partial products
+    included: step j of a V of size k builds k^j monomials of j codes, so
+    the total is sum_k C(m, k) * sum_{j <= r} j * k^j.  The lhs and the
+    good-word oracle build fewer.  The sum over k stops at the first
+    partial sum past `limit`, so a huge m or r costs a term or two."""
+    total = 0
+    for k in range(1, m + 1):
+        if k == 1:
+            per_set = r * (r + 1) // 2
+        else:
+            per_set = k * (r * k ** (r + 1) - (r + 1) * k**r + 1) // (k - 1) ** 2
+        total += binomial(m, k) * per_set
+        if total > limit:
+            break
+    return total
+
+
 def _run_theorem1(args) -> RunReport:
+    _limit_work(
+        f"verify theorem1 --m {args.m} --r {args.r}",
+        _theorem1_codes(args.m, args.r, THEOREM1_MAX_CODES),
+        "variable codes in the products Pi_r(V)", THEOREM1_MAX_CODES, at_least=True,
+    )
     report = RunReport(
         command="verify theorem1", params={"m": args.m, "r": args.r}, trials=1
     )
@@ -238,11 +283,8 @@ def _run_theorem3(args) -> RunReport:
     breakdown_terms, product_terms = _theorem3_terms(args.r, args.n)
     for count, what in [(breakdown_terms, "breakdown terms"),
                         (product_terms, "generating-function product terms")]:
-        if count > THEOREM3_MAX_TERMS:
-            raise UsageError(
-                f"verify theorem3 --r {args.r} --n {args.n} would build {count:,} "
-                f"{what}; the limit is {THEOREM3_MAX_TERMS:,}"
-            )
+        _limit_work(f"verify theorem3 --r {args.r} --n {args.n}", count, what,
+                    THEOREM3_MAX_TERMS)
     report = RunReport(
         command="verify theorem3", params={"r": args.r, "n": args.n}, trials=1
     )
@@ -252,7 +294,7 @@ def _run_theorem3(args) -> RunReport:
         report.failures.append(
             {"r": args.r, "n": args.n, "residual": str(res.residual)}
         )
-    elif not cross_check_against_loops(args.r, args.n, symbolic=res):
+    elif not cross_check_against_loops(args.r, args.n):
         report.failures.append(
             {"r": args.r, "n": args.n,
              "residual": "symbolic and all-loops-graph paths disagree"}
@@ -263,6 +305,14 @@ def _run_theorem3(args) -> RunReport:
 def _run_newton_girard(args) -> RunReport:
     params = {"n": args.n, "r": args.r}
     report = RunReport(command="verify newton-girard", params=params)
+    # per trial: n * r(r+1)/2 steps for the powers root^t, t <= r, and
+    # n(n+1)/2 updates for the coefficients e_t
+    count = 1 if args.roots is not None else args.trials
+    steps = args.n * args.r * (args.r + 1) // 2 + args.n * (args.n + 1) // 2
+    _limit_work(
+        f"verify newton-girard --n {args.n} --r {args.r} on {count} trial(s)",
+        count * steps, "power and coefficient steps", NEWTON_GIRARD_MAX_STEPS,
+    )
     if args.roots is not None:
         roots = _parse_csv_ints(args.roots, "roots")
         if len(roots) != args.n:
@@ -292,15 +342,21 @@ def _run_lemma21(args) -> RunReport:
         if not c:
             raise UsageError("--c needs at least one entry")
         params["c"] = c
-        trials = [c]
+        count, length, trials = 1, len(c), [c]
     else:
         seed = _resolve_seed(args)
         report.seed = seed
         params.update({"m": args.m, "trials": args.trials})
         rng = random.Random(seed)
-        trials = [
+        count, length = args.trials, args.m
+        trials = (
             [rng.randint(-5, 5) for _ in range(args.m)] for _ in range(args.trials)
-        ]
+        )
+    # each trial builds the Stirling row S(alpha, 0..m), alpha rows of m cells
+    _limit_work(
+        f"verify lemma21 --alpha {args.alpha} on {count} trial(s) of length {length}",
+        count * args.alpha * length, "Stirling-row cells", LEMMA21_MAX_CELLS,
+    )
     for idx, c in enumerate(trials):
         report.trials += 1
         if not verify_binomial_transform(args.alpha, c):
@@ -322,6 +378,12 @@ def _run_involution_audit(args) -> RunReport:
 
 
 def _run_powersum(args) -> RunReport:
+    # direct takes n powers k^m (n * m steps); the Bernoulli recurrence and
+    # the Stirling row take at most m^2 terms
+    _limit_work(
+        f"powersum --m {args.m} --n {args.n}", args.m * max(args.m, args.n),
+        "power and recurrence steps", POWERSUM_MAX_STEPS,
+    )
     params = {"m": args.m, "n": args.n, "method": args.method}
     report = RunReport(command="powersum", params=params, trials=1)
     values = {}

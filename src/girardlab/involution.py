@@ -240,7 +240,9 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
             problems.append("involution image escapes the enumerated pairs")
             continue
         if classify(image) != BAD:
+            # involute is defined on BAD pairs only
             problems.append("involution image is GOOD")
+            continue
         if image == pair:
             problems.append("involution has a fixed point")
         if involute(image) != pair:

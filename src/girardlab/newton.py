@@ -23,7 +23,10 @@ Specializing to the all-loops graph (digraph.self_loop_digraph) turns the
 identity into a statement about n alphabets of r symbols a[j]^(1..r), the
 multi-alphabet Newton-Girard identity; collapsing a[j]^(i) := a_j for
 every i recovers the classical Newton-Girard relations between power sums
-and elementary symmetric polynomials, scaled by r!.
+and elementary symmetric polynomials, scaled by r!.  There c and ell have
+closed forms, and one private function assembles the identity from c and
+ell maps for both the graph check and the alphabet check; the all-loops
+cross-check compares the two DP maps with the closed forms key by key.
 """
 
 from __future__ import annotations
@@ -51,6 +54,13 @@ __all__ = [
 ]
 
 ColorPair = tuple[frozenset[int], frozenset[int]]
+# (length, color set) -> sum, as the c and ell maps are keyed
+Buckets = Mapping[tuple[int, frozenset[int]], Poly]
+
+_THEOREM3_NOTE = (
+    "closing term r*E(n, [r], r) enters with sign (-1)^r "
+    "(cycle parity of the length-r subdigraph sum)"
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,43 +88,65 @@ class NewtonReport:
         return self.residual.is_zero
 
 
-def _closing_sum(ell: Mapping[tuple[int, frozenset[int]], Poly], r: int) -> Poly:
+def _closing_sum(ell: Buckets, r: int) -> Poly:
     """sum over all size-r color sets S of ell(r, S), read off the buckets."""
     return poly_sum(val for (length, _), val in ell.items() if length == r)
 
 
 def _split_terms(
-    g: ColoredDigraph,
-    r: int,
-    ell: Mapping[tuple[int, frozenset[int]], Poly],
-    include_empty_walk: bool,
+    colors: frozenset[int], r: int, c: Buckets, ell: Buckets, include_empty_walk: bool
 ) -> dict[ColorPair, Poly]:
-    """Contributions c(|T|, T) * ell(|S|, S) for disjoint S, T summing to r.
-
-    c comes from `closed_walk_buckets` (a transfer-matrix DP, no walk is
-    built); ell is read off the caller's `linear_subdigraph_buckets` (a
-    determinant DP, no subdigraph is built).
-    """
-    cwk = closed_walk_buckets(g)
-    colors = sorted(g.color_set())
+    """Contributions c(|T|, T) * ell(|S|, S) for disjoint S, T in `colors`
+    with |S| + |T| = r; a key missing from a map is a zero sum, and the
+    empty S (or T) contributes 1."""
+    cols = sorted(colors)
+    zero = Poly.zero()
     terms: dict[ColorPair, Poly] = {}
-    for s_size in range(0, r + 1):
+    for s_size in range(0, min(r, len(cols)) + 1):
         t_size = r - s_size
-        if s_size > len(colors):
+        if t_size == 0 and not include_empty_walk:
             continue
-        for s_tuple in combinations(colors, s_size):
+        for s_tuple in combinations(cols, s_size):
             s = frozenset(s_tuple)
-            rest = [c for c in colors if c not in s]
-            if t_size > len(rest):
-                continue
-            if t_size == 0 and not include_empty_walk:
-                continue
+            rest = [col for col in cols if col not in s]
             for t_tuple in combinations(rest, t_size):
                 t = frozenset(t_tuple)
-                ell_val = Poly.one() if s_size == 0 else ell.get((s_size, s), Poly.zero())
-                c_val = Poly.one() if t_size == 0 else cwk.get((t_size, t), Poly.zero())
+                ell_val = ell.get((s_size, s), zero) if s_size else Poly.one()
+                c_val = c.get((t_size, t), zero) if t_size else Poly.one()
                 terms[(s, t)] = c_val * ell_val
     return terms
+
+
+def _assemble(
+    n: int, colors: frozenset[int], r: int, c: Buckets, ell: Buckets,
+    notes: Sequence[str],
+) -> NewtonReport:
+    """The walk/cycle identity at r, built from the c and ell maps of a
+    graph with n vertices and color set `colors`.
+
+    The r > n case sums every (S, T) split, the empty-walk term included;
+    the r <= n case drops the T = empty terms and closes with
+    r * sum_{|S| = r} ell(r, S) (aggregated) or r * ell(r, colors)
+    (literal).
+    """
+    if r > n:
+        breakdown = _split_terms(colors, r, c, ell, include_empty_walk=True)
+        aggregated = literal = Poly.zero()
+    else:
+        breakdown = _split_terms(colors, r, c, ell, include_empty_walk=False)
+        aggregated = Poly.const(r) * _closing_sum(ell, r)
+        literal = Poly.const(r) * ell.get((r, colors), Poly.zero())
+    base = poly_sum(breakdown.values())
+    return NewtonReport(
+        case="r>n" if r > n else "r<=n",
+        r=r,
+        breakdown=breakdown,
+        aggregated_correction=aggregated,
+        literal_correction=literal,
+        residual=base + aggregated,
+        literal_residual=base + literal,
+        notes=tuple(notes),
+    )
 
 
 def color_split_sum(g: ColoredDigraph, r: int) -> Poly:
@@ -123,8 +155,11 @@ def color_split_sum(g: ColoredDigraph, r: int) -> Poly:
     vanishes outright when r > n."""
     if r < 1:
         raise ValueError("color_split_sum requires r >= 1")
-    ell = linear_subdigraph_buckets(g)
-    return poly_sum(_split_terms(g, r, ell, include_empty_walk=True).values())
+    terms = _split_terms(
+        g.color_set(), r, closed_walk_buckets(g), linear_subdigraph_buckets(g),
+        include_empty_walk=True,
+    )
+    return poly_sum(terms.values())
 
 
 def total_subdigraph_sum(g: ColoredDigraph, r: int) -> Poly:
@@ -135,48 +170,21 @@ def total_subdigraph_sum(g: ColoredDigraph, r: int) -> Poly:
 
 
 def verify_walk_cycle_identity(g: ColoredDigraph, r: int) -> NewtonReport:
-    """Check the walk/cycle identity on one graph at one r.
-
-    Both closing terms are read off the same (length, color set) buckets
-    as the breakdown.
-    """
+    """Check the walk/cycle identity on one graph at one r, with c and ell
+    from the two DPs; both closing terms are read off the same ell map as
+    the breakdown."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    ell = linear_subdigraph_buckets(g)
     notes: list[str] = []
     if r > g.colors:
         notes.append(f"vacuous: r={r} exceeds color count k={g.colors}")
-    if r > g.n:
-        breakdown = _split_terms(g, r, ell, include_empty_walk=True)
-        zero = Poly.zero()
-        residual = poly_sum(breakdown.values())
-        return NewtonReport(
-            case="r>n",
-            r=r,
-            breakdown=breakdown,
-            aggregated_correction=zero,
-            literal_correction=zero,
-            residual=residual,
-            literal_residual=residual,
-            notes=tuple(notes),
+    if r <= g.n:
+        notes.append(
+            "closing term aggregates ell(r, S) over all size-r color sets; "
+            "the single-set ell(r, C) form matches only when k = r"
         )
-    breakdown = _split_terms(g, r, ell, include_empty_walk=False)
-    base = poly_sum(breakdown.values())
-    aggregated = Poly.const(r) * _closing_sum(ell, r)
-    literal = Poly.const(r) * ell.get((r, g.color_set()), Poly.zero())
-    notes.append(
-        "closing term aggregates ell(r, S) over all size-r color sets; "
-        "the single-set ell(r, C) form matches only when k = r"
-    )
-    return NewtonReport(
-        case="r<=n",
-        r=r,
-        breakdown=breakdown,
-        aggregated_correction=aggregated,
-        literal_correction=literal,
-        residual=base + aggregated,
-        literal_residual=base + literal,
-        notes=tuple(notes),
+    return _assemble(
+        g.n, g.color_set(), r, closed_walk_buckets(g), linear_subdigraph_buckets(g), notes
     )
 
 
@@ -228,94 +236,70 @@ def _elementary_buckets(n: int, r: int) -> dict[frozenset[int], Poly]:
     }
 
 
+def _alphabet_buckets(r: int, n: int) -> tuple[Buckets, Buckets]:
+    """The c and ell maps of the all-loops graph (n vertices, r colors) in
+    closed form, keyed (length, color set) as the two DPs key theirs.
+
+    A closed walk with color set T stays at its root j, one loop per color
+    in any order: c(|T|, T) = |T|! * sum_j prod_{i in T} a[j]^(i).  A
+    linear subdigraph with color set S is |S| loops at distinct vertices,
+    each a one-cycle: ell(|S|, S) = (-1)^|S| * E(n, S, |S|), from
+    `_elementary_buckets`; a set with |S| > n has no key.
+    """
+    colors = range(1, r + 1)
+    c = {
+        (size, frozenset(t)): Poly.const(factorial(size)) * poly_sum(
+            poly_prod(Poly.variable(avar(j, i)) for i in t) for j in range(1, n + 1)
+        )
+        for size in colors
+        for t in combinations(colors, size)
+    }
+    ell = {
+        (len(s), s): -val if len(s) % 2 else val
+        for s, val in _elementary_buckets(n, r).items()
+        if s
+    }
+    return c, ell
+
+
 def verify_colored_newton_girard(r: int, n: int) -> NewtonReport:
     """Check the multi-alphabet Newton-Girard identity symbolically.
 
-    Assembles, over k = 0..r (or 0..r-1 when r <= n), the terms
+    The walk/cycle identity of the all-loops graph, assembled as in
+    `verify_walk_cycle_identity` but from the closed-form maps of
+    `_alphabet_buckets`: the (S, T) entry with |S| = k is
 
         (-1)^k * [(r-k)! * sum_j prod_{i in T} a[j]^(i)] * E(n, S, k)
 
-    where T runs over the (r-k)-subsets of [r], S is its complement and
-    E(n, S, k) is the coefficient of t^S in the generating function
-    prod_j (1 + sum_i a[j]^(i) t_i), read off `_elementary_buckets`; the
-    k = r bracket (T empty) is 1, matching the empty-walk convention.  For
-    r <= n the closing term is r * (-1)^r * E(n, [r], r) -- the (-1)^r
-    carries the cycle-parity sign of the length-r subdigraph sum, and an
-    unsigned closing term would fail for odd r.  The breakdown matches,
-    entry for entry, the walk/cycle identity on the all-loops graph.
-
-    Independence: on the all-loops graph `linear_subdigraph_buckets` only
-    takes diagonal moves, so its ell DP and the E buckets run the same
-    recursion up to sign.  The independent halves are c (the walk DP)
-    against the closed-form brackets (r-k)! * p_T here, and the E buckets
-    against the per-S enumeration `elementary_color_sum` in the tests.
+    over k = 0..r (or 0..r-1 when r <= n), where E(n, S, k) is the
+    coefficient of t^S in the generating function
+    prod_j (1 + sum_i a[j]^(i) t_i); the k = r bracket (T empty) is 1,
+    matching the empty-walk convention.  For r <= n the closing term is
+    r * (-1)^r * E(n, [r], r) -- the (-1)^r carries the cycle-parity sign
+    of the length-r subdigraph sum, and an unsigned closing term would
+    fail for odd r.
     """
     if r < 1 or n < 1:
         raise ValueError("verify_colored_newton_girard requires r, n >= 1")
-    colors = list(range(1, r + 1))
-    case_one = r > n
-    k_top = r if case_one else r - 1
-    elementary = _elementary_buckets(n, r)
-    zero = Poly.zero()
-    breakdown: dict[ColorPair, Poly] = {}
-    for k in range(0, k_top + 1):
-        sign = -1 if k % 2 else 1
-        for t_tuple in combinations(colors, r - k):
-            t = frozenset(t_tuple)
-            s = frozenset(colors) - t
-            if t:
-                bracket = Poly.const(factorial(r - k)) * poly_sum(
-                    poly_prod(Poly.variable(avar(j, i)) for i in sorted(t))
-                    for j in range(1, n + 1)
-                )
-            else:
-                bracket = Poly.one()
-            breakdown[(s, t)] = Poly.const(sign) * bracket * elementary.get(s, zero)
-    base = poly_sum(breakdown.values())
-    notes = (
-        "closing term r*E(n, [r], r) enters with sign (-1)^r "
-        "(cycle parity of the length-r subdigraph sum)",
-    )
-    if case_one:
-        return NewtonReport(
-            case="r>n",
-            r=r,
-            breakdown=breakdown,
-            aggregated_correction=zero,
-            literal_correction=zero,
-            residual=base,
-            literal_residual=base,
-            notes=notes,
-        )
-    closing_sign = -1 if r % 2 else 1
-    closing = Poly.const(r * closing_sign) * elementary[frozenset(colors)]
-    return NewtonReport(
-        case="r<=n",
-        r=r,
-        breakdown=breakdown,
-        aggregated_correction=closing,
-        literal_correction=closing,
-        residual=base + closing,
-        literal_residual=base + closing,
-        notes=notes,
-    )
+    c, ell = _alphabet_buckets(r, n)
+    return _assemble(n, frozenset(range(1, r + 1)), r, c, ell, (_THEOREM3_NOTE,))
 
 
-def cross_check_against_loops(
-    r: int, n: int, *, symbolic: NewtonReport | None = None
-) -> bool:
-    """The two verification paths agree term for term on the all-loops graph.
+def cross_check_against_loops(r: int, n: int) -> bool:
+    """The DP maps of the all-loops graph equal the closed-form maps that
+    `verify_colored_newton_girard` assembles, key for key.
 
-    `symbolic` is `verify_colored_newton_girard(r, n)` when the caller
-    already holds it; otherwise it is computed here.
+    Both routes go through the one assembly, so equal maps mean equal
+    breakdowns and residuals.  Independence: on the all-loops graph
+    `linear_subdigraph_buckets` only takes diagonal moves, so its ell DP
+    and the E buckets run the same recursion up to sign.  The independent
+    halves are c (the walk DP) against the closed-form brackets
+    (r-k)! * p_T, and the E buckets against the per-S enumeration
+    `elementary_color_sum` in the tests.
     """
-    if symbolic is None:
-        symbolic = verify_colored_newton_girard(r, n)
-    graphical = verify_walk_cycle_identity(self_loop_digraph(n, r), r)
-    return (
-        symbolic.breakdown == dict(graphical.breakdown)
-        and symbolic.residual == graphical.residual
-    )
+    c, ell = _alphabet_buckets(r, n)
+    g = self_loop_digraph(n, r)
+    return closed_walk_buckets(g) == c and linear_subdigraph_buckets(g) == ell
 
 
 def elementary_coefficients(roots: Sequence[int]) -> list[int]:

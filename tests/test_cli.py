@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -5,14 +7,18 @@ import shutil
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import girardlab
 from girardlab import make_digraph, random_digraph, serialize_digraph
 from girardlab import cli, newton
 from girardlab.cli import main
+from girardlab.poly import Poly, poly_sum, xvar
 
 REPORT_KEYS = {
     "command", "params", "trials", "failures", "elapsed_ms", "seed", "notes",
@@ -290,6 +296,19 @@ def test_console_script_is_installed():
     assert "result: PASS" in proc.stdout
 
 
+# inputs past a work limit, each of which ran for seconds to minutes
+# before the limits existed
+OVERSIZED = [
+    "verify theorem1 --m 30 --r 1",
+    "verify theorem1 --m 16 --r 1",
+    "verify newton-girard --n 3000 --r 3000 --random --trials 1",
+    "verify newton-girard --n 1000 --r 1000 --random --trials 1",
+    "powersum --m 100000 --n 100000 --method all",
+    "powersum --m 1000 --n 1000 --method all",
+    "verify lemma21 --alpha 1000000 --random --m 60 --trials 1",
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -311,7 +330,7 @@ def test_console_script_is_installed():
         "verify newton-girard --n 0 --r 2 --random",
         "verify newton-girard --n 2 --r 0 --random",
         "involution audit --random --n 2 --k 2 --r 0",
-    ],
+    ] + OVERSIZED,
 )
 def test_out_of_range_value_is_usage_error(argv, capsys):
     assert main(argv.split()) == 2
@@ -343,6 +362,22 @@ def test_theorem3_computes_the_symbolic_side_once(monkeypatch, capsys):
     assert "result: PASS (1/1 checks)" in capsys.readouterr().out
 
 
+def test_theorem3_never_runs_the_graph_identity(monkeypatch, capsys):
+    # the all-loops cross-check compares c and ell maps; it assembles no
+    # second breakdown
+    calls = []
+
+    def counted(g, r):
+        calls.append((g.n, r))
+        raise AssertionError("verify_walk_cycle_identity called")
+
+    monkeypatch.setattr(newton, "verify_walk_cycle_identity", counted)
+    monkeypatch.setattr(cli, "verify_walk_cycle_identity", counted)
+    assert main(["verify", "theorem3", "--r", "3", "--n", "2"]) == 0
+    assert calls == []
+    assert "result: PASS (1/1 checks)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv, count",
     [
@@ -356,6 +391,68 @@ def test_theorem3_refuses_oversized_work_up_front(argv, count, capsys):
     assert main(argv.split()) == 2
     assert time.perf_counter() - started < 1
     assert count in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        ("verify theorem1 --m 30 --r 1", "at least 835,230 variable codes"),
+        ("verify theorem1 --m 16 --r 1", "at least 262,144 variable codes"),
+        ("verify theorem1 --m 1 --r 1000", "at least 500,500 variable codes"),
+        ("verify theorem1 --m 2 --r 1000000000000", "the limit is 200,000"),
+        ("verify theorem1 --m 1000000000000 --r 1", "at least 1,000,000,000,000 "),
+        ("verify newton-girard --n 3000 --r 3000 --random --trials 1",
+         "13,509,001,500 power and coefficient steps"),
+        ("verify newton-girard --n 1000 --r 1000 --random --trials 1",
+         "501,000,500 power and coefficient steps"),
+        ("verify newton-girard --n 2 --r 2 --random --trials 1000000000000",
+         "9,000,000,000,000 power"),
+        ("verify newton-girard --n 1500 --r 1 --roots 1", "1,127,250 power"),
+        ("powersum --m 100000 --n 100000 --method all", "10,000,000,000 power"),
+        ("powersum --m 1000 --n 1000 --method all", "1,000,000 power"),
+        ("powersum --m 1 --n 1000000000000 --method direct", "1,000,000,000,000 power"),
+        ("verify lemma21 --alpha 1000000 --random --m 60 --trials 1",
+         "60,000,000 Stirling-row cells"),
+        ("verify lemma21 --alpha 1000000 --c 1", "1,000,000 Stirling-row cells"),
+    ],
+)
+def test_oversized_work_is_refused_up_front(argv, count, capsys):
+    started = time.perf_counter()
+    assert main(argv.split()) == 2
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert count in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_every_benchmark_size_is_within_the_limits(capsys):
+    # the largest invocation of each kind in the benchmark workloads
+    for argv in [
+        "verify theorem1 --m 10 --r 1",
+        "verify theorem1 --m 8 --r 2",
+        "verify theorem1 --m 6 --r 3",
+        "powersum --m 300 --n 1099 --method all",
+        "verify newton-girard --n 6 --r 6 --random --trials 20 --seed 1",
+        "verify lemma21 --alpha 400 --random --m 60 --trials 20 --seed 1",
+    ]:
+        assert main(argv.split()) == 0, argv
+    capsys.readouterr()
+
+
+def test_theorem1_code_count_is_exact():
+    # the count is what Poly writes: every code of every monomial of every
+    # partial product of every Pi_r(V), V a nonempty subset of [m]
+    for m in range(1, 5):
+        for r in range(1, 5):
+            written = 0
+            for k in range(1, m + 1):
+                for v in combinations(range(1, m + 1), k):
+                    out = Poly.one()
+                    for j in range(1, r + 1):
+                        out = out * poly_sum(Poly.variable(xvar(i, j)) for i in v)
+                        written += sum(len(mono) for mono in out._terms)
+            assert cli._theorem1_codes(m, r, 10**9) == written, (m, r)
 
 
 def test_theorem3_term_counts_are_exact():
@@ -372,3 +469,43 @@ def test_theorem3_term_counts_are_exact():
             )
     assert cli._theorem3_terms(6, 6)[0] == 75_642
     assert cli._theorem3_terms(7, 7)[0] == 881_174
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz over the subcommands that take no graph
+# ---------------------------------------------------------------------------
+
+SMALL = st.integers(1, 4).map(str)
+HUGE = st.integers(10**6, 10**12).map(str)
+INVALID = st.sampled_from(["0", "-3", "x", ""])
+SIZE = st.one_of(SMALL, SMALL, HUGE, INVALID)
+
+GRAPHLESS = {
+    "verify theorem1": ["--m", "--r"],
+    "verify theorem3": ["--r", "--n"],
+    "verify newton-girard --random": ["--n", "--r", "--trials"],
+    "verify lemma21 --random": ["--alpha", "--m", "--trials"],
+    "powersum --method all": ["--m", "--n"],
+}
+
+
+@st.composite
+def graphless_argv(draw):
+    command = draw(st.sampled_from(sorted(GRAPHLESS)))
+    argv = command.split()
+    for flag in GRAPHLESS[command]:
+        argv += [flag, draw(SIZE)]
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(graphless_argv())
+def test_graphless_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)  # an exception here is a traceback on the command line
+    assert rc in {0, 1, 2, 3}, argv
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert out.getvalue() == "", argv
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, argv

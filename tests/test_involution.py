@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from girardlab import enumeration
+from girardlab import enumeration, involution
 from girardlab import (
     BAD,
     EMPTY_SUBDIGRAPH,
@@ -215,3 +215,19 @@ def test_audit_weighs_each_bad_pair_twice_and_each_good_pair_once(monkeypatch):
         assert audit.ok
         assert audit.bad_count > 0
         assert len(calls) == 2 * audit.bad_count + audit.good_count
+
+
+def test_audit_reports_an_image_that_is_good(monkeypatch):
+    # a broken involution that sends one BAD pair to a GOOD pair is a
+    # reported problem, not a crash (involute raises on GOOD pairs)
+    g = self_loop_digraph(2, 2)
+    pairs = enumerate_pairs(g, 2)
+    victim = next(p for p in pairs if classify(p) == BAD)
+    good = next(p for p in pairs if classify(p) == GOOD)
+    original = involution.involute
+    monkeypatch.setattr(
+        involution, "involute", lambda pair: good if pair == victim else original(pair)
+    )
+    audit = audit_involution(g, 2)
+    assert not audit.ok
+    assert "involution image is GOOD" in audit.problems

@@ -188,10 +188,34 @@ def test_both_routes_agree_on_the_loop_graph():
             assert cross_check_against_loops(r, n), (r, n)
 
 
-def test_loop_graph_breakdown_is_the_symbolic_breakdown():
-    symbolic = verify_colored_newton_girard(2, 2)
-    graphical = verify_walk_cycle_identity(self_loop_digraph(2, 2), 2)
+@pytest.mark.parametrize("r, n", [(2, 2), (3, 2), (2, 3), (4, 4)])
+def test_loop_graph_breakdown_is_the_symbolic_breakdown(r, n):
+    # both cases, r > n and r <= n, term for term: the closed-form maps and
+    # the DP maps go through the same assembly
+    symbolic = verify_colored_newton_girard(r, n)
+    graphical = verify_walk_cycle_identity(self_loop_digraph(n, r), r)
+    assert symbolic.case == graphical.case == ("r>n" if r > n else "r<=n")
     assert dict(symbolic.breakdown) == dict(graphical.breakdown)
+    assert symbolic.aggregated_correction == graphical.aggregated_correction
+    assert symbolic.literal_correction == graphical.literal_correction
+    assert symbolic.residual == graphical.residual == Poly.zero()
+
+
+def test_cross_check_fails_when_one_walk_bucket_is_off(monkeypatch, capsys):
+    original = newton.closed_walk_buckets
+
+    def off_by_one(g):
+        buckets = original(g)
+        key = min(buckets, key=lambda k: (k[0], sorted(k[1])))
+        buckets[key] = buckets[key] + Poly.one()
+        return buckets
+
+    monkeypatch.setattr(newton, "closed_walk_buckets", off_by_one)
+    assert not cross_check_against_loops(3, 2)
+    assert main(["verify", "theorem3", "--r", "3", "--n", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "symbolic and all-loops-graph paths disagree" in out
+    assert "result: FAIL (0/1 checks)" in out
 
 
 # ---------------------------------------------------------------------------
