@@ -39,6 +39,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .digraph import (
     ColoredDigraph,
@@ -168,9 +169,14 @@ def _limit_work(
 
 def _graph_instances(
     args: argparse.Namespace, report: RunReport
-) -> list[tuple[int | None, ColoredDigraph]]:
-    """The (graph seed, graph) list of a `--graph` or `--random` run; records
-    the source in `report.params` and, for `--random`, the seed."""
+) -> Iterable[tuple[int | None, ColoredDigraph]]:
+    """The (graph seed, graph) pairs of a `--graph` or `--random` run;
+    records the source in `report.params` and, for `--random`, the seed.
+
+    Usage errors are raised here, before any graph is checked.  Random
+    graphs are drawn one at a time as the caller asks for them, so a run
+    holds one graph however many trials it makes.
+    """
     if args.graph is not None:
         report.params["graph"] = args.graph
         return [(None, _load_graph(args.graph))]
@@ -182,13 +188,11 @@ def _graph_instances(
     if args.n is None or args.k is None:
         raise UsageError("--random needs --n and --k")
     rng = random.Random(report.seed)
-    out = []
-    for _ in range(args.trials):
-        graph_seed = rng.randrange(2**31)
-        out.append(
-            (graph_seed, random_digraph(args.n, args.k, args.density, args.weight_bound, graph_seed))
-        )
-    return out
+    seeds = (rng.randrange(2**31) for _ in range(args.trials))
+    return (
+        (seed, random_digraph(args.n, args.k, args.density, args.weight_bound, seed))
+        for seed in seeds
+    )
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -258,10 +262,11 @@ def _theorem3_terms(r: int, n: int) -> tuple[int, int]:
 
     The (S, T) entry with |S| = k is the n-term bracket (1 when T is empty)
     times E(n, S, k), which has k! * C(n, k) terms and shares no variable
-    with the bracket.  The product terms are those the generating function
-    carries over its layers j = 0..n, sum_j sum_S |E(j, S)| =
-    sum_k C(r, k) * k! * C(n + 1, k + 1); the all-loops ell DP of the
-    cross-check carries the same.
+    with the bracket.  The product terms are those the determinant DP of
+    the all-loops graph carries over its layers j = 0..n, where layer j
+    holds prod_{j' <= j} (1 - sum_i a[j']^(i) t_i): sum_j sum_S |E(j, S)| =
+    sum_k C(r, k) * k! * C(n + 1, k + 1), the empty S counting its 1 in
+    each layer.  That DP gives the ell map of the run.
     """
     k_top = r if r > n else r - 1
     breakdown = sum(

@@ -23,16 +23,22 @@ Specializing to the all-loops graph (digraph.self_loop_digraph) turns the
 identity into a statement about n alphabets of r symbols a[j]^(1..r), the
 multi-alphabet Newton-Girard identity; collapsing a[j]^(i) := a_j for
 every i recovers the classical Newton-Girard relations between power sums
-and elementary symmetric polynomials, scaled by r!.  There c and ell have
-closed forms, and one private function assembles the identity from c and
-ell maps for both the graph check and the alphabet check; the all-loops
-cross-check compares the two DP maps with the closed forms key by key.
+and elementary symmetric polynomials, scaled by r!.  One private function
+assembles the identity from c and ell maps for both the graph check and
+the alphabet check.  The alphabet check takes c in closed form and ell
+from the determinant DP of the all-loops graph, where
+det(I - sum_i t_i A_i) is the elementary-symmetric generating function
+prod_j (1 - sum_i a[j]^(i) t_i).  The independent halves are c, which the
+all-loops cross-check compares key by key with the walk DP, and ell,
+which the tests compare with the per-S enumeration `elementary_color_sum`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .digraph import ColoredDigraph, self_loop_digraph
@@ -208,98 +214,64 @@ def elementary_color_sum(n: int, colors: Iterable[int], length: int) -> Poly:
     )
 
 
-def _elementary_buckets(n: int, r: int) -> dict[frozenset[int], Poly]:
-    """S -> E(n, S, |S|) for every color set S in [r] with |S| <= n.
-
-    E(n, S, |S|) is the coefficient of t^S in
-    prod_{j <= n} (1 + sum_{i <= r} a[j]^(i) t_i) over t_i^2 = 0, the
-    generating function of the elementary symmetric functions (Macdonald,
-    Symmetric Functions and Hall Polynomials, I.2).  The product is a DP
-    over color masks: factor j keeps every bucket and moves it to
-    mask | i with the weight a[j]^(i) for each unused color i.  A set with
-    |S| > n has no key.  Factor j costs |S| products per bucket, so all
-    2^r buckets come from one pass instead of one enumeration per S.
-    """
-    colors = range(1, r + 1)
-    layer = {0: Poly.one()}
-    for j in range(1, n + 1):
-        step = [(1 << i, Poly.variable(avar(j, i))) for i in colors]
-        parts = {mask: [val] for mask, val in layer.items()}
-        for mask, val in layer.items():
-            for bit, weight in step:
-                if not mask & bit:
-                    parts.setdefault(mask | bit, []).append(val * weight)
-        layer = {mask: poly_sum(vals) for mask, vals in parts.items()}
-    return {
-        frozenset(i for i in colors if mask >> i & 1): val
-        for mask, val in layer.items()
-    }
-
-
-def _alphabet_buckets(r: int, n: int) -> tuple[Buckets, Buckets]:
-    """The c and ell maps of the all-loops graph (n vertices, r colors) in
-    closed form, keyed (length, color set) as the two DPs key theirs.
+@lru_cache(maxsize=1)
+def _alphabet_walks(r: int, n: int) -> Buckets:
+    """The c map of the all-loops graph (n vertices, r colors) in closed
+    form, keyed (length, color set) as `closed_walk_buckets` keys its own.
 
     A closed walk with color set T stays at its root j, one loop per color
-    in any order: c(|T|, T) = |T|! * sum_j prod_{i in T} a[j]^(i).  A
-    linear subdigraph with color set S is |S| loops at distinct vertices,
-    each a one-cycle: ell(|S|, S) = (-1)^|S| * E(n, S, |S|), from
-    `_elementary_buckets`; a set with |S| > n has no key.
+    in any order: c(|T|, T) = |T|! * sum_j prod_{i in T} a[j]^(i).  The
+    last (r, n) is cached, so one theorem3 run builds the map once for
+    `verify_colored_newton_girard` and `cross_check_against_loops`; the
+    map is read-only and `Poly` is immutable, so every caller may share it.
     """
     colors = range(1, r + 1)
-    c = {
+    return MappingProxyType({
         (size, frozenset(t)): Poly.const(factorial(size)) * poly_sum(
             poly_prod(Poly.variable(avar(j, i)) for i in t) for j in range(1, n + 1)
         )
         for size in colors
         for t in combinations(colors, size)
-    }
-    ell = {
-        (len(s), s): -val if len(s) % 2 else val
-        for s, val in _elementary_buckets(n, r).items()
-        if s
-    }
-    return c, ell
+    })
 
 
 def verify_colored_newton_girard(r: int, n: int) -> NewtonReport:
     """Check the multi-alphabet Newton-Girard identity symbolically.
 
     The walk/cycle identity of the all-loops graph, assembled as in
-    `verify_walk_cycle_identity` but from the closed-form maps of
-    `_alphabet_buckets`: the (S, T) entry with |S| = k is
+    `verify_walk_cycle_identity` from the closed-form c map of
+    `_alphabet_walks` and the ell map of `linear_subdigraph_buckets` on
+    `self_loop_digraph(n, r)`: the (S, T) entry with |S| = k is
 
         (-1)^k * [(r-k)! * sum_j prod_{i in T} a[j]^(i)] * E(n, S, k)
 
-    over k = 0..r (or 0..r-1 when r <= n), where E(n, S, k) is the
-    coefficient of t^S in the generating function
-    prod_j (1 + sum_i a[j]^(i) t_i); the k = r bracket (T empty) is 1,
-    matching the empty-walk convention.  For r <= n the closing term is
-    r * (-1)^r * E(n, [r], r) -- the (-1)^r carries the cycle-parity sign
-    of the length-r subdigraph sum, and an unsigned closing term would
-    fail for odd r.
+    over k = 0..r (or 0..r-1 when r <= n).  On that graph the determinant
+    DP only takes diagonal moves, so it computes
+    det(I - sum_i t_i A_i) = prod_j (1 - sum_i a[j]^(i) t_i), and
+    ell(k, S) = (-1)^k * E(n, S, k) is read off it; the k = r bracket
+    (T empty) is 1, matching the empty-walk convention.  For r <= n the
+    closing term is r * (-1)^r * E(n, [r], r) -- the (-1)^r carries the
+    cycle-parity sign of the length-r subdigraph sum, and an unsigned
+    closing term would fail for odd r.
     """
     if r < 1 or n < 1:
         raise ValueError("verify_colored_newton_girard requires r, n >= 1")
-    c, ell = _alphabet_buckets(r, n)
-    return _assemble(n, frozenset(range(1, r + 1)), r, c, ell, (_THEOREM3_NOTE,))
+    ell = linear_subdigraph_buckets(self_loop_digraph(n, r))
+    return _assemble(
+        n, frozenset(range(1, r + 1)), r, _alphabet_walks(r, n), ell, (_THEOREM3_NOTE,)
+    )
 
 
 def cross_check_against_loops(r: int, n: int) -> bool:
-    """The DP maps of the all-loops graph equal the closed-form maps that
+    """The walk DP of the all-loops graph equals the closed-form c map that
     `verify_colored_newton_girard` assembles, key for key.
 
-    Both routes go through the one assembly, so equal maps mean equal
-    breakdowns and residuals.  Independence: on the all-loops graph
-    `linear_subdigraph_buckets` only takes diagonal moves, so its ell DP
-    and the E buckets run the same recursion up to sign.  The independent
-    halves are c (the walk DP) against the closed-form brackets
-    (r-k)! * p_T, and the E buckets against the per-S enumeration
-    `elementary_color_sum` in the tests.
+    This is the half of theorem3 that two independent routes compute: c
+    from `closed_walk_buckets` against the brackets (r-k)! * p_T.  The ell
+    map has one route in the program, the determinant DP, and the tests
+    hold it against the per-S enumeration `elementary_color_sum`.
     """
-    c, ell = _alphabet_buckets(r, n)
-    g = self_loop_digraph(n, r)
-    return closed_walk_buckets(g) == c and linear_subdigraph_buckets(g) == ell
+    return closed_walk_buckets(self_loop_digraph(n, r)) == _alphabet_walks(r, n)
 
 
 def elementary_coefficients(roots: Sequence[int]) -> list[int]:

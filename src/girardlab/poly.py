@@ -395,7 +395,9 @@ def _parse_piece(piece: str) -> tuple[VarId, int]:
     if family == FAM_Y:
         if sup is not None:
             raise PolyParseError(f"y variables take no superscript: {piece!r}")
-        var = yvar(int(sub))
+        var = VarId(family, int(sub), 0)
+        if var.sub < 1:
+            raise PolyParseError(f"variable indices must be >= 1: {piece!r}")
     else:
         if sup is None:
             raise PolyParseError(f"{letter} variables need a superscript: {piece!r}")
@@ -403,8 +405,6 @@ def _parse_piece(piece: str) -> tuple[VarId, int]:
         if var.sub < 1 or var.sup < 1:
             raise PolyParseError(f"variable indices must be >= 1: {piece!r}")
     e = 1 if exp is None else int(exp)
-    if var.sub < 1:
-        raise PolyParseError(f"variable indices must be >= 1: {piece!r}")
     if e < 1:
         raise PolyParseError(f"exponent must be >= 1: {piece!r}")
     return var, e

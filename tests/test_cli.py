@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -18,6 +19,8 @@ import girardlab
 from girardlab import make_digraph, random_digraph, serialize_digraph
 from girardlab import cli, newton
 from girardlab.cli import main
+from girardlab.digraph import self_loop_digraph
+from girardlab.enumeration import linear_subdigraph_buckets
 from girardlab.poly import Poly, poly_sum, xvar
 
 REPORT_KEYS = {
@@ -75,6 +78,35 @@ def test_theorem2_random_campaign(capsys):
     )
     assert rc == 0
     assert "result: PASS (3/3 checks)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, check",
+    [("verify theorem2", "verify_walk_cycle_identity"),
+     ("involution audit", "audit_involution")],
+)
+def test_random_graphs_are_drawn_one_at_a_time(argv, check, monkeypatch, capsys):
+    # each graph is checked before the next is drawn, from the same seeds
+    log = []
+    draw, verify = cli.random_digraph, getattr(cli, check)
+
+    def drawn(n, k, density, bound, seed):
+        log.append(("draw", seed))
+        return draw(n, k, density, bound, seed)
+
+    def checked(g, r):
+        log.append(("check", None))
+        return verify(g, r)
+
+    monkeypatch.setattr(cli, "random_digraph", drawn)
+    monkeypatch.setattr(cli, check, checked)
+    rc = main(argv.split() + ["--random", "--n", "2", "--k", "2",
+                              "--trials", "3", "--seed", "5", "--r", "2"])
+    assert rc == 0
+    assert "result: PASS (3/3 checks)" in capsys.readouterr().out
+    rng = random.Random(5)
+    seeds = [rng.randrange(2**31) for _ in range(3)]
+    assert log == [entry for seed in seeds for entry in [("draw", seed), ("check", None)]]
 
 
 def test_theorem2_vacuous_when_r_exceeds_k(capsys):
@@ -378,6 +410,28 @@ def test_theorem3_never_runs_the_graph_identity(monkeypatch, capsys):
     assert "result: PASS (1/1 checks)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("r, n", [(3, 2), (2, 3)])  # r > n and r <= n
+def test_theorem3_builds_each_map_once(r, n, monkeypatch, capsys):
+    # one closed-form c map shared by the symbolic side and the cross-check,
+    # one ell DP and one walk DP
+    calls = []
+    for fn in ("linear_subdigraph_buckets", "closed_walk_buckets"):
+        original = getattr(sys.modules["girardlab.enumeration"], fn)
+
+        def counted(g, fn=fn, original=original):
+            calls.append(fn)
+            return original(g)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("girardlab") and getattr(mod, fn, None) is original:
+                monkeypatch.setattr(mod, fn, counted)
+    newton._alphabet_walks.cache_clear()
+    assert main(["verify", "theorem3", "--r", str(r), "--n", str(n)]) == 0
+    assert "result: PASS (1/1 checks)" in capsys.readouterr().out
+    assert newton._alphabet_walks.cache_info().misses == 1
+    assert sorted(calls) == ["closed_walk_buckets", "linear_subdigraph_buckets"]
+
+
 @pytest.mark.parametrize(
     "argv, count",
     [
@@ -462,11 +516,14 @@ def test_theorem3_term_counts_are_exact():
             breakdown, product = cli._theorem3_terms(r, n)
             report = newton.verify_colored_newton_girard(r, n)
             assert breakdown == sum(p.term_count() for p in report.breakdown.values())
-            assert product == sum(
+            # layer j >= 1 of the det DP is the all-loops ell map of j
+            # vertices, and the empty S holds 1 in each layer j = 0..n
+            ell_terms = sum(
                 p.term_count()
-                for j in range(n + 1)
-                for p in newton._elementary_buckets(j, r).values()
+                for j in range(1, n + 1)
+                for p in linear_subdigraph_buckets(self_loop_digraph(j, r)).values()
             )
+            assert product == (n + 1) + ell_terms
     assert cli._theorem3_terms(6, 6)[0] == 75_642
     assert cli._theorem3_terms(7, 7)[0] == 881_174
 

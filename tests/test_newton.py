@@ -6,7 +6,7 @@ import pytest
 
 from girardlab import newton
 from girardlab.cli import main
-from girardlab.newton import _elementary_buckets
+from girardlab.enumeration import linear_subdigraph_buckets
 from girardlab import (
     ColoredDigraph,
     Poly,
@@ -130,18 +130,19 @@ def test_elementary_color_sum_values():
         elementary_color_sum(2, {1}, -1)
 
 
-def test_elementary_buckets_equal_the_per_set_enumeration():
-    # every S in [r]: the generating-function bucket is the per-S sum, and
-    # a missing key is a zero sum (|S| > n)
+def test_loop_graph_ell_map_equals_the_per_set_enumeration():
+    # the determinant DP of the all-loops graph is the elementary-symmetric
+    # generating function: ell(|S|, S) = (-1)^|S| * E(n, S, |S|), with a
+    # key for exactly the S with 1 <= |S| <= n
     for r in range(1, 6):
-        subsets = [frozenset(c) for k in range(r + 1) for c in combinations(range(1, r + 1), k)]
         for n in range(1, 6):
-            buckets = _elementary_buckets(n, r)
-            assert set(buckets) <= set(subsets), (r, n)
-            for s in subsets:
-                expected = elementary_color_sum(n, s, len(s))
-                assert buckets.get(s, Poly.zero()) == expected, (r, n, sorted(s))
-                assert (s in buckets) == (len(s) <= n), (r, n, sorted(s))
+            ell = linear_subdigraph_buckets(self_loop_digraph(n, r))
+            expected = {
+                (k, frozenset(s)): elementary_color_sum(n, s, k) * Poly.const((-1) ** k)
+                for k in range(1, min(r, n) + 1)
+                for s in combinations(range(1, r + 1), k)
+            }
+            assert ell == expected, (r, n)
 
 
 def test_theorem3_never_enumerates_per_color_set(monkeypatch, capsys):

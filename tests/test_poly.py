@@ -93,7 +93,7 @@ def test_leading_negative_term():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "x[1]", "y[2]^(3)", "x[0]^(1)", "1 +", "x[1]^(1)^0", "q[1]"]:
+    for bad in ["", "x[1]", "y[2]^(3)", "x[0]^(1)", "y[0]", "1 +", "x[1]^(1)^0", "q[1]"]:
         with pytest.raises(PolyParseError):
             parse_poly(bad)
 
