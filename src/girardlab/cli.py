@@ -26,8 +26,8 @@ environment variable is used, then 0.
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 usage error
 (including an out-of-range value, an --out path that cannot be written and
-a run of a subcommand without a graph whose counted work passes its
-limit), 3 malformed graph file.
+a run whose counted work passes its limit; every subcommand but theorem2
+counts its work), 3 malformed graph file.
 """
 
 from __future__ import annotations
@@ -75,19 +75,24 @@ PREFACTOR_NOTE = (
     "stirling method uses the prefactor-free formula; the 1/(m+1)-scaled "
     "variant fails already at m = n = 1"
 )
-# Work limits, each checked against an exact count before any work starts;
+# Work limits, each checked against a count made before any work starts
+# (exact, but for the bounds on lemma21's words and the audit's DP states);
 # a run past one exits 2 at once.  theorem3 keeps r = n = 7 (881,174
 # breakdown terms, 180,216 product terms) and refuses r = n = 8 (11,211,272
 # breakdown terms); r = 12 makes 2^12 (S, T) entries.  theorem1 keeps
 # (m, r) = (14, 1) and refuses (16, 1); its count also keeps r below the
-# recursion depth of the good-word oracle.  The others keep every benchmark
-# invocation and refuse inputs that would run for more than a few seconds.
+# recursion depth of the good-word oracle.  The audit keeps a dense (5,5)
+# graph at r <= 2 (about 3 s) and refuses dense (6,5) at r = 1, which took
+# 49 s.  The others keep every benchmark invocation and refuse inputs that
+# would run for more than a few seconds.
 THEOREM3_MAX_R = 12
 THEOREM3_MAX_TERMS = 10**6
 THEOREM1_MAX_CODES = 200_000
 NEWTON_GIRARD_MAX_STEPS = 10**6
 LEMMA21_MAX_CELLS = 500_000
+LEMMA21_MAX_WORDS = 200_000_000
 POWERSUM_MAX_STEPS = 400_000
+AUDIT_MAX_OBJECTS = 40_000
 
 AGGREGATION_NOTE = (
     "closing term aggregates ell(r, S) over all size-r color sets; "
@@ -339,6 +344,24 @@ def _run_newton_girard(args) -> RunReport:
     return report
 
 
+def _lemma21_words(alpha: int, m: int) -> int:
+    """64-bit words one lemma21 trial computes, bounded in closed form.
+
+    Row i of the Stirling triangle holds S(i, k) < k^i, at most
+    i * log2(k) + 1 bits, and log2(k) <= bitlen(k - 1); so the alpha rows
+    of m cells hold at most alpha * m + alpha(alpha + 1)/2 * L / 64 words,
+    L = sum_{k <= m} bitlen(k - 1).  The right-hand side builds C(k, j)
+    for j <= k <= m, in j steps on numbers of at most k bits: at most
+    sum_k k(k + 1)/2 * (1 + k / 64) words.
+    """
+    b = (m - 1).bit_length()
+    bit_lengths = m * b - (1 << b) + 1  # L, summed a power of two at a time
+    row = alpha * m + alpha * (alpha + 1) * bit_lengths // 128
+    cubes_and_squares = (m * (m + 1)) ** 2 // 4 + m * (m + 1) * (2 * m + 1) // 6
+    binomials = m * (m + 1) * (m + 2) // 6 + cubes_and_squares // 128
+    return row + binomials
+
+
 def _run_lemma21(args) -> RunReport:
     params = {"alpha": args.alpha}
     report = RunReport(command="verify lemma21", params=params)
@@ -357,11 +380,13 @@ def _run_lemma21(args) -> RunReport:
         trials = (
             [rng.randint(-5, 5) for _ in range(args.m)] for _ in range(args.trials)
         )
-    # each trial builds the Stirling row S(alpha, 0..m), alpha rows of m cells
-    _limit_work(
-        f"verify lemma21 --alpha {args.alpha} on {count} trial(s) of length {length}",
-        count * args.alpha * length, "Stirling-row cells", LEMMA21_MAX_CELLS,
-    )
+    # each trial builds the Stirling row S(alpha, 0..m), alpha rows of m
+    # cells, whose cells grow to about alpha * log2(m) bits
+    command = f"verify lemma21 --alpha {args.alpha} on {count} trial(s) of length {length}"
+    _limit_work(command, count * args.alpha * length, "Stirling-row cells",
+                LEMMA21_MAX_CELLS)
+    _limit_work(command, count * _lemma21_words(args.alpha, length),
+                "64-bit words of Stirling and binomial numbers", LEMMA21_MAX_WORDS)
     for idx, c in enumerate(trials):
         report.trials += 1
         if not verify_binomial_transform(args.alpha, c):
@@ -369,9 +394,72 @@ def _run_lemma21(args) -> RunReport:
     return report
 
 
+def _audit_objects(n: int, k: int, r: int, successors) -> int:
+    """What one audit at r builds on a graph with n vertices, k colors and
+    0/1 adjacency B (`successors(u)` lists the v with B[u][v] = 1).
+
+    The identity recheck's two DPs hold at most n * n * 2^k and
+    sum_i C(n, i) * 2^k = 2^n * 2^k states, a charge per graph.  It is
+    counted first, with n and k capped at 64 so a huge size costs nothing
+    to count, and a charge past `AUDIT_MAX_OBJECTS` is returned at once,
+    without the rest.  Past that point n and k are small, and the rest is
+    counted exactly: the closed walks of length <= r,
+    sum_{q <= r} tr(B^q) * k!/(k-q)!, and the linear subdigraphs,
+    sum_p covers_p(B) * k!/(k-p)!, where covers_p(B) counts the cycle
+    covers of p-vertex subsets; a row DP over the used columns counts
+    them, each row taking its diagonal (not covered) or an edge.
+    """
+    total = (n * n + (1 << min(n, 64))) << min(k, 64)
+    if total > AUDIT_MAX_OBJECTS:
+        return total
+    succ = {u: successors(u) for u in range(1, n + 1)}
+    top = min(k, n)
+    colorings = [1]  # k!/(k-p)!, the injective colorings of p edges
+    for p in range(k):
+        colorings.append(colorings[-1] * (k - p))
+    for root in range(1, n + 1):
+        paths = {root: 1}  # vertex -> walks from the root that end there
+        for q in range(1, min(r, k) + 1):
+            step: dict[int, int] = {}
+            for u, count in paths.items():
+                for v in succ[u]:
+                    step[v] = step.get(v, 0) + count
+            paths = step
+            total += paths.get(root, 0) * colorings[q]
+    covers = {0: [1]}  # used columns -> partial covers by edge count
+    for i in range(1, n + 1):
+        moves = [(i, 0)] + [(j, 1) for j in succ[i]]
+        step = {}
+        for cols, counts in covers.items():
+            for j, edge in moves:
+                if cols >> j & 1:
+                    continue
+                key = cols | 1 << j
+                row = step.setdefault(key, [0] * (top + 1))
+                for p, count in enumerate(counts[: top + 1 - edge]):
+                    row[p + edge] += count
+        covers = step
+    (counts,) = covers.values()
+    return total + sum(c * w for c, w in zip(counts[1:], colorings[1:]))
+
+
 def _run_involution_audit(args) -> RunReport:
     report = RunReport(command="involution audit", params={"r": args.r})
-    for idx, (graph_seed, g) in enumerate(_graph_instances(args, report)):
+    instances = _graph_instances(args, report)
+    if args.graph is not None:
+        ((_, g),) = instances
+        graphs, count = "1 graph", _audit_objects(g.n, g.colors, args.r, g.successors)
+    else:
+        # the dense graph bounds every draw
+        every = range(1, args.n + 1)
+        graphs = f"{args.trials} random graph(s) counted as dense"
+        count = args.trials * _audit_objects(args.n, args.k, args.r, lambda u: every)
+    _limit_work(
+        f"involution audit --r {args.r} on {graphs}", count,
+        "DP states, closed walks and linear subdigraphs", AUDIT_MAX_OBJECTS,
+        at_least=True,
+    )
+    for idx, (graph_seed, g) in enumerate(instances):
         report.trials += 1
         audit = audit_involution(g, args.r)
         if not audit.ok:

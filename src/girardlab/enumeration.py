@@ -175,7 +175,8 @@ def colored_cycles(g: ColoredDigraph) -> list[tuple[Edge, ...]]:
         for v in succ[u]:
             if v == base:
                 shapes.append(tuple(path))
-            elif v > base and v not in visited:
+            # a cycle longer than the color count has no injective coloring
+            elif v > base and v not in visited and len(path) < g.colors:
                 visited.add(v)
                 path.append(v)
                 grow(base, path, visited)

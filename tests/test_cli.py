@@ -20,8 +20,10 @@ from girardlab import make_digraph, random_digraph, serialize_digraph
 from girardlab import cli, newton
 from girardlab.cli import main
 from girardlab.digraph import self_loop_digraph
-from girardlab.enumeration import linear_subdigraph_buckets
+from girardlab.enumeration import closed_walks, linear_subdigraph_buckets, linear_subdigraphs
 from girardlab.poly import Poly, poly_sum, xvar
+
+from _support import all_pattern_graphs
 
 REPORT_KEYS = {
     "command", "params", "trials", "failures", "elapsed_ms", "seed", "notes",
@@ -468,6 +470,16 @@ def test_theorem3_refuses_oversized_work_up_front(argv, count, capsys):
         ("verify lemma21 --alpha 1000000 --random --m 60 --trials 1",
          "60,000,000 Stirling-row cells"),
         ("verify lemma21 --alpha 1000000 --c 1", "1,000,000 Stirling-row cells"),
+        ("verify lemma21 --alpha 100000 --random --m 5 --trials 1",
+         "625,506,287 64-bit words"),
+        ("verify lemma21 --alpha 50 --random --m 2000 --trials 1",
+         "32,637,938,274 64-bit words"),
+        ("involution audit --random --n 2 --k 2 --r 2 --trials 20000",
+         "at least 1,040,000 DP states, closed walks and linear subdigraphs"),
+        ("involution audit --random --n 6 --k 5 --r 1 --trials 1", "at least 140,660 DP"),
+        ("involution audit --random --n 1 --k 15 --r 1 --trials 1", "at least 98,304 DP"),
+        ("involution audit --random --n 1000000000000 --k 3 --r 3 --trials 1",
+         "the limit is 40,000"),
     ],
 )
 def test_oversized_work_is_refused_up_front(argv, count, capsys):
@@ -480,8 +492,30 @@ def test_oversized_work_is_refused_up_front(argv, count, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
-def test_every_benchmark_size_is_within_the_limits(capsys):
-    # the largest invocation of each kind in the benchmark workloads
+@pytest.mark.parametrize(
+    "n, k, r, count",
+    [(5, 5, 5, "at least 492,674 DP states"), (12, 6, 2, "at least 271,360 DP states")],
+)
+def test_oversized_audit_of_a_graph_file_is_refused_up_front(n, k, r, count, tmp_path,
+                                                            capsys):
+    # dense (5,5) at r = 5 ran past 120 s before the limit existed
+    path = write_graph(tmp_path, random_digraph(n, k, 1.0, 3, seed=n))
+    started = time.perf_counter()
+    assert main(["involution", "audit", "--graph", path, "--r", str(r)]) == 2
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert count in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_every_benchmark_size_is_within_the_limits(tmp_path, capsys):
+    # the largest invocation of each kind in the benchmark workloads; the
+    # audit graph files there are dense, as these are
+    audits = []
+    for idx, (n, k, r) in enumerate([(4, 4, 3), (3, 4, 4), (4, 4, 2), (4, 3, 3)]):
+        path = write_graph(tmp_path, random_digraph(n, k, 1.0, 3, seed=idx), f"{idx}.json")
+        audits.append(f"involution audit --graph {path} --r {r}")
     for argv in [
         "verify theorem1 --m 10 --r 1",
         "verify theorem1 --m 8 --r 2",
@@ -489,9 +523,56 @@ def test_every_benchmark_size_is_within_the_limits(capsys):
         "powersum --m 300 --n 1099 --method all",
         "verify newton-girard --n 6 --r 6 --random --trials 20 --seed 1",
         "verify lemma21 --alpha 400 --random --m 60 --trials 20 --seed 1",
+        *audits,
+        "involution audit --random --n 3 --k 3 --r 2 --trials 5 --seed 1",
     ]:
         assert main(argv.split()) == 0, argv
     capsys.readouterr()
+
+
+def test_audit_object_count_is_exact():
+    # the count is the recheck's DP states plus the closed walks and linear
+    # subdigraphs the audit enumerates
+    def enumerated(g, r):
+        states = (g.n * g.n + 2**g.n) * 2**g.colors
+        return states + len(closed_walks(g, max_length=r)) + len(linear_subdigraphs(g))
+
+    graphs = [g for n in range(1, 3) for k in range(1, 4) for g in all_pattern_graphs(n, k)]
+    rng = random.Random(5)
+    graphs += [
+        random_digraph(rng.randint(1, 4), rng.randint(1, 4), rng.choice([0.4, 0.7, 1.0]),
+                       3, seed=rng.randrange(10**6))
+        for _ in range(25)
+    ]
+    for g in graphs:
+        for r in range(1, g.colors + 2):
+            assert cli._audit_objects(g.n, g.colors, r, g.successors) == enumerated(g, r)
+    # --random counts the dense graph, which every density-1 draw is
+    dense = random_digraph(3, 4, 1.0, 3, seed=1)
+    assert cli._audit_objects(3, 4, 4, lambda u: range(1, 4)) == enumerated(dense, 4)
+    # past the DP charge the rest is not enumerated; sizes are capped at 64
+    assert cli._audit_objects(10**12, 10**12, 3, None) == (10**24 + 2**64) * 2**64
+
+
+def test_lemma21_word_count_is_its_closed_form_and_bounds_the_row():
+    for alpha in [1, 2, 3, 17, 64, 130]:
+        for m in [1, 2, 3, 4, 5, 9, 16, 17, 60]:
+            row = alpha * m + sum(
+                i * (k - 1).bit_length() for i in range(1, alpha + 1)
+                for k in range(1, m + 1)
+            ) // 64
+            binomials = sum(k * (k + 1) // 2 for k in range(1, m + 1)) + sum(
+                k * k * (k + 1) // 2 for k in range(1, m + 1)
+            ) // 64
+            words = cli._lemma21_words(alpha, m)
+            assert words == row + binomials, (alpha, m)
+            # the Stirling row the check builds holds no more words
+            stirling = [1] + [0] * m
+            held = 0
+            for _ in range(alpha):
+                stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, m + 1)]
+                held += sum(max(1, -(-cell.bit_length() // 64)) for cell in stirling[1:])
+            assert held <= row, (alpha, m)
 
 
 def test_theorem1_code_count_is_exact():
@@ -543,6 +624,7 @@ GRAPHLESS = {
     "verify newton-girard --random": ["--n", "--r", "--trials"],
     "verify lemma21 --random": ["--alpha", "--m", "--trials"],
     "powersum --method all": ["--m", "--n"],
+    "involution audit --random": ["--n", "--k", "--r", "--trials"],
 }
 
 

@@ -199,22 +199,35 @@ def test_walks_are_enumerated_only_by_the_audit(monkeypatch):
         assert len(calls) == 1
 
 
-def test_audit_weighs_each_bad_pair_twice_and_each_good_pair_once(monkeypatch):
-    calls = []
-    original = WalkGammaPair.weight
+def test_audit_weighs_each_pair_once_and_involutes_each_bad_pair_once(monkeypatch):
+    # the BAD pairs are walked as couples: one involute per pair of a couple
+    # (its image, then the image's image) and one weight per pair
+    weighed = []
+    involuted = []
+    original_weight = WalkGammaPair.weight
+    original_involute = involution.involute
 
-    def counted(self, g):
-        calls.append(self)
-        return original(self, g)
+    def counted_weight(self, g):
+        weighed.append(self)
+        return original_weight(self, g)
 
-    monkeypatch.setattr(WalkGammaPair, "weight", counted)
+    def counted_involute(pair):
+        involuted.append(pair)
+        return original_involute(pair)
+
+    monkeypatch.setattr(WalkGammaPair, "weight", counted_weight)
+    monkeypatch.setattr(involution, "involute", counted_involute)
     g = random_digraph(3, 4, 1.0, 3, seed=41)
     for r in range(2, 5):  # both cases: r <= n and r > n; r = 1 has no BAD
-        calls.clear()
+        weighed.clear()
+        involuted.clear()
         audit = audit_involution(g, r)
         assert audit.ok
         assert audit.bad_count > 0
-        assert len(calls) == 2 * audit.bad_count + audit.good_count
+        assert len(weighed) == audit.bad_count + audit.good_count
+        assert len(set(weighed)) == audit.pair_count
+        assert len(involuted) == audit.bad_count
+        assert len(set(involuted)) == audit.bad_count
 
 
 def test_audit_reports_an_image_that_is_good(monkeypatch):
@@ -231,3 +244,78 @@ def test_audit_reports_an_image_that_is_good(monkeypatch):
     audit = audit_involution(g, 2)
     assert not audit.ok
     assert "involution image is GOOD" in audit.problems
+
+
+# A broken involution or enumeration is a reported problem, whichever pair
+# of a couple the audit meets first.
+
+
+def _loop_pairs():
+    g = self_loop_digraph(2, 2)
+    pairs = enumerate_pairs(g, 2)
+    return g, pairs, [p for p in pairs if classify(p) == BAD]
+
+
+def _patch_involute(monkeypatch, table):
+    original = involution.involute
+    monkeypatch.setattr(
+        involution, "involute", lambda pair: table.get(pair) or original(pair)
+    )
+
+
+def test_audit_reports_a_fixed_point(monkeypatch):
+    g, _, bad = _loop_pairs()
+    _patch_involute(monkeypatch, {bad[0]: bad[0]})
+    audit = audit_involution(g, 2)
+    assert not audit.ok
+    assert "involution has a fixed point" in audit.problems
+
+
+def test_audit_reports_a_map_that_does_not_return(monkeypatch):
+    # A -> B as before, but B -> C, a BAD pair other than A and B
+    g, _, bad = _loop_pairs()
+    a = bad[0]
+    b = involute(a)
+    c = next(p for p in bad if p not in (a, b))
+    _patch_involute(monkeypatch, {b: c})
+    audit = audit_involution(g, 2)
+    assert not audit.ok
+    assert "involution fails to return after two applications" in audit.problems
+
+
+def test_audit_reports_an_image_outside_the_pairs(monkeypatch):
+    g, pairs, bad = _loop_pairs()
+    stray = WalkGammaPair(Walk(1, ((1, 1),)), EMPTY_SUBDIGRAPH)  # total length 1
+    assert stray not in pairs
+    _patch_involute(monkeypatch, {bad[0]: stray})
+    audit = audit_involution(g, 2)
+    assert not audit.ok
+    assert "involution image escapes the enumerated pairs" in audit.problems
+
+
+def test_audit_reports_an_image_weight_that_is_not_the_negation(monkeypatch):
+    g, _, bad = _loop_pairs()
+    victim = involute(bad[0])
+    original = WalkGammaPair.weight
+    monkeypatch.setattr(
+        WalkGammaPair,
+        "weight",
+        lambda self, g: original(self, g) + (1 if self == victim else 0),
+    )
+    audit = audit_involution(g, 2)
+    assert not audit.ok
+    assert "involution image weight is not the negation" in audit.problems
+    assert "BAD pair weights do not cancel" in audit.problems
+
+
+def test_audit_reports_duplicate_pairs(monkeypatch):
+    g, _, bad = _loop_pairs()
+    original = involution.enumerate_pairs
+    monkeypatch.setattr(
+        involution,
+        "enumerate_pairs",
+        lambda *args, **kwargs: original(*args, **kwargs) + [bad[0]],
+    )
+    audit = audit_involution(g, 2)
+    assert not audit.ok
+    assert "enumerate_pairs returned duplicates" in audit.problems
