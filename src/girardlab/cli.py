@@ -26,8 +26,7 @@ environment variable is used, then 0.
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 usage error
 (including an out-of-range value, an --out path that cannot be written and
-a run whose counted work passes its limit; every subcommand but theorem2
-counts its work), 3 malformed graph file.
+a run whose counted work passes its limit), 3 malformed graph file.
 """
 
 from __future__ import annotations
@@ -76,15 +75,17 @@ PREFACTOR_NOTE = (
     "variant fails already at m = n = 1"
 )
 # Work limits, each checked against a count made before any work starts
-# (exact, but for the bounds on lemma21's words and the audit's DP states);
+# (exact, but for the bounds on lemma21's words, the audit's DP states and
+# theorem2's products);
 # a run past one exits 2 at once.  theorem3 keeps r = n = 7 (881,174
 # breakdown terms, 180,216 product terms) and refuses r = n = 8 (11,211,272
 # breakdown terms); r = 12 makes 2^12 (S, T) entries.  theorem1 keeps
 # (m, r) = (14, 1) and refuses (16, 1); its count also keeps r below the
 # recursion depth of the good-word oracle.  The audit keeps a dense (5,5)
 # graph at r <= 2 (about 3 s) and refuses dense (6,5) at r = 1, which took
-# 49 s.  The others keep every benchmark invocation and refuse inputs that
-# would run for more than a few seconds.
+# 49 s.  theorem2 keeps dense (12,6), (8,8) and (6,9) (1-3 s) and refuses
+# dense (6,10) and (6,12) (6.4 s and 32 s).  The others keep every benchmark
+# invocation and refuse inputs that would run for more than a few seconds.
 THEOREM3_MAX_R = 12
 THEOREM3_MAX_TERMS = 10**6
 THEOREM1_MAX_CODES = 200_000
@@ -93,6 +94,7 @@ LEMMA21_MAX_CELLS = 500_000
 LEMMA21_MAX_WORDS = 200_000_000
 POWERSUM_MAX_STEPS = 400_000
 AUDIT_MAX_OBJECTS = 40_000
+THEOREM2_MAX_WORK = 2_500_000
 
 AGGREGATION_NOTE = (
     "closing term aggregates ell(r, S) over all size-r color sets; "
@@ -241,13 +243,43 @@ def _run_theorem1(args) -> RunReport:
     return report
 
 
+def _dp_states(n: int, k: int) -> int:
+    """States the walk DP and the clow DP build on one graph with n
+    vertices and k colors, at most: each makes n passes (one per root or
+    head), and the layers of a pass hold at most one state per vertex and
+    color mask.  k is capped at 64, so a huge size costs nothing to count."""
+    return 2 * n * n << min(k, 64)
+
+
+def _theorem2_work(n: int, k: int, r: int, limit: int) -> int:
+    """A bound on the work of one theorem2 check on a graph with n vertices
+    and k colors: each DP state makes at most n * k `Poly` products, and
+    the breakdown has C(k, r) * 2^r (S, T) entries.  A DP term past
+    `limit` is returned at once, so a huge k or r costs nothing to count."""
+    total = _dp_states(n, k) * n * min(k, 64)
+    if total > limit or r > k:
+        return total
+    return total + (binomial(k, r) << r)
+
+
 def _run_theorem2(args) -> RunReport:
     report = RunReport(
         command="verify theorem2",
         params={"r": args.r, "literal_ell": bool(args.literal_ell)},
     )
     report.notes.append(AGGREGATION_NOTE)
-    for idx, (graph_seed, g) in enumerate(_graph_instances(args, report)):
+    instances = _graph_instances(args, report)
+    if args.graph is not None:
+        ((_, g),) = instances
+        trials, n, k = 1, g.n, g.colors
+    else:
+        trials, n, k = args.trials, args.n, args.k
+    _limit_work(
+        f"verify theorem2 --r {args.r} on {trials} graph(s) with n = {n}, k = {k}",
+        trials * _theorem2_work(n, k, args.r, THEOREM2_MAX_WORK),
+        "Poly products and (S, T) entries (an upper bound)", THEOREM2_MAX_WORK,
+    )
+    for idx, (graph_seed, g) in enumerate(instances):
         report.trials += 1
         res = verify_walk_cycle_identity(g, args.r)
         residual = res.literal_residual if args.literal_ell else res.residual
@@ -267,11 +299,12 @@ def _theorem3_terms(r: int, n: int) -> tuple[int, int]:
 
     The (S, T) entry with |S| = k is the n-term bracket (1 when T is empty)
     times E(n, S, k), which has k! * C(n, k) terms and shares no variable
-    with the bracket.  The product terms are those the determinant DP of
-    the all-loops graph carries over its layers j = 0..n, where layer j
-    holds prod_{j' <= j} (1 - sum_i a[j']^(i) t_i): sum_j sum_S |E(j, S)| =
-    sum_k C(r, k) * k! * C(n + 1, k + 1), the empty S counting its 1 in
-    each layer.  That DP gives the ell map of the run.
+    with the bracket.  The product terms are those the clow DP of the
+    all-loops graph finishes over its heads j = 0..n, where every clow is
+    one loop and the sequences with heads up to j sum to
+    prod_{j' <= j} (1 - sum_i a[j']^(i) t_i): sum_j sum_S |E(j, S)| =
+    sum_k C(r, k) * k! * C(n + 1, k + 1), the empty S counting its 1 for
+    each j.  That DP gives the ell map of the run.
     """
     k_top = r if r > n else r - 1
     breakdown = sum(
@@ -398,18 +431,17 @@ def _audit_objects(n: int, k: int, r: int, successors) -> int:
     """What one audit at r builds on a graph with n vertices, k colors and
     0/1 adjacency B (`successors(u)` lists the v with B[u][v] = 1).
 
-    The identity recheck's two DPs hold at most n * n * 2^k and
-    sum_i C(n, i) * 2^k = 2^n * 2^k states, a charge per graph.  It is
-    counted first, with n and k capped at 64 so a huge size costs nothing
-    to count, and a charge past `AUDIT_MAX_OBJECTS` is returned at once,
-    without the rest.  Past that point n and k are small, and the rest is
-    counted exactly: the closed walks of length <= r,
+    The identity recheck's two DPs hold at most `_dp_states(n, k)`
+    states, a charge per graph.  It is counted first, and a charge past
+    `AUDIT_MAX_OBJECTS` is returned at once, without the rest, so a huge
+    size costs nothing to count.  Past that point n and k are small, and
+    the rest is counted exactly: the closed walks of length <= r,
     sum_{q <= r} tr(B^q) * k!/(k-q)!, and the linear subdigraphs,
     sum_p covers_p(B) * k!/(k-p)!, where covers_p(B) counts the cycle
     covers of p-vertex subsets; a row DP over the used columns counts
     them, each row taking its diagonal (not covered) or an edge.
     """
-    total = (n * n + (1 << min(n, 64))) << min(k, 64)
+    total = _dp_states(n, k)
     if total > AUDIT_MAX_OBJECTS:
         return total
     succ = {u: successors(u) for u in range(1, n + 1)}

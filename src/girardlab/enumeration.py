@@ -11,17 +11,16 @@ The empty walk and the empty subdigraph exist only as conventions inside
 `closed_walk_sum` and `linear_subdigraph_sum` (both equal to 1 at size
 zero); the enumerators never yield them.
 
-The two generating sums do not enumerate anything.  `closed_walk_buckets`
-sums every closed walk by a transfer-matrix DP over (vertex, used-color
-mask) states (Stanley, Enumerative Combinatorics I, 4.7): at most
-n * 2^k states times n * k moves per root.  `linear_subdigraph_buckets`
-sums every linear subdigraph as a coefficient of det(I - sum_c t_c A_c),
-by a row expansion over (used columns, used colors) states: at most
-C(n, i) * 2^k states times n * (k + 1) moves at row i.  Both keep `Poly`
-values, so symbolic weights work.  The enumerators are exhaustive and
-meant for desk-scale graphs (n, k up to about 5); they serve the
-involution audit, which needs the objects, and the tests, which compare
-the DPs against them.
+The two generating sums do not enumerate anything; both run on `_step`,
+which pushes a (vertex, used-color mask) -> `Poly` layer one edge and one
+unused color further (Stanley, Enumerative Combinatorics I, 4.7).
+`closed_walk_buckets` sums every closed walk from each root in turn.
+`linear_subdigraph_buckets` sums signed clow sequences (Mahajan and Vinay
+1997), whose non-simple terms cancel, head by head.  Each costs at most
+n^2 * 2^k states times n * k `Poly` products.  The enumerators are
+exhaustive and meant for desk-scale graphs (n, k up to about 5); they
+serve the involution audit, which needs the objects, and the tests, which
+compare the DPs against them.
 """
 
 from __future__ import annotations
@@ -264,6 +263,30 @@ def closed_walks(g: ColoredDigraph, *, max_length: int | None = None) -> list[Wa
     return out
 
 
+def _step(layer: dict, succ: dict, g: ColoredDigraph, low: int) -> dict:
+    """One step of every walk in `layer`, a map (vertex, used-color mask)
+    -> weight sum: along every edge into a vertex >= `low`, in every
+    unused color.  The result is keyed the same way; each state costs at
+    most n * k `Poly` products."""
+    colors = range(1, g.colors + 1)
+    nxt: dict = {}
+    for (u, mask), val in layer.items():
+        for v in succ[u]:
+            if v < low:
+                continue
+            for c in colors:
+                if mask >> c & 1:
+                    continue
+                key = (v, mask | 1 << c)
+                term = val * g.weight(u, v, c)
+                nxt[key] = nxt[key] + term if key in nxt else term
+    return nxt
+
+
+def _color_set(mask: int, k: int) -> frozenset[int]:
+    return frozenset(c for c in range(1, k + 1) if mask >> c & 1)
+
+
 def closed_walk_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], Poly]:
     """(length, color set) -> weight sum of the closed walks with that
     length and color set.
@@ -271,82 +294,56 @@ def closed_walk_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], P
     The map equals `closed_walks(g)` grouped by (length, colors), with a
     key for every pair some walk has, even when its sum is zero; but no
     walk is built.  For each root, a layer maps (vertex, used-color mask)
-    to the weight sum of the walks from the root that end there, and each
-    step pushes it along every edge in every unused color.  The states
+    to the weight sum of the walks from the root that end there, and
+    `_step` pushes it along every edge in every unused color.  The states
     back at the root are the closed walks of that length; walks go on
     past the root, as in `closed_walks`.  Every mask has one length, so a
-    root costs at most n * 2^k states times n * k moves: that many `Poly`
-    products.
+    root costs at most n * 2^k states times n * k `Poly` products.
     """
     succ = {u: g.successors(u) for u in range(1, g.n + 1)}
-    colors = range(1, g.colors + 1)
     buckets: dict = {}
     for root in range(1, g.n + 1):
         layer = {(root, 0): Poly.one()}
         for length in range(1, g.colors + 1):
-            nxt: dict = {}
-            for (u, mask), val in layer.items():
-                for v in succ[u]:
-                    for c in colors:
-                        if mask >> c & 1:
-                            continue
-                        key = (v, mask | 1 << c)
-                        term = val * g.weight(u, v, c)
-                        nxt[key] = nxt[key] + term if key in nxt else term
-            for (v, mask), val in nxt.items():
+            layer = _step(layer, succ, g, 1)
+            for (v, mask), val in layer.items():
                 if v == root:
-                    key = (length, frozenset(c for c in colors if mask >> c & 1))
+                    key = (length, _color_set(mask, g.colors))
                     buckets[key] = buckets[key] + val if key in buckets else val
-            layer = nxt
     return buckets
 
 
-def linear_subdigraph_buckets(
-    g: ColoredDigraph,
-) -> dict[tuple[int, frozenset[int]], Poly]:
+def linear_subdigraph_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], Poly]:
     """(length, color set) -> sum of (-1)^(cycle count) * weight over the
     linear subdigraphs with that length and color set.
 
-    That sum is the coefficient of t^S in det(I - sum_c t_c A_c) over
-    Z[w][t]/(t_c^2), where A_c holds the color-c weights: a permutation's
-    non-fixed points are cycles of colored edges, its fixed points are
-    the diagonal 1 or a colored loop, and its sign times the (-1) of
-    each colored entry is (-1)^(cycle count) (Harary 1962).  The row
-    expansion sums every permutation without building one: row i maps
-    (used columns, used colors) to the signed sum of its partial
-    products, and goes to each unused column j with the diagonal 1
-    (j = i) or -w(i, j, c) for each unused color c, flipping the sign for
-    each used column above j (the inversions the move adds).  There is no
-    division, so `Poly` weights work; row i has at most C(n, i) * 2^k
-    states and n * (k + 1) moves each.  Every final state with a color is
-    the bucket of its color set, even when its sum is zero.
+    The sum runs over clow sequences instead (Mahajan and Vinay 1997).  A
+    clow is a closed walk whose head, its least vertex, appears only at
+    its ends.  A sequence has strictly increasing heads and distinct
+    colors, and counts (-1)^(clow count) * weight.  Splicing a later clow
+    into an earlier one it meets, or excising a cycle a clow closes, pairs
+    off the sequences that are not linear subdigraphs with opposite signs
+    (the splice/excise move of Theorem 2), so only the subdigraphs remain.
+    `done` maps a color mask to the signed sum of the finished sequences
+    with heads below h.  For head h they wait at (h, mask); the clow steps
+    through vertices > h, and each return to h is subtracted from `done`.
+    A step adds one color, so a waiting state joins the layer at the step
+    where its color count comes up: each (vertex, mask) is pushed once per
+    head, at most n^2 * 2^k states times n * k `Poly` products in all.
+    Every mask some sequence reaches has a key, even when its sum is zero.
     """
-    layer = {(0, 0): Poly.one()}
-    for i in range(1, g.n + 1):
-        # (column, color bit, entry); the diagonal 1 uses no color
-        moves = [(i, 0, None)] + [
-            (j, 1 << c, -g.weight(i, j, c))
-            for j in g.successors(i)
-            for c in range(1, g.colors + 1)
-        ]
-        nxt: dict = {}
-        for (cols, mask), val in layer.items():
-            neg = -val
-            for j, bit, entry in moves:
-                if cols >> j & 1 or mask & bit:
-                    continue
-                term = neg if (cols >> j).bit_count() % 2 else val
-                if entry is not None:
-                    term = term * entry
-                key = (cols | 1 << j, mask | bit)
-                nxt[key] = nxt[key] + term if key in nxt else term
-        layer = nxt
-    colors = range(1, g.colors + 1)
-    return {
-        (mask.bit_count(), frozenset(c for c in colors if mask >> c & 1)): val
-        for (_, mask), val in layer.items()
-        if mask
-    }
+    succ = {u: g.successors(u) for u in range(1, g.n + 1)}
+    done = {0: Poly.one()}
+    for h in range(1, g.n + 1):
+        start = list(done.items())
+        layer: dict = {}
+        for count in range(g.colors):
+            layer.update(((h, mask), val) for mask, val in start if mask.bit_count() == count)
+            layer = _step(layer, succ, g, h)
+            for key in [key for key in layer if key[0] == h]:
+                mask, val = key[1], layer.pop(key)
+                done[mask] = done[mask] - val if mask in done else -val
+    return {(m.bit_count(), _color_set(m, g.colors)): val for m, val in done.items() if m}
 
 
 def linear_subdigraph_sum(g: ColoredDigraph, p: int, colors: Iterable[int]) -> Poly:

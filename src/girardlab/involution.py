@@ -176,7 +176,7 @@ def enumerate_pairs(
     for w in closed_walks(g, max_length=r):  # one pass for every length
         walks_by_length.setdefault(w.length, []).append(w)
     pairs: list[WalkGammaPair] = []
-    for q in range(1, r + 1):
+    for q in range(1, min(r, g.colors) + 1):  # no walk is longer than k
         for w in walks_by_length.get(q, []):
             if q == r:
                 pairs.append(WalkGammaPair(w, EMPTY_SUBDIGRAPH))

@@ -16,8 +16,8 @@ reports carry both residuals.
 
 The c values come from `enumeration.closed_walk_buckets`, a transfer-matrix
 DP that builds no walk; the ell values come from
-`enumeration.linear_subdigraph_buckets`, a row expansion of
-det(I - sum_c t_c A_c) that builds no subdigraph.
+`enumeration.linear_subdigraph_buckets`, a signed sum over clow sequences
+on the same DP step that builds no subdigraph.
 
 Specializing to the all-loops graph (digraph.self_loop_digraph) turns the
 identity into a statement about n alphabets of r symbols a[j]^(1..r), the
@@ -26,8 +26,8 @@ every i recovers the classical Newton-Girard relations between power sums
 and elementary symmetric polynomials, scaled by r!.  One private function
 assembles the identity from c and ell maps for both the graph check and
 the alphabet check.  The alphabet check takes c in closed form and ell
-from the determinant DP of the all-loops graph, where
-det(I - sum_i t_i A_i) is the elementary-symmetric generating function
+from the clow DP of the all-loops graph, where every clow is one loop, so
+the signed sum is the elementary-symmetric generating function
 prod_j (1 - sum_i a[j]^(i) t_i).  The independent halves are c, which the
 all-loops cross-check compares key by key with the walk DP, and ell,
 which the tests compare with the per-S enumeration `elementary_color_sum`.
@@ -104,11 +104,14 @@ def _split_terms(
 ) -> dict[ColorPair, Poly]:
     """Contributions c(|T|, T) * ell(|S|, S) for disjoint S, T in `colors`
     with |S| + |T| = r; a key missing from a map is a zero sum, and the
-    empty S (or T) contributes 1."""
+    empty S (or T) contributes 1.  There is no such pair when r exceeds
+    the color count, and a huge r then costs nothing."""
     cols = sorted(colors)
+    if r > len(cols):
+        return {}
     zero = Poly.zero()
     terms: dict[ColorPair, Poly] = {}
-    for s_size in range(0, min(r, len(cols)) + 1):
+    for s_size in range(0, r + 1):
         t_size = r - s_size
         if t_size == 0 and not include_empty_walk:
             continue
@@ -245,9 +248,9 @@ def verify_colored_newton_girard(r: int, n: int) -> NewtonReport:
 
         (-1)^k * [(r-k)! * sum_j prod_{i in T} a[j]^(i)] * E(n, S, k)
 
-    over k = 0..r (or 0..r-1 when r <= n).  On that graph the determinant
-    DP only takes diagonal moves, so it computes
-    det(I - sum_i t_i A_i) = prod_j (1 - sum_i a[j]^(i) t_i), and
+    over k = 0..r (or 0..r-1 when r <= n).  On that graph every clow is
+    one loop, so after head j the clow DP holds
+    prod_{j' <= j} (1 - sum_i a[j']^(i) t_i), and
     ell(k, S) = (-1)^k * E(n, S, k) is read off it; the k = r bracket
     (T empty) is 1, matching the empty-walk convention.  For r <= n the
     closing term is r * (-1)^r * E(n, [r], r) -- the (-1)^r carries the
@@ -268,8 +271,8 @@ def cross_check_against_loops(r: int, n: int) -> bool:
 
     This is the half of theorem3 that two independent routes compute: c
     from `closed_walk_buckets` against the brackets (r-k)! * p_T.  The ell
-    map has one route in the program, the determinant DP, and the tests
-    hold it against the per-S enumeration `elementary_color_sum`.
+    map has one route in the program, the clow DP, and the tests hold it
+    against the per-S enumeration `elementary_color_sum`.
     """
     return closed_walk_buckets(self_loop_digraph(n, r)) == _alphabet_walks(r, n)
 

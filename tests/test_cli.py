@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import girardlab
 from girardlab import make_digraph, random_digraph, serialize_digraph
-from girardlab import cli, newton
+from girardlab import cli, enumeration, newton
 from girardlab.cli import main
 from girardlab.digraph import self_loop_digraph
 from girardlab.enumeration import closed_walks, linear_subdigraph_buckets, linear_subdigraphs
@@ -476,10 +476,16 @@ def test_theorem3_refuses_oversized_work_up_front(argv, count, capsys):
          "32,637,938,274 64-bit words"),
         ("involution audit --random --n 2 --k 2 --r 2 --trials 20000",
          "at least 1,040,000 DP states, closed walks and linear subdigraphs"),
-        ("involution audit --random --n 6 --k 5 --r 1 --trials 1", "at least 140,660 DP"),
-        ("involution audit --random --n 1 --k 15 --r 1 --trials 1", "at least 98,304 DP"),
+        ("involution audit --random --n 6 --k 5 --r 1 --trials 1", "at least 139,764 DP"),
+        ("involution audit --random --n 1 --k 15 --r 1 --trials 1", "at least 65,536 DP"),
         ("involution audit --random --n 1000000000000 --k 3 --r 3 --trials 1",
          "the limit is 40,000"),
+        ("verify theorem2 --random --n 2 --k 2 --r 2 --trials 1000000000000",
+         "132,000,000,000,000 Poly products"),
+        ("verify theorem2 --random --n 6 --k 10 --r 6 --trials 1", "4,423,680 Poly"),
+        ("verify theorem2 --random --n 12 --k 6 --r 6 --trials 2", "2,654,336 Poly"),
+        ("verify theorem2 --random --n 1000000000000 --k 1000000000000 --r 1000000000000"
+         " --trials 1", "the limit is 2,500,000"),
     ],
 )
 def test_oversized_work_is_refused_up_front(argv, count, capsys):
@@ -493,15 +499,26 @@ def test_oversized_work_is_refused_up_front(argv, count, capsys):
 
 
 @pytest.mark.parametrize(
-    "n, k, r, count",
-    [(5, 5, 5, "at least 492,674 DP states"), (12, 6, 2, "at least 271,360 DP states")],
+    "command, n, k, dense, r, count",
+    [
+        ("involution audit", 5, 5, True, 5, "at least 492,450 DP states"),
+        ("involution audit", 12, 6, True, 2, "at least 551,892,456 DP states"),
+        ("verify theorem2", 6, 12, True, 6, "21,233,664 Poly products"),
+        ("verify theorem2", 6, 10, True, 6, "4,423,680 Poly products"),
+        ("verify theorem2", 20000, 5000, False, 3, "the limit is 2,500,000"),
+    ],
 )
-def test_oversized_audit_of_a_graph_file_is_refused_up_front(n, k, r, count, tmp_path,
-                                                            capsys):
-    # dense (5,5) at r = 5 ran past 120 s before the limit existed
-    path = write_graph(tmp_path, random_digraph(n, k, 1.0, 3, seed=n))
+def test_oversized_graph_file_is_refused_up_front(command, n, k, dense, r, count,
+                                                  tmp_path, capsys):
+    # dense (5,5) at r = 5 ran past 120 s before the audit had a limit, and
+    # the 42-byte edgeless (20000, 5000) file past 30 s before theorem2 had one
+    if dense:
+        path = write_graph(tmp_path, random_digraph(n, k, 1.0, 3, seed=n))
+    else:
+        path = str(tmp_path / "edgeless.json")
+        Path(path).write_text(json.dumps({"n": n, "colors": k, "edges": []}))
     started = time.perf_counter()
-    assert main(["involution", "audit", "--graph", path, "--r", str(r)]) == 2
+    assert main(command.split() + ["--graph", path, "--r", str(r)]) == 2
     assert time.perf_counter() - started < 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -509,21 +526,42 @@ def test_oversized_audit_of_a_graph_file_is_refused_up_front(n, k, r, count, tmp
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["verify theorem2", "involution audit"])
+def test_huge_r_on_a_small_graph_costs_nothing(command, capsys):
+    # past the color count there is no (S, T) split and no pair, so neither
+    # time nor memory may grow with r (itertools.combinations allocates r
+    # slots even when it yields nothing)
+    argv = command.split() + ["--random", "--n", "2", "--k", "2", "--trials", "2",
+                              "--r", str(10**12)]
+    started = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - started < 1
+    assert "result: PASS (2/2 checks)" in capsys.readouterr().out
+
+
 def test_every_benchmark_size_is_within_the_limits(tmp_path, capsys):
-    # the largest invocation of each kind in the benchmark workloads; the
-    # audit graph files there are dense, as these are
-    audits = []
-    for idx, (n, k, r) in enumerate([(4, 4, 3), (3, 4, 4), (4, 4, 2), (4, 3, 3)]):
+    # the largest invocation of each kind in the benchmark workloads, and
+    # every theorem2, theorem3 and audit one; the graph files there are
+    # dense, as these are
+    files = []
+    for idx, (command, n, k, r) in enumerate([
+        ("verify theorem2", 5, 4, 4), ("verify theorem2", 4, 4, 3),
+        ("verify theorem2", 4, 4, 4), ("verify theorem2", 3, 4, 4),
+        ("involution audit", 4, 4, 3), ("involution audit", 3, 4, 4),
+        ("involution audit", 4, 4, 2), ("involution audit", 4, 3, 3),
+    ]):
         path = write_graph(tmp_path, random_digraph(n, k, 1.0, 3, seed=idx), f"{idx}.json")
-        audits.append(f"involution audit --graph {path} --r {r}")
+        files.append(f"{command} --graph {path} --r {r}")
     for argv in [
+        *files,
+        "verify theorem2 --random --n 3 --k 4 --r 4 --trials 4 --seed 1",
+        *(f"verify theorem3 --r {r} --n {n}" for r, n in [(6, 6), (6, 4), (5, 5), (4, 6)]),
         "verify theorem1 --m 10 --r 1",
         "verify theorem1 --m 8 --r 2",
         "verify theorem1 --m 6 --r 3",
         "powersum --m 300 --n 1099 --method all",
         "verify newton-girard --n 6 --r 6 --random --trials 20 --seed 1",
         "verify lemma21 --alpha 400 --random --m 60 --trials 20 --seed 1",
-        *audits,
         "involution audit --random --n 3 --k 3 --r 2 --trials 5 --seed 1",
     ]:
         assert main(argv.split()) == 0, argv
@@ -534,7 +572,7 @@ def test_audit_object_count_is_exact():
     # the count is the recheck's DP states plus the closed walks and linear
     # subdigraphs the audit enumerates
     def enumerated(g, r):
-        states = (g.n * g.n + 2**g.n) * 2**g.colors
+        states = 2 * g.n * g.n * 2**g.colors
         return states + len(closed_walks(g, max_length=r)) + len(linear_subdigraphs(g))
 
     graphs = [g for n in range(1, 3) for k in range(1, 4) for g in all_pattern_graphs(n, k)]
@@ -551,7 +589,34 @@ def test_audit_object_count_is_exact():
     dense = random_digraph(3, 4, 1.0, 3, seed=1)
     assert cli._audit_objects(3, 4, 4, lambda u: range(1, 4)) == enumerated(dense, 4)
     # past the DP charge the rest is not enumerated; sizes are capped at 64
-    assert cli._audit_objects(10**12, 10**12, 3, None) == (10**24 + 2**64) * 2**64
+    assert cli._audit_objects(10**12, 10**12, 3, None) == 2 * 10**24 * 2**64
+
+
+def test_dp_state_bound_holds_for_both_dps(monkeypatch):
+    # the walk DP and the clow DP take every step through enumeration._step;
+    # the states they push and build on one graph stay within the bound
+    # the audit and theorem2 charge
+    pushed, built = [], []
+    step = enumeration._step
+
+    def counted(layer, succ, g, low):
+        out = step(layer, succ, g, low)
+        pushed.append(len(layer))
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(enumeration, "_step", counted)
+    rng = random.Random(12)
+    for _ in range(30):
+        n, k = rng.randint(1, 5), rng.randint(1, 5)
+        g = random_digraph(n, k, rng.choice([0.4, 0.7, 1.0]), 3, seed=rng.randrange(10**6))
+        pushed.clear()
+        built.clear()
+        enumeration.closed_walk_buckets(g)
+        enumeration.linear_subdigraph_buckets(g)
+        assert len(built) == 2 * n * k  # k steps per root and per head
+        bound = cli._dp_states(n, k)
+        assert sum(pushed) <= bound and sum(built) <= bound, (n, k)
 
 
 def test_lemma21_word_count_is_its_closed_form_and_bounds_the_row():
@@ -597,8 +662,9 @@ def test_theorem3_term_counts_are_exact():
             breakdown, product = cli._theorem3_terms(r, n)
             report = newton.verify_colored_newton_girard(r, n)
             assert breakdown == sum(p.term_count() for p in report.breakdown.values())
-            # layer j >= 1 of the det DP is the all-loops ell map of j
-            # vertices, and the empty S holds 1 in each layer j = 0..n
+            # the clow DP's sequences with heads up to j >= 1 are the
+            # all-loops ell map of j vertices, and the empty S holds 1 for
+            # each j = 0..n
             ell_terms = sum(
                 p.term_count()
                 for j in range(1, n + 1)
@@ -640,6 +706,67 @@ def graphless_argv(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(graphless_argv())
 def test_graphless_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)  # an exception here is a traceback on the command line
+    assert rc in {0, 1, 2, 3}, argv
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert out.getvalue() == "", argv
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, argv
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz over the subcommands that take a graph
+# ---------------------------------------------------------------------------
+
+GRAPH_FILES = {
+    "small": serialize_digraph(random_digraph(3, 2, 0.6, 3, seed=4)),
+    "dense": serialize_digraph(random_digraph(3, 3, 1.0, 3, seed=5)),
+    "edgeless": '{"n": 2, "colors": 2, "edges": []}',
+    "huge edgeless": '{"n": 20000, "colors": 5000, "edges": []}',
+    "huge color count": '{"n": 1, "colors": 1000000, "edges": []}',
+    "cut short": '{"n": 1,',
+    "not an object": "[]",
+    "no vertices": '{"n": 0, "colors": 1, "edges": []}',
+    "zero weight": '{"n": 1, "colors": 1, "edges": [{"from": 1, "to": 1, "weights": [0]}]}',
+    "out of range": '{"n": 1, "colors": 1, "edges": [{"from": 1, "to": 2, "weights": [1]}]}',
+}
+
+
+@pytest.fixture(scope="module")
+def graph_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("graphs")
+    for name, text in GRAPH_FILES.items():
+        (root / f"{name}.json").write_text(text, encoding="utf-8")
+    return root
+
+
+# small sizes stop at 3 here: a dense (4,4) audit at r = 4 is accepted and
+# takes about a second per graph
+GRAPH_SIZE = st.one_of(st.integers(1, 3).map(str), st.integers(1, 3).map(str), HUGE, INVALID)
+
+
+@st.composite
+def graph_argv(draw):
+    """argv of theorem2 or the audit; a `--graph` value is a file name in
+    `graph_dir` without its suffix ("absent" names no file)."""
+    argv = draw(st.sampled_from(["verify theorem2", "involution audit"])).split()
+    if draw(st.booleans()):
+        argv += ["--graph", draw(st.sampled_from(sorted(GRAPH_FILES) + ["absent"]))]
+    else:
+        argv.append("--random")
+        for flag in ["--n", "--k", "--trials"]:
+            argv += [flag, draw(GRAPH_SIZE)]
+    return argv + ["--r", draw(GRAPH_SIZE)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(argv=graph_argv())
+def test_graph_argv_keeps_the_exit_code_contract(graph_dir, argv):
+    if "--graph" in argv:
+        at = argv.index("--graph") + 1
+        argv[at] = str(graph_dir / f"{argv[at]}.json")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)  # an exception here is a traceback on the command line

@@ -387,7 +387,8 @@ def test_subdigraph_buckets_match_enumeration_on_all_patterns(n, k):
         check_subdigraph_buckets(g)
 
 
-@pytest.mark.parametrize("n,k", [(4, 4), (5, 4)])
+# with n > k the clow sequences revisit vertices, and most of them cancel
+@pytest.mark.parametrize("n,k", [(4, 4), (5, 4), (7, 3), (8, 2)])
 def test_subdigraph_buckets_match_enumeration_on_dense_prime_graphs(n, k):
     check_subdigraph_buckets(prime_weighted_dense_graph(n, k))
 

@@ -131,9 +131,9 @@ def test_elementary_color_sum_values():
 
 
 def test_loop_graph_ell_map_equals_the_per_set_enumeration():
-    # the determinant DP of the all-loops graph is the elementary-symmetric
-    # generating function: ell(|S|, S) = (-1)^|S| * E(n, S, |S|), with a
-    # key for exactly the S with 1 <= |S| <= n
+    # on the all-loops graph every clow is one loop, so the clow DP is the
+    # elementary-symmetric generating function: ell(|S|, S) =
+    # (-1)^|S| * E(n, S, |S|), with a key for exactly the S with 1 <= |S| <= n
     for r in range(1, 6):
         for n in range(1, 6):
             ell = linear_subdigraph_buckets(self_loop_digraph(n, r))
