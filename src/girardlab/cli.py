@@ -82,10 +82,12 @@ PREFACTOR_NOTE = (
 # breakdown terms); r = 12 makes 2^12 (S, T) entries.  theorem1 keeps
 # (m, r) = (14, 1) and refuses (16, 1); its count also keeps r below the
 # recursion depth of the good-word oracle.  The audit keeps a dense (5,5)
-# graph at r <= 2 (about 3 s) and refuses dense (6,5) at r = 1, which took
-# 49 s.  theorem2 keeps dense (12,6), (8,8) and (6,9) (1-3 s) and refuses
-# dense (6,10) and (6,12) (6.4 s and 32 s).  The others keep every benchmark
-# invocation and refuse inputs that would run for more than a few seconds.
+# graph at r <= 2 (under 0.5 s) and dense (3,6) at r = 4 (about 4 s, most
+# of it per pair), and refuses dense (6,5) at r = 1 (139,764 objects, 1.7 s
+# in-process).  theorem2 keeps dense (12,6), (8,8) and (6,9) (1-3 s) and
+# refuses dense (6,10) and (6,12) (6.4 s and 32 s).  The others keep every
+# benchmark invocation and refuse inputs that would run for more than a few
+# seconds.
 THEOREM3_MAX_R = 12
 THEOREM3_MAX_TERMS = 10**6
 THEOREM1_MAX_CODES = 200_000
@@ -152,7 +154,7 @@ def _load_graph(path: str) -> ColoredDigraph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}")
     g = parse_digraph(text)
     problems = validate(g)

@@ -177,8 +177,9 @@ def _require_int(value, what: str) -> int:
 def parse_digraph(text: str) -> ColoredDigraph:
     """Parse the JSON format.  Inverse of serialize_digraph on its output.
 
-    Raises GraphFormatError with position information on malformed JSON and
-    on schema violations (missing fields, non-integer weights, duplicate
+    Raises GraphFormatError with position information on malformed JSON,
+    without it on JSON too deep or with a number too long to parse, and on
+    schema violations (missing fields, non-integer weights, duplicate
     edges).  Semantic violations are left to `validate`.
     """
     try:
@@ -187,6 +188,10 @@ def parse_digraph(text: str) -> ColoredDigraph:
         raise GraphFormatError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise GraphFormatError("a number has too many digits") from None
+    except RecursionError:
+        raise GraphFormatError("JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise GraphFormatError("top level must be a JSON object")
     for fieldname in ("n", "colors", "edges"):

@@ -17,16 +17,18 @@ unused color further (Stanley, Enumerative Combinatorics I, 4.7).
 `closed_walk_buckets` sums every closed walk from each root in turn.
 `linear_subdigraph_buckets` sums signed clow sequences (Mahajan and Vinay
 1997), whose non-simple terms cancel, head by head.  Each costs at most
-n^2 * 2^k states times n * k `Poly` products.  The enumerators are
-exhaustive and meant for desk-scale graphs (n, k up to about 5); they
-serve the involution audit, which needs the objects, and the tests, which
-compare the DPs against them.
+n^2 * 2^k states times n * k `Poly` products.
+
+Both cycle enumerators share one search, `_cycles_at`, that grows the
+cycles of one head (least vertex); heads increase, as in the clow DP, so it
+costs about its output.  The enumerators are exhaustive, for desk-scale
+graphs (n, k up to about 5): the involution audit needs the objects, and
+the tests compare the DPs with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Iterator
 
 from .digraph import ColoredDigraph
@@ -57,8 +59,7 @@ class Walk:
 
     Closed walks end where they start.  The class itself does not force
     distinct colors; the enumerator below only produces color-distinct
-    closed walks, and concatenation (see the involution module) also works
-    on open segments.
+    closed walks.
     """
 
     start: int
@@ -160,73 +161,69 @@ def make_subdigraph(cycles: Iterable[Iterable[Edge]]) -> LinearSubdigraph:
     return LinearSubdigraph(tuple(canon))
 
 
-def colored_cycles(g: ColoredDigraph) -> list[tuple[Edge, ...]]:
-    """All simple directed cycles with injectively colored edges.
+def _cycles_at(g: ColoredDigraph, succ: dict, head: int, used_v: int, used_c: int) -> list:
+    """(cycle, vertex mask, color mask) for each colored cycle with least
+    vertex `head` that avoids the masks `used_v` and `used_c`, in tuple
+    order: depth first through free vertices above `head`, one free color
+    per step, successors and colors increasing.  The masks are grown by the
+    cycle's own vertices and colors."""
+    colors = range(1, g.colors + 1)
+    path: list[Edge] = []
+    out: list = []
 
-    Each cycle is canonical (starts at its smallest vertex); every
-    injective assignment of colors to its edges appears once.
-    """
-    succ = {u: g.successors(u) for u in range(1, g.n + 1)}
-    shapes: list[tuple[int, ...]] = []
-
-    def grow(base: int, path: list[int], visited: set[int]) -> None:
-        u = path[-1]
+    def grow(u: int, vmask: int, cmask: int) -> None:
         for v in succ[u]:
-            if v == base:
-                shapes.append(tuple(path))
-            # a cycle longer than the color count has no injective coloring
-            elif v > base and v not in visited and len(path) < g.colors:
-                visited.add(v)
-                path.append(v)
-                grow(base, path, visited)
+            if v < head or (v != head and vmask >> v & 1):
+                continue
+            for c in colors:
+                if cmask >> c & 1:
+                    continue
+                path.append((u, v, c))
+                if v == head:
+                    out.append((tuple(path), vmask, cmask | 1 << c))
+                else:
+                    grow(v, vmask | 1 << v, cmask | 1 << c)
                 path.pop()
-                visited.remove(v)
 
-    for base in range(1, g.n + 1):
-        grow(base, [base], {base})
-
-    out: list[tuple[Edge, ...]] = []
-    all_colors = range(1, g.colors + 1)
-    for shape in shapes:
-        t = len(shape)
-        pairs = [(shape[i], shape[(i + 1) % t]) for i in range(t)]
-        for assignment in permutations(all_colors, t):
-            out.append(tuple((u, v, c) for (u, v), c in zip(pairs, assignment)))
+    grow(head, used_v | 1 << head, used_c)
     return out
+
+
+def colored_cycles(g: ColoredDigraph) -> list[tuple[Edge, ...]]:
+    """All simple directed cycles with injectively colored edges, each
+    starting at its head (least vertex), sorted by (head, cycle); every
+    injective assignment of colors to its edges appears once."""
+    succ = {u: g.successors(u) for u in range(1, g.n + 1)}
+    return [
+        cycle
+        for head in range(1, g.n + 1)
+        for cycle, _, _ in _cycles_at(g, succ, head, 0, 0)
+    ]
 
 
 def linear_subdigraphs(g: ColoredDigraph) -> list[LinearSubdigraph]:
-    """All (nonempty) linear subdigraphs, in depth-first order over the
-    cycles sorted by their smallest vertex."""
-    # Each pooled cycle carries (cycle, vertex mask, color mask), so the
-    # search tests ints instead of building sets.
-    pool = [
-        (cycle, _bitmask(e[0] for e in cycle), _bitmask(e[2] for e in cycle))
-        for cycle in sorted(colored_cycles(g), key=lambda c: (c[0][0], c))
-    ]
+    """All (nonempty) linear subdigraphs, depth first, each node's
+    children in (head, cycle) order.
+
+    Heads strictly increase along a subdigraph, as in the clow sequences
+    of `linear_subdigraph_buckets`: each free head above the last offers
+    the cycles `_cycles_at` finds on the vertices and colors still free.
+    """
+    succ = {u: g.successors(u) for u in range(1, g.n + 1)}
     out: list[LinearSubdigraph] = []
 
-    def extend(start: int, chosen: list[tuple[Edge, ...]], used_v: int, used_c: int) -> None:
-        if chosen:
-            out.append(LinearSubdigraph(tuple(chosen)))
-        for idx in range(start, len(pool)):
-            cycle, vmask, cmask = pool[idx]
-            if vmask & used_v or cmask & used_c:
+    def extend(low: int, chosen: list[tuple[Edge, ...]], used_v: int, used_c: int) -> None:
+        for head in range(low, g.n + 1):
+            if used_v >> head & 1:
                 continue
-            chosen.append(cycle)
-            extend(idx + 1, chosen, used_v | vmask, used_c | cmask)
-            chosen.pop()
+            for cycle, vmask, cmask in _cycles_at(g, succ, head, used_v, used_c):
+                chosen.append(cycle)
+                out.append(LinearSubdigraph(tuple(chosen)))
+                extend(head + 1, chosen, vmask, cmask)
+                chosen.pop()
 
-    extend(0, [], 0, 0)
+    extend(1, [], 0, 0)
     return out
-
-
-def _bitmask(items: Iterable[int]) -> int:
-    """The int with bit i set for each i in `items`."""
-    mask = 0
-    for i in items:
-        mask |= 1 << i
-    return mask
 
 
 def closed_walks(g: ColoredDigraph, *, max_length: int | None = None) -> list[Walk]:

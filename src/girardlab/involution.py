@@ -31,7 +31,7 @@ r * ell closing term of the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .digraph import ColoredDigraph
 from .enumeration import (
@@ -39,7 +39,6 @@ from .enumeration import (
     Edge,
     LinearSubdigraph,
     Walk,
-    _bitmask,
     closed_walks,
     linear_subdigraphs,
     make_subdigraph,
@@ -51,7 +50,6 @@ __all__ = [
     "GOOD",
     "BAD",
     "WalkGammaPair",
-    "walk_concat",
     "classify",
     "involute",
     "underlying_subdigraph",
@@ -80,14 +78,12 @@ class WalkGammaPair:
         return -weight if self.gamma.cycle_count % 2 else weight
 
 
-def walk_concat(w1: Walk, w2: Walk) -> Walk:
-    """Concatenate two walks; w1 must end where w2 starts."""
-    if w1.end != w2.start:
-        raise ValueError(
-            f"cannot concatenate: first walk ends at {w1.end}, "
-            f"second starts at {w2.start}"
-        )
-    return Walk(w1.start, w1.steps + w2.steps)
+def _bitmask(items: Iterable[int]) -> int:
+    """The int with bit i set for each i in `items`."""
+    mask = 0
+    for i in items:
+        mask |= 1 << i
+    return mask
 
 
 def classify(pair: WalkGammaPair) -> str:

@@ -241,6 +241,33 @@ def test_syntactically_broken_graph_file(tmp_path, capsys):
     assert "line 2, column" in capsys.readouterr().err
 
 
+# files the JSON decoder cannot read at all, so no position is reported
+UNDECODABLE_GRAPH_FILES = {
+    "long weight": '{"n": 1, "colors": 1, "edges": [{"from": 1, "to": 1, "weights": ['
+    + "9" * 5000 + "]}]}",
+    "deep nesting": "[" * 5000 + "]" * 5000,
+    "not utf-8": b"\xff\xfe{",
+}
+
+
+def write_graph_file(path, content: str | bytes) -> None:
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["verify theorem2", "involution audit"])
+@pytest.mark.parametrize("name", sorted(UNDECODABLE_GRAPH_FILES))
+def test_undecodable_graph_file(tmp_path, capsys, command, name):
+    path = tmp_path / "graph.json"
+    write_graph_file(path, UNDECODABLE_GRAPH_FILES[name])
+    rc = main([*command.split(), "--graph", str(path), "--r", "1"])
+    assert rc == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("graph error: ")
+
+
 def test_semantically_broken_graph_file(tmp_path, capsys):
     path = tmp_path / "zero.json"
     path.write_text(
@@ -328,6 +355,20 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0, proc.stderr
     assert "result: PASS" in proc.stdout
+
+
+def test_module_runs_from_a_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "girardlab.cli", "verify", "theorem1", "--m", "3", "--r", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "result: PASS" in proc.stdout.splitlines()[-1]
 
 
 # inputs past a work limit, each of which ran for seconds to minutes
@@ -731,14 +772,15 @@ GRAPH_FILES = {
     "no vertices": '{"n": 0, "colors": 1, "edges": []}',
     "zero weight": '{"n": 1, "colors": 1, "edges": [{"from": 1, "to": 1, "weights": [0]}]}',
     "out of range": '{"n": 1, "colors": 1, "edges": [{"from": 1, "to": 2, "weights": [1]}]}',
+    **UNDECODABLE_GRAPH_FILES,
 }
 
 
 @pytest.fixture(scope="module")
 def graph_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("graphs")
-    for name, text in GRAPH_FILES.items():
-        (root / f"{name}.json").write_text(text, encoding="utf-8")
+    for name, content in GRAPH_FILES.items():
+        write_graph_file(root / f"{name}.json", content)
     return root
 
 

@@ -24,16 +24,7 @@ from girardlab import (
     total_subdigraph_sum,
     underlying_subdigraph,
     verify_walk_cycle_identity,
-    walk_concat,
 )
-
-
-def test_walk_concat():
-    w1 = Walk(1, ((2, 1),))
-    w2 = Walk(2, ((1, 2),))
-    assert walk_concat(w1, w2) == Walk(1, ((2, 1), (1, 2)))
-    with pytest.raises(ValueError, match="ends at 2"):
-        walk_concat(w1, w1)
 
 
 def test_pair_weight_carries_the_cycle_parity_sign():
