@@ -82,12 +82,12 @@ PREFACTOR_NOTE = (
 # breakdown terms); r = 12 makes 2^12 (S, T) entries.  theorem1 keeps
 # (m, r) = (14, 1) and refuses (16, 1); its count also keeps r below the
 # recursion depth of the good-word oracle.  The audit keeps a dense (5,5)
-# graph at r <= 2 (under 0.5 s) and dense (3,6) at r = 4 (about 4 s, most
-# of it per pair), and refuses dense (6,5) at r = 1 (139,764 objects, 1.7 s
-# in-process).  theorem2 keeps dense (12,6), (8,8) and (6,9) (1-3 s) and
-# refuses dense (6,10) and (6,12) (6.4 s and 32 s).  The others keep every
-# benchmark invocation and refuse inputs that would run for more than a few
-# seconds.
+# graph at r <= 2 and dense (4,4) at r = 4 (each under 1 s), and refuses
+# dense (3,6) at r = 4 (118,998 objects, 84,240 of them pairs, 6-7 s
+# in-process) and dense (6,5) at r = 1 (139,764 objects, 1.7 s).  theorem2
+# keeps dense (12,6), (8,8) and (6,9) (1-3 s) and refuses dense (6,10) and
+# (6,12) (6.4 s and 32 s).  The others keep every benchmark invocation and
+# refuse inputs that would run for more than a few seconds.
 THEOREM3_MAX_R = 12
 THEOREM3_MAX_TERMS = 10**6
 THEOREM1_MAX_CODES = 200_000
@@ -415,8 +415,9 @@ def _run_lemma21(args) -> RunReport:
         trials = (
             [rng.randint(-5, 5) for _ in range(args.m)] for _ in range(args.trials)
         )
-    # each trial builds the Stirling row S(alpha, 0..m), alpha rows of m
-    # cells, whose cells grow to about alpha * log2(m) bits
+    # the Stirling row S(alpha, 0..m) takes alpha rows of m cells, whose
+    # cells grow to about alpha * log2(m) bits; the trials share one row,
+    # but the charge still counts one per trial
     command = f"verify lemma21 --alpha {args.alpha} on {count} trial(s) of length {length}"
     _limit_work(command, count * args.alpha * length, "Stirling-row cells",
                 LEMMA21_MAX_CELLS)
@@ -433,15 +434,17 @@ def _audit_objects(n: int, k: int, r: int, successors) -> int:
     """What one audit at r builds on a graph with n vertices, k colors and
     0/1 adjacency B (`successors(u)` lists the v with B[u][v] = 1).
 
-    The identity recheck's two DPs hold at most `_dp_states(n, k)`
-    states, a charge per graph.  It is counted first, and a charge past
-    `AUDIT_MAX_OBJECTS` is returned at once, without the rest, so a huge
-    size costs nothing to count.  Past that point n and k are small, and
-    the rest is counted exactly: the closed walks of length <= r,
-    sum_{q <= r} tr(B^q) * k!/(k-q)!, and the linear subdigraphs,
-    sum_p covers_p(B) * k!/(k-p)!, where covers_p(B) counts the cycle
-    covers of p-vertex subsets; a row DP over the used columns counts
-    them, each row taking its diagonal (not covered) or an edge.
+    The count stops at its first partial sum past `AUDIT_MAX_OBJECTS`, so a
+    huge size costs nothing to count.  It starts with the identity
+    recheck's two DPs, which hold at most `_dp_states(n, k)` states per
+    graph.  Past that point n and k are small, and the rest is counted
+    exactly: the closed walks of length <= r, sum_{q <= r} tr(B^q) *
+    k!/(k-q)!, and the linear subdigraphs, sum_p covers_p(B) * k!/(k-p)!,
+    where covers_p(B) counts the cycle covers of p-vertex subsets (a row DP
+    over the used columns counts them, each row taking its diagonal, not
+    covered, or an edge); then the (walk, gamma) pairs, whose r edges take
+    distinct colors: sum_{q=1}^{r} tr(B^q) * covers_{r-q}(B) * k!/(k-r)!,
+    none when r > k.
     """
     total = _dp_states(n, k)
     if total > AUDIT_MAX_OBJECTS:
@@ -451,15 +454,16 @@ def _audit_objects(n: int, k: int, r: int, successors) -> int:
     colorings = [1]  # k!/(k-p)!, the injective colorings of p edges
     for p in range(k):
         colorings.append(colorings[-1] * (k - p))
+    traces = [0] * (min(r, k) + 1)  # tr(B^q)
     for root in range(1, n + 1):
         paths = {root: 1}  # vertex -> walks from the root that end there
-        for q in range(1, min(r, k) + 1):
+        for q in range(1, len(traces)):
             step: dict[int, int] = {}
             for u, count in paths.items():
                 for v in succ[u]:
                     step[v] = step.get(v, 0) + count
             paths = step
-            total += paths.get(root, 0) * colorings[q]
+            traces[q] += paths.get(root, 0)
     covers = {0: [1]}  # used columns -> partial covers by edge count
     for i in range(1, n + 1):
         moves = [(i, 0)] + [(j, 1) for j in succ[i]]
@@ -474,7 +478,14 @@ def _audit_objects(n: int, k: int, r: int, successors) -> int:
                     row[p + edge] += count
         covers = step
     (counts,) = covers.values()
-    return total + sum(c * w for c, w in zip(counts[1:], colorings[1:]))
+    total += sum(t * w for t, w in zip(traces[1:], colorings[1:]))
+    total += sum(c * w for c, w in zip(counts[1:], colorings[1:]))
+    if total > AUDIT_MAX_OBJECTS or r > k:
+        return total
+    # no cover has more than top = min(k, n) vertices, so q >= r - top
+    return total + colorings[r] * sum(
+        traces[q] * counts[r - q] for q in range(max(1, r - top), r + 1)
+    )
 
 
 def _run_involution_audit(args) -> RunReport:
@@ -490,7 +501,7 @@ def _run_involution_audit(args) -> RunReport:
         count = args.trials * _audit_objects(args.n, args.k, args.r, lambda u: every)
     _limit_work(
         f"involution audit --r {args.r} on {graphs}", count,
-        "DP states, closed walks and linear subdigraphs", AUDIT_MAX_OBJECTS,
+        "DP states, closed walks, linear subdigraphs and pairs", AUDIT_MAX_OBJECTS,
         at_least=True,
     )
     for idx, (graph_seed, g) in enumerate(instances):
@@ -505,8 +516,9 @@ def _run_involution_audit(args) -> RunReport:
 
 
 def _run_powersum(args) -> RunReport:
-    # direct takes n powers k^m (n * m steps); the Bernoulli recurrence and
-    # the Stirling row take at most m^2 terms
+    # direct takes n powers k^m (n * m steps); the Stirling row takes at
+    # most m^2 terms, and the tangent-number triangle behind the Bernoulli
+    # table about m^2 / 8 integer steps
     _limit_work(
         f"powersum --m {args.m} --n {args.n}", args.m * max(args.m, args.n),
         "power and recurrence steps", POWERSUM_MAX_STEPS,

@@ -25,6 +25,7 @@ Stirling numbers and via Bernoulli numbers.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .exactnum import bernoulli_number, binomial, factorial
@@ -170,14 +171,17 @@ def stirling2(m: int, k: int) -> int:
     return q
 
 
-def _stirling2_row(m: int, top: int) -> list[int]:
-    """[S(m, 0), ..., S(m, top)] from the triangle S(m, k) = k S(m-1, k) +
+@lru_cache(maxsize=1)
+def _stirling2_row(m: int, top: int) -> tuple[int, ...]:
+    """(S(m, 0), ..., S(m, top)) from the triangle S(m, k) = k S(m-1, k) +
     S(m-1, k-1); column k needs only columns <= k of the row above, so
-    the columns past `top` are never built."""
+    the columns past `top` are never built.  The last row is kept, so a
+    lemma21 campaign builds its row once for all its trials; a tuple, so
+    no caller can change it."""
     row = [1] + [0] * top  # S(0, 0) = 1
     for _ in range(m):
         row = [0] + [k * row[k] + row[k - 1] for k in range(1, top + 1)]
-    return row
+    return tuple(row)
 
 
 def stirling2_recurrence(m: int, k: int) -> int:
@@ -255,6 +259,7 @@ def power_sum_via_bernoulli(m: int, n: int) -> Fraction:
     """
     if m < 1 or n < 1:
         raise ValueError("power_sum_via_bernoulli requires m, n >= 1")
+    bernoulli_number(m)  # one table build for B_0..B_m, not one per miss
     acc = sum(
         binomial(m + 1, k) * bernoulli_number(k) * n ** (m + 1 - k)
         for k in range(m + 1)

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 
 import girardlab
 from girardlab import make_digraph, random_digraph, serialize_digraph
-from girardlab import cli, enumeration, newton
+from girardlab import cli, enumeration, newton, powersum
 from girardlab.cli import main
 from girardlab.digraph import self_loop_digraph
 from girardlab.enumeration import closed_walks, linear_subdigraph_buckets, linear_subdigraphs
+from girardlab.involution import enumerate_pairs
 from girardlab.poly import Poly, poly_sum, xvar
 
 from _support import all_pattern_graphs
@@ -137,6 +138,14 @@ def test_newton_girard_explicit_roots(capsys):
 def test_lemma21_explicit_sequence(capsys):
     assert main(["verify", "lemma21", "--alpha", "3", "--c", "2,0,-1"]) == 0
     assert "result: PASS" in capsys.readouterr().out
+
+
+def test_lemma21_trials_share_one_stirling_row(capsys):
+    powersum._stirling2_row.cache_clear()
+    argv = "verify lemma21 --alpha 5 --random --m 6 --trials 4".split()
+    assert main(argv) == 0
+    assert "result: PASS (4/4 checks)" in capsys.readouterr().out
+    assert powersum._stirling2_row.cache_info().misses == 1
 
 
 def test_involution_audit_random(capsys):
@@ -516,7 +525,7 @@ def test_theorem3_refuses_oversized_work_up_front(argv, count, capsys):
         ("verify lemma21 --alpha 50 --random --m 2000 --trials 1",
          "32,637,938,274 64-bit words"),
         ("involution audit --random --n 2 --k 2 --r 2 --trials 20000",
-         "at least 1,040,000 DP states, closed walks and linear subdigraphs"),
+         "at least 1,360,000 DP states, closed walks, linear subdigraphs and pairs"),
         ("involution audit --random --n 6 --k 5 --r 1 --trials 1", "at least 139,764 DP"),
         ("involution audit --random --n 1 --k 15 --r 1 --trials 1", "at least 65,536 DP"),
         ("involution audit --random --n 1000000000000 --k 3 --r 3 --trials 1",
@@ -544,6 +553,7 @@ def test_oversized_work_is_refused_up_front(argv, count, capsys):
     [
         ("involution audit", 5, 5, True, 5, "at least 492,450 DP states"),
         ("involution audit", 12, 6, True, 2, "at least 551,892,456 DP states"),
+        ("involution audit", 3, 6, True, 4, "at least 118,998 DP states"),
         ("verify theorem2", 6, 12, True, 6, "21,233,664 Poly products"),
         ("verify theorem2", 6, 10, True, 6, "4,423,680 Poly products"),
         ("verify theorem2", 20000, 5000, False, 3, "the limit is 2,500,000"),
@@ -610,11 +620,12 @@ def test_every_benchmark_size_is_within_the_limits(tmp_path, capsys):
 
 
 def test_audit_object_count_is_exact():
-    # the count is the recheck's DP states plus the closed walks and linear
-    # subdigraphs the audit enumerates
+    # the count is the recheck's DP states plus the closed walks, linear
+    # subdigraphs and (walk, gamma) pairs the audit enumerates
     def enumerated(g, r):
         states = 2 * g.n * g.n * 2**g.colors
-        return states + len(closed_walks(g, max_length=r)) + len(linear_subdigraphs(g))
+        return (states + len(closed_walks(g, max_length=r)) + len(linear_subdigraphs(g))
+                + len(enumerate_pairs(g, r)))
 
     graphs = [g for n in range(1, 3) for k in range(1, 4) for g in all_pattern_graphs(n, k)]
     rng = random.Random(5)

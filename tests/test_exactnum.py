@@ -52,12 +52,23 @@ def test_bernoulli_odd_indices_vanish():
 
 def test_bernoulli_defining_recurrence():
     # sum_{j=0}^{m} C(m+1, j) B_j == 0 for m >= 1
-    for m in range(1, 15):
+    for m in range(1, 121):
         total = sum(binomial(m + 1, j) * bernoulli_number(j) for j in range(m + 1))
         assert total == 0
 
 
 B40 = Fraction(-261082718496449122051, 13530)
+
+
+def test_bernoulli_table_equals_the_fraction_recurrence():
+    # the literal route: solve the defining recurrence for B_m, one
+    # Fraction sum per entry, past the powersum workload's m = 300
+    table = [Fraction(1)]
+    for m in range(1, 303):
+        table.append(-sum(binomial(m + 1, j) * table[j] for j in range(m)) / (m + 1))
+    assert table[40] == B40
+    assert [bernoulli_number(k) for k in range(303)] == table
+
 
 # In a fresh interpreter, eight threads released by one barrier grow a cold
 # cache at once, for several rounds (the cache is emptied back to B_0

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from girardlab import powersum
+from girardlab import exactnum, powersum
 from girardlab import (
     Poly,
     good_word_sum,
@@ -220,6 +220,22 @@ def test_bernoulli_route_matches_sum_below():
 
 def test_bernoulli_route_smallest_case():
     assert power_sum_via_bernoulli(1, 2) == 1
+
+
+def test_bernoulli_route_builds_its_table_once(monkeypatch):
+    # from a cold cache, B_0..B_m come from one table build, not one per
+    # missed entry (which would cost O(m^3))
+    builds = []
+    build = exactnum._bernoulli_table
+
+    def counted(k):
+        builds.append(k)
+        return build(k)
+
+    monkeypatch.setattr(exactnum, "_bernoulli_cache", [Fraction(1)])
+    monkeypatch.setattr(exactnum, "_bernoulli_table", counted)
+    assert power_sum_via_bernoulli(300, 5) == power_sum_below(300, 5)
+    assert builds == [300]
 
 
 def test_corollaries_reject_bad_arguments():
