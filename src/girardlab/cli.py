@@ -37,8 +37,8 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterable
 
 from .digraph import (
     ColoredDigraph,
@@ -119,16 +119,7 @@ class RunReport:
     elapsed_ms: int = 0
 
     def to_json(self) -> str:
-        obj = {
-            "command": self.command,
-            "params": self.params,
-            "trials": self.trials,
-            "failures": self.failures,
-            "elapsed_ms": self.elapsed_ms,
-            "seed": self.seed,
-            "notes": self.notes,
-        }
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -141,13 +132,6 @@ def _resolve_seed(args: argparse.Namespace) -> int:
         except ValueError:
             raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
     return DEFAULT_SEED
-
-
-def _parse_csv_ints(text: str, what: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise UsageError(f"--{what} must be a comma-separated list of integers")
 
 
 def _load_graph(path: str) -> ColoredDigraph:
@@ -176,32 +160,68 @@ def _limit_work(
         )
 
 
-def _graph_instances(
-    args: argparse.Namespace, report: RunReport
-) -> Iterable[tuple[int | None, ColoredDigraph]]:
-    """The (graph seed, graph) pairs of a `--graph` or `--random` run;
-    records the source in `report.params` and, for `--random`, the seed.
+def _instances(args: argparse.Namespace, report: RunReport, fixed: str, draw,
+               sizes: tuple[str, ...]) -> tuple[Iterable, int, object]:
+    """(instances, trials, fixed instance) of a campaign subcommand's run.
 
-    Usage errors are raised here, before any graph is checked.  Random
-    graphs are drawn one at a time as the caller asks for them, so a run
-    holds one graph however many trials it makes.
+    The flag `fixed` (`--graph`, `--roots` or `--c`) names one instance,
+    recorded in `report.params`.  For `--random` the fixed instance is
+    None: the seed is resolved once, the seed, the `sizes` arguments and the
+    trial count are recorded, and `draw(args, rng)` makes each instance from
+    one random.Random(seed) as the trial loop asks for it, so a run holds
+    one instance however many trials it makes.  Usage and graph errors are
+    raised here, before any instance is checked.
     """
-    if args.graph is not None:
-        report.params["graph"] = args.graph
-        return [(None, _load_graph(args.graph))]
+    if not args.random:
+        text = getattr(args, fixed)
+        if fixed == "graph":
+            report.params["graph"], instance = text, (None, _load_graph(text))
+        else:
+            try:
+                instance = [int(part) for part in text.split(",")]
+            except ValueError:
+                raise UsageError(f"--{fixed} must be a comma-separated list of integers")
+            report.params[fixed] = instance
+        return [instance], 1, instance
     report.seed = _resolve_seed(args)
-    report.params.update(
-        {"n": args.n, "k": args.k, "density": args.density,
-         "weight_bound": args.weight_bound, "trials": args.trials}
-    )
+    report.params.update({name: getattr(args, name) for name in sizes}, trials=args.trials)
+    rng = random.Random(report.seed)
+    return (draw(args, rng) for _ in range(args.trials)), args.trials, None
+
+
+def _check_each(report: RunReport, instances: Iterable, check) -> RunReport:
+    """Check the instances in turn: `check(instance)` returns the fields of
+    a failure, recorded with the instance's index, or None."""
+    for idx, instance in enumerate(instances):
+        report.trials += 1
+        fields = check(instance)
+        if fields is not None:
+            report.failures.append({"instance": idx, **fields})
+    return report
+
+
+GRAPH_SIZES = ("n", "k", "density", "weight_bound")
+
+
+def _draw_graph(args: argparse.Namespace, rng: random.Random):
+    seed = rng.randrange(2**31)
+    return seed, random_digraph(args.n, args.k, args.density, args.weight_bound, seed)
+
+
+def _draw_entries(count: int, rng: random.Random) -> list[int]:
+    return [rng.randint(-5, 5) for _ in range(count)]
+
+
+def _charged_graph(args: argparse.Namespace, fixed):
+    """(n, k, successors) of the graph a theorem2 or audit charge counts:
+    the fixed graph, or the dense graph every `--random` draw lies within."""
+    if fixed is not None:
+        g = fixed[1]
+        return g.n, g.colors, g.successors
     if args.n is None or args.k is None:
         raise UsageError("--random needs --n and --k")
-    rng = random.Random(report.seed)
-    seeds = (rng.randrange(2**31) for _ in range(args.trials))
-    return (
-        (seed, random_digraph(args.n, args.k, args.density, args.weight_bound, seed))
-        for seed in seeds
-    )
+    every = range(1, args.n + 1)
+    return args.n, args.k, lambda u: every
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -270,29 +290,27 @@ def _run_theorem2(args) -> RunReport:
         params={"r": args.r, "literal_ell": bool(args.literal_ell)},
     )
     report.notes.append(AGGREGATION_NOTE)
-    instances = _graph_instances(args, report)
-    if args.graph is not None:
-        ((_, g),) = instances
-        trials, n, k = 1, g.n, g.colors
-    else:
-        trials, n, k = args.trials, args.n, args.k
+    instances, trials, fixed = _instances(args, report, "graph", _draw_graph, GRAPH_SIZES)
+    n, k, _ = _charged_graph(args, fixed)
     _limit_work(
         f"verify theorem2 --r {args.r} on {trials} graph(s) with n = {n}, k = {k}",
         trials * _theorem2_work(n, k, args.r, THEOREM2_MAX_WORK),
         "Poly products and (S, T) entries (an upper bound)", THEOREM2_MAX_WORK,
     )
-    for idx, (graph_seed, g) in enumerate(instances):
-        report.trials += 1
+    if args.r > k:  # every instance has k colors
+        report.notes.extend(
+            f"instance {idx}: vacuous: r exceeds color count" for idx in range(trials)
+        )
+
+    def check(instance):
+        graph_seed, g = instance
         res = verify_walk_cycle_identity(g, args.r)
         residual = res.literal_residual if args.literal_ell else res.residual
-        if args.r > g.colors:
-            report.notes.append(f"instance {idx}: vacuous: r exceeds color count")
         if not residual.is_zero:
-            report.failures.append(
-                {"instance": idx, "graph_seed": graph_seed, "n": g.n,
-                 "k": g.colors, "case": res.case, "residual": str(residual)}
-            )
-    return report
+            return {"graph_seed": graph_seed, "n": g.n, "k": g.colors, "case": res.case,
+                    "residual": str(residual)}
+
+    return _check_each(report, instances, check)
 
 
 def _theorem3_terms(r: int, n: int) -> tuple[int, int]:
@@ -348,35 +366,25 @@ def _run_theorem3(args) -> RunReport:
 
 
 def _run_newton_girard(args) -> RunReport:
-    params = {"n": args.n, "r": args.r}
-    report = RunReport(command="verify newton-girard", params=params)
+    report = RunReport(command="verify newton-girard", params={"n": args.n, "r": args.r})
+    instances, trials, _ = _instances(
+        args, report, "roots", lambda args, rng: _draw_entries(args.n, rng), ()
+    )
     # per trial: n * r(r+1)/2 steps for the powers root^t, t <= r, and
     # n(n+1)/2 updates for the coefficients e_t
-    count = 1 if args.roots is not None else args.trials
     steps = args.n * args.r * (args.r + 1) // 2 + args.n * (args.n + 1) // 2
     _limit_work(
-        f"verify newton-girard --n {args.n} --r {args.r} on {count} trial(s)",
-        count * steps, "power and coefficient steps", NEWTON_GIRARD_MAX_STEPS,
+        f"verify newton-girard --n {args.n} --r {args.r} on {trials} trial(s)",
+        trials * steps, "power and coefficient steps", NEWTON_GIRARD_MAX_STEPS,
     )
-    if args.roots is not None:
-        roots = _parse_csv_ints(args.roots, "roots")
+
+    def check(roots):
         if len(roots) != args.n:
             raise UsageError(f"--roots must list exactly n = {args.n} integers")
-        params["roots"] = roots
-        trials = [roots]
-    else:
-        seed = _resolve_seed(args)
-        report.seed = seed
-        params["trials"] = args.trials
-        rng = random.Random(seed)
-        trials = [
-            [rng.randint(-5, 5) for _ in range(args.n)] for _ in range(args.trials)
-        ]
-    for idx, roots in enumerate(trials):
-        report.trials += 1
         if not verify_classical_newton_girard(roots, args.r):
-            report.failures.append({"instance": idx, "roots": roots})
-    return report
+            return {"roots": roots}
+
+    return _check_each(report, instances, check)
 
 
 def _lemma21_words(alpha: int, m: int) -> int:
@@ -398,36 +406,23 @@ def _lemma21_words(alpha: int, m: int) -> int:
 
 
 def _run_lemma21(args) -> RunReport:
-    params = {"alpha": args.alpha}
-    report = RunReport(command="verify lemma21", params=params)
-    if args.c is not None:
-        c = _parse_csv_ints(args.c, "c")
-        if not c:
-            raise UsageError("--c needs at least one entry")
-        params["c"] = c
-        count, length, trials = 1, len(c), [c]
-    else:
-        seed = _resolve_seed(args)
-        report.seed = seed
-        params.update({"m": args.m, "trials": args.trials})
-        rng = random.Random(seed)
-        count, length = args.trials, args.m
-        trials = (
-            [rng.randint(-5, 5) for _ in range(args.m)] for _ in range(args.trials)
-        )
+    report = RunReport(command="verify lemma21", params={"alpha": args.alpha})
+    instances, trials, c = _instances(
+        args, report, "c", lambda args, rng: _draw_entries(args.m, rng), ("m",)
+    )
+    length = args.m if c is None else len(c)
     # the Stirling row S(alpha, 0..m) takes alpha rows of m cells, whose
     # cells grow to about alpha * log2(m) bits; the trials share one row,
     # but the charge still counts one per trial
-    command = f"verify lemma21 --alpha {args.alpha} on {count} trial(s) of length {length}"
-    _limit_work(command, count * args.alpha * length, "Stirling-row cells",
+    command = f"verify lemma21 --alpha {args.alpha} on {trials} trial(s) of length {length}"
+    _limit_work(command, trials * args.alpha * length, "Stirling-row cells",
                 LEMMA21_MAX_CELLS)
-    _limit_work(command, count * _lemma21_words(args.alpha, length),
+    _limit_work(command, trials * _lemma21_words(args.alpha, length),
                 "64-bit words of Stirling and binomial numbers", LEMMA21_MAX_WORDS)
-    for idx, c in enumerate(trials):
-        report.trials += 1
-        if not verify_binomial_transform(args.alpha, c):
-            report.failures.append({"instance": idx, "c": c})
-    return report
+    return _check_each(
+        report, instances,
+        lambda c: None if verify_binomial_transform(args.alpha, c) else {"c": c},
+    )
 
 
 def _audit_objects(n: int, k: int, r: int, successors) -> int:
@@ -490,29 +485,24 @@ def _audit_objects(n: int, k: int, r: int, successors) -> int:
 
 def _run_involution_audit(args) -> RunReport:
     report = RunReport(command="involution audit", params={"r": args.r})
-    instances = _graph_instances(args, report)
-    if args.graph is not None:
-        ((_, g),) = instances
-        graphs, count = "1 graph", _audit_objects(g.n, g.colors, args.r, g.successors)
-    else:
-        # the dense graph bounds every draw
-        every = range(1, args.n + 1)
-        graphs = f"{args.trials} random graph(s) counted as dense"
-        count = args.trials * _audit_objects(args.n, args.k, args.r, lambda u: every)
+    instances, trials, fixed = _instances(args, report, "graph", _draw_graph, GRAPH_SIZES)
+    n, k, successors = _charged_graph(args, fixed)
+    graphs = "1 graph" if fixed else f"{trials} random graph(s) counted as dense"
     _limit_work(
-        f"involution audit --r {args.r} on {graphs}", count,
+        f"involution audit --r {args.r} on {graphs}",
+        trials * _audit_objects(n, k, args.r, successors),
         "DP states, closed walks, linear subdigraphs and pairs", AUDIT_MAX_OBJECTS,
         at_least=True,
     )
-    for idx, (graph_seed, g) in enumerate(instances):
-        report.trials += 1
+
+    def check(instance):
+        graph_seed, g = instance
         audit = audit_involution(g, args.r)
         if not audit.ok:
-            report.failures.append(
-                {"instance": idx, "graph_seed": graph_seed,
-                 "problems": list(audit.problems), "total": str(audit.total)}
-            )
-    return report
+            return {"graph_seed": graph_seed, "problems": list(audit.problems),
+                    "total": str(audit.total)}
+
+    return _check_each(report, instances, check)
 
 
 def _run_powersum(args) -> RunReport:
@@ -577,21 +567,30 @@ def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", help="write a JSON report here")
 
 
-def _add_graph_source(p: argparse.ArgumentParser) -> None:
+def _add_source(p: argparse.ArgumentParser, fixed: str, noun: str, trials: int,
+                sizes=(), **fixed_opts) -> None:
+    """Declare a campaign subcommand's input: `--<fixed>` or `--random`,
+    then the `sizes` flags of `--random`, `--trials` and `--seed`."""
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--graph", metavar="PATH", help="graph JSON file")
-    source.add_argument(
-        "--random", action="store_true", help="verify seeded random graphs"
-    )
-    p.add_argument("--n", type=_positive_int, help="vertex count for --random")
-    p.add_argument("--k", type=_positive_int, help="color count for --random")
-    p.add_argument("--density", type=_density, default=1.0,
-                   help="edge probability in (0, 1] for --random (default 1.0)")
-    p.add_argument("--weight-bound", type=_positive_int, default=3,
-                   help="weights drawn from nonzero [-W, W] (default 3)")
-    p.add_argument("--trials", type=_positive_int, default=10,
-                   help="number of random graphs (default 10)")
+    source.add_argument(f"--{fixed}", **fixed_opts)
+    source.add_argument("--random", action="store_true",
+                        help=f"verify seeded random {noun}")
+    for flag, opts in sizes:
+        p.add_argument(flag, **opts)
+    p.add_argument("--trials", type=_positive_int, default=trials,
+                   help=f"number of random {noun} (default {trials})")
     p.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
+
+
+def _add_graph_source(p: argparse.ArgumentParser) -> None:
+    _add_source(p, "graph", "graphs", 10, [
+        ("--n", dict(type=_positive_int, help="vertex count for --random")),
+        ("--k", dict(type=_positive_int, help="color count for --random")),
+        ("--density", dict(type=_density, default=1.0,
+                           help="edge probability in (0, 1] for --random (default 1.0)")),
+        ("--weight-bound", dict(type=_positive_int, default=3,
+                                help="weights drawn from nonzero [-W, W] (default 3)")),
+    ], metavar="PATH", help="graph JSON file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -628,23 +627,15 @@ def build_parser() -> argparse.ArgumentParser:
     ng = which.add_parser("newton-girard", help="classical Newton-Girard on roots")
     ng.add_argument("--n", type=_positive_int, required=True)
     ng.add_argument("--r", type=_positive_int, required=True)
-    source = ng.add_mutually_exclusive_group(required=True)
-    source.add_argument("--roots", help="comma-separated integer roots")
-    source.add_argument("--random", action="store_true")
-    ng.add_argument("--trials", type=_positive_int, default=20)
-    ng.add_argument("--seed", type=int)
+    _add_source(ng, "roots", "root lists", 20, help="comma-separated integer roots")
     _add_out(ng)
     ng.set_defaults(run=_run_newton_girard)
 
     lm = which.add_parser("lemma21", help="binomial-transform power-sum check")
     lm.add_argument("--alpha", type=_positive_int, required=True)
-    source = lm.add_mutually_exclusive_group(required=True)
-    source.add_argument("--c", help="comma-separated integer sequence c_1..c_m")
-    source.add_argument("--random", action="store_true")
-    lm.add_argument("--m", type=_positive_int, default=6,
-                    help="sequence length for --random")
-    lm.add_argument("--trials", type=_positive_int, default=20)
-    lm.add_argument("--seed", type=int)
+    _add_source(lm, "c", "sequences", 20, [
+        ("--m", dict(type=_positive_int, default=6, help="sequence length for --random")),
+    ], help="comma-separated integer sequence c_1..c_m")
     _add_out(lm)
     lm.set_defaults(run=_run_lemma21)
 
