@@ -38,7 +38,7 @@ import random
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .digraph import (
     ColoredDigraph,
@@ -85,9 +85,14 @@ PREFACTOR_NOTE = (
 # graph at r <= 2 and dense (4,4) at r = 4 (each under 1 s), and refuses
 # dense (3,6) at r = 4 (118,998 objects, 84,240 of them pairs, 6-7 s
 # in-process) and dense (6,5) at r = 1 (139,764 objects, 1.7 s).  theorem2
-# keeps dense (12,6), (8,8) and (6,9) (1-3 s) and refuses dense (6,10) and
-# (6,12) (6.4 s and 32 s).  The others keep every benchmark invocation and
-# refuse inputs that would run for more than a few seconds.
+# keeps dense (12,6), (8,8) and (6,9) (1.6-3 s) and refuses dense (6,10)
+# and (6,12) (6.4 s and 32 s).  theorem2 and the audit multiply their
+# count by the 64-bit words of the largest weight, newton-girard by those
+# of the largest root, so 4000-digit numbers (208 words), which ran for
+# 2-100 s and more, are refused; numbers within 64 bits keep every count.
+# A lemma21 campaign charges its one Stirling row once, so 21 trials at
+# the benchmark's size pass.  The others keep every benchmark invocation
+# and refuse inputs that would run for more than a few seconds.
 THEOREM3_MAX_R = 12
 THEOREM3_MAX_TERMS = 10**6
 THEOREM1_MAX_CODES = 200_000
@@ -160,6 +165,16 @@ def _limit_work(
         )
 
 
+def _words(value: int) -> int:
+    """64-bit words of |value|, at least one."""
+    return max(1, -(-abs(value).bit_length() // 64))
+
+
+def _sized(command: str, words: int, what: str) -> str:
+    """`command`, naming the word size of its numbers when past one."""
+    return command if words == 1 else f"{command} ({words}-word {what})"
+
+
 def _instances(args: argparse.Namespace, report: RunReport, fixed: str, draw,
                sizes: tuple[str, ...]) -> tuple[Iterable, int, object]:
     """(instances, trials, fixed instance) of a campaign subcommand's run.
@@ -213,15 +228,17 @@ def _draw_entries(count: int, rng: random.Random) -> list[int]:
 
 
 def _charged_graph(args: argparse.Namespace, fixed):
-    """(n, k, successors) of the graph a theorem2 or audit charge counts:
-    the fixed graph, or the dense graph every `--random` draw lies within."""
+    """(n, k, weight words, successors) of the graph a theorem2 or audit
+    charge counts: the fixed graph, or the dense graph every `--random`
+    draw lies within.  The words are those of the largest weight."""
     if fixed is not None:
         g = fixed[1]
-        return g.n, g.colors, g.successors
+        weights = (abs(w.constant_value()) for ws in g.edges.values() for w in ws)
+        return g.n, g.colors, _words(max(weights, default=1)), g.successors
     if args.n is None or args.k is None:
         raise UsageError("--random needs --n and --k")
     every = range(1, args.n + 1)
-    return args.n, args.k, lambda u: every
+    return args.n, args.k, _words(args.weight_bound), lambda u: every
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -291,10 +308,11 @@ def _run_theorem2(args) -> RunReport:
     )
     report.notes.append(AGGREGATION_NOTE)
     instances, trials, fixed = _instances(args, report, "graph", _draw_graph, GRAPH_SIZES)
-    n, k, _ = _charged_graph(args, fixed)
+    n, k, words, _ = _charged_graph(args, fixed)
     _limit_work(
-        f"verify theorem2 --r {args.r} on {trials} graph(s) with n = {n}, k = {k}",
-        trials * _theorem2_work(n, k, args.r, THEOREM2_MAX_WORK),
+        _sized(f"verify theorem2 --r {args.r} on {trials} graph(s) with n = {n}, k = {k}",
+               words, "weights"),
+        trials * words * _theorem2_work(n, k, args.r, THEOREM2_MAX_WORK),
         "Poly products and (S, T) entries (an upper bound)", THEOREM2_MAX_WORK,
     )
     if args.r > k:  # every instance has k colors
@@ -367,15 +385,19 @@ def _run_theorem3(args) -> RunReport:
 
 def _run_newton_girard(args) -> RunReport:
     report = RunReport(command="verify newton-girard", params={"n": args.n, "r": args.r})
-    instances, trials, _ = _instances(
+    instances, trials, fixed = _instances(
         args, report, "roots", lambda args, rng: _draw_entries(args.n, rng), ()
     )
-    # per trial: n * r(r+1)/2 steps for the powers root^t, t <= r, and
-    # n(n+1)/2 updates for the coefficients e_t
+    # per trial: n * r(r+1)/2 steps for the powers root^t, t <= r (root^t
+    # holds at most t times the root's words), and n(n+1)/2 updates for the
+    # coefficients e_t; each step is weighted by the words of the largest
+    # root, one for a random root
+    words = 1 if fixed is None else _words(max(map(abs, fixed)))
     steps = args.n * args.r * (args.r + 1) // 2 + args.n * (args.n + 1) // 2
     _limit_work(
-        f"verify newton-girard --n {args.n} --r {args.r} on {trials} trial(s)",
-        trials * steps, "power and coefficient steps", NEWTON_GIRARD_MAX_STEPS,
+        _sized(f"verify newton-girard --n {args.n} --r {args.r} on {trials} trial(s)",
+               words, "roots"),
+        trials * words * steps, "power and coefficient steps", NEWTON_GIRARD_MAX_STEPS,
     )
 
     def check(roots):
@@ -400,25 +422,33 @@ def _lemma21_words(alpha: int, m: int) -> int:
     b = (m - 1).bit_length()
     bit_lengths = m * b - (1 << b) + 1  # L, summed a power of two at a time
     row = alpha * m + alpha * (alpha + 1) * bit_lengths // 128
+    return row + _binomial_words(m)
+
+
+def _binomial_words(m: int) -> int:
+    """The binomial part of `_lemma21_words`, which each trial builds anew."""
     cubes_and_squares = (m * (m + 1)) ** 2 // 4 + m * (m + 1) * (2 * m + 1) // 6
-    binomials = m * (m + 1) * (m + 2) // 6 + cubes_and_squares // 128
-    return row + binomials
+    return m * (m + 1) * (m + 2) // 6 + cubes_and_squares // 128
 
 
 def _run_lemma21(args) -> RunReport:
     report = RunReport(command="verify lemma21", params={"alpha": args.alpha})
-    instances, trials, c = _instances(
+    instances, trials, fixed = _instances(
         args, report, "c", lambda args, rng: _draw_entries(args.m, rng), ("m",)
     )
-    length = args.m if c is None else len(c)
-    # the Stirling row S(alpha, 0..m) takes alpha rows of m cells, whose
-    # cells grow to about alpha * log2(m) bits; the trials share one row,
-    # but the charge still counts one per trial
+    length = args.m if fixed is None else len(fixed)
+    # the trials share one Stirling row S(alpha, 0..m): alpha rows of m
+    # cells that grow to about alpha * log2(m) bits.  Each trial builds m
+    # powers k^alpha, counted as ceil(alpha / 64) cells each, and its own
+    # binomials; the cells charged are the row's or, if more, the powers'
     command = f"verify lemma21 --alpha {args.alpha} on {trials} trial(s) of length {length}"
-    _limit_work(command, trials * args.alpha * length, "Stirling-row cells",
-                LEMMA21_MAX_CELLS)
-    _limit_work(command, trials * _lemma21_words(args.alpha, length),
-                "64-bit words of Stirling and binomial numbers", LEMMA21_MAX_WORDS)
+    _limit_work(command, length * max(args.alpha, trials * -(-args.alpha // 64)),
+                "Stirling-row cells", LEMMA21_MAX_CELLS)
+    _limit_work(
+        command,
+        _lemma21_words(args.alpha, length) + (trials - 1) * _binomial_words(length),
+        "64-bit words of Stirling and binomial numbers", LEMMA21_MAX_WORDS,
+    )
     return _check_each(
         report, instances,
         lambda c: None if verify_binomial_transform(args.alpha, c) else {"c": c},
@@ -486,11 +516,11 @@ def _audit_objects(n: int, k: int, r: int, successors) -> int:
 def _run_involution_audit(args) -> RunReport:
     report = RunReport(command="involution audit", params={"r": args.r})
     instances, trials, fixed = _instances(args, report, "graph", _draw_graph, GRAPH_SIZES)
-    n, k, successors = _charged_graph(args, fixed)
+    n, k, words, successors = _charged_graph(args, fixed)
     graphs = "1 graph" if fixed else f"{trials} random graph(s) counted as dense"
     _limit_work(
-        f"involution audit --r {args.r} on {graphs}",
-        trials * _audit_objects(n, k, args.r, successors),
+        _sized(f"involution audit --r {args.r} on {graphs}", words, "weights"),
+        trials * words * _audit_objects(n, k, args.r, successors),
         "DP states, closed walks, linear subdigraphs and pairs", AUDIT_MAX_OBJECTS,
         at_least=True,
     )

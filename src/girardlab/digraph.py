@@ -139,13 +139,16 @@ def random_digraph(
     if weight_bound < 1:
         raise ValueError("weight_bound must be >= 1")
     rng = random.Random(seed)
-    pool = [w for w in range(-weight_bound, weight_bound + 1) if w != 0]
     edges: dict[tuple[int, int], tuple[Poly, ...]] = {}
     for u in range(1, n + 1):
         for v in range(1, n + 1):
             if rng.random() < edge_density:
+                # entry i of the nonzero integers in [-W, W], in increasing
+                # order, as rng.choice would draw it from that list of 2W
+                # entries, without building the list
+                indices = (rng.randrange(2 * weight_bound) for _ in range(k))
                 edges[(u, v)] = tuple(
-                    Poly.const(rng.choice(pool)) for _ in range(k)
+                    Poly.const(i - weight_bound + (i >= weight_bound)) for i in indices
                 )
     return ColoredDigraph(n, k, MappingProxyType(edges))
 

@@ -536,9 +536,27 @@ def test_theorem3_refuses_oversized_work_up_front(argv, count, capsys):
         ("verify theorem2 --random --n 12 --k 6 --r 6 --trials 2", "2,654,336 Poly"),
         ("verify theorem2 --random --n 1000000000000 --k 1000000000000 --r 1000000000000"
          " --trials 1", "the limit is 2,500,000"),
+        # NINES1000 and NINES4000 stand for 1000- and 4000-digit numbers; the
+        # four roots runs took 3.6 s, 35.6 s, past 100 s and 6.1 s before
+        # the charge counted the roots' words
+        ("verify newton-girard --n 1 --r 300 --roots NINES1000",
+         "(52-word roots) would need 2,347,852 power"),
+        ("verify newton-girard --n 1 --r 300 --roots NINES4000", "9,391,408 power"),
+        ("verify newton-girard --n 1 --r 1000 --roots NINES4000", "104,104,208 power"),
+        ("verify newton-girard --n 3 --r 100 --roots NINES4000,NINES4000,NINES4000",
+         "3,152,448 power"),
+        ("verify lemma21 --alpha 1 --random --m 1 --trials 10000000",
+         "10,000,000 Stirling-row cells"),
+        ("verify lemma21 --alpha 4000 --random --m 60 --trials 2000",
+         "7,560,000 Stirling-row cells"),
+        ("verify theorem2 --random --n 6 --k 6 --r 6 --trials 1 --weight-bound NINES4000",
+         "(208-word weights) would need 34,518,016 Poly products"),
+        ("involution audit --random --n 5 --k 5 --r 2 --trials 1 --weight-bound NINES4000",
+         "(208-word weights) would need at least 7,477,600 DP states"),
     ],
 )
 def test_oversized_work_is_refused_up_front(argv, count, capsys):
+    argv = argv.replace("NINES1000", "9" * 1000).replace("NINES4000", "9" * 4000)
     started = time.perf_counter()
     assert main(argv.split()) == 2
     assert time.perf_counter() - started < 1
@@ -575,6 +593,68 @@ def test_oversized_graph_file_is_refused_up_front(command, n, k, dense, r, count
     assert captured.out == ""
     assert count in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+def huge_weight_graph(n, k, seed):
+    # dense, with 4000-digit weights of either sign
+    rng = random.Random(seed)
+    big = 10**4000 - 1
+    return make_digraph(n, k, {
+        (u, v): [rng.choice([-1, 1]) * (big - rng.randrange(1000)) for _ in range(k)]
+        for u in range(1, n + 1) for v in range(1, n + 1)
+    })
+
+
+@pytest.mark.parametrize(
+    "command, n, k, r, count",
+    [
+        ("verify theorem2", 6, 6, 6, "(208-word weights) would need 34,518,016 Poly"),
+        ("involution audit", 5, 5, 2, "(208-word weights) would need at least 7,477,600 DP"),
+    ],
+)
+def test_graph_file_with_huge_weights_is_refused_up_front(command, n, k, r, count,
+                                                          tmp_path, capsys):
+    # with 4000-digit weights these took 10.5 s and 2.3 s, against 0.16 s
+    # and 0.24 s with small weights, before the charge counted the words
+    path = write_graph(tmp_path, huge_weight_graph(n, k, seed=n))
+    started = time.perf_counter()
+    assert main(command.split() + ["--graph", path, "--r", str(r)]) == 2
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert count in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["verify theorem2", "involution audit"])
+@pytest.mark.parametrize("bound", [10**8, 10**30])
+def test_a_huge_weight_bound_costs_nothing(command, bound, capsys):
+    # the draw builds no list of the 2W weights: at W = 10**8 that list
+    # took 15.4 s (theorem2) and 9.5 s (the audit) to build
+    argv = command.split() + ["--random", "--n", "1", "--k", "1", "--trials", "2",
+                              "--r", "1", "--weight-bound", str(bound)]
+    started = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - started < 1
+    assert "result: PASS (2/2 checks)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    "verify newton-girard --n 2 --r 5 --roots NINES4000,-7",
+    "verify lemma21 --alpha 5 --c NINES4000,-NINES4000,3",
+])
+def test_fixed_input_with_huge_entries_is_checked(argv, capsys):
+    argv = argv.replace("NINES4000", "9" * 4000)
+    assert main(argv.split()) == 0
+    assert "result: PASS (1/1 checks)" in capsys.readouterr().out
+
+
+def test_lemma21_charges_its_shared_stirling_row_once(capsys):
+    # 21 trials of the benchmark's size build one row of 24,000 cells; a
+    # charge of one row per trial refused them
+    argv = "verify lemma21 --alpha 400 --random --m 60 --trials 21 --seed 1".split()
+    assert main(argv) == 0
+    assert "result: PASS (21/21 checks)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["verify theorem2", "involution audit"])
@@ -736,11 +816,21 @@ HUGE = st.integers(10**6, 10**12).map(str)
 INVALID = st.sampled_from(["0", "-3", "x", ""])
 SIZE = st.one_of(SMALL, SMALL, HUGE, INVALID)
 
+# a fixed --roots or --c list: small, with 4000-digit entries, or garbage;
+# its length is drawn apart from --n, so it is often the wrong count
+ENTRY = st.one_of(st.integers(-5, 5), st.sampled_from([10**3999, -(10**3999)]))
+CSV = st.one_of(
+    st.lists(ENTRY, min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["", ",", "1,,2", "x", "1;2", "9" * 5000]),
+)
+
 GRAPHLESS = {
     "verify theorem1": ["--m", "--r"],
     "verify theorem3": ["--r", "--n"],
     "verify newton-girard --random": ["--n", "--r", "--trials"],
+    "verify newton-girard": ["--n", "--r", "--roots"],
     "verify lemma21 --random": ["--alpha", "--m", "--trials"],
+    "verify lemma21": ["--alpha", "--c"],
     "powersum --method all": ["--m", "--n"],
     "involution audit --random": ["--n", "--k", "--r", "--trials"],
 }
@@ -751,11 +841,11 @@ def graphless_argv(draw):
     command = draw(st.sampled_from(sorted(GRAPHLESS)))
     argv = command.split()
     for flag in GRAPHLESS[command]:
-        argv += [flag, draw(SIZE)]
+        argv += [flag, draw(CSV if flag in ("--roots", "--c") else SIZE)]
     return argv
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(graphless_argv())
 def test_graphless_argv_keeps_the_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -783,6 +873,7 @@ GRAPH_FILES = {
     "no vertices": '{"n": 0, "colors": 1, "edges": []}',
     "zero weight": '{"n": 1, "colors": 1, "edges": [{"from": 1, "to": 1, "weights": [0]}]}',
     "out of range": '{"n": 1, "colors": 1, "edges": [{"from": 1, "to": 2, "weights": [1]}]}',
+    "huge weights": serialize_digraph(huge_weight_graph(2, 2, seed=2)),
     **UNDECODABLE_GRAPH_FILES,
 }
 
@@ -809,7 +900,7 @@ def graph_argv(draw):
         argv += ["--graph", draw(st.sampled_from(sorted(GRAPH_FILES) + ["absent"]))]
     else:
         argv.append("--random")
-        for flag in ["--n", "--k", "--trials"]:
+        for flag in ["--n", "--k", "--trials", "--weight-bound"]:
             argv += [flag, draw(GRAPH_SIZE)]
     return argv + ["--r", draw(GRAPH_SIZE)]
 

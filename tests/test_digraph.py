@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -86,6 +87,34 @@ def test_random_digraph_weights_stay_in_bounds():
         for w in weights:
             value = w.constant_value()
             assert value != 0 and -2 <= value <= 2
+
+
+def test_random_digraph_draws_weights_as_choice_from_the_nonzero_list():
+    # the graphs are the ones rng.choice on the list of 2W nonzero weights
+    # drew, so every seeded graph stays the same
+    def listed(n, k, density, bound, seed):
+        rng = random.Random(seed)
+        pool = [w for w in range(-bound, bound + 1) if w != 0]
+        return {
+            (u, v): tuple(rng.choice(pool) for _ in range(k))
+            for u in range(1, n + 1) for v in range(1, n + 1) if rng.random() < density
+        }
+
+    rng = random.Random(3)
+    for bound in range(1, 51):
+        for _ in range(20):
+            args = (rng.randint(1, 4), rng.randint(1, 4), rng.choice([0.3, 0.7, 1.0]),
+                    bound, rng.randrange(2**31))
+            g = random_digraph(*args)
+            drawn = {pair: tuple(w.constant_value() for w in ws) for pair, ws in g.edges.items()}
+            assert drawn == listed(*args), args
+
+
+def test_random_digraph_with_a_huge_weight_bound_builds_no_list():
+    started = time.perf_counter()
+    g = random_digraph(2, 2, 1.0, 10**30, seed=1)
+    assert time.perf_counter() - started < 1
+    assert all(0 < abs(w.constant_value()) <= 10**30 for ws in g.edges.values() for w in ws)
 
 
 def test_random_digraph_rejects_bad_arguments():
