@@ -389,9 +389,10 @@ def _run_newton_girard(args) -> RunReport:
         args, report, "roots", lambda args, rng: _draw_entries(args.n, rng), ()
     )
     # per trial: n * r(r+1)/2 steps for the powers root^t, t <= r (root^t
-    # holds at most t times the root's words), and n(n+1)/2 updates for the
-    # coefficients e_t; each step is weighted by the words of the largest
-    # root, one for a random root
+    # is root^(t-1) times the root, one product of at most t times the
+    # root's words), and n(n+1)/2 updates for the coefficients e_t; each
+    # step is weighted by the words of the largest root, one for a random
+    # root
     words = 1 if fixed is None else _words(max(map(abs, fixed)))
     steps = args.n * args.r * (args.r + 1) // 2 + args.n * (args.n + 1) // 2
     _limit_work(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -47,9 +48,6 @@ class ColoredDigraph:
     colors: int
     edges: Mapping[tuple[int, int], tuple[Poly, ...]] = field(default_factory=dict)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
-
     def weight(self, u: int, v: int, color: int) -> Poly:
         """Weight of the color-th parallel edge from u to v."""
         try:
@@ -64,7 +62,20 @@ class ColoredDigraph:
         return frozenset(range(1, self.colors + 1))
 
     def successors(self, u: int) -> list[int]:
-        return sorted(v for (uu, v) in self.edges if uu == u)
+        return [v for v, _ in self._out.get(u, ())]
+
+    @cached_property
+    def _out(self) -> dict[int, tuple]:
+        """u -> its out-edges as (v, ((color, weight), ...)), in (v, color)
+        order, for every vertex u in 1..n: the table the enumerators and
+        DPs read.  Built on first use, through `weight`, so an edge with
+        fewer than k weights raises ValueError here."""
+        colors = range(1, self.colors + 1)
+        return {
+            u: tuple((v, tuple((c, self.weight(u, v, c)) for c in colors))
+                     for v in sorted(v for uu, v in self.edges if uu == u))
+            for u in range(1, self.n + 1)
+        }
 
 
 def make_digraph(
@@ -72,7 +83,10 @@ def make_digraph(
     colors: int,
     edges: Mapping[tuple[int, int], Iterable[Poly | int]],
 ) -> ColoredDigraph:
-    """Build a graph, coercing integer weights to constant polynomials."""
+    """Build a graph, coercing integer weights to constant polynomials.
+
+    Every builder in this module returns through here, so this is where a
+    graph's weights get their type and its edge map is frozen."""
     coerced: dict[tuple[int, int], tuple[Poly, ...]] = {}
     for pair, weights in edges.items():
         coerced[pair] = tuple(
@@ -115,7 +129,7 @@ def self_loop_digraph(n: int, r: int) -> ColoredDigraph:
         (j, j): tuple(Poly.variable(avar(j, i)) for i in range(1, r + 1))
         for j in range(1, n + 1)
     }
-    return ColoredDigraph(n, r, MappingProxyType(edges))
+    return make_digraph(n, r, edges)
 
 
 def random_digraph(
@@ -139,7 +153,7 @@ def random_digraph(
     if weight_bound < 1:
         raise ValueError("weight_bound must be >= 1")
     rng = random.Random(seed)
-    edges: dict[tuple[int, int], tuple[Poly, ...]] = {}
+    edges: dict[tuple[int, int], tuple[int, ...]] = {}
     for u in range(1, n + 1):
         for v in range(1, n + 1):
             if rng.random() < edge_density:
@@ -147,10 +161,8 @@ def random_digraph(
                 # order, as rng.choice would draw it from that list of 2W
                 # entries, without building the list
                 indices = (rng.randrange(2 * weight_bound) for _ in range(k))
-                edges[(u, v)] = tuple(
-                    Poly.const(i - weight_bound + (i >= weight_bound)) for i in indices
-                )
-    return ColoredDigraph(n, k, MappingProxyType(edges))
+                edges[(u, v)] = tuple(i - weight_bound + (i >= weight_bound) for i in indices)
+    return make_digraph(n, k, edges)
 
 
 def serialize_digraph(g: ColoredDigraph) -> str:
@@ -205,7 +217,7 @@ def parse_digraph(text: str) -> ColoredDigraph:
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise GraphFormatError("field 'edges' must be a list")
-    edges: dict[tuple[int, int], tuple[Poly, ...]] = {}
+    edges: dict[tuple[int, int], tuple[int, ...]] = {}
     for idx, entry in enumerate(raw_edges):
         where = f"edges[{idx}]"
         if not isinstance(entry, dict):
@@ -219,10 +231,9 @@ def parse_digraph(text: str) -> ColoredDigraph:
         if not isinstance(raw_weights, list):
             raise GraphFormatError(f"{where}.weights must be a list")
         weights = tuple(
-            Poly.const(_require_int(w, f"{where}.weights[{wi}]"))
-            for wi, w in enumerate(raw_weights)
+            _require_int(w, f"{where}.weights[{wi}]") for wi, w in enumerate(raw_weights)
         )
         if (u, v) in edges:
             raise GraphFormatError(f"{where}: duplicate edge ({u}, {v})")
         edges[(u, v)] = weights
-    return ColoredDigraph(n, colors, MappingProxyType(edges))
+    return make_digraph(n, colors, edges)

@@ -11,6 +11,8 @@ The empty walk and the empty subdigraph exist only as conventions inside
 `closed_walk_sum` and `linear_subdigraph_sum` (both equal to 1 at size
 zero); the enumerators never yield them.
 
+Every search and DP reads the graph's out-edges, each with its weights in
+color order, from the table the graph builds once (`ColoredDigraph._out`).
 The two generating sums do not enumerate anything; both run on `_step`,
 which pushes a (vertex, used-color mask) -> `Poly` layer one edge and one
 unused color further (Stanley, Enumerative Combinatorics I, 4.7).
@@ -161,21 +163,20 @@ def make_subdigraph(cycles: Iterable[Iterable[Edge]]) -> LinearSubdigraph:
     return LinearSubdigraph(tuple(canon))
 
 
-def _cycles_at(g: ColoredDigraph, succ: dict, head: int, used_v: int, used_c: int) -> list:
+def _cycles_at(g: ColoredDigraph, head: int, used_v: int, used_c: int) -> list:
     """(cycle, vertex mask, color mask) for each colored cycle with least
     vertex `head` that avoids the masks `used_v` and `used_c`, in tuple
     order: depth first through free vertices above `head`, one free color
     per step, successors and colors increasing.  The masks are grown by the
     cycle's own vertices and colors."""
-    colors = range(1, g.colors + 1)
     path: list[Edge] = []
     out: list = []
 
     def grow(u: int, vmask: int, cmask: int) -> None:
-        for v in succ[u]:
+        for v, weights in g._out[u]:
             if v < head or (v != head and vmask >> v & 1):
                 continue
-            for c in colors:
+            for c, _ in weights:
                 if cmask >> c & 1:
                     continue
                 path.append((u, v, c))
@@ -193,11 +194,10 @@ def colored_cycles(g: ColoredDigraph) -> list[tuple[Edge, ...]]:
     """All simple directed cycles with injectively colored edges, each
     starting at its head (least vertex), sorted by (head, cycle); every
     injective assignment of colors to its edges appears once."""
-    succ = {u: g.successors(u) for u in range(1, g.n + 1)}
     return [
         cycle
         for head in range(1, g.n + 1)
-        for cycle, _, _ in _cycles_at(g, succ, head, 0, 0)
+        for cycle, _, _ in _cycles_at(g, head, 0, 0)
     ]
 
 
@@ -209,14 +209,13 @@ def linear_subdigraphs(g: ColoredDigraph) -> list[LinearSubdigraph]:
     of `linear_subdigraph_buckets`: each free head above the last offers
     the cycles `_cycles_at` finds on the vertices and colors still free.
     """
-    succ = {u: g.successors(u) for u in range(1, g.n + 1)}
     out: list[LinearSubdigraph] = []
 
     def extend(low: int, chosen: list[tuple[Edge, ...]], used_v: int, used_c: int) -> None:
         for head in range(low, g.n + 1):
             if used_v >> head & 1:
                 continue
-            for cycle, vmask, cmask in _cycles_at(g, succ, head, used_v, used_c):
+            for cycle, vmask, cmask in _cycles_at(g, head, used_v, used_c):
                 chosen.append(cycle)
                 out.append(LinearSubdigraph(tuple(chosen)))
                 extend(head + 1, chosen, vmask, cmask)
@@ -235,7 +234,6 @@ def closed_walks(g: ColoredDigraph, *, max_length: int | None = None) -> list[Wa
     r makes one pass; the walks of each length keep their order.
     """
     cap = g.colors if max_length is None else min(max_length, g.colors)
-    succ = {u: g.successors(u) for u in range(1, g.n + 1)}
     out: list[Walk] = []
 
     def extend(
@@ -245,8 +243,8 @@ def closed_walks(g: ColoredDigraph, *, max_length: int | None = None) -> list[Wa
             out.append(Walk(root, tuple(steps)))
         if len(steps) >= cap:
             return
-        for v in succ[current]:
-            for c in range(1, g.colors + 1):
+        for v, weights in g._out[current]:
+            for c, _ in weights:
                 if c in used_c:
                     continue
                 steps.append((v, c))
@@ -260,22 +258,21 @@ def closed_walks(g: ColoredDigraph, *, max_length: int | None = None) -> list[Wa
     return out
 
 
-def _step(layer: dict, succ: dict, g: ColoredDigraph, low: int) -> dict:
+def _step(layer: dict, g: ColoredDigraph, low: int) -> dict:
     """One step of every walk in `layer`, a map (vertex, used-color mask)
     -> weight sum: along every edge into a vertex >= `low`, in every
     unused color.  The result is keyed the same way; each state costs at
     most n * k `Poly` products."""
-    colors = range(1, g.colors + 1)
     nxt: dict = {}
     for (u, mask), val in layer.items():
-        for v in succ[u]:
+        for v, weights in g._out[u]:
             if v < low:
                 continue
-            for c in colors:
+            for c, w in weights:
                 if mask >> c & 1:
                     continue
                 key = (v, mask | 1 << c)
-                term = val * g.weight(u, v, c)
+                term = val * w
                 nxt[key] = nxt[key] + term if key in nxt else term
     return nxt
 
@@ -297,12 +294,11 @@ def closed_walk_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], P
     past the root, as in `closed_walks`.  Every mask has one length, so a
     root costs at most n * 2^k states times n * k `Poly` products.
     """
-    succ = {u: g.successors(u) for u in range(1, g.n + 1)}
     buckets: dict = {}
     for root in range(1, g.n + 1):
         layer = {(root, 0): Poly.one()}
         for length in range(1, g.colors + 1):
-            layer = _step(layer, succ, g, 1)
+            layer = _step(layer, g, 1)
             for (v, mask), val in layer.items():
                 if v == root:
                     key = (length, _color_set(mask, g.colors))
@@ -329,14 +325,13 @@ def linear_subdigraph_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[in
     head, at most n^2 * 2^k states times n * k `Poly` products in all.
     Every mask some sequence reaches has a key, even when its sum is zero.
     """
-    succ = {u: g.successors(u) for u in range(1, g.n + 1)}
     done = {0: Poly.one()}
     for h in range(1, g.n + 1):
         start = list(done.items())
         layer: dict = {}
         for count in range(g.colors):
             layer.update(((h, mask), val) for mask, val in start if mask.bit_count() == count)
-            layer = _step(layer, succ, g, h)
+            layer = _step(layer, g, h)
             for key in [key for key in layer if key[0] == h]:
                 mask, val = key[1], layer.pop(key)
                 done[mask] = done[mask] - val if mask in done else -val

@@ -301,8 +301,12 @@ def verify_classical_newton_girard(roots: Sequence[int], r: int) -> bool:
     n = len(roots)
     if n < 1:
         raise ValueError("need at least one root")
-    p = [sum(root**t for root in roots) for t in range(r + 1)]
-    p[0] = n
+    p = [n] + [0] * r
+    for root in roots:
+        power = 1
+        for t in range(1, r + 1):
+            power *= root
+            p[t] += power
     e = elementary_coefficients(roots)
     if r > n:
         value = p[r] + sum(e[t] * p[r - t] for t in range(1, n + 1))

@@ -726,8 +726,8 @@ def test_dp_state_bound_holds_for_both_dps(monkeypatch):
     pushed, built = [], []
     step = enumeration._step
 
-    def counted(layer, succ, g, low):
-        out = step(layer, succ, g, low)
+    def counted(layer, g, low):
+        out = step(layer, g, low)
         pushed.append(len(layer))
         built.append(len(out))
         return out

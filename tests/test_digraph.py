@@ -5,23 +5,27 @@ import time
 import pytest
 
 from girardlab import (
+    ColoredDigraph,
     GraphFormatError,
     Poly,
+    audit_involution,
     avar,
+    closed_walk_buckets,
     make_digraph,
     parse_digraph,
     random_digraph,
     self_loop_digraph,
     serialize_digraph,
     validate,
+    verify_walk_cycle_identity,
     xvar,
 )
 
 
 def test_make_digraph_coerces_ints_and_answers_queries():
     g = make_digraph(2, 2, {(1, 2): [3, -1], (2, 2): [Poly.const(5), 7]})
-    assert g.has_edge(1, 2)
-    assert not g.has_edge(2, 1)
+    assert (1, 2) in g.edges
+    assert (2, 1) not in g.edges
     assert g.weight(1, 2, 1) == Poly.const(3)
     assert g.weight(2, 2, 2) == Poly.const(7)
     assert g.color_set() == frozenset({1, 2})
@@ -35,6 +39,54 @@ def test_weight_lookup_errors():
         g.weight(2, 1, 1)
     with pytest.raises(ValueError, match="no color 2"):
         g.weight(1, 2, 2)
+
+
+def test_edge_table_is_in_vertex_color_order_and_matches_weight():
+    graphs = [
+        make_digraph(3, 2, {(2, 1): [3, -1], (1, 3): [2, 5], (1, 1): [7, 4], (2, 3): [1, 1]}),
+        random_digraph(4, 3, 0.6, 5, seed=9),
+        self_loop_digraph(3, 2),
+    ]
+    for g in graphs:
+        seen = set()
+        for u in range(1, g.n + 1):
+            heads = [v for v, _ in g._out[u]]
+            assert heads == sorted(set(heads)) == g.successors(u)
+            for v, weights in g._out[u]:
+                assert [c for c, _ in weights] == list(range(1, g.colors + 1))
+                for c, w in weights:
+                    assert w == g.weight(u, v, c)
+                seen.add((u, v))
+        assert seen == set(g.edges)
+
+
+def test_edge_table_is_built_once_per_graph(monkeypatch):
+    # the DPs of the identity, the enumerators of the audit and the audit's
+    # identity recheck all read one table
+    table = ColoredDigraph.__dict__["_out"]
+    build = table.func
+    built = []
+
+    def counted(g):
+        built.append(g)
+        return build(g)
+
+    monkeypatch.setattr(table, "func", counted)
+    g = random_digraph(3, 3, 1.0, 4, seed=2)
+    assert verify_walk_cycle_identity(g, 3).passed
+    assert audit_involution(g, 2).ok
+    assert built == [g]
+
+
+def test_short_weight_tuple_fails_at_first_use_and_in_validate():
+    # construction and parsing accept it; validate reports it and the
+    # first DP raises
+    edges = [{"from": 1, "to": 2, "weights": [1]}, {"from": 2, "to": 1, "weights": [1, 2]}]
+    text = json.dumps({"n": 2, "colors": 2, "edges": edges})
+    for g in [make_digraph(2, 2, {(1, 2): [1], (2, 1): [1, 2]}), parse_digraph(text)]:
+        assert validate(g) == ["edge (1, 2) carries 1 weights, expected 2"]
+        with pytest.raises(ValueError, match=r"no color 2 on edge \(1, 2\)"):
+            closed_walk_buckets(g)
 
 
 def test_edges_mapping_is_read_only():

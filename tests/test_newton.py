@@ -239,6 +239,18 @@ def test_classical_newton_girard_random_roots():
             assert verify_classical_newton_girard(roots, r), (roots, r)
 
 
+def test_classical_newton_girard_can_fail(monkeypatch):
+    # the check compares the power sums it builds with the coefficients:
+    # one root left out of the coefficients breaks every relation
+    assert verify_classical_newton_girard([2, 3, -1], 4)
+    coefficients = newton.elementary_coefficients
+    monkeypatch.setattr(
+        newton, "elementary_coefficients", lambda roots: coefficients(roots[:-1]) + [0]
+    )
+    for r in range(1, 6):
+        assert not verify_classical_newton_girard([2, 3, -1], r), r
+
+
 def test_classical_newton_girard_rejects_bad_arguments():
     with pytest.raises(ValueError):
         verify_classical_newton_girard([1, 2], 0)
