@@ -233,7 +233,7 @@ def _charged_graph(args: argparse.Namespace, fixed):
     draw lies within.  The words are those of the largest weight."""
     if fixed is not None:
         g = fixed[1]
-        weights = (abs(w.constant_value()) for ws in g.edges.values() for w in ws)
+        weights = (abs(w) for ws in g.edges.values() for w in ws)
         return g.n, g.colors, _words(max(weights, default=1)), g.successors
     if args.n is None or args.k is None:
         raise UsageError("--random needs --n and --k")
@@ -292,9 +292,11 @@ def _dp_states(n: int, k: int) -> int:
 
 def _theorem2_work(n: int, k: int, r: int, limit: int) -> int:
     """A bound on the work of one theorem2 check on a graph with n vertices
-    and k colors: each DP state makes at most n * k `Poly` products, and
-    the breakdown has C(k, r) * 2^r (S, T) entries.  A DP term past
-    `limit` is returned at once, so a huge k or r costs nothing to count."""
+    and k colors: each DP state makes at most n * k weight products (int
+    products, on the file and `--random` graphs the CLI checks; the error
+    text still calls them `Poly` products), and the breakdown has
+    C(k, r) * 2^r (S, T) entries.  A DP term past `limit` is returned at
+    once, so a huge k or r costs nothing to count."""
     total = _dp_states(n, k) * n * min(k, 64)
     if total > limit or r > k:
         return total

@@ -1,9 +1,11 @@
-"""Colored digraphs with polynomial edge weights.
+"""Colored digraphs with integer or polynomial edge weights.
 
 A graph has vertices 1..n and colors 1..k.  Between any ordered pair
 (u, v) either no edge exists or all k parallel colored edges exist, each
-carrying a nonzero polynomial weight; self-loops are allowed.  The JSON
-file format carries integer weights only:
+carrying a nonzero weight; self-loops are allowed.  A weight is a plain
+`int` or a `Poly`: file and random graphs carry ints, so the DPs multiply
+ints on them, and the all-loops graph carries symbolic `Poly` weights.
+The JSON file format carries integer weights only:
 
     {"n": 2, "colors": 1, "edges": [{"from": 1, "to": 2, "weights": [3]}]}
 
@@ -46,9 +48,9 @@ class ColoredDigraph:
 
     n: int
     colors: int
-    edges: Mapping[tuple[int, int], tuple[Poly, ...]] = field(default_factory=dict)
+    edges: Mapping[tuple[int, int], tuple[int | Poly, ...]] = field(default_factory=dict)
 
-    def weight(self, u: int, v: int, color: int) -> Poly:
+    def weight(self, u: int, v: int, color: int) -> int | Poly:
         """Weight of the color-th parallel edge from u to v."""
         try:
             weights = self.edges[(u, v)]
@@ -83,16 +85,21 @@ def make_digraph(
     colors: int,
     edges: Mapping[tuple[int, int], Iterable[Poly | int]],
 ) -> ColoredDigraph:
-    """Build a graph, coercing integer weights to constant polynomials.
+    """Build a graph, keeping each weight as the `int` or `Poly` it is.
 
     Every builder in this module returns through here, so this is where a
-    graph's weights get their type and its edge map is frozen."""
-    coerced: dict[tuple[int, int], tuple[Poly, ...]] = {}
+    graph's weights are checked and its edge map is frozen.  Raises
+    TypeError on any other weight (bool and float included): exact
+    arithmetic takes integer and polynomial weights only."""
+    frozen: dict[tuple[int, int], tuple[int | Poly, ...]] = {}
     for pair, weights in edges.items():
-        coerced[pair] = tuple(
-            w if isinstance(w, Poly) else Poly.const(w) for w in weights
-        )
-    return ColoredDigraph(n, colors, MappingProxyType(coerced))
+        frozen[pair] = tuple(weights)
+        for w in frozen[pair]:
+            if isinstance(w, bool) or not isinstance(w, (int, Poly)):
+                raise TypeError(
+                    f"edge {pair} weight must be an int or a Poly, got {w!r}"
+                )
+    return ColoredDigraph(n, colors, MappingProxyType(frozen))
 
 
 def validate(g: ColoredDigraph) -> list[str]:
@@ -110,7 +117,7 @@ def validate(g: ColoredDigraph) -> list[str]:
                 f"edge ({u}, {v}) carries {len(weights)} weights, expected {g.colors}"
             )
         for idx, w in enumerate(weights, start=1):
-            if w.is_zero:
+            if not w:
                 problems.append(f"edge ({u}, {v}) color {idx} has zero weight")
     return problems
 
@@ -166,18 +173,16 @@ def random_digraph(
 
 
 def serialize_digraph(g: ColoredDigraph) -> str:
-    """Canonical JSON text.  Only integer-weighted graphs serialize."""
+    """Canonical JSON text.  Only integer-weighted graphs serialize: a
+    `Poly` weight, a constant one included, raises ValueError."""
     edge_list = []
     for (u, v), weights in sorted(g.edges.items()):
-        values = []
-        for w in weights:
-            if not w.is_constant:
-                raise ValueError(
-                    f"edge ({u}, {v}) has a symbolic weight; only integer "
-                    "weights serialize"
-                )
-            values.append(w.constant_value())
-        edge_list.append({"from": u, "to": v, "weights": values})
+        if any(isinstance(w, Poly) for w in weights):
+            raise ValueError(
+                f"edge ({u}, {v}) has a symbolic weight; only integer "
+                "weights serialize"
+            )
+        edge_list.append({"from": u, "to": v, "weights": list(weights)})
     obj = {"n": g.n, "colors": g.colors, "edges": edge_list}
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 

@@ -14,12 +14,17 @@ zero); the enumerators never yield them.
 Every search and DP reads the graph's out-edges, each with its weights in
 color order, from the table the graph builds once (`ColoredDigraph._out`).
 The two generating sums do not enumerate anything; both run on `_step`,
-which pushes a (vertex, used-color mask) -> `Poly` layer one edge and one
-unused color further (Stanley, Enumerative Combinatorics I, 4.7).
+which pushes a (vertex, used-color mask) -> weight-sum layer one edge and
+one unused color further (Stanley, Enumerative Combinatorics I, 4.7).
 `closed_walk_buckets` sums every closed walk from each root in turn.
 `linear_subdigraph_buckets` sums signed clow sequences (Mahajan and Vinay
 1997), whose non-simple terms cancel, head by head.  Each costs at most
-n^2 * 2^k states times n * k `Poly` products.
+n^2 * 2^k states times n * k weight products.  The DPs start from the int
+1 and multiply whatever the weights are: on an integer graph every product
+and every bucket is a plain int, and a `Poly` weight makes the sums it
+reaches `Poly` (through `Poly.__rmul__` and `__radd__`).  Only the two
+lookups, `linear_subdigraph_sum` and `closed_walk_sum`, return `Poly`
+always.
 
 Both cycle enumerators share one search, `_cycles_at`, that grows the
 cycles of one head (least vertex); heads increase, as in the clow DP, so it
@@ -31,10 +36,11 @@ the tests compare the DPs with them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Iterator
 
 from .digraph import ColoredDigraph
-from .poly import Poly, poly_prod
+from .poly import Poly
 
 __all__ = [
     "Edge",
@@ -102,8 +108,8 @@ class Walk:
             yield (u, v, c)
             u = v
 
-    def weight(self, g: ColoredDigraph) -> Poly:
-        return poly_prod(g.weight(u, v, c) for u, v, c in self.edges())
+    def weight(self, g: ColoredDigraph) -> int | Poly:
+        return prod(g.weight(u, v, c) for u, v, c in self.edges())
 
 
 def _canonical_cycle(edges: Iterable[Edge]) -> tuple[Edge, ...]:
@@ -148,10 +154,8 @@ class LinearSubdigraph:
                 return cycle
         raise ValueError(f"no cycle contains vertex {v}")
 
-    def weight(self, g: ColoredDigraph) -> Poly:
-        return poly_prod(
-            g.weight(u, v, c) for cycle in self.cycles for u, v, c in cycle
-        )
+    def weight(self, g: ColoredDigraph) -> int | Poly:
+        return prod(g.weight(u, v, c) for cycle in self.cycles for u, v, c in cycle)
 
 
 EMPTY_SUBDIGRAPH = LinearSubdigraph(())
@@ -262,7 +266,7 @@ def _step(layer: dict, g: ColoredDigraph, low: int) -> dict:
     """One step of every walk in `layer`, a map (vertex, used-color mask)
     -> weight sum: along every edge into a vertex >= `low`, in every
     unused color.  The result is keyed the same way; each state costs at
-    most n * k `Poly` products."""
+    most n * k weight products."""
     nxt: dict = {}
     for (u, mask), val in layer.items():
         for v, weights in g._out[u]:
@@ -281,7 +285,7 @@ def _color_set(mask: int, k: int) -> frozenset[int]:
     return frozenset(c for c in range(1, k + 1) if mask >> c & 1)
 
 
-def closed_walk_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], Poly]:
+def closed_walk_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], int | Poly]:
     """(length, color set) -> weight sum of the closed walks with that
     length and color set.
 
@@ -292,11 +296,11 @@ def closed_walk_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], P
     `_step` pushes it along every edge in every unused color.  The states
     back at the root are the closed walks of that length; walks go on
     past the root, as in `closed_walks`.  Every mask has one length, so a
-    root costs at most n * 2^k states times n * k `Poly` products.
+    root costs at most n * 2^k states times n * k weight products.
     """
     buckets: dict = {}
     for root in range(1, g.n + 1):
-        layer = {(root, 0): Poly.one()}
+        layer = {(root, 0): 1}
         for length in range(1, g.colors + 1):
             layer = _step(layer, g, 1)
             for (v, mask), val in layer.items():
@@ -306,7 +310,9 @@ def closed_walk_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], P
     return buckets
 
 
-def linear_subdigraph_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], Poly]:
+def linear_subdigraph_buckets(
+    g: ColoredDigraph,
+) -> dict[tuple[int, frozenset[int]], int | Poly]:
     """(length, color set) -> sum of (-1)^(cycle count) * weight over the
     linear subdigraphs with that length and color set.
 
@@ -322,10 +328,10 @@ def linear_subdigraph_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[in
     through vertices > h, and each return to h is subtracted from `done`.
     A step adds one color, so a waiting state joins the layer at the step
     where its color count comes up: each (vertex, mask) is pushed once per
-    head, at most n^2 * 2^k states times n * k `Poly` products in all.
+    head, at most n^2 * 2^k states times n * k weight products in all.
     Every mask some sequence reaches has a key, even when its sum is zero.
     """
-    done = {0: Poly.one()}
+    done = {0: 1}
     for h in range(1, g.n + 1):
         start = list(done.items())
         layer: dict = {}
@@ -341,7 +347,7 @@ def linear_subdigraph_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[in
 def linear_subdigraph_sum(g: ColoredDigraph, p: int, colors: Iterable[int]) -> Poly:
     """ell(g, p, S): sum of (-1)^(cycle count) * weight over subdigraphs
     with p edges and color set exactly S, looked up in
-    `linear_subdigraph_buckets`.
+    `linear_subdigraph_buckets` and returned as a `Poly`.
 
     Conventions: 1 when p = 0 and S is empty (the empty subdigraph), 0
     whenever p != |S| (a subdigraph's edge and color counts agree).
@@ -349,12 +355,13 @@ def linear_subdigraph_sum(g: ColoredDigraph, p: int, colors: Iterable[int]) -> P
     s = frozenset(colors)
     if p == 0 and not s:
         return Poly.one()
-    return linear_subdigraph_buckets(g).get((p, s), Poly.zero())
+    return as_poly(linear_subdigraph_buckets(g).get((p, s), 0))
 
 
 def closed_walk_sum(g: ColoredDigraph, q: int, colors: Iterable[int]) -> Poly:
     """c(g, q, T): sum of weights over closed walks of length q with color
-    set exactly T, looked up in `closed_walk_buckets`.
+    set exactly T, looked up in `closed_walk_buckets` and returned as a
+    `Poly`.
 
     Conventions: 1 when q = 0 and T is empty (the empty walk), 0 whenever
     q != |T| (a walk's length and color count agree).
@@ -362,4 +369,9 @@ def closed_walk_sum(g: ColoredDigraph, q: int, colors: Iterable[int]) -> Poly:
     t = frozenset(colors)
     if q == 0 and not t:
         return Poly.one()
-    return closed_walk_buckets(g).get((q, t), Poly.zero())
+    return as_poly(closed_walk_buckets(g).get((q, t), 0))
+
+
+def as_poly(value: int | Poly) -> Poly:
+    """A bucket value as a `Poly`: an int becomes a constant."""
+    return value if isinstance(value, Poly) else Poly.const(value)

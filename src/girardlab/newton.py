@@ -17,7 +17,10 @@ reports carry both residuals.
 The c values come from `enumeration.closed_walk_buckets`, a transfer-matrix
 DP that builds no walk; the ell values come from
 `enumeration.linear_subdigraph_buckets`, a signed sum over clow sequences
-on the same DP step that builds no subdigraph.
+on the same DP step that builds no subdigraph.  On an integer graph both
+maps hold ints, and the assembly multiplies ints too; each breakdown entry
+and each closing term becomes a `Poly` once, so a report holds `Poly`
+values whatever the weights.
 
 Specializing to the all-loops graph (digraph.self_loop_digraph) turns the
 identity into a statement about n alphabets of r symbols a[j]^(1..r), the
@@ -42,7 +45,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .digraph import ColoredDigraph, self_loop_digraph
-from .enumeration import closed_walk_buckets, linear_subdigraph_buckets
+from .enumeration import as_poly, closed_walk_buckets, linear_subdigraph_buckets
 from .exactnum import factorial
 from .poly import Poly, VarId, avar, poly_prod, poly_sum
 
@@ -61,7 +64,7 @@ __all__ = [
 
 ColorPair = tuple[frozenset[int], frozenset[int]]
 # (length, color set) -> sum, as the c and ell maps are keyed
-Buckets = Mapping[tuple[int, frozenset[int]], Poly]
+Buckets = Mapping[tuple[int, frozenset[int]], int | Poly]
 
 _THEOREM3_NOTE = (
     "closing term r*E(n, [r], r) enters with sign (-1)^r "
@@ -94,22 +97,21 @@ class NewtonReport:
         return self.residual.is_zero
 
 
-def _closing_sum(ell: Buckets, r: int) -> Poly:
+def _closing_sum(ell: Buckets, r: int) -> int | Poly:
     """sum over all size-r color sets S of ell(r, S), read off the buckets."""
-    return poly_sum(val for (length, _), val in ell.items() if length == r)
+    return sum(val for (length, _), val in ell.items() if length == r)
 
 
 def _split_terms(
     colors: frozenset[int], r: int, c: Buckets, ell: Buckets, include_empty_walk: bool
 ) -> dict[ColorPair, Poly]:
     """Contributions c(|T|, T) * ell(|S|, S) for disjoint S, T in `colors`
-    with |S| + |T| = r; a key missing from a map is a zero sum, and the
-    empty S (or T) contributes 1.  There is no such pair when r exceeds
-    the color count, and a huge r then costs nothing."""
+    with |S| + |T| = r, each as a `Poly`; a key missing from a map is a
+    zero sum, and the empty S (or T) contributes 1.  There is no such pair
+    when r exceeds the color count, and a huge r then costs nothing."""
     cols = sorted(colors)
     if r > len(cols):
         return {}
-    zero = Poly.zero()
     terms: dict[ColorPair, Poly] = {}
     for s_size in range(0, r + 1):
         t_size = r - s_size
@@ -120,9 +122,9 @@ def _split_terms(
             rest = [col for col in cols if col not in s]
             for t_tuple in combinations(rest, t_size):
                 t = frozenset(t_tuple)
-                ell_val = ell.get((s_size, s), zero) if s_size else Poly.one()
-                c_val = c.get((t_size, t), zero) if t_size else Poly.one()
-                terms[(s, t)] = c_val * ell_val
+                ell_val = ell.get((s_size, s), 0) if s_size else 1
+                c_val = c.get((t_size, t), 0) if t_size else 1
+                terms[(s, t)] = as_poly(c_val * ell_val)
     return terms
 
 
@@ -143,8 +145,10 @@ def _assemble(
         aggregated = literal = Poly.zero()
     else:
         breakdown = _split_terms(colors, r, c, ell, include_empty_walk=False)
+        # Poly.const(r) coerces an int sum, and a constant left factor
+        # multiplies a symbolic one without re-sorting its monomials
         aggregated = Poly.const(r) * _closing_sum(ell, r)
-        literal = Poly.const(r) * ell.get((r, colors), Poly.zero())
+        literal = Poly.const(r) * ell.get((r, colors), 0)
     base = poly_sum(breakdown.values())
     return NewtonReport(
         case="r>n" if r > n else "r<=n",
@@ -175,7 +179,7 @@ def total_subdigraph_sum(g: ColoredDigraph, r: int) -> Poly:
     """Aggregated closing sum: sum over all size-r color sets S of ell(r, S)."""
     if r < 1:
         raise ValueError("total_subdigraph_sum requires r >= 1")
-    return _closing_sum(linear_subdigraph_buckets(g), r)
+    return as_poly(_closing_sum(linear_subdigraph_buckets(g), r))
 
 
 def verify_walk_cycle_identity(g: ColoredDigraph, r: int) -> NewtonReport:

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -18,8 +19,11 @@ from girardlab import (
     linear_subdigraphs,
     make_digraph,
     make_subdigraph,
+    parse_digraph,
     random_digraph,
     self_loop_digraph,
+    verify_walk_cycle_identity,
+    xvar,
 )
 
 from _support import all_pattern_graphs, permute_vertices
@@ -379,10 +383,10 @@ def check_subdigraph_buckets(g: ColoredDigraph) -> None:
     got = linear_subdigraph_buckets(g)
     want = reference_subdigraph_buckets(g)
     for key, value in want.items():
-        if not value.is_zero:
+        if value:
             assert got.get(key) == value, key
     for key in got.keys() - want.keys():
-        assert got[key].is_zero, key
+        assert not got[key], key
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)])
@@ -423,3 +427,78 @@ def test_subdigraph_sum_is_a_bucket_lookup():
     # a color the graph lacks gives no subdigraph
     for s in ({g.colors + 1}, {0, 1}, {-1}):
         assert linear_subdigraph_sum(g, len(s), s) == Poly.zero()
+
+
+# ---------------------------------------------------------------------------
+# the integer path: int weights stay ints, and the kernel stays ring-generic
+# ---------------------------------------------------------------------------
+
+
+def parsed_dense_graph(n: int, k: int, seed: int) -> ColoredDigraph:
+    """A dense graph read from JSON text, as the CLI reads a graph file."""
+    rng = random.Random(seed)
+    pool = [w for w in range(-3, 4) if w]
+    edges = [{"from": u, "to": v, "weights": [rng.choice(pool) for _ in range(k)]}
+             for u in range(1, n + 1) for v in range(1, n + 1)]
+    return parse_digraph(json.dumps({"n": n, "colors": k, "edges": edges}))
+
+
+INT_GRAPHS = [parsed_dense_graph(4, 4, seed=5), random_digraph(4, 3, 0.7, 3, seed=21)]
+
+
+@pytest.mark.parametrize("g", INT_GRAPHS, ids=["parsed_dense", "random"])
+def test_integer_graph_dps_build_no_poly(g, monkeypatch):
+    products = []
+    poly_mul = Poly.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return poly_mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__rmul__", counted)
+    walks, subdigraphs = closed_walk_buckets(g), linear_subdigraph_buckets(g)
+    assert products == []
+    for buckets in (walks, subdigraphs):
+        assert buckets and all(type(value) is int for value in buckets.values())
+    monkeypatch.undo()
+
+    # the same graph with constant Poly weights gives the same maps and
+    # the same residual text
+    constant = make_digraph(g.n, g.colors, {
+        pair: [Poly.const(w) for w in ws] for pair, ws in g.edges.items()
+    })
+    assert closed_walk_buckets(constant) == walks
+    assert linear_subdigraph_buckets(constant) == subdigraphs
+    for r in range(1, g.colors + 2):
+        ints, polys = verify_walk_cycle_identity(g, r), verify_walk_cycle_identity(constant, r)
+        assert str(ints.residual) == str(polys.residual), r
+        assert str(ints.literal_residual) == str(polys.literal_residual), r
+
+
+def test_one_symbolic_weight_among_ints_matches_the_enumerators():
+    g = parsed_dense_graph(3, 3, seed=8)
+    edges = {pair: list(ws) for pair, ws in g.edges.items()}
+    edges[(1, 2)][1] = Poly.variable(xvar(1, 2))
+    mixed = make_digraph(g.n, g.colors, edges)
+    values = list(linear_subdigraph_buckets(mixed).values())
+    # a sum no term of which crosses the symbolic edge stays an int
+    assert any(isinstance(v, Poly) for v in values) and any(type(v) is int for v in values)
+    check_subdigraph_buckets(mixed)
+    check_walk_buckets(mixed)
+
+
+@pytest.mark.parametrize("g", INT_GRAPHS, ids=["parsed_dense", "random"])
+def test_sum_lookups_return_poly_on_an_integer_graph(g):
+    # the benchmark's reference check reads .constant_value() off both
+    walks, subdigraphs = closed_walk_buckets(g), linear_subdigraph_buckets(g)
+    for lookup, buckets in ((closed_walk_sum, walks), (linear_subdigraph_sum, subdigraphs)):
+        empty = lookup(g, 0, [])
+        assert isinstance(empty, Poly) and empty == Poly.one()
+        for size in range(1, g.colors + 1):
+            for colors in combinations(range(1, g.colors + 1), size):
+                value = lookup(g, size, colors)
+                assert isinstance(value, Poly)
+                assert value.constant_value() == buckets.get((size, frozenset(colors)), 0)
+                off = lookup(g, size + 1, colors)
+                assert isinstance(off, Poly) and off.is_zero

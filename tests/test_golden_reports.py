@@ -31,8 +31,28 @@ LITERAL_FAILURES = [literal_failure(0, 577090037, "-4"),
                     literal_failure(1, 271041745, "-50"),
                     literal_failure(2, 1095513148, "40")]
 
-# argv -> (exit code, stdout, report); "small.json" is the graph the test
-# writes, and lemma21's campaign takes the default seed
+# 30-digit weights: the residual of `--literal-ell` at k = 3 > r = 2 is a
+# 61-digit integer, the sum the benchmark's det(I - X) expansion gives
+BIG = {"n": 2, "colors": 3, "edges": [
+    {"from": 1, "to": 1, "weights": [123456789012345678901234567890,
+                                     -987654321098765432109876543210,
+                                     314159265358979323846264338327]},
+    {"from": 1, "to": 2, "weights": [-271828182845904523536028747135,
+                                     161803398874989484820458683436,
+                                     141421356237309504880168872420]},
+    {"from": 2, "to": 1, "weights": [173205080756887729352744634150,
+                                     -223606797749978969640917366873,
+                                     100000000000000000000000000001]},
+    {"from": 2, "to": 2, "weights": [-999999999999999999999999999999,
+                                     246813579024681357902468135790,
+                                     -135792468013579246801357924680]},
+]}
+BIG_RESIDUAL = "-1656357426777570469042785776241537633725343673505832173128502"
+BIG_FAILURE = {"case": "r<=n", "graph_seed": None, "instance": 0, "k": 3, "n": 2,
+               "residual": BIG_RESIDUAL}
+
+# argv -> (exit code, stdout, report); "small.json" and "big.json" are the
+# graphs the test writes, and lemma21's campaign takes the default seed
 GOLDEN = {
     "verify theorem2 --graph small.json --r 2": (
         0,
@@ -79,6 +99,17 @@ GOLDEN = {
                {"density": 1.0, "k": 3, "literal_ell": True, "n": 2, "r": 2, "trials": 3,
                 "weight_bound": 3},
                3, seed=1, failures=LITERAL_FAILURES, notes=[AGGREGATION]),
+    ),
+    "verify theorem2 --graph big.json --r 2 --literal-ell": (
+        1,
+        'command: verify theorem2\n'
+        'params: {"graph": "big.json", "literal_ell": true, "r": 2}\n'
+        f'note: {AGGREGATION}\n'
+        'FAIL: {"case": "r<=n", "graph_seed": null, "instance": 0, "k": 3, "n": 2, '
+        f'"residual": "{BIG_RESIDUAL}"}}\n'
+        'result: FAIL (0/1 checks)\n',
+        report("verify theorem2", {"graph": "big.json", "literal_ell": True, "r": 2},
+               1, failures=[BIG_FAILURE], notes=[AGGREGATION]),
     ),
     "involution audit --graph small.json --r 2": (
         0,
@@ -136,6 +167,7 @@ def test_golden_stdout_and_report(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("GIRARD_LAB_SEED", raising=False)
     (tmp_path / "small.json").write_text(
         serialize_digraph(random_digraph(3, 2, 0.7, 3, seed=11)), encoding="utf-8")
+    (tmp_path / "big.json").write_text(json.dumps(BIG), encoding="utf-8")
     rc, stdout, expected = GOLDEN[argv]
     assert main(argv.split() + ["--out", "report.json"]) == rc
     captured = capsys.readouterr()
