@@ -15,9 +15,10 @@ from girardlab import (
 # -- the identity on a random digraph -----------------------------------------
 #
 # For any weighted k-colored digraph on n vertices and any r >= 1, the sum
-# of c(|T|, T) * ell(|S|, S) over disjoint color sets with |S| + |T| = r
-# vanishes when r > n; when r <= n the walk terms are cancelled by the
-# closing term r * sum_{|S| = r} ell(r, S).
+# of c(|T|, T) * ell(|S|, S) over disjoint color sets with |S| + |T| = r,
+# T nonempty, is cancelled by the closing term r * sum_{|S| = r} ell(r, S).
+# No linear subdigraph has more than n edges, so when r > n the closing
+# term is zero and the walk terms cancel among themselves.
 
 g = random_digraph(n=3, k=2, edge_density=1.0, weight_bound=3, seed=20)
 for r in (1, 2):

@@ -337,19 +337,17 @@ def _theorem3_terms(r: int, n: int) -> tuple[int, int]:
     """The polynomial terms `verify theorem3` builds at (r, n), exactly:
     (breakdown terms, product terms).
 
-    The (S, T) entry with |S| = k is the n-term bracket (1 when T is empty)
-    times E(n, S, k), which has k! * C(n, k) terms and shares no variable
-    with the bracket.  The product terms are those the clow DP of the
+    The (S, T) entry with |S| = k < r is the n-term bracket times
+    E(n, S, k), which has k! * C(n, k) terms and shares no variable with
+    the bracket.  The product terms are those the clow DP of the
     all-loops graph finishes over its heads j = 0..n, where every clow is
     one loop and the sequences with heads up to j sum to
     prod_{j' <= j} (1 - sum_i a[j']^(i) t_i): sum_j sum_S |E(j, S)| =
     sum_k C(r, k) * k! * C(n + 1, k + 1), the empty S counting its 1 for
     each j.  That DP gives the ell map of the run.
     """
-    k_top = r if r > n else r - 1
     breakdown = sum(
-        binomial(r, k) * (n if k < r else 1) * binomial(n, k) * factorial(k)
-        for k in range(k_top + 1)
+        binomial(r, k) * n * binomial(n, k) * factorial(k) for k in range(r)
     )
     product = sum(
         binomial(r, k) * factorial(k) * binomial(n + 1, k + 1) for k in range(r + 1)
@@ -462,17 +460,22 @@ def _audit_objects(n: int, k: int, r: int, successors) -> int:
     """What one audit at r builds on a graph with n vertices, k colors and
     0/1 adjacency B (`successors(u)` lists the v with B[u][v] = 1).
 
-    The count stops at its first partial sum past `AUDIT_MAX_OBJECTS`, so a
-    huge size costs nothing to count.  It starts with the identity
-    recheck's two DPs, which hold at most `_dp_states(n, k)` states per
-    graph.  Past that point n and k are small, and the rest is counted
-    exactly: the closed walks of length <= r, sum_{q <= r} tr(B^q) *
-    k!/(k-q)!, and the linear subdigraphs, sum_p covers_p(B) * k!/(k-p)!,
-    where covers_p(B) counts the cycle covers of p-vertex subsets (a row DP
-    over the used columns counts them, each row taking its diagonal, not
-    covered, or an edge); then the (walk, gamma) pairs, whose r edges take
-    distinct colors: sum_{q=1}^{r} tr(B^q) * covers_{r-q}(B) * k!/(k-r)!,
-    none when r > k.
+    The count stops at the first of its three partial sums past
+    `AUDIT_MAX_OBJECTS`.  The first is the identity recheck's two DPs,
+    which hold at most `_dp_states(n, k)` states per graph, so a huge size
+    costs nothing to count.  The second adds the closed walks of length
+    <= r, sum_{q <= r} tr(B^q) * k!/(k-q)!, and the linear subdigraphs,
+    sum_p covers_p(B) * k!/(k-p)!, where covers_p(B) counts the cycle
+    covers of p-vertex subsets, p <= min(k, n).  The third adds the
+    (walk, gamma) pairs, whose r edges take distinct colors:
+    sum_{q=1}^{r} tr(B^q) * covers_{r-q}(B) * k!/(k-r)!, none when r > k.
+    The last two are exact.
+
+    A row DP over the used columns counts the covers, each row taking its
+    diagonal (not covered) or an edge.  A state whose edges and free
+    columns below its row pass min(k, n) is dropped, so a row holds at
+    most sum_d C(n, d)^2 states over d <= min(k, n) / 2: polynomial in n
+    for each k, where keeping every used-column set took time 2^n.
     """
     total = _dp_states(n, k)
     if total > AUDIT_MAX_OBJECTS:
@@ -492,18 +495,28 @@ def _audit_objects(n: int, k: int, r: int, successors) -> int:
                     step[v] = step.get(v, 0) + count
             paths = step
             traces[q] += paths.get(root, 0)
-    covers = {0: [1]}  # used columns -> partial covers by edge count
+    covers = {0: [1] + [0] * top}  # used columns -> partial covers by edge count
     for i in range(1, n + 1):
-        moves = [(i, 0)] + [(j, 1) for j in succ[i]]
+        below = (1 << i + 1) - 2  # columns 1..i
+        back = [j for j in succ[i] if j <= i]
         step = {}
         for cols, counts in covers.items():
-            for j, edge in moves:
-                if cols >> j & 1:
-                    continue
+            # a free column below row i is a debt that a later row's edge
+            # must pay, so p edges and d debts end with at least p + d edges.
+            # `slack` is the edges plus debts the fewest-edge covers here may
+            # still add within `top`: an edge into a column <= i adds `own`,
+            # one past i adds own + 1
+            free = below & ~cols
+            own = free >> i & 1  # row i may still take its diagonal
+            lo = next(p for p, count in enumerate(counts) if count)
+            slack = top - (free.bit_count() - own) - lo
+            reach = succ[i] if slack > own else back if slack == own else ()
+            for j, edge in [(i, 0)] * own + [(j, 1) for j in reach if not cols >> j & 1]:
                 key = cols | 1 << j
+                room = top + 1 - edge - (below & ~key).bit_count()
                 row = step.setdefault(key, [0] * (top + 1))
-                for p, count in enumerate(counts[: top + 1 - edge]):
-                    row[p + edge] += count
+                for p in range(lo, room):
+                    row[p + edge] += counts[p]
         covers = step
     (counts,) = covers.values()
     total += sum(t * w for t, w in zip(traces[1:], colorings[1:]))

@@ -22,10 +22,11 @@ time 0.
   gamma.
 
 Both moves flip the cycle count's parity, hence the sign; applying the
-map twice returns the original pair.  The GOOD pairs do not cancel: for
-r <= n each linear subdigraph with exactly r edges owns exactly r of them
-(root its cycles at each of its r vertices), which is what produces the
-r * ell closing term of the identity.
+map twice returns the original pair.  The GOOD pairs do not cancel: each
+linear subdigraph with exactly r edges owns exactly r of them (root its
+cycles at each of its r vertices), which is what produces the r * ell
+closing term of the identity.  No subdigraph has more than n edges, so
+past n there are neither GOOD pairs nor a closing term.
 """
 
 from __future__ import annotations
@@ -152,10 +153,9 @@ def enumerate_pairs(
 ) -> list[WalkGammaPair]:
     """All pairs with total length r, walk length >= 1, disjoint colors.
 
-    The length-zero walk has no object form; its would-be contribution is
-    exactly the ell(r, S) convention terms, which the audit and the
-    identity checker add analytically.  `subdigraphs` is the full
-    `linear_subdigraphs(g)` list when the caller already holds it.
+    The length-zero walk has no object form, and the identity has no term
+    for it (T is nonempty in every (S, T) entry).  `subdigraphs` is the
+    full `linear_subdigraphs(g)` list when the caller already holds it.
     """
     if r < 1:
         raise ValueError("enumerate_pairs requires r >= 1")
@@ -213,9 +213,9 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
       image, which is weighed there and skipped on its own turn.  So a
       perfect matching costs one `involute` call and one weight per BAD
       pair, and every BAD weight enters the sum once, matched or not;
-    * when r <= n, the GOOD pairs group by their underlying r-edge
-      subdigraph, exactly r per group, the group weights summing to
-      r * (-1)^(c-1) * W; when r > n there are no GOOD pairs at all;
+    * the GOOD pairs group by their underlying r-edge subdigraph, exactly
+      r per group, the group weights summing to r * (-1)^(c-1) * W; when
+      r > n there is no r-edge subdigraph, so any GOOD pair is reported;
     * the grand total (pair weights + r * aggregated ell) is zero and
       matches the walk/cycle identity residual.
     """
@@ -275,36 +275,25 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
     if bad_sum:
         problems.append("BAD pair weights do not cancel")
 
-    if r > g.n:
-        if good:
-            problems.append(f"expected no GOOD pairs when r > n, found {len(good)}")
-        good_sum = sum(p.weight(g) for p in good)
-    else:
-        good_sum = 0
-        groups: dict[LinearSubdigraph, list[WalkGammaPair]] = {}
-        for pair in good:
-            groups.setdefault(underlying_subdigraph(pair), []).append(pair)
-        expected = {gamma for gamma in subdigraphs if gamma.length == r}
-        if set(groups) != expected:
-            problems.append(
-                "GOOD pairs do not cover exactly the r-edge subdigraphs"
-            )
-        for gamma, members in groups.items():
-            if len(members) != r:
-                problems.append(
-                    f"subdigraph owns {len(members)} GOOD pairs, expected {r}"
-                )
-            sign = -1 if (gamma.cycle_count - 1) % 2 else 1
-            want = r * sign * gamma.weight(g)
-            got = sum(p.weight(g) for p in members)
-            good_sum += got
-            if got != want:
-                problems.append("GOOD group weight sum is off")
+    good_sum = 0
+    groups: dict[LinearSubdigraph, list[WalkGammaPair]] = {}
+    for pair in good:
+        groups.setdefault(underlying_subdigraph(pair), []).append(pair)
+    expected = {gamma for gamma in subdigraphs if gamma.length == r}
+    if set(groups) != expected:
+        problems.append("GOOD pairs do not cover exactly the r-edge subdigraphs")
+    for gamma, members in groups.items():
+        if len(members) != r:
+            problems.append(f"subdigraph owns {len(members)} GOOD pairs, expected {r}")
+        sign = -1 if (gamma.cycle_count - 1) % 2 else 1
+        want = r * sign * gamma.weight(g)
+        got = sum(p.weight(g) for p in members)
+        good_sum += got
+        if got != want:
+            problems.append("GOOD group weight sum is off")
 
     # the recheck takes c and ell from the DPs, not from the pairs above
     report = verify_walk_cycle_identity(g, r)
-    # no subdigraph has r > n edges, so the r > n report's zero correction
-    # is r * (aggregated ell) there too
     correction = report.aggregated_correction
     total = bad_sum + good_sum + correction  # a Poly, as the correction is
     if total != report.residual:

@@ -2,17 +2,17 @@
 
 Write ell(p, S) for the signed linear-subdigraph sum and c(q, T) for the
 closed-walk sum of a colored digraph g with n vertices and k colors.  The
-walk/cycle identity states, for r >= 1:
+walk/cycle identity states, for every r >= 1,
 
-* case r > n:   sum over disjoint color sets S, T with |S| + |T| = r of
-                c(|T|, T) * ell(|S|, S)  =  0   (the T = empty convention
-                term included), and
-* case r <= n:  the same sum restricted to T nonempty, plus
-                r * sum_{|S| = r} ell(r, S),  =  0.
+    sum over disjoint color sets S, T with |S| + |T| = r, T nonempty, of
+    c(|T|, T) * ell(|S|, S)  +  r * sum_{|S| = r} ell(r, S)  =  0.
 
-The closing term aggregates over *all* size-r color sets; the single-set
-form r * ell(r, C) with C = {1..k} is only equivalent when k = r, so
-reports carry both residuals.
+It is one formula, as classical Newton-Girard is (e_t = 0 for t > n): a
+linear subdigraph covers at most n vertices, so ell(p, .) vanishes for
+p > n and the closing term is zero when r > n.  The closing term
+aggregates over *all* size-r color sets; the single-set form
+r * ell(r, C) with C = {1..k} is only equivalent when k = r (or r > n,
+where both are zero), so reports carry both residuals.
 
 The c values come from `enumeration.closed_walk_buckets`, a transfer-matrix
 DP that builds no walk; the ell values come from
@@ -51,7 +51,6 @@ from .poly import Poly, VarId, avar, poly_prod, poly_sum
 
 __all__ = [
     "NewtonReport",
-    "color_split_sum",
     "total_subdigraph_sum",
     "verify_walk_cycle_identity",
     "elementary_color_sum",
@@ -76,14 +75,14 @@ _THEOREM3_NOTE = (
 class NewtonReport:
     """Outcome of one identity check.
 
-    `breakdown` maps each (S, T) color pair to its contribution;
-    `residual` is the breakdown total plus the aggregated closing term and
-    must be the zero polynomial, `literal_residual` uses the single-set
-    closing term instead (equal to the aggregated one when k = r, and in
-    the r > n case where no closing term exists at all).
+    `breakdown` maps each (S, T) color pair with T nonempty to its
+    contribution; `residual` is the breakdown total plus the aggregated
+    closing term and must be the zero polynomial, `literal_residual` uses
+    the single-set closing term instead (equal to the aggregated one when
+    k = r, and when r > n, where both closing terms are zero).
     """
 
-    case: str  # "r>n" or "r<=n"
+    case: str  # "r>n" or "r<=n", named in failure records
     r: int
     breakdown: Mapping[ColorPair, Poly]
     aggregated_correction: Poly
@@ -103,28 +102,26 @@ def _closing_sum(ell: Buckets, r: int) -> int | Poly:
 
 
 def _split_terms(
-    colors: frozenset[int], r: int, c: Buckets, ell: Buckets, include_empty_walk: bool
+    colors: frozenset[int], r: int, c: Buckets, ell: Buckets
 ) -> dict[ColorPair, Poly]:
     """Contributions c(|T|, T) * ell(|S|, S) for disjoint S, T in `colors`
-    with |S| + |T| = r, each as a `Poly`; a key missing from a map is a
-    zero sum, and the empty S (or T) contributes 1.  There is no such pair
-    when r exceeds the color count, and a huge r then costs nothing."""
+    with |S| + |T| = r and T nonempty, each as a `Poly`; a key missing
+    from a map is a zero sum, and the empty S contributes 1.  There is no
+    such pair when r exceeds the color count, and a huge r then costs
+    nothing."""
     cols = sorted(colors)
     if r > len(cols):
         return {}
     terms: dict[ColorPair, Poly] = {}
-    for s_size in range(0, r + 1):
+    for s_size in range(r):
         t_size = r - s_size
-        if t_size == 0 and not include_empty_walk:
-            continue
         for s_tuple in combinations(cols, s_size):
             s = frozenset(s_tuple)
             rest = [col for col in cols if col not in s]
             for t_tuple in combinations(rest, t_size):
                 t = frozenset(t_tuple)
                 ell_val = ell.get((s_size, s), 0) if s_size else 1
-                c_val = c.get((t_size, t), 0) if t_size else 1
-                terms[(s, t)] = as_poly(c_val * ell_val)
+                terms[(s, t)] = as_poly(c.get((t_size, t), 0) * ell_val)
     return terms
 
 
@@ -133,22 +130,16 @@ def _assemble(
     notes: Sequence[str],
 ) -> NewtonReport:
     """The walk/cycle identity at r, built from the c and ell maps of a
-    graph with n vertices and color set `colors`.
-
-    The r > n case sums every (S, T) split, the empty-walk term included;
-    the r <= n case drops the T = empty terms and closes with
-    r * sum_{|S| = r} ell(r, S) (aggregated) or r * ell(r, colors)
-    (literal).
+    graph with n vertices and color set `colors`: the (S, T) terms with T
+    nonempty, closed by r * sum_{|S| = r} ell(r, S) (aggregated) or
+    r * ell(r, colors) (literal).  Past n every ell(r, .) is zero, and so
+    are both closing terms.
     """
-    if r > n:
-        breakdown = _split_terms(colors, r, c, ell, include_empty_walk=True)
-        aggregated = literal = Poly.zero()
-    else:
-        breakdown = _split_terms(colors, r, c, ell, include_empty_walk=False)
-        # Poly.const(r) coerces an int sum, and a constant left factor
-        # multiplies a symbolic one without re-sorting its monomials
-        aggregated = Poly.const(r) * _closing_sum(ell, r)
-        literal = Poly.const(r) * ell.get((r, colors), 0)
+    breakdown = _split_terms(colors, r, c, ell)
+    # Poly.const(r) coerces an int sum, and a constant left factor
+    # multiplies a symbolic one without re-sorting its monomials
+    aggregated = Poly.const(r) * _closing_sum(ell, r)
+    literal = Poly.const(r) * ell.get((r, colors), 0)
     base = poly_sum(breakdown.values())
     return NewtonReport(
         case="r>n" if r > n else "r<=n",
@@ -160,19 +151,6 @@ def _assemble(
         literal_residual=base + literal,
         notes=tuple(notes),
     )
-
-
-def color_split_sum(g: ColoredDigraph, r: int) -> Poly:
-    """The full double sum over disjoint (S, T) with |S| + |T| = r,
-    the empty-walk convention term included.  This is the quantity that
-    vanishes outright when r > n."""
-    if r < 1:
-        raise ValueError("color_split_sum requires r >= 1")
-    terms = _split_terms(
-        g.color_set(), r, closed_walk_buckets(g), linear_subdigraph_buckets(g),
-        include_empty_walk=True,
-    )
-    return poly_sum(terms.values())
 
 
 def total_subdigraph_sum(g: ColoredDigraph, r: int) -> Poly:
@@ -252,12 +230,10 @@ def verify_colored_newton_girard(r: int, n: int) -> NewtonReport:
 
         (-1)^k * [(r-k)! * sum_j prod_{i in T} a[j]^(i)] * E(n, S, k)
 
-    over k = 0..r (or 0..r-1 when r <= n).  On that graph every clow is
-    one loop, so after head j the clow DP holds
-    prod_{j' <= j} (1 - sum_i a[j']^(i) t_i), and
-    ell(k, S) = (-1)^k * E(n, S, k) is read off it; the k = r bracket
-    (T empty) is 1, matching the empty-walk convention.  For r <= n the
-    closing term is r * (-1)^r * E(n, [r], r) -- the (-1)^r carries the
+    over k = 0..r-1.  On that graph every clow is one loop, so after head
+    j the clow DP holds prod_{j' <= j} (1 - sum_i a[j']^(i) t_i), and
+    ell(k, S) = (-1)^k * E(n, S, k) is read off it.  The closing term is
+    r * (-1)^r * E(n, [r], r), zero when r > n -- the (-1)^r carries the
     cycle-parity sign of the length-r subdigraph sum, and an unsigned
     closing term would fail for odd r.
     """
@@ -296,9 +272,10 @@ def elementary_coefficients(roots: Sequence[int]) -> list[int]:
 def verify_classical_newton_girard(roots: Sequence[int], r: int) -> bool:
     """Classical Newton-Girard on integer roots.
 
-    With p_t = sum root^t (p_0 = n) and e_t the signed coefficients above:
-    p_r + e_1 p_{r-1} + ... + e_n p_{r-n} = 0 when r > n, and
-    p_r + e_1 p_{r-1} + ... + e_{r-1} p_1 + r e_r = 0 when r <= n.
+    With p_t = sum root^t and e_t the signed coefficients above, padded
+    with e_t = 0 for t > n:
+    p_r + e_1 p_{r-1} + ... + e_{r-1} p_1 + r e_r = 0 for every r >= 1.
+    No e_t past n enters the sum, so a huge r does no extra work on them.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -311,11 +288,8 @@ def verify_classical_newton_girard(roots: Sequence[int], r: int) -> bool:
         for t in range(1, r + 1):
             power *= root
             p[t] += power
-    e = elementary_coefficients(roots)
-    if r > n:
-        value = p[r] + sum(e[t] * p[r - t] for t in range(1, n + 1))
-    else:
-        value = p[r] + sum(e[t] * p[r - t] for t in range(1, r)) + r * e[r]
+    e = elementary_coefficients(roots) + [0] * (r - n)
+    value = p[r] + sum(e[t] * p[r - t] for t in range(1, min(r, n + 1))) + r * e[r]
     return value == 0
 
 

@@ -13,7 +13,6 @@ from functools import lru_cache
 from girardlab import (
     Poly,
     audit_involution,
-    color_split_sum,
     cross_check_against_loops,
     elementary_coefficients,
     factorial,
@@ -128,7 +127,7 @@ def test_c06_walk_cycle_identity_case_one():
     for g in _sampled_graphs():
         for r in range(g.n + 1, g.colors + 1):
             checks += 1
-            if color_split_sum(g, r) != Poly.zero():
+            if verify_walk_cycle_identity(g, r).residual != Poly.zero():
                 failures.append((g.n, g.colors, r))
     assert len(_sampled_graphs()) >= 50
     _report("criterion 06", failures, f"60 graphs, {checks} (graph, r) checks")

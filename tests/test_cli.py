@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -719,6 +720,41 @@ def test_audit_object_count_is_exact():
     assert cli._audit_objects(10**12, 10**12, 3, None) == 2 * 10**24 * 2**64
 
 
+def dense_audit_objects(n, k, r):
+    """`cli._audit_objects` of the dense graph (every edge, loops too) in
+    closed form: tr(B^q) = n^q, and the p-vertex covers are the n!/(n-p)!
+    arrangements."""
+    walks = sum(n**q * math.perm(k, q) for q in range(1, r + 1))
+    subdigraphs = sum(math.perm(n, p) * math.perm(k, p) for p in range(1, k + 1))
+    pairs = math.perm(k, r) * sum(n**q * math.perm(n, r - q) for q in range(1, r + 1))
+    return cli._dp_states(n, k) + walks + subdigraphs + pairs
+
+
+def test_dense_audit_count_closed_form():
+    for n in range(1, 6):
+        for k in range(1, 5):
+            for r in range(1, k + 2):
+                every = range(1, n + 1)
+                count = cli._audit_objects(n, k, r, lambda u: every)
+                assert count == dense_audit_objects(n, k, r), (n, k, r)
+
+
+# the largest n the DP bound lets through at k = 1, 2, 3: the count kept
+# every used-column set of its cover DP, and dense n = 22 at k = 1 (a 0.01 s
+# audit) ran past 60 s before it started; n = 100 at k = 1 counts the DP
+# states alone at the limit, 40,000
+@pytest.mark.parametrize("n, k, r, code", [
+    (22, 1, 1, 0), (100, 1, 1, 2), (70, 2, 2, 2), (50, 3, 3, 2),
+])
+def test_a_large_audit_with_few_colors_is_counted_at_once(n, k, r, code):
+    assert code == (2 if dense_audit_objects(n, k, r) > cli.AUDIT_MAX_OBJECTS else 0)
+    argv = ["involution", "audit", "--random", "--n", str(n), "--k", str(k),
+            "--r", str(r), "--trials", "1"]
+    started = time.perf_counter()
+    assert main(argv) == code
+    assert time.perf_counter() - started < 2
+
+
 def test_dp_state_bound_holds_for_both_dps(monkeypatch):
     # the walk DP and the clow DP take every step through enumeration._step;
     # the states they push and build on one graph stay within the bound
@@ -882,8 +918,12 @@ def graph_dir(tmp_path_factory):
 
 
 # small sizes stop at 3 here: a dense (4,4) audit at r = 4 is accepted and
-# takes about a second per graph
-GRAPH_SIZE = st.one_of(st.integers(1, 3).map(str), st.integers(1, 3).map(str), HUGE, INVALID)
+# takes about a second per graph.  The middle band draws vertex counts the
+# DP bound lets through at k <= 3; the audits among them whose cover count
+# once took time 2^n are pinned by
+# test_a_large_audit_with_few_colors_is_counted_at_once
+GRAPH_SIZE = st.one_of(st.integers(1, 3).map(str), st.integers(1, 3).map(str),
+                       st.integers(16, 120).map(str), HUGE, INVALID)
 
 
 @st.composite

@@ -13,7 +13,6 @@ from girardlab import (
     WalkGammaPair,
     audit_involution,
     classify,
-    color_split_sum,
     cross_check_against_loops,
     enumerate_pairs,
     involute,
@@ -157,7 +156,6 @@ def test_one_subdigraph_enumeration_per_check_and_per_audit(monkeypatch):
     for r in range(1, 5):  # both cases: r <= n and r > n
         calls.clear()
         assert verify_walk_cycle_identity(g, r).passed
-        color_split_sum(g, r)
         total_subdigraph_sum(g, r)
         linear_subdigraph_sum(g, r, range(1, r + 1))
         assert cross_check_against_loops(r, 3)
@@ -167,7 +165,7 @@ def test_one_subdigraph_enumeration_per_check_and_per_audit(monkeypatch):
 
 
 def test_walks_are_enumerated_only_by_the_audit(monkeypatch):
-    # the identity, color_split_sum and the theorem3 cross-check take c
+    # the identity and the theorem3 cross-check take c
     # from closed_walk_buckets; the audit makes one pass for all lengths
     calls = []
     original = enumeration.closed_walks
@@ -183,7 +181,6 @@ def test_walks_are_enumerated_only_by_the_audit(monkeypatch):
     for r in range(1, 5):  # both cases: r <= n and r > n
         calls.clear()
         assert verify_walk_cycle_identity(g, r).passed
-        color_split_sum(g, r)
         assert cross_check_against_loops(r, 3)
         assert len(calls) == 0
         assert audit_involution(g, r).ok

@@ -10,7 +10,6 @@ from girardlab.enumeration import linear_subdigraph_buckets
 from girardlab import (
     ColoredDigraph,
     Poly,
-    color_split_sum,
     cross_check_against_loops,
     elementary_coefficients,
     elementary_color_sum,
@@ -25,6 +24,8 @@ from girardlab import (
     verify_walk_cycle_identity,
 )
 
+from _support import all_pattern_graphs
+
 
 def one_loop_graph() -> ColoredDigraph:
     """Single vertex, one self-loop in two colors weighing 2 and 3."""
@@ -38,25 +39,52 @@ def one_loop_graph() -> ColoredDigraph:
 
 def test_split_sum_vanishes_when_r_exceeds_n():
     g = one_loop_graph()
-    assert color_split_sum(g, 2) == Poly.zero()
+    assert verify_walk_cycle_identity(g, 2).residual == Poly.zero()
     rng = random.Random(431)
     for _ in range(10):
         n = rng.randint(1, 3)
         k = rng.randint(n + 1, 4)
         g = random_digraph(n, k, 0.8, 3, seed=rng.randrange(10**6))
         for r in range(n + 1, k + 1):
-            assert color_split_sum(g, r) == Poly.zero(), (n, k, r)
+            assert verify_walk_cycle_identity(g, r).residual == Poly.zero(), (n, k, r)
+
+
+def subdigraph_sums_past_n(g: ColoredDigraph) -> list:
+    """The ell values of g whose length exceeds its vertex count."""
+    buckets = linear_subdigraph_buckets(g)
+    return [val for (length, _), val in buckets.items() if length > g.n]
+
+
+def test_no_subdigraph_sum_survives_past_n():
+    # the one formula for every r rests on this: a linear subdigraph covers
+    # at most n vertices, so ell(p, S) = 0 for p > n.  The clow DP keeps a
+    # key for every mask a clow sequence reaches, so the longer clow
+    # sequences show up here as keys, and must cancel to zero
+    graphs = [g for n in (1, 2, 3) for k in (1, 2, 3) for g in all_pattern_graphs(n, k)]
+    rng = random.Random(907)
+    for _ in range(20):
+        n, k = rng.randint(1, 3), rng.randint(1, 5)
+        density = rng.choice([0.5, 1.0])
+        graphs.append(random_digraph(n, k, density, 3, seed=rng.randrange(10**6)))
+    graphs += [self_loop_digraph(n, r) for r in range(2, 5) for n in range(1, r)]
+    past_n = [val for g in graphs for val in subdigraph_sums_past_n(g)]
+    assert past_n  # the check sees keys past n
+    assert not any(past_n)
 
 
 def test_report_case_r_greater_than_n():
-    report = verify_walk_cycle_identity(one_loop_graph(), 2)
+    g = one_loop_graph()
+    report = verify_walk_cycle_identity(g, 2)
     assert report.case == "r>n"
     assert report.passed
     assert report.residual == Poly.zero()
     assert report.literal_residual == report.residual
     assert report.aggregated_correction == Poly.zero()
-    # conventions: the empty-walk term (S = {1,2}, T = {}) participates
-    assert (frozenset({1, 2}), frozenset()) in report.breakdown
+    # one formula: the breakdown holds the nonempty-T pairs only, and the
+    # closing term is zero because no ell survives past n
+    assert report.breakdown
+    assert all(t for _, t in report.breakdown)
+    assert not any(subdigraph_sums_past_n(g))
 
 
 def test_report_case_r_at_most_n_hand_example():
@@ -106,8 +134,6 @@ def test_vacuous_note_when_r_exceeds_color_count():
 def test_walk_cycle_identity_rejects_bad_r():
     with pytest.raises(ValueError):
         verify_walk_cycle_identity(one_loop_graph(), 0)
-    with pytest.raises(ValueError):
-        color_split_sum(one_loop_graph(), 0)
     with pytest.raises(ValueError):
         total_subdigraph_sum(one_loop_graph(), -1)
 
