@@ -82,9 +82,10 @@ PREFACTOR_NOTE = (
 # breakdown terms); r = 12 makes 2^12 (S, T) entries.  theorem1 keeps
 # (m, r) = (14, 1) and refuses (16, 1); its count also keeps r below the
 # recursion depth of the good-word oracle.  The audit keeps a dense (5,5)
-# graph at r <= 2 and dense (4,4) at r = 4 (each under 1 s), and refuses
-# dense (3,6) at r = 4 (118,998 objects, 84,240 of them pairs, 6-7 s
-# in-process) and dense (6,5) at r = 1 (139,764 objects, 1.7 s).  theorem2
+# graph at r <= 2 and dense (4,4) at r = 4 (0.4-0.55 s and 0.7 s by CLI on
+# a shared 2-core host, BENCH_19.json), and refuses dense (3,6) at r = 4
+# (118,998 objects, 84,240 of them pairs, 2.3-2.6 s in-process) and dense
+# (6,5) at r = 1 (139,764 objects, 1.6-1.7 s).  theorem2
 # keeps dense (12,6), (8,8) and (6,9) (1.6-3 s) and refuses dense (6,10)
 # and (6,12) (6.4 s and 32 s).  theorem2 and the audit multiply their
 # count by the 64-bit words of the largest weight, newton-girard by those
@@ -293,10 +294,9 @@ def _dp_states(n: int, k: int) -> int:
 def _theorem2_work(n: int, k: int, r: int, limit: int) -> int:
     """A bound on the work of one theorem2 check on a graph with n vertices
     and k colors: each DP state makes at most n * k weight products (int
-    products, on the file and `--random` graphs the CLI checks; the error
-    text still calls them `Poly` products), and the breakdown has
-    C(k, r) * 2^r (S, T) entries.  A DP term past `limit` is returned at
-    once, so a huge k or r costs nothing to count."""
+    products, on the file and `--random` graphs the CLI checks), and the
+    breakdown has C(k, r) * 2^r (S, T) entries.  A DP term past `limit` is
+    returned at once, so a huge k or r costs nothing to count."""
     total = _dp_states(n, k) * n * min(k, 64)
     if total > limit or r > k:
         return total
@@ -315,7 +315,7 @@ def _run_theorem2(args) -> RunReport:
         _sized(f"verify theorem2 --r {args.r} on {trials} graph(s) with n = {n}, k = {k}",
                words, "weights"),
         trials * words * _theorem2_work(n, k, args.r, THEOREM2_MAX_WORK),
-        "Poly products and (S, T) entries (an upper bound)", THEOREM2_MAX_WORK,
+        "weight products and (S, T) entries (an upper bound)", THEOREM2_MAX_WORK,
     )
     if args.r > k:  # every instance has k colors
         report.notes.extend(
@@ -460,16 +460,18 @@ def _audit_objects(n: int, k: int, r: int, successors) -> int:
     """What one audit at r builds on a graph with n vertices, k colors and
     0/1 adjacency B (`successors(u)` lists the v with B[u][v] = 1).
 
-    The count stops at the first of its three partial sums past
+    The count stops at the first of its four partial sums past
     `AUDIT_MAX_OBJECTS`.  The first is the identity recheck's two DPs,
     which hold at most `_dp_states(n, k)` states per graph, so a huge size
     costs nothing to count.  The second adds the closed walks of length
-    <= r, sum_{q <= r} tr(B^q) * k!/(k-q)!, and the linear subdigraphs,
-    sum_p covers_p(B) * k!/(k-p)!, where covers_p(B) counts the cycle
-    covers of p-vertex subsets, p <= min(k, n).  The third adds the
-    (walk, gamma) pairs, whose r edges take distinct colors:
-    sum_{q=1}^{r} tr(B^q) * covers_{r-q}(B) * k!/(k-r)!, none when r > k.
-    The last two are exact.
+    <= r, sum_{q <= r} tr(B^q) * k!/(k-q)!, and a lower bound on the linear
+    subdigraphs: every set of p looped vertices is a cover, so with L
+    loops covers_p(B) >= C(L, p).  The third replaces that bound with the
+    linear subdigraphs, sum_p covers_p(B) * k!/(k-p)!, where covers_p(B)
+    counts the cycle covers of p-vertex subsets, p <= min(k, n).  The
+    fourth adds the (walk, gamma) pairs, whose r edges take distinct
+    colors: sum_{q=1}^{r} tr(B^q) * covers_{r-q}(B) * k!/(k-r)!, none when
+    r > k.  The last two are exact.
 
     A row DP over the used columns counts the covers, each row taking its
     diagonal (not covered) or an edge.  A state whose edges and free
@@ -495,6 +497,11 @@ def _audit_objects(n: int, k: int, r: int, successors) -> int:
                     step[v] = step.get(v, 0) + count
             paths = step
             traces[q] += paths.get(root, 0)
+    total += sum(t * w for t, w in zip(traces[1:], colorings[1:]))
+    loops = sum(u in succ[u] for u in succ)
+    bound = total + sum(binomial(loops, p) * colorings[p] for p in range(1, top + 1))
+    if bound > AUDIT_MAX_OBJECTS:
+        return bound
     covers = {0: [1] + [0] * top}  # used columns -> partial covers by edge count
     for i in range(1, n + 1):
         below = (1 << i + 1) - 2  # columns 1..i
@@ -519,7 +526,6 @@ def _audit_objects(n: int, k: int, r: int, successors) -> int:
                     row[p + edge] += counts[p]
         covers = step
     (counts,) = covers.values()
-    total += sum(t * w for t, w in zip(traces[1:], colorings[1:]))
     total += sum(c * w for c, w in zip(counts[1:], colorings[1:]))
     if total > AUDIT_MAX_OBJECTS or r > k:
         return total

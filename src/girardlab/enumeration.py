@@ -35,7 +35,7 @@ the tests compare the DPs with them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, Iterator
 
@@ -68,10 +68,36 @@ class Walk:
     Closed walks end where they start.  The class itself does not force
     distinct colors; the enumerator below only produces color-distinct
     closed walks.
+
+    The vertex sequence, the vertex and color bitmasks (bit i set for each
+    vertex or color i) and `is_simple` are derived once, at construction,
+    and take no part in equality, hashing or repr.  A negative vertex or
+    color has no bit, and raises ValueError there.
     """
 
     start: int
     steps: tuple[tuple[int, int], ...]
+    _seq: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    vertex_mask: int = field(init=False, repr=False, compare=False)
+    color_mask: int = field(init=False, repr=False, compare=False)
+    is_simple: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        seq = [self.start]
+        vmask = 1 << self.start
+        cmask = 0
+        for v, c in self.steps:
+            seq.append(v)
+            vmask |= 1 << v
+            cmask |= 1 << c
+        object.__setattr__(self, "_seq", tuple(seq))
+        object.__setattr__(self, "vertex_mask", vmask)
+        object.__setattr__(self, "color_mask", cmask)
+        # simple: closed, and no vertex repeats except the root at the end,
+        # so the len(steps) vertices before the end are distinct
+        length = len(self.steps)
+        simple = length > 0 and seq[-1] == self.start and vmask.bit_count() == length
+        object.__setattr__(self, "is_simple", simple)
 
     @property
     def length(self) -> int:
@@ -79,7 +105,7 @@ class Walk:
 
     @property
     def end(self) -> int:
-        return self.steps[-1][0] if self.steps else self.start
+        return self._seq[-1]
 
     @property
     def is_closed(self) -> bool:
@@ -92,15 +118,7 @@ class Walk:
     def vertex_seq(self) -> tuple[int, ...]:
         """All visited vertices in order, the start included at both ends
         when the walk is closed."""
-        return (self.start,) + tuple(v for v, _ in self.steps)
-
-    @property
-    def is_simple(self) -> bool:
-        """Closed and no vertex repeats except the root at the end."""
-        if not self.is_closed or not self.steps:
-            return False
-        interior = self.vertex_seq()[:-1]
-        return len(set(interior)) == len(interior)
+        return self._seq
 
     def edges(self) -> Iterator[Edge]:
         u = self.start
@@ -109,6 +127,15 @@ class Walk:
             u = v
 
     def weight(self, g: ColoredDigraph) -> int | Poly:
+        """The product of the edge weights, read from the graph's edge map.
+        An edge or color the graph lacks raises `ColoredDigraph.weight`'s
+        ValueError."""
+        if not self.color_mask & 1:  # color 0 would read a weight tuple from its end
+            table = g.edges
+            try:
+                return prod(table[u, v][c - 1] for u, (v, c) in zip(self._seq, self.steps))
+            except (KeyError, IndexError):
+                pass
         return prod(g.weight(u, v, c) for u, v, c in self.edges())
 
 
@@ -128,13 +155,27 @@ class LinearSubdigraph:
     cycles are sorted by that vertex, so equal subdigraphs are equal as
     objects.  The empty instance (no cycles) is a valid value used by the
     walk/subdigraph pairing, but is never enumerated.
+
+    The edge count and the vertex and color bitmasks are derived once, at
+    construction, and take no part in equality, hashing or repr, as in
+    `Walk`.
     """
 
     cycles: tuple[tuple[Edge, ...], ...]
+    length: int = field(init=False, repr=False, compare=False)
+    vertex_mask: int = field(init=False, repr=False, compare=False)
+    color_mask: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def length(self) -> int:
-        return sum(len(c) for c in self.cycles)
+    def __post_init__(self) -> None:
+        length = vmask = cmask = 0
+        for cycle in self.cycles:
+            length += len(cycle)
+            for u, _, c in cycle:
+                vmask |= 1 << u
+                cmask |= 1 << c
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "vertex_mask", vmask)
+        object.__setattr__(self, "color_mask", cmask)
 
     @property
     def cycle_count(self) -> int:
@@ -155,6 +196,13 @@ class LinearSubdigraph:
         raise ValueError(f"no cycle contains vertex {v}")
 
     def weight(self, g: ColoredDigraph) -> int | Poly:
+        """As `Walk.weight`, over the edges of every cycle."""
+        if not self.color_mask & 1:
+            table = g.edges
+            try:
+                return prod(table[u, v][c - 1] for cycle in self.cycles for u, v, c in cycle)
+            except (KeyError, IndexError):
+                pass
         return prod(g.weight(u, v, c) for cycle in self.cycles for u, v, c in cycle)
 
 

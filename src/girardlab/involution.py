@@ -32,7 +32,7 @@ past n there are neither GOOD pairs nor a closing term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .digraph import ColoredDigraph
 from .enumeration import (
@@ -79,21 +79,12 @@ class WalkGammaPair:
         return -weight if self.gamma.cycle_count % 2 else weight
 
 
-def _bitmask(items: Iterable[int]) -> int:
-    """The int with bit i set for each i in `items`."""
-    mask = 0
-    for i in items:
-        mask |= 1 << i
-    return mask
-
-
 def classify(pair: WalkGammaPair) -> str:
     """GOOD iff the walk avoids gamma's vertices and is simple."""
     w = pair.walk
-    if w.colors & pair.gamma.colors:
+    if w.color_mask & pair.gamma.color_mask:
         raise ValueError("pair invariant broken: overlapping color sets")
-    disjoint = not (set(w.vertex_seq()) & pair.gamma.vertices)
-    return GOOD if disjoint and w.is_simple else BAD
+    return GOOD if w.is_simple and not w.vertex_mask & pair.gamma.vertex_mask else BAD
 
 
 def _cycle_rooted_steps(cycle: tuple[Edge, ...], root: int) -> tuple[tuple[int, int], ...]:
@@ -108,25 +99,28 @@ def involute(pair: WalkGammaPair) -> WalkGammaPair:
     """The weight-negating partner of a BAD pair.
 
     Raises ValueError on a GOOD pair (the map is only defined on BAD
-    ones).
+    ones): the scan below meets such a pair's first repeat at the walk's
+    closing root, with no gamma vertex before it.
     """
-    if classify(pair) == GOOD:
-        raise ValueError("involution is undefined on GOOD pairs")
     w = pair.walk
     gamma = pair.gamma
-    gamma_vertices = gamma.vertices
+    if w.color_mask & gamma.color_mask:
+        raise ValueError("pair invariant broken: overlapping color sets")
+    gamma_mask = gamma.vertex_mask
     seq = w.vertex_seq()
     first_seen: dict[int, int] = {}
     for i, v in enumerate(seq):
-        if v in gamma_vertices:
+        if gamma_mask >> v & 1:
             # case 1: splice the cycle through v into the walk
             cycle = gamma.cycle_containing(v)
             new_steps = w.steps[:i] + _cycle_rooted_steps(cycle, v) + w.steps[i:]
             remaining = tuple(c for c in gamma.cycles if c != cycle)
             return WalkGammaPair(Walk(w.start, new_steps), LinearSubdigraph(remaining))
         if v in first_seen:
-            # case 2: excise the first completed cycle
             j = first_seen[v]
+            if j == 0 and i == len(seq) - 1:
+                raise ValueError("involution is undefined on GOOD pairs")
+            # case 2: excise the first completed cycle
             cycle_edges = tuple(
                 (seq[t], seq[t + 1], w.steps[t][1]) for t in range(j, i)
             )
@@ -161,13 +155,12 @@ def enumerate_pairs(
         raise ValueError("enumerate_pairs requires r >= 1")
     if subdigraphs is None:
         subdigraphs = linear_subdigraphs(g)
-    # one color mask per walk and per subdigraph, so the disjointness test
-    # of each (walk, gamma) combination is an int AND
-    gammas_by_length: dict[int, list[tuple[LinearSubdigraph, int]]] = {}
+    # each walk and subdigraph carries its color mask, so the disjointness
+    # test of each (walk, gamma) combination is an int AND
+    gammas_by_length: dict[int, list[LinearSubdigraph]] = {}
     for gamma in subdigraphs:
         if gamma.length < r:
-            mask = _bitmask(e[2] for cycle in gamma.cycles for e in cycle)
-            gammas_by_length.setdefault(gamma.length, []).append((gamma, mask))
+            gammas_by_length.setdefault(gamma.length, []).append(gamma)
     walks_by_length: dict[int, list[Walk]] = {}
     for w in closed_walks(g, max_length=r):  # one pass for every length
         walks_by_length.setdefault(w.length, []).append(w)
@@ -177,9 +170,9 @@ def enumerate_pairs(
             if q == r:
                 pairs.append(WalkGammaPair(w, EMPTY_SUBDIGRAPH))
                 continue
-            walk_mask = _bitmask(c for _, c in w.steps)
-            for gamma, mask in gammas_by_length.get(r - q, []):
-                if not walk_mask & mask:
+            walk_mask = w.color_mask
+            for gamma in gammas_by_length.get(r - q, []):
+                if not walk_mask & gamma.color_mask:
                     pairs.append(WalkGammaPair(w, gamma))
     return pairs
 
@@ -240,10 +233,8 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
             good.append(pair)
     bad_count = len(pairs) - len(good)
 
-    # The BAD pairs are walked as couples, and each is weighed once.  No
-    # weight is cached and the weighed pairs are marked by position: on the
-    # four benchmark audits, per-walk and per-gamma weight caches, or a set
-    # of the images seen, each raised peak RSS from 19.2 to about 20.8 MB.
+    # The BAD pairs are walked as couples, and each is weighed once; the
+    # weighed pairs are marked by position.
     weighed = bytearray(len(pairs))
     bad_sum = 0
     for i, pair in enumerate(pairs):

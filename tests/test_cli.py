@@ -532,9 +532,9 @@ def test_theorem3_refuses_oversized_work_up_front(argv, count, capsys):
         ("involution audit --random --n 1000000000000 --k 3 --r 3 --trials 1",
          "the limit is 40,000"),
         ("verify theorem2 --random --n 2 --k 2 --r 2 --trials 1000000000000",
-         "132,000,000,000,000 Poly products"),
-        ("verify theorem2 --random --n 6 --k 10 --r 6 --trials 1", "4,423,680 Poly"),
-        ("verify theorem2 --random --n 12 --k 6 --r 6 --trials 2", "2,654,336 Poly"),
+         "132,000,000,000,000 weight products"),
+        ("verify theorem2 --random --n 6 --k 10 --r 6 --trials 1", "4,423,680 weight"),
+        ("verify theorem2 --random --n 12 --k 6 --r 6 --trials 2", "2,654,336 weight"),
         ("verify theorem2 --random --n 1000000000000 --k 1000000000000 --r 1000000000000"
          " --trials 1", "the limit is 2,500,000"),
         # NINES1000 and NINES4000 stand for 1000- and 4000-digit numbers; the
@@ -551,7 +551,7 @@ def test_theorem3_refuses_oversized_work_up_front(argv, count, capsys):
         ("verify lemma21 --alpha 4000 --random --m 60 --trials 2000",
          "7,560,000 Stirling-row cells"),
         ("verify theorem2 --random --n 6 --k 6 --r 6 --trials 1 --weight-bound NINES4000",
-         "(208-word weights) would need 34,518,016 Poly products"),
+         "(208-word weights) would need 34,518,016 weight products"),
         ("involution audit --random --n 5 --k 5 --r 2 --trials 1 --weight-bound NINES4000",
          "(208-word weights) would need at least 7,477,600 DP states"),
     ],
@@ -570,11 +570,11 @@ def test_oversized_work_is_refused_up_front(argv, count, capsys):
 @pytest.mark.parametrize(
     "command, n, k, dense, r, count",
     [
-        ("involution audit", 5, 5, True, 5, "at least 492,450 DP states"),
-        ("involution audit", 12, 6, True, 2, "at least 551,892,456 DP states"),
+        ("involution audit", 5, 5, True, 5, "at least 461,170 DP states"),
+        ("involution audit", 12, 6, True, 2, "at least 1,464,996 DP states"),
         ("involution audit", 3, 6, True, 4, "at least 118,998 DP states"),
-        ("verify theorem2", 6, 12, True, 6, "21,233,664 Poly products"),
-        ("verify theorem2", 6, 10, True, 6, "4,423,680 Poly products"),
+        ("verify theorem2", 6, 12, True, 6, "21,233,664 weight products"),
+        ("verify theorem2", 6, 10, True, 6, "4,423,680 weight products"),
         ("verify theorem2", 20000, 5000, False, 3, "the limit is 2,500,000"),
     ],
 )
@@ -609,7 +609,7 @@ def huge_weight_graph(n, k, seed):
 @pytest.mark.parametrize(
     "command, n, k, r, count",
     [
-        ("verify theorem2", 6, 6, 6, "(208-word weights) would need 34,518,016 Poly"),
+        ("verify theorem2", 6, 6, 6, "(208-word weights) would need 34,518,016 weight"),
         ("involution audit", 5, 5, 2, "(208-word weights) would need at least 7,477,600 DP"),
     ],
 )
@@ -753,6 +753,24 @@ def test_a_large_audit_with_few_colors_is_counted_at_once(n, k, r, code):
     started = time.perf_counter()
     assert main(argv) == code
     assert time.perf_counter() - started < 2
+
+
+# dense audits near the DP bound at k = 4 and 5: on a shared 2-core host the
+# exact cover count took 1.5-2.0 s, 0.55-0.7 s and 0.7-0.8 s to refuse them
+# before the count bounded the covers from below by the sets of looped
+# vertices
+@pytest.mark.parametrize("n, k, r", [(35, 4, 1), (25, 5, 2), (30, 4, 2)])
+def test_a_dense_audit_near_the_dp_bound_is_refused_at_once(n, k, r, capsys):
+    # the "at least" count is a lower bound on the exact one, past the limit
+    every = range(1, n + 1)
+    count = cli._audit_objects(n, k, r, lambda u: every)
+    assert cli.AUDIT_MAX_OBJECTS < count <= dense_audit_objects(n, k, r)
+    argv = ["involution", "audit", "--random", "--n", str(n), "--k", str(k),
+            "--r", str(r), "--trials", "1"]
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 0.5
+    assert "would need at least" in capsys.readouterr().err
 
 
 def test_dp_state_bound_holds_for_both_dps(monkeypatch):

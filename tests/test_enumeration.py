@@ -1,6 +1,7 @@
 import json
 import random
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -72,6 +73,73 @@ def test_walk_weight_multiplies_edge_weights():
     g = two_cycle_graph(k=2)
     w = Walk(1, ((2, 1), (1, 2)))
     assert w.weight(g) == Poly.const(6)
+
+
+def _bits(items) -> int:
+    return sum(1 << i for i in set(items))
+
+
+def _facts_graphs():
+    rng = random.Random(808)
+    graphs = [random_digraph(rng.randint(1, 4), rng.randint(1, 4), rng.choice([0.5, 1.0]),
+                             5, seed=rng.randrange(10**6)) for _ in range(6)]
+    return graphs + [self_loop_digraph(2, 3)]
+
+
+def test_walk_and_subdigraph_facts_agree_with_their_definitions():
+    # the masks, the vertex sequence, is_simple and a subdigraph's length
+    # are derived once, at construction, from the same steps and cycles
+    seen = 0
+    for g in _facts_graphs():
+        # and a walk of no steps, an open one, a closed non-simple one, and an
+        # open one with as many distinct vertices as steps
+        extra = [Walk(1, ()), Walk(1, ((2, 1),)), Walk(1, ((1, 1), (1, 2))),
+                 Walk(1, ((2, 1), (2, 2)))]
+        for w in closed_walks(g) + extra:
+            seq = w.vertex_seq()
+            assert seq == (w.start,) + tuple(v for v, _ in w.steps)
+            assert w.vertex_mask == _bits(seq)
+            assert w.color_mask == _bits(w.colors)
+            interior = seq[:-1]
+            simple = bool(w.steps) and w.is_closed and len(set(interior)) == len(interior)
+            assert w.is_simple == simple
+            seen += 1
+        for gamma in linear_subdigraphs(g) + [EMPTY_SUBDIGRAPH]:
+            assert gamma.vertex_mask == _bits(gamma.vertices)
+            assert gamma.color_mask == _bits(gamma.colors)
+            assert gamma.length == sum(len(c) for c in gamma.cycles)
+            seen += 1
+    assert seen > 500
+
+
+def test_weights_are_the_products_of_the_graph_weights():
+    for g in _facts_graphs():
+        for w in closed_walks(g):
+            assert w.weight(g) == prod(g.weight(u, v, c) for u, v, c in w.edges())
+        for gamma in linear_subdigraphs(g) + [EMPTY_SUBDIGRAPH]:
+            edges = [e for cycle in gamma.cycles for e in cycle]
+            assert gamma.weight(g) == prod(g.weight(u, v, c) for u, v, c in edges)
+
+
+def test_a_missing_edge_or_color_raises_the_graph_error():
+    g = make_digraph(2, 2, {(1, 1): [2, 3], (1, 2): [5, 7], (2, 1): [11]})
+    for walk, message in [
+        (Walk(2, ((2, 1),)), "no edge from 2 to 2"),
+        (Walk(1, ((2, 1), (2, 2))), "no edge from 2 to 2"),
+        (Walk(1, ((1, 3),)), r"no color 3 on edge \(1, 1\)"),
+        (Walk(1, ((1, 0),)), r"no color 0 on edge \(1, 1\)"),
+        (Walk(1, ((2, 1), (1, 2))), r"no color 2 on edge \(2, 1\)"),  # a short weight tuple
+    ]:
+        with pytest.raises(ValueError, match=message):
+            walk.weight(g)
+    for cycles, message in [
+        ([[(2, 2, 1)]], "no edge from 2 to 2"),
+        ([[(1, 1, 3)]], r"no color 3 on edge \(1, 1\)"),
+        ([[(1, 2, 1), (2, 1, 2)]], r"no color 2 on edge \(2, 1\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            LinearSubdigraph(tuple(tuple(c) for c in cycles)).weight(g)
+    assert Walk(1, ((2, 2), (1, 1))).weight(g) == 7 * 11
 
 
 # ---------------------------------------------------------------------------

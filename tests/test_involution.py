@@ -82,6 +82,52 @@ def test_involute_rejects_good_pairs():
         involute(pair)
 
 
+def test_involute_rejects_overlapping_colors():
+    pair = WalkGammaPair(Walk(1, ((1, 1),)), make_subdigraph([[(2, 2, 1)]]))
+    with pytest.raises(ValueError, match="overlapping color sets"):
+        involute(pair)
+
+
+def test_involute_raises_exactly_on_the_pairs_classify_calls_good():
+    # involute decides GOOD from its own scan, without calling classify
+    rng = random.Random(77)
+    counts = {GOOD: 0, BAD: 0}
+    for _ in range(6):
+        n, k = rng.randint(1, 3), rng.randint(2, 4)
+        g = random_digraph(n, k, rng.choice([0.6, 1.0]), 3, seed=rng.randrange(10**6))
+        for r in range(1, k + 1):
+            for pair in enumerate_pairs(g, r):
+                kind = classify(pair)
+                counts[kind] += 1
+                if kind == GOOD:
+                    with pytest.raises(ValueError, match="GOOD"):
+                        involute(pair)
+                else:
+                    image = involute(pair)
+                    assert classify(image) == BAD
+    assert counts[GOOD] > 50 and counts[BAD] > 50
+
+
+def test_involute_images_carry_the_facts_of_their_walks_and_subdigraphs():
+    for seed in range(2):
+        g = random_digraph(3, 4, 1.0, 3, seed=seed)
+        for r in (2, 3, 4):
+            for pair in enumerate_pairs(g, r):
+                if classify(pair) == GOOD:
+                    continue
+                image = involute(pair)
+                w, gamma = image.walk, image.gamma
+                seq = w.vertex_seq()
+                assert seq == (w.start,) + tuple(v for v, _ in w.steps)
+                assert w.is_simple == (w.is_closed and len(set(seq[:-1])) == w.length)
+                assert w.vertex_mask == sum(1 << v for v in set(seq))
+                assert w.color_mask == sum(1 << c for c in w.colors)
+                assert gamma.vertex_mask == sum(1 << v for v in gamma.vertices)
+                assert gamma.color_mask == sum(1 << c for c in gamma.colors)
+                assert gamma.length == sum(len(c) for c in gamma.cycles)
+                assert image.weight(g) == -pair.weight(g)
+
+
 def test_underlying_subdigraph():
     pair = WalkGammaPair(Walk(1, ((1, 1),)), make_subdigraph([[(2, 2, 2)]]))
     assert underlying_subdigraph(pair) == make_subdigraph(
