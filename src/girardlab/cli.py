@@ -85,7 +85,9 @@ PREFACTOR_NOTE = (
 # graph at r <= 2 and dense (4,4) at r = 4 (0.4-0.55 s and 0.7 s by CLI on
 # a shared 2-core host, BENCH_19.json), and refuses dense (3,6) at r = 4
 # (118,998 objects, 84,240 of them pairs, 2.3-2.6 s in-process) and dense
-# (6,5) at r = 1 (139,764 objects, 1.6-1.7 s).  theorem2
+# (6,5) at r = 1 (139,764 objects, 1.6-1.7 s; its cover search stops at
+# 40,019).  An acyclic (35,4) file, charged its 39,200 DP states alone, is
+# kept at every r (0.3 s by CLI).  theorem2
 # keeps dense (12,6), (8,8) and (6,9) (1.6-3 s) and refuses dense (6,10)
 # and (6,12) (6.4 s and 32 s).  theorem2 and the audit multiply their
 # count by the 64-bit words of the largest weight, newton-girard by those
@@ -460,24 +462,24 @@ def _audit_objects(n: int, k: int, r: int, successors) -> int:
     """What one audit at r builds on a graph with n vertices, k colors and
     0/1 adjacency B (`successors(u)` lists the v with B[u][v] = 1).
 
-    The count stops at the first of its four partial sums past
-    `AUDIT_MAX_OBJECTS`.  The first is the identity recheck's two DPs,
-    which hold at most `_dp_states(n, k)` states per graph, so a huge size
-    costs nothing to count.  The second adds the closed walks of length
-    <= r, sum_{q <= r} tr(B^q) * k!/(k-q)!, and a lower bound on the linear
-    subdigraphs: every set of p looped vertices is a cover, so with L
-    loops covers_p(B) >= C(L, p).  The third replaces that bound with the
-    linear subdigraphs, sum_p covers_p(B) * k!/(k-p)!, where covers_p(B)
-    counts the cycle covers of p-vertex subsets, p <= min(k, n).  The
-    fourth adds the (walk, gamma) pairs, whose r edges take distinct
-    colors: sum_{q=1}^{r} tr(B^q) * covers_{r-q}(B) * k!/(k-r)!, none when
-    r > k.  The last two are exact.
+    The count stops at the first of its three partial sums past
+    `AUDIT_MAX_OBJECTS`, or inside the search that makes the second.  The
+    first is the identity recheck's two DPs, which hold at most
+    `_dp_states(n, k)` states per graph, so a huge size costs nothing to
+    count.  The second adds the closed walks of length <= r,
+    sum_{q <= r} tr(B^q) * k!/(k-q)!, and the linear subdigraphs,
+    sum_p covers_p(B) * k!/(k-p)!, where covers_p(B) counts the cycle
+    covers of p-vertex subsets, p <= min(k, n).  The third adds the
+    (walk, gamma) pairs, whose r edges take distinct colors:
+    sum_{q=1}^{r} tr(B^q) * covers_{r-q}(B) * k!/(k-r)!, none when r > k.
+    A count that runs to the end is exact.
 
-    A row DP over the used columns counts the covers, each row taking its
-    diagonal (not covered) or an edge.  A state whose edges and free
-    columns below its row pass min(k, n) is dropped, so a row holds at
-    most sum_d C(n, d)^2 states over d <= min(k, n) / 2: polynomial in n
-    for each k, where keeping every used-column set took time 2^n.
+    A depth-first search finds the covers, heads increasing as in
+    `enumeration.linear_subdigraphs`: each cycle runs through free
+    vertices above its head, and a cover stops growing at min(k, n)
+    edges, so each cover it finds starts a search of paths of at most
+    min(k, n) vertices: polynomial in n for each k.  It returns as soon as
+    the total passes the limit, after at most that many covers.
     """
     total = _dp_states(n, k)
     if total > AUDIT_MAX_OBJECTS:
@@ -498,36 +500,30 @@ def _audit_objects(n: int, k: int, r: int, successors) -> int:
             paths = step
             traces[q] += paths.get(root, 0)
     total += sum(t * w for t, w in zip(traces[1:], colorings[1:]))
-    loops = sum(u in succ[u] for u in succ)
-    bound = total + sum(binomial(loops, p) * colorings[p] for p in range(1, top + 1))
-    if bound > AUDIT_MAX_OBJECTS:
-        return bound
-    covers = {0: [1] + [0] * top}  # used columns -> partial covers by edge count
-    for i in range(1, n + 1):
-        below = (1 << i + 1) - 2  # columns 1..i
-        back = [j for j in succ[i] if j <= i]
-        step = {}
-        for cols, counts in covers.items():
-            # a free column below row i is a debt that a later row's edge
-            # must pay, so p edges and d debts end with at least p + d edges.
-            # `slack` is the edges plus debts the fewest-edge covers here may
-            # still add within `top`: an edge into a column <= i adds `own`,
-            # one past i adds own + 1
-            free = below & ~cols
-            own = free >> i & 1  # row i may still take its diagonal
-            lo = next(p for p, count in enumerate(counts) if count)
-            slack = top - (free.bit_count() - own) - lo
-            reach = succ[i] if slack > own else back if slack == own else ()
-            for j, edge in [(i, 0)] * own + [(j, 1) for j in reach if not cols >> j & 1]:
-                key = cols | 1 << j
-                room = top + 1 - edge - (below & ~key).bit_count()
-                row = step.setdefault(key, [0] * (top + 1))
-                for p in range(lo, room):
-                    row[p + edge] += counts[p]
-        covers = step
-    (counts,) = covers.values()
-    total += sum(c * w for c, w in zip(counts[1:], colorings[1:]))
-    if total > AUDIT_MAX_OBJECTS or r > k:
+    counts = [1] + [0] * top  # covers_p(B), the empty cover included
+
+    def covers(low: int, used: int, edges: int) -> bool:
+        """Count the covers that add cycles with heads >= `low` to one on
+        the vertex mask `used` with `edges` edges; True once past the limit."""
+        nonlocal total
+        for head in range(low, n + 1):
+            if used >> head & 1:
+                continue
+            # (path end, vertex mask, the cover's edges once the next edge is taken)
+            paths = [(head, used | 1 << head, edges + 1)]
+            while paths:
+                u, vertices, p = paths.pop()
+                for v in succ[u]:
+                    if v == head:
+                        counts[p] += 1
+                        total += colorings[p]
+                        if total > AUDIT_MAX_OBJECTS or p < top and covers(head + 1, vertices, p):
+                            return True
+                    elif v > head and not vertices >> v & 1 and p < top:
+                        paths.append((v, vertices | 1 << v, p + 1))
+        return False
+
+    if total > AUDIT_MAX_OBJECTS or covers(1, 0, 0) or r > k:
         return total
     # no cover has more than top = min(k, n) vertices, so q >= r - top
     return total + colorings[r] * sum(

@@ -79,6 +79,36 @@ class ColoredDigraph:
             for u in range(1, self.n + 1)
         }
 
+    @cached_property
+    def _back(self) -> dict[tuple[int, int], list[int]]:
+        """(target, low) -> reach, where bit v of reach[d] is set when some
+        path of at most d edges leads from v to target through vertices >=
+        low, for every target in 1..n with low = target (the cycles with
+        head target) and low = 1 (the closed walks with root target).  The
+        list stops where it stops growing, at most at d = k, so past its end
+        reach[-1] holds.  Built on first use, by a search back along
+        `_out`."""
+        into: dict[int, list[int]] = {}
+        for u, out in self._out.items():
+            for v, _ in out:
+                into.setdefault(v, []).append(u)
+        table = {}
+        for target in range(1, self.n + 1):
+            for low in {target, 1}:
+                seen, frontier = 1 << target, [target]
+                reach = table[target, low] = [seen]
+                while frontier and len(reach) <= self.colors:
+                    step = []
+                    for v in frontier:
+                        for u in into.get(v, ()):
+                            if u >= low and not seen >> u & 1:
+                                seen |= 1 << u
+                                step.append(u)
+                    if step:
+                        reach.append(seen)
+                    frontier = step
+        return table
+
 
 def make_digraph(
     n: int,

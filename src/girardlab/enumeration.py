@@ -28,9 +28,12 @@ always.
 
 Both cycle enumerators share one search, `_cycles_at`, that grows the
 cycles of one head (least vertex); heads increase, as in the clow DP, so it
-costs about its output.  The enumerators are exhaustive, for desk-scale
-graphs (n, k up to about 5): the involution audit needs the objects, and
-the tests compare the DPs with them.
+costs about its output.  It and the walk search skip a step into a vertex
+whose shortest way back to the head or root (`ColoredDigraph._back`) is
+longer than the colors or steps left after it, so a colored path that
+cannot close is not followed, and no output moves.  The enumerators are
+exhaustive, for desk-scale graphs (n, k up to about 5): the involution
+audit needs the objects, and the tests compare the DPs with them.
 """
 
 from __future__ import annotations
@@ -220,13 +223,20 @@ def _cycles_at(g: ColoredDigraph, head: int, used_v: int, used_c: int) -> list:
     vertex `head` that avoids the masks `used_v` and `used_c`, in tuple
     order: depth first through free vertices above `head`, one free color
     per step, successors and colors increasing.  The masks are grown by the
-    cycle's own vertices and colors."""
+    cycle's own vertices and colors.  A step into a vertex further from
+    `head` than the colors left after it is not taken."""
     path: list[Edge] = []
     out: list = []
+    reach = g._back[head, head]
 
     def grow(u: int, vmask: int, cmask: int) -> None:
+        left = g.colors - cmask.bit_count() - 1  # colors left after this step
+        if left < 0:
+            return
+        # the free vertices above head that can close within `left` edges
+        ahead = reach[min(left, len(reach) - 1)] & ~vmask
         for v, weights in g._out[u]:
-            if v < head or (v != head and vmask >> v & 1):
+            if v != head and not ahead >> v & 1:
                 continue
             for c, _ in weights:
                 if cmask >> c & 1:
@@ -264,6 +274,8 @@ def linear_subdigraphs(g: ColoredDigraph) -> list[LinearSubdigraph]:
     out: list[LinearSubdigraph] = []
 
     def extend(low: int, chosen: list[tuple[Edge, ...]], used_v: int, used_c: int) -> None:
+        if used_c.bit_count() == g.colors:  # no color left for another cycle
+            return
         for head in range(low, g.n + 1):
             if used_v >> head & 1:
                 continue
@@ -283,7 +295,9 @@ def closed_walks(g: ColoredDigraph, *, max_length: int | None = None) -> list[Wa
 
     The distinct-color rule caps every walk at k steps.  `max_length`
     caps the step count lower, so a caller that needs every length up to
-    r makes one pass; the walks of each length keep their order.
+    r makes one pass; the walks of each length keep their order.  A step
+    into a vertex further from the root than the steps left after it is
+    not taken.
     """
     cap = g.colors if max_length is None else min(max_length, g.colors)
     out: list[Walk] = []
@@ -293,9 +307,14 @@ def closed_walks(g: ColoredDigraph, *, max_length: int | None = None) -> list[Wa
     ) -> None:
         if steps and current == root:
             out.append(Walk(root, tuple(steps)))
-        if len(steps) >= cap:
+        left = cap - len(steps) - 1  # steps left after this one
+        if left < 0:
             return
+        reach = g._back[root, 1]
+        ahead = reach[min(left, len(reach) - 1)]  # the vertices within `left` edges of root
         for v, weights in g._out[current]:
+            if not ahead >> v & 1:
+                continue
             for c, _ in weights:
                 if c in used_c:
                     continue

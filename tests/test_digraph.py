@@ -87,6 +87,30 @@ def test_edge_table_is_built_once_per_graph(monkeypatch):
     assert built == [g]
 
 
+def test_back_table_holds_the_shortest_paths_within_k_edges():
+    # checked against Bellman-Ford rounds over the edges whose ends are >= low
+    rng = random.Random(3)
+    graphs = [make_digraph(4, 2, {(1, 2): [1, 1], (2, 3): [1, 1], (3, 4): [1, 1],
+                                  (4, 1): [1, 1]})]
+    graphs += [random_digraph(rng.randint(1, 6), rng.randint(1, 4), rng.choice([0.2, 0.5]),
+                              2, seed=rng.randrange(10**6)) for _ in range(40)]
+    for g in graphs:
+        for target in range(1, g.n + 1):
+            for low in {target, 1}:
+                dist = {target: 0}
+                for d in range(1, g.colors + 1):
+                    for u, v in g.edges:
+                        if u >= low and v in dist and u not in dist and dist[v] == d - 1:
+                            dist[u] = d
+                reach = g._back[target, low]
+                for d in range(g.colors + 1):
+                    within = sum(1 << v for v, dv in dist.items() if dv <= d)
+                    assert reach[min(d, len(reach) - 1)] == within, (g, target, low, d)
+    cycle = graphs[0]
+    assert cycle._back[1, 1] == [0b10, 0b10010, 0b11010]  # 2 is 3 edges from 1
+    assert cycle._back[2, 2] == [0b100]  # 1 -> 2 leaves the vertices >= 2
+
+
 def test_short_weight_tuple_fails_at_first_use_and_in_validate():
     # construction and parsing accept it; validate reports it and the
     # first DP raises
