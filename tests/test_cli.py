@@ -224,9 +224,20 @@ def test_unparsable_sequence_is_usage_error(capsys):
     assert "comma-separated" in capsys.readouterr().err
 
 
+LEAF_COMMANDS = [
+    "verify theorem1", "verify theorem2", "verify theorem3", "verify newton-girard",
+    "verify lemma21", "involution audit", "powersum",
+]
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "girard-lab" in capsys.readouterr().out
+    for command in LEAF_COMMANDS:
+        assert main(command.split() + ["--help"]) == 0, command
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: girard-lab {command} "), command
+        assert "--out PATH" in out, command
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +433,37 @@ def test_out_of_range_value_is_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+
+# command -> (arguments, error) of one refusal made after the arguments parse
+REFUSED = {
+    "verify theorem1": ("--m 16 --r 1", "verify theorem1 --m 16 --r 1 would need at least "
+                        "262,144 variable codes in the products Pi_r(V); the limit is 200,000"),
+    "verify theorem2": ("--random --r 1", "--random needs --n and --k"),
+    "verify theorem3": ("--r 25 --n 1", "verify theorem3 --r 25 would make 2^25 (S, T) "
+                        "entries; the limit is 2^12"),
+    "verify newton-girard": ("--n 3 --r 2 --roots 1,2",
+                             "--roots must list exactly n = 3 integers"),
+    "verify lemma21": ("--alpha 2 --c 1,two,3",
+                       "--c must be a comma-separated list of integers"),
+    "involution audit": ("--random --n 6 --k 5 --r 1 --trials 1",
+                         "involution audit --r 1 on 1 random graph(s) counted as dense "
+                         "would need at least 40,019 DP states, closed walks, linear "
+                         "subdigraphs and pairs; the limit is 40,000"),
+    "powersum": ("--m 1000 --n 1000 --method all", "powersum --m 1000 --n 1000 would "
+                 "need 1,000,000 power and recurrence steps; the limit is 400,000"),
+}
+
+
+@pytest.mark.parametrize("command", LEAF_COMMANDS)
+def test_a_refused_run_writes_no_report(command, tmp_path, capsys):
+    arguments, error = REFUSED[command]
+    out_path = tmp_path / "r.json"
+    assert main(f"{command} {arguments} --out {out_path}".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+    assert not out_path.exists()
 
 
 def test_unwritable_report_path_is_usage_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""Golden runs of the four campaign subcommands: the exact stdout and the
-exact `--out` text (elapsed_ms set to 0) for a fixed input and for a
-seeded `--random` campaign of each."""
+"""Golden runs of every subcommand: the exact stdout and the exact `--out`
+text (elapsed_ms set to 0) of one run of each single-shot subcommand, and
+of a fixed input and a seeded `--random` campaign of each campaign
+subcommand."""
 
 import json
 import re
@@ -15,6 +16,16 @@ AGGREGATION = (
     "checks the single-set ell(r, C) form, valid when k = r"
 )
 VACUOUS = "vacuous: r exceeds color count"
+THEOREM3_SIGN = (
+    "closing term r*E(n, [r], r) enters with sign (-1)^r (cycle parity of the "
+    "length-r subdigraph sum)"
+)
+PREFACTOR = (
+    "stirling method uses the prefactor-free formula; the 1/(m+1)-scaled variant "
+    "fails already at m = n = 1"
+)
+POWERSUM_NOTES = [PREFACTOR] + [f"value {name} = 225"
+                                for name in ("bernoulli", "direct", "stirling")]
 
 
 def report(command, params, trials, seed=None, failures=(), notes=()):
@@ -54,6 +65,29 @@ BIG_FAILURE = {"case": "r<=n", "graph_seed": None, "instance": 0, "k": 3, "n": 2
 # argv -> (exit code, stdout, report); "small.json" and "big.json" are the
 # graphs the test writes, and lemma21's campaign takes the default seed
 GOLDEN = {
+    "verify theorem1 --m 3 --r 2": (
+        0,
+        'command: verify theorem1\n'
+        'params: {"m": 3, "r": 2}\n'
+        'result: PASS (1/1 checks)\n',
+        report("verify theorem1", {"m": 3, "r": 2}, 1),
+    ),
+    "verify theorem3 --r 3 --n 2": (
+        0,
+        'command: verify theorem3\n'
+        'params: {"n": 2, "r": 3}\n'
+        f'note: {THEOREM3_SIGN}\n'
+        'result: PASS (1/1 checks)\n',
+        report("verify theorem3", {"n": 2, "r": 3}, 1, notes=[THEOREM3_SIGN]),
+    ),
+    "powersum --m 3 --n 5 --method all": (
+        0,
+        'command: powersum\n'
+        'params: {"m": 3, "method": "all", "n": 5}\n'
+        + "".join(f"note: {note}\n" for note in POWERSUM_NOTES)
+        + 'result: PASS (1/1 checks)\n',
+        report("powersum", {"m": 3, "method": "all", "n": 5}, 1, notes=POWERSUM_NOTES),
+    ),
     "verify theorem2 --graph small.json --r 2": (
         0,
         'command: verify theorem2\n'
