@@ -3,22 +3,24 @@
 Subcommands:
 
     girard-lab verify theorem1 --m M --r R
-    girard-lab verify theorem2 (--graph PATH | --random --n N --k K
-                                [--density D] [--weight-bound W]
-                                [--trials T] [--seed S]) --r R [--literal-ell]
+    girard-lab verify theorem2 --r R [--literal-ell] (--graph PATH | --random
+                                --n N --k K [--density D] [--weight-bound W]
+                                [--trials T] [--seed S])
     girard-lab verify theorem3 --r R --n N
     girard-lab verify newton-girard --n N --r R (--roots CSV | --random
                                 [--trials T] [--seed S])
     girard-lab verify lemma21 --alpha A (--c CSV | --random [--m M]
                                 [--trials T] [--seed S])
-    girard-lab involution audit (--graph PATH | --random ...) --r R
+    girard-lab involution audit --r R (--graph PATH | --random ...)
     girard-lab powersum --m M --n N --method {stirling,bernoulli,direct,all}
+
+each of them followed by [--out PATH].
 
 theorem1 is the symbolic generalized power-sum identity, theorem2 the
 walk/cycle identity on colored digraphs, theorem3 its multi-alphabet
 specialization, lemma21 the binomial-transform power-sum check.
 
-Every run prints a text summary to stdout and, with --out FILE, writes a
+Every run prints a text summary to stdout and, with --out PATH, writes a
 JSON report {"command", "params", "trials", "failures", "elapsed_ms",
 "seed", "notes"}.  Reports for identical argv and seed are byte-identical
 except for elapsed_ms.  When --seed is omitted the GIRARD_LAB_SEED
@@ -76,26 +78,25 @@ PREFACTOR_NOTE = (
 )
 # Work limits, each checked against a count made before any work starts
 # (exact, but for the bounds on lemma21's words, the audit's DP states and
-# theorem2's products);
-# a run past one exits 2 at once.  theorem3 keeps r = n = 7 (881,174
-# breakdown terms, 180,216 product terms) and refuses r = n = 8 (11,211,272
-# breakdown terms); r = 12 makes 2^12 (S, T) entries.  theorem1 keeps
-# (m, r) = (14, 1) and refuses (16, 1); its count also keeps r below the
-# recursion depth of the good-word oracle.  The audit keeps a dense (5,5)
-# graph at r <= 2 and dense (4,4) at r = 4 (0.4-0.55 s and 0.7 s by CLI on
-# a shared 2-core host, BENCH_19.json), and refuses dense (3,6) at r = 4
-# (118,998 objects, 84,240 of them pairs, 2.3-2.6 s in-process) and dense
-# (6,5) at r = 1 (139,764 objects, 1.6-1.7 s; its cover search stops at
-# 40,019).  An acyclic (35,4) file, charged its 39,200 DP states alone, is
-# kept at every r (0.3 s by CLI).  theorem2
-# keeps dense (12,6), (8,8) and (6,9) (1.6-3 s) and refuses dense (6,10)
-# and (6,12) (6.4 s and 32 s).  theorem2 and the audit multiply their
+# theorem2's products); a run past one exits 2 at once.  theorem3 keeps
+# r = n = 7 (881,174 breakdown terms, 180,216 product terms) and refuses
+# r = n = 8 (11,211,272 breakdown terms); r = 12 makes 2^12 (S, T) entries.
+# theorem1 keeps (m, r) = (14, 1) and refuses (16, 1); its count also keeps
+# r below the recursion depth of the good-word oracle.  The audit keeps a
+# dense (5,5) graph at r <= 2 and dense (4,4) at r = 4 (0.4-0.55 s and
+# 0.7 s by CLI on a shared 2-core host, BENCH_19.json), and refuses dense
+# (3,6) at r = 4 (118,998 objects, 84,240 of them pairs, 2.3-2.6 s
+# in-process) and dense (6,5) at r = 1 (139,764 objects, 1.6-1.7 s
+# in-process; its cover search stops at 40,019).  An acyclic (35,4) file,
+# charged its 39,200 DP states alone, is kept at every r.  theorem2 keeps
+# dense (12,6), (8,8) and (6,9) (0.35-0.7 s by CLI, BENCH_17.json) and
+# refuses dense (6,10) and (6,12).  theorem2 and the audit multiply their
 # count by the 64-bit words of the largest weight, newton-girard by those
-# of the largest root, so 4000-digit numbers (208 words), which ran for
-# 2-100 s and more, are refused; numbers within 64 bits keep every count.
-# A lemma21 campaign charges its one Stirling row once, so 21 trials at
-# the benchmark's size pass.  The others keep every benchmark invocation
-# and refuse inputs that would run for more than a few seconds.
+# of the largest root, so 4000-digit numbers (208 words) are refused;
+# numbers within 64 bits keep every count.  A lemma21 campaign charges its
+# one Stirling row once, so 21 trials at the benchmark's size pass.  The
+# others keep every benchmark invocation and refuse inputs that would run
+# for more than a few seconds.
 THEOREM3_MAX_R = 12
 THEOREM3_MAX_TERMS = 10**6
 THEOREM1_MAX_CODES = 200_000
@@ -178,19 +179,21 @@ def _sized(command: str, words: int, what: str) -> str:
     return command if words == 1 else f"{command} ({words}-word {what})"
 
 
-def _instances(args: argparse.Namespace, report: RunReport, fixed: str, draw,
-               sizes: tuple[str, ...]) -> tuple[Iterable, int, object]:
-    """(instances, trials, fixed instance) of a campaign subcommand's run.
+def _instances(args: argparse.Namespace, report: RunReport) -> tuple[Iterable, int, object]:
+    """(instances, trials, fixed instance) of a campaign subcommand's run,
+    from the source `_add_source` declared.
 
-    The flag `fixed` (`--graph`, `--roots` or `--c`) names one instance,
-    recorded in `report.params`.  For `--random` the fixed instance is
-    None: the seed is resolved once, the seed, the `sizes` arguments and the
-    trial count are recorded, and `draw(args, rng)` makes each instance from
-    one random.Random(seed) as the trial loop asks for it, so a run holds
-    one instance however many trials it makes.  Usage and graph errors are
-    raised here, before any instance is checked.
+    The flag `--<args.source>` (`--graph`, `--roots` or `--c`) names one
+    instance, recorded in `report.params`.  For `--random` the fixed
+    instance is None: the seed is resolved once, the seed, the
+    `args.draw_sizes` arguments and the trial count are recorded, and
+    `args.draw(args, rng)` makes each instance from one random.Random(seed)
+    as the trial loop asks for it, so a run holds one instance however many
+    trials it makes.  Usage and graph errors are raised here, before any
+    instance is checked.
     """
     if not args.random:
+        fixed = args.source
         text = getattr(args, fixed)
         if fixed == "graph":
             report.params["graph"], instance = text, (None, _load_graph(text))
@@ -202,12 +205,13 @@ def _instances(args: argparse.Namespace, report: RunReport, fixed: str, draw,
             report.params[fixed] = instance
         return [instance], 1, instance
     report.seed = _resolve_seed(args)
-    report.params.update({name: getattr(args, name) for name in sizes}, trials=args.trials)
+    report.params.update({name: getattr(args, name) for name in args.draw_sizes},
+                         trials=args.trials)
     rng = random.Random(report.seed)
-    return (draw(args, rng) for _ in range(args.trials)), args.trials, None
+    return (args.draw(args, rng) for _ in range(args.trials)), args.trials, None
 
 
-def _check_each(report: RunReport, instances: Iterable, check) -> RunReport:
+def _check_each(report: RunReport, instances: Iterable, check) -> None:
     """Check the instances in turn: `check(instance)` returns the fields of
     a failure, recorded with the instance's index, or None."""
     for idx, instance in enumerate(instances):
@@ -215,10 +219,6 @@ def _check_each(report: RunReport, instances: Iterable, check) -> RunReport:
         fields = check(instance)
         if fields is not None:
             report.failures.append({"instance": idx, **fields})
-    return report
-
-
-GRAPH_SIZES = ("n", "k", "density", "weight_bound")
 
 
 def _draw_graph(args: argparse.Namespace, rng: random.Random):
@@ -265,15 +265,13 @@ def _theorem1_codes(m: int, r: int, limit: int) -> int:
     return total
 
 
-def _run_theorem1(args) -> RunReport:
+def _run_theorem1(args, report: RunReport) -> None:
     _limit_work(
-        f"verify theorem1 --m {args.m} --r {args.r}",
+        f"{report.command} --m {args.m} --r {args.r}",
         _theorem1_codes(args.m, args.r, THEOREM1_MAX_CODES),
         "variable codes in the products Pi_r(V)", THEOREM1_MAX_CODES, at_least=True,
     )
-    report = RunReport(
-        command="verify theorem1", params={"m": args.m, "r": args.r}, trials=1
-    )
+    report.trials = 1
     lhs = power_sum_lhs(args.m, args.r)
     rhs = power_sum_rhs(args.m, args.r)
     words = good_word_sum(args.m, args.r)
@@ -282,7 +280,6 @@ def _run_theorem1(args) -> RunReport:
             {"m": args.m, "r": args.r, "lhs": str(lhs), "rhs": str(rhs),
              "good_words": str(words)}
         )
-    return report
 
 
 def _dp_states(n: int, k: int) -> int:
@@ -305,16 +302,12 @@ def _theorem2_work(n: int, k: int, r: int, limit: int) -> int:
     return total + (binomial(k, r) << r)
 
 
-def _run_theorem2(args) -> RunReport:
-    report = RunReport(
-        command="verify theorem2",
-        params={"r": args.r, "literal_ell": bool(args.literal_ell)},
-    )
+def _run_theorem2(args, report: RunReport) -> None:
     report.notes.append(AGGREGATION_NOTE)
-    instances, trials, fixed = _instances(args, report, "graph", _draw_graph, GRAPH_SIZES)
+    instances, trials, fixed = _instances(args, report)
     n, k, words, _ = _charged_graph(args, fixed)
     _limit_work(
-        _sized(f"verify theorem2 --r {args.r} on {trials} graph(s) with n = {n}, k = {k}",
+        _sized(f"{report.command} --r {args.r} on {trials} graph(s) with n = {n}, k = {k}",
                words, "weights"),
         trials * words * _theorem2_work(n, k, args.r, THEOREM2_MAX_WORK),
         "weight products and (S, T) entries (an upper bound)", THEOREM2_MAX_WORK,
@@ -332,7 +325,7 @@ def _run_theorem2(args) -> RunReport:
             return {"graph_seed": graph_seed, "n": g.n, "k": g.colors, "case": res.case,
                     "residual": str(residual)}
 
-    return _check_each(report, instances, check)
+    _check_each(report, instances, check)
 
 
 def _theorem3_terms(r: int, n: int) -> tuple[int, int]:
@@ -357,20 +350,18 @@ def _theorem3_terms(r: int, n: int) -> tuple[int, int]:
     return breakdown, product
 
 
-def _run_theorem3(args) -> RunReport:
+def _run_theorem3(args, report: RunReport) -> None:
     if args.r > THEOREM3_MAX_R:
         raise UsageError(
-            f"verify theorem3 --r {args.r} would make 2^{args.r} (S, T) entries; "
+            f"{report.command} --r {args.r} would make 2^{args.r} (S, T) entries; "
             f"the limit is 2^{THEOREM3_MAX_R}"
         )
     breakdown_terms, product_terms = _theorem3_terms(args.r, args.n)
     for count, what in [(breakdown_terms, "breakdown terms"),
                         (product_terms, "generating-function product terms")]:
-        _limit_work(f"verify theorem3 --r {args.r} --n {args.n}", count, what,
+        _limit_work(f"{report.command} --r {args.r} --n {args.n}", count, what,
                     THEOREM3_MAX_TERMS)
-    report = RunReport(
-        command="verify theorem3", params={"r": args.r, "n": args.n}, trials=1
-    )
+    report.trials = 1
     res = verify_colored_newton_girard(args.r, args.n)
     report.notes.extend(res.notes)
     if not res.residual.is_zero:
@@ -382,14 +373,10 @@ def _run_theorem3(args) -> RunReport:
             {"r": args.r, "n": args.n,
              "residual": "symbolic and all-loops-graph paths disagree"}
         )
-    return report
 
 
-def _run_newton_girard(args) -> RunReport:
-    report = RunReport(command="verify newton-girard", params={"n": args.n, "r": args.r})
-    instances, trials, fixed = _instances(
-        args, report, "roots", lambda args, rng: _draw_entries(args.n, rng), ()
-    )
+def _run_newton_girard(args, report: RunReport) -> None:
+    instances, trials, fixed = _instances(args, report)
     # per trial: n * r(r+1)/2 steps for the powers root^t, t <= r (root^t
     # is root^(t-1) times the root, one product of at most t times the
     # root's words), and n(n+1)/2 updates for the coefficients e_t; each
@@ -398,7 +385,7 @@ def _run_newton_girard(args) -> RunReport:
     words = 1 if fixed is None else _words(max(map(abs, fixed)))
     steps = args.n * args.r * (args.r + 1) // 2 + args.n * (args.n + 1) // 2
     _limit_work(
-        _sized(f"verify newton-girard --n {args.n} --r {args.r} on {trials} trial(s)",
+        _sized(f"{report.command} --n {args.n} --r {args.r} on {trials} trial(s)",
                words, "roots"),
         trials * words * steps, "power and coefficient steps", NEWTON_GIRARD_MAX_STEPS,
     )
@@ -409,7 +396,7 @@ def _run_newton_girard(args) -> RunReport:
         if not verify_classical_newton_girard(roots, args.r):
             return {"roots": roots}
 
-    return _check_each(report, instances, check)
+    _check_each(report, instances, check)
 
 
 def _lemma21_words(alpha: int, m: int) -> int:
@@ -434,17 +421,14 @@ def _binomial_words(m: int) -> int:
     return m * (m + 1) * (m + 2) // 6 + cubes_and_squares // 128
 
 
-def _run_lemma21(args) -> RunReport:
-    report = RunReport(command="verify lemma21", params={"alpha": args.alpha})
-    instances, trials, fixed = _instances(
-        args, report, "c", lambda args, rng: _draw_entries(args.m, rng), ("m",)
-    )
+def _run_lemma21(args, report: RunReport) -> None:
+    instances, trials, fixed = _instances(args, report)
     length = args.m if fixed is None else len(fixed)
     # the trials share one Stirling row S(alpha, 0..m): alpha rows of m
     # cells that grow to about alpha * log2(m) bits.  Each trial builds m
     # powers k^alpha, counted as ceil(alpha / 64) cells each, and its own
     # binomials; the cells charged are the row's or, if more, the powers'
-    command = f"verify lemma21 --alpha {args.alpha} on {trials} trial(s) of length {length}"
+    command = f"{report.command} --alpha {args.alpha} on {trials} trial(s) of length {length}"
     _limit_work(command, length * max(args.alpha, trials * -(-args.alpha // 64)),
                 "Stirling-row cells", LEMMA21_MAX_CELLS)
     _limit_work(
@@ -452,7 +436,7 @@ def _run_lemma21(args) -> RunReport:
         _lemma21_words(args.alpha, length) + (trials - 1) * _binomial_words(length),
         "64-bit words of Stirling and binomial numbers", LEMMA21_MAX_WORDS,
     )
-    return _check_each(
+    _check_each(
         report, instances,
         lambda c: None if verify_binomial_transform(args.alpha, c) else {"c": c},
     )
@@ -531,13 +515,12 @@ def _audit_objects(n: int, k: int, r: int, successors) -> int:
     )
 
 
-def _run_involution_audit(args) -> RunReport:
-    report = RunReport(command="involution audit", params={"r": args.r})
-    instances, trials, fixed = _instances(args, report, "graph", _draw_graph, GRAPH_SIZES)
+def _run_involution_audit(args, report: RunReport) -> None:
+    instances, trials, fixed = _instances(args, report)
     n, k, words, successors = _charged_graph(args, fixed)
     graphs = "1 graph" if fixed else f"{trials} random graph(s) counted as dense"
     _limit_work(
-        _sized(f"involution audit --r {args.r} on {graphs}", words, "weights"),
+        _sized(f"{report.command} --r {args.r} on {graphs}", words, "weights"),
         trials * words * _audit_objects(n, k, args.r, successors),
         "DP states, closed walks, linear subdigraphs and pairs", AUDIT_MAX_OBJECTS,
         at_least=True,
@@ -550,19 +533,18 @@ def _run_involution_audit(args) -> RunReport:
             return {"graph_seed": graph_seed, "problems": list(audit.problems),
                     "total": str(audit.total)}
 
-    return _check_each(report, instances, check)
+    _check_each(report, instances, check)
 
 
-def _run_powersum(args) -> RunReport:
+def _run_powersum(args, report: RunReport) -> None:
     # direct takes n powers k^m (n * m steps); the Stirling row takes at
     # most m^2 terms, and the tangent-number triangle behind the Bernoulli
     # table about m^2 / 8 integer steps
     _limit_work(
-        f"powersum --m {args.m} --n {args.n}", args.m * max(args.m, args.n),
+        f"{report.command} --m {args.m} --n {args.n}", args.m * max(args.m, args.n),
         "power and recurrence steps", POWERSUM_MAX_STEPS,
     )
-    params = {"m": args.m, "n": args.n, "method": args.method}
-    report = RunReport(command="powersum", params=params, trials=1)
+    report.trials = 1
     values = {}
     if args.method in ("direct", "all"):
         values["direct"] = power_sum_direct(args.m, args.n)
@@ -585,7 +567,6 @@ def _run_powersum(args) -> RunReport:
             {"m": args.m, "n": args.n,
              "values": {k: str(v) for k, v in sorted(values.items())}}
         )
-    return report
 
 
 # -- parser and driver -------------------------------------------------------
@@ -611,34 +592,37 @@ def _density(text: str) -> float:
     return value
 
 
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", metavar="PATH", help="write a JSON report here")
-
-
-def _add_source(p: argparse.ArgumentParser, fixed: str, noun: str, trials: int,
+def _add_source(p: argparse.ArgumentParser, fixed: str, noun: str, trials: int, draw,
                 sizes=(), **fixed_opts) -> None:
     """Declare a campaign subcommand's input: `--<fixed>` or `--random`,
-    then the `sizes` flags of `--random`, `--trials` and `--seed`."""
+    then the `sizes` flags of `--random`, `--trials` and `--seed`.  The
+    flag, `draw(args, rng)`, which makes one random instance, and the names
+    of the sizes are recorded for `_instances`."""
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument(f"--{fixed}", **fixed_opts)
     source.add_argument("--random", action="store_true",
                         help=f"verify seeded random {noun}")
-    for flag, opts in sizes:
-        p.add_argument(flag, **opts)
+    draw_sizes = [p.add_argument(flag, **opts).dest for flag, opts in sizes]
     p.add_argument("--trials", type=_positive_int, default=trials,
                    help=f"number of random {noun} (default {trials})")
     p.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
+    p.set_defaults(source=fixed, draw=draw, draw_sizes=draw_sizes)
 
 
-def _add_graph_source(p: argparse.ArgumentParser) -> None:
-    _add_source(p, "graph", "graphs", 10, [
-        ("--n", dict(type=_positive_int, help="vertex count for --random")),
-        ("--k", dict(type=_positive_int, help="color count for --random")),
-        ("--density", dict(type=_density, default=1.0,
-                           help="edge probability in (0, 1] for --random (default 1.0)")),
-        ("--weight-bound", dict(type=_positive_int, default=3,
-                                help="weights drawn from nonzero [-W, W] (default 3)")),
-    ], metavar="PATH", help="graph JSON file")
+def _add_command(which, name: str, run, sizes: str, *flags, source=None,
+                 **parser_opts) -> None:
+    """Declare the subcommand `name`, run as `run(args, report)`: a required
+    positive-int `--<size>` for each name in `sizes`, each (flag, options)
+    of `flags`, the campaign input `_add_source(**source)` and `--out`.  The
+    sizes and flags are the params of its report."""
+    p = which.add_parser(name, **parser_opts)
+    params = [p.add_argument(f"--{size}", type=_positive_int, required=True).dest
+              for size in sizes.split()]
+    params += [p.add_argument(flag, **opts).dest for flag, opts in flags]
+    if source:
+        _add_source(p, **source)
+    p.add_argument("--out", metavar="PATH", help="write a JSON report here")
+    p.set_defaults(run=run, params=params)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -648,61 +632,46 @@ def build_parser() -> argparse.ArgumentParser:
         "Newton-Girard identities.",
     )
     top = parser.add_subparsers(dest="command", required=True)
-
     verify = top.add_parser("verify", help="verify one of the identities")
     which = verify.add_subparsers(dest="target", required=True)
+    graph = dict(fixed="graph", noun="graphs", trials=10, draw=_draw_graph, sizes=[
+        ("--n", dict(type=_positive_int, help="vertex count for --random")),
+        ("--k", dict(type=_positive_int, help="color count for --random")),
+        ("--density", dict(type=_density, default=1.0,
+                           help="edge probability in (0, 1] for --random (default 1.0)")),
+        ("--weight-bound", dict(type=_positive_int, default=3,
+                                help="weights drawn from nonzero [-W, W] (default 3)")),
+    ], metavar="PATH", help="graph JSON file")
 
-    t1 = which.add_parser("theorem1", help="generalized power-sum identity")
-    t1.add_argument("--m", type=_positive_int, required=True)
-    t1.add_argument("--r", type=_positive_int, required=True)
-    _add_out(t1)
-    t1.set_defaults(run=_run_theorem1)
-
-    t2 = which.add_parser("theorem2", help="walk/cycle identity on a digraph")
-    _add_graph_source(t2)
-    t2.add_argument("--r", type=_positive_int, required=True)
-    t2.add_argument("--literal-ell", action="store_true",
-                    help="use the single-set ell(r, C) closing term")
-    _add_out(t2)
-    t2.set_defaults(run=_run_theorem2)
-
-    t3 = which.add_parser("theorem3", help="multi-alphabet Newton-Girard identity")
-    t3.add_argument("--r", type=_positive_int, required=True)
-    t3.add_argument("--n", type=_positive_int, required=True)
-    _add_out(t3)
-    t3.set_defaults(run=_run_theorem3)
-
-    ng = which.add_parser("newton-girard", help="classical Newton-Girard on roots")
-    ng.add_argument("--n", type=_positive_int, required=True)
-    ng.add_argument("--r", type=_positive_int, required=True)
-    _add_source(ng, "roots", "root lists", 20, help="comma-separated integer roots")
-    _add_out(ng)
-    ng.set_defaults(run=_run_newton_girard)
-
-    lm = which.add_parser("lemma21", help="binomial-transform power-sum check")
-    lm.add_argument("--alpha", type=_positive_int, required=True)
-    _add_source(lm, "c", "sequences", 20, [
-        ("--m", dict(type=_positive_int, default=6, help="sequence length for --random")),
-    ], help="comma-separated integer sequence c_1..c_m")
-    _add_out(lm)
-    lm.set_defaults(run=_run_lemma21)
+    _add_command(which, "theorem1", _run_theorem1, "m r",
+                 help="generalized power-sum identity")
+    _add_command(which, "theorem2", _run_theorem2, "r",
+                 ("--literal-ell", dict(action="store_true",
+                                        help="use the single-set ell(r, C) closing term")),
+                 source=graph, help="walk/cycle identity on a digraph")
+    _add_command(which, "theorem3", _run_theorem3, "r n",
+                 help="multi-alphabet Newton-Girard identity")
+    _add_command(which, "newton-girard", _run_newton_girard, "n r", source=dict(
+        fixed="roots", noun="root lists", trials=20,
+        draw=lambda args, rng: _draw_entries(args.n, rng),
+        help="comma-separated integer roots",
+    ), help="classical Newton-Girard on roots")
+    _add_command(which, "lemma21", _run_lemma21, "alpha", source=dict(
+        fixed="c", noun="sequences", trials=20,
+        draw=lambda args, rng: _draw_entries(args.m, rng),
+        sizes=[("--m", dict(type=_positive_int, default=6,
+                            help="sequence length for --random"))],
+        help="comma-separated integer sequence c_1..c_m",
+    ), help="binomial-transform power-sum check")
 
     inv = top.add_parser("involution", help="involution machinery")
-    inv_which = inv.add_subparsers(dest="target", required=True)
-    audit = inv_which.add_parser("audit", help="exhaustive pairing audit")
-    _add_graph_source(audit)
-    audit.add_argument("--r", type=_positive_int, required=True)
-    _add_out(audit)
-    audit.set_defaults(run=_run_involution_audit)
+    _add_command(inv.add_subparsers(dest="target", required=True), "audit",
+                 _run_involution_audit, "r", source=graph, help="exhaustive pairing audit")
 
-    ps = top.add_parser("powersum", help="compute 1^m + ... + n^m several ways")
-    ps.add_argument("--m", type=_positive_int, required=True)
-    ps.add_argument("--n", type=_positive_int, required=True)
-    ps.add_argument("--method", required=True,
-                    choices=["stirling", "bernoulli", "direct", "all"])
-    _add_out(ps)
-    ps.set_defaults(run=_run_powersum)
-
+    _add_command(top, "powersum", _run_powersum, "m n",
+                 ("--method", dict(required=True,
+                                   choices=["stirling", "bernoulli", "direct", "all"])),
+                 help="compute 1^m + ... + n^m several ways")
     return parser
 
 
@@ -714,9 +683,13 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
 
+    report = RunReport(
+        " ".join(filter(None, [args.command, getattr(args, "target", None)])),
+        {name: getattr(args, name) for name in args.params},
+    )
     started = time.perf_counter()
     try:
-        report = args.run(args)
+        args.run(args, report)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,9 +40,9 @@ from .enumeration import (
     Edge,
     LinearSubdigraph,
     Walk,
+    _canonical_cycle,
     closed_walks,
     linear_subdigraphs,
-    make_subdigraph,
 )
 from .newton import verify_walk_cycle_identity
 from .poly import Poly
@@ -87,6 +87,13 @@ def classify(pair: WalkGammaPair) -> str:
     return GOOD if w.is_simple and not w.vertex_mask & pair.gamma.vertex_mask else BAD
 
 
+def _add_cycle(gamma: LinearSubdigraph, cycle: tuple[Edge, ...]) -> LinearSubdigraph:
+    """gamma, in canonical form, with `cycle` added in canonical form: only
+    the new cycle is rotated to its least vertex, and a plain tuple sort
+    orders the cycles by that vertex, which differs from cycle to cycle."""
+    return LinearSubdigraph(tuple(sorted((*gamma.cycles, _canonical_cycle(cycle)))))
+
+
 def _cycle_rooted_steps(cycle: tuple[Edge, ...], root: int) -> tuple[tuple[int, int], ...]:
     """The cycle as walk steps, traversed once starting from `root`."""
     tails = [e[0] for e in cycle]
@@ -125,8 +132,7 @@ def involute(pair: WalkGammaPair) -> WalkGammaPair:
                 (seq[t], seq[t + 1], w.steps[t][1]) for t in range(j, i)
             )
             new_steps = w.steps[:j] + w.steps[i:]
-            new_gamma = make_subdigraph(list(gamma.cycles) + [cycle_edges])
-            return WalkGammaPair(Walk(w.start, new_steps), new_gamma)
+            return WalkGammaPair(Walk(w.start, new_steps), _add_cycle(gamma, cycle_edges))
         first_seen[v] = i
     raise AssertionError("BAD pair produced no case; classification is broken")
 
@@ -135,8 +141,7 @@ def underlying_subdigraph(pair: WalkGammaPair) -> LinearSubdigraph:
     """For a GOOD pair: gamma together with the walk's own cycle."""
     if classify(pair) != GOOD:
         raise ValueError("only GOOD pairs have an underlying subdigraph")
-    walk_cycle = tuple(pair.walk.edges())
-    return make_subdigraph(list(pair.gamma.cycles) + [walk_cycle])
+    return _add_cycle(pair.gamma, tuple(pair.walk.edges()))
 
 
 def enumerate_pairs(
@@ -157,7 +162,7 @@ def enumerate_pairs(
         subdigraphs = linear_subdigraphs(g)
     # each walk and subdigraph carries its color mask, so the disjointness
     # test of each (walk, gamma) combination is an int AND
-    gammas_by_length: dict[int, list[LinearSubdigraph]] = {}
+    gammas_by_length: dict[int, list[LinearSubdigraph]] = {0: [EMPTY_SUBDIGRAPH]}
     for gamma in subdigraphs:
         if gamma.length < r:
             gammas_by_length.setdefault(gamma.length, []).append(gamma)
@@ -167,9 +172,6 @@ def enumerate_pairs(
     pairs: list[WalkGammaPair] = []
     for q in range(1, min(r, g.colors) + 1):  # no walk is longer than k
         for w in walks_by_length.get(q, []):
-            if q == r:
-                pairs.append(WalkGammaPair(w, EMPTY_SUBDIGRAPH))
-                continue
             walk_mask = w.color_mask
             for gamma in gammas_by_length.get(r - q, []):
                 if not walk_mask & gamma.color_mask:
