@@ -180,6 +180,21 @@ class LinearSubdigraph:
         object.__setattr__(self, "vertex_mask", vmask)
         object.__setattr__(self, "color_mask", cmask)
 
+    @classmethod
+    def _grown(cls, cycles: tuple[tuple[Edge, ...], ...], vertex_mask: int,
+               color_mask: int) -> "LinearSubdigraph":
+        """The instance on `cycles` whose masks the caller has already
+        grown; its disjoint cycles have one edge per vertex, so no cycle is
+        walked again."""
+        # one attribute at a time, as __post_init__ does: filling vars(out)
+        # instead would give every instance a dict for the collector to walk
+        out = object.__new__(cls)
+        object.__setattr__(out, "cycles", cycles)
+        object.__setattr__(out, "length", vertex_mask.bit_count())
+        object.__setattr__(out, "vertex_mask", vertex_mask)
+        object.__setattr__(out, "color_mask", color_mask)
+        return out
+
     @property
     def cycle_count(self) -> int:
         return len(self.cycles)
@@ -281,7 +296,7 @@ def linear_subdigraphs(g: ColoredDigraph) -> list[LinearSubdigraph]:
                 continue
             for cycle, vmask, cmask in _cycles_at(g, head, used_v, used_c):
                 chosen.append(cycle)
-                out.append(LinearSubdigraph(tuple(chosen)))
+                out.append(LinearSubdigraph._grown(tuple(chosen), vmask, cmask))
                 extend(head + 1, chosen, vmask, cmask)
                 chosen.pop()
 

@@ -266,13 +266,22 @@ class Poly:
         o = Poly._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        data = dict(self._terms)
+        for mono, coeff in o._terms.items():
+            new = data.get(mono, 0) - coeff
+            if new:
+                data[mono] = new
+            else:
+                data.pop(mono, None)
+        out = Poly()
+        out._terms = data
+        return out
 
     def __rsub__(self, other) -> "Poly":
         o = Poly._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other) -> "Poly":
         o = Poly._coerce(other)
@@ -371,8 +380,12 @@ def poly_sum(items: Iterable[Poly]) -> Poly:
 
 
 def poly_prod(items: Iterable[Poly]) -> Poly:
-    out = Poly.one()
-    for p in items:
+    """The product, starting from the first factor; empty gives one."""
+    it = iter(items)
+    out = next(it, None)
+    if out is None:
+        return Poly.one()
+    for p in it:
         out = out * p
     return out
 

@@ -10,13 +10,16 @@ The symbolic identity lives in the x/y families: for m >= 1, r >= 1,
 where Pi_r(P) = prod_{j=1}^{r} ( sum_{i in P} x_i^(j) ).  The inner sum
 depends on U only through R = U \\ {max U}, and over all R at once it is
 the Moebius transform of Pi_r on the subset lattice of [m]; power_sum_rhs
-computes it that way, with 2^m - 1 products Pi_r(V) and m * 2^(m-1)
-polynomial subtractions instead of about 3^m products.  It does not assume
-that the inner sum vanishes for |U| - 1 > r, which is what the identity
-asserts; rhs_inner_sum is the literal per-U sum that tests compare it
-against.  An independent route to the same polynomial counts the "good
-words": products x_{i_1}^(1) ... x_{i_r}^(r) y_t over all index tuples with
-every i_p < t.
+computes it that way instead of with about 3^m products.  Each V grows its
+r factor sums from those of V without its top index, one added variable
+per factor, so the 2^m - 1 products Pi_r(V) take r - 1 polynomial
+multiplications each; the transform then takes at most m * 2^(m-1)
+subtractions, and skips those whose subtrahend is zero.  It does not
+assume that the inner sum vanishes for |U| - 1 > r, which is what the
+identity asserts; rhs_inner_sum is the literal per-U sum that tests
+compare it against.  An independent route to the same polynomial counts
+the "good words": products x_{i_1}^(1) ... x_{i_r}^(r) y_t over all index
+tuples with every i_p < t.
 
 The numeric corollaries are the closed forms for 1^m + ... + n^m via
 Stirling numbers and via Bernoulli numbers.
@@ -107,26 +110,39 @@ def power_sum_rhs(m: int, r: int) -> Poly:
     """The double-sum side, over all U subset [m+1] with |U| >= 2.
 
     g[R] starts as Pi_r(R) for every R subset [m] (bit b of the mask is
-    index b + 1, and g[empty] = 0); the in-place subset Moebius transform
-    then turns it into sum_{V subset R} (-1)^(|R| - |V|) Pi_r(V), the inner
-    sum of every U = R + {t} with max R < t <= m + 1.  That costs 2^m - 1
-    products and m * 2^(m-1) subtractions (the fast subset transform of
-    Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets Moebius",
-    2007).  Nothing assumes the vanishing for |U| - 1 > r; rhs_inner_sum
-    is the per-U reference.
+    index b + 1, and g[empty] = 0).  Each R keeps its row of factor sums
+    sum_{i in R} x_i^(j), j = 1..r: the row of R without its top index
+    plus one variable per factor, so Pi_r(R) costs r - 1 products (none
+    at r = 1).  The in-place subset Moebius transform then turns g[R]
+    into sum_{V subset R} (-1)^(|R| - |V|) Pi_r(V), the inner sum of
+    every U = R + {t} with max R < t <= m + 1, in at most m * 2^(m-1)
+    subtractions (the fast subset transform of Bjorklund, Husfeldt, Kaski
+    and Koivisto, "Fourier meets Moebius", 2007); a step whose subtrahend
+    is zero is skipped, and so is a zero g[R] in the final sum.  Nothing
+    assumes the vanishing for |U| - 1 > r; rhs_inner_sum is the per-U
+    reference.
     """
     _check_m_r(m, r)
-    g = [Poly.zero()]
-    for mask in range(1, 1 << m):
-        g.append(sum_product([b + 1 for b in range(m) if mask >> b & 1], r))
+    # rows[R][j - 1] = sum_{i in R} x_i^(j); mask 2^(top-1) + low is
+    # appended right after every mask below it
+    rows = [[Poly.zero()] * r]
+    for top in range(1, m + 1):
+        rows += [
+            [s + Poly.variable(xvar(top, j)) for j, s in enumerate(rows[low], 1)]
+            for low in range(1 << top - 1)
+        ]
+    g = [poly_prod(row) for row in rows]
+    del rows  # so each old g[R] is freed as the transform replaces it
     for b in range(m):
         bit = 1 << b
         for mask in range(1 << m):
-            if mask & bit:
+            if mask & bit and g[mask ^ bit]:
                 g[mask] = g[mask] - g[mask ^ bit]
+    ys = {t: Poly.variable(yvar(t)) for t in range(2, m + 2)}
     return poly_sum(
-        g[mask] * Poly.variable(yvar(t))
+        g[mask] * ys[t]
         for mask in range(1, 1 << m)
+        if g[mask]
         for t in range(mask.bit_length() + 1, m + 2)
     )
 

@@ -342,6 +342,38 @@ def test_linear_subdigraphs_match_reference_on_dense_graphs(seed):
         check_against_reference(random_digraph(n, k, 1.0, 3, seed=seed))
 
 
+def near_acyclic_digraph(n: int, k: int, rng: random.Random) -> ColoredDigraph:
+    """Forward edges u < v, with one back edge and one loop, so only a few
+    cycles close."""
+    edges = {(u, v): [rng.choice([-2, -1, 1, 2]) for _ in range(k)]
+             for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.7}
+    u, v = sorted(rng.sample(range(1, n + 1), 2)) if n > 1 else (1, 1)
+    edges[v, u] = [1] * k
+    edges[rng.randint(1, n), rng.randint(1, n)] = [-1] * k
+    return make_digraph(n, k, edges)
+
+
+def test_enumerated_subdigraphs_keep_the_constructor_facts():
+    # the enumerator hands over the masks it grew; the public constructor
+    # derives them from the cycles, and the two must agree, in the same order
+    rng = random.Random(4242)
+    graphs = []
+    for _ in range(20):
+        n, k = rng.randint(1, 6), rng.randint(1, 5)
+        graphs.append(random_digraph(n, k, rng.choice([0.3, 0.6]), 3, seed=rng.randrange(10**6)))
+        graphs.append(near_acyclic_digraph(n, k, rng))
+    seen = 0
+    for g in graphs:
+        subs = linear_subdigraphs(g)
+        assert subs == reference_subdigraphs(g)
+        for sub in subs:
+            again = LinearSubdigraph(sub.cycles)
+            assert (sub.length, sub.vertex_mask, sub.color_mask) == (
+                again.length, again.vertex_mask, again.color_mask)
+        seen += len(subs)
+    assert seen > 1000
+
+
 # ---------------------------------------------------------------------------
 # closed_walk_buckets against the walk enumeration
 # ---------------------------------------------------------------------------

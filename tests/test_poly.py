@@ -2,7 +2,7 @@ import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from girardlab import Poly, PolyParseError, avar, parse_poly, poly_prod, poly_sum, xvar, yvar
@@ -157,6 +157,33 @@ def test_text_round_trip_is_bit_exact(p):
     again = parse_poly(text)
     assert again == p
     assert str(again) == text
+
+
+@settings(max_examples=200)
+@given(polys, polys, st.integers(min_value=-5, max_value=5))
+def test_subtraction_is_addition_of_the_negation(p, q, c):
+    before = (list(p.terms()), list(q.terms()))
+    for diff, ref in [
+        (p - q, p + (-q)),
+        (p - c, p + (-Poly.const(c))),
+        (c - p, Poly.const(c) + (-p)),
+    ]:
+        assert diff == ref
+        assert str(diff) == str(ref)
+    assert p - p == Poly.zero()
+    assert c - Poly.const(c) == Poly.zero()
+    assert (list(p.terms()), list(q.terms())) == before
+
+
+@settings(max_examples=200)
+@given(st.lists(polys, max_size=4))
+@example([])
+@example([X11 - 2])
+def test_product_starts_from_the_first_factor(factors):
+    fold = functools.reduce(lambda a, b: a * b, factors, Poly.one())
+    out = poly_prod(factors)
+    assert out == fold
+    assert str(out) == str(fold)
 
 
 def test_no_exponent_cap():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -69,22 +70,46 @@ def test_rhs_transform_equals_the_per_subset_sum():
 
 
 def test_rhs_makes_one_product_per_nonempty_subset(monkeypatch):
+    # each subset's factor sums grow from the subset below it: one new
+    # x variable per factor, and no sum_product rebuild
     products = []
+    variables = []
     inner = []
-    original = powersum.sum_product
 
-    def counted(*args, **kwargs):
-        products.append(args)
-        return original(*args, **kwargs)
+    def counted_xvar(*args):
+        variables.append(args)
+        return xvar(*args)
 
-    monkeypatch.setattr(powersum, "sum_product", counted)
+    monkeypatch.setattr(powersum, "sum_product", lambda *a: products.append(a))
+    monkeypatch.setattr(powersum, "xvar", counted_xvar)
     monkeypatch.setattr(powersum, "rhs_inner_sum", lambda *a: inner.append(a))
     for m in range(1, 9):
         for r in (1, 3):
-            products.clear()
+            variables.clear()
             power_sum_rhs(m, r)
-            assert len(products) == 2**m - 1, (m, r)
+            assert products == [], (m, r)
+            assert len(variables) == (2**m - 1) * r, (m, r)
             assert inner == []
+
+
+# sha256 of str(power_sum_rhs(m, r)), taken from the per-subset product
+# build (sum_product for every subset) before the grown factor sums
+RHS_TEXT_SHA256 = {
+    (10, 1): "c5c76ce5d93c9e424edd52ab16b31ce5c49ffe5a8e292a2c548699afa11f31eb",
+    (9, 2): "66ebd19fbf142df9e7b724e42c00b905ae0637383b9e15e5048799967c77ee8b",
+    (6, 3): "22a329b48fc09679536e9dcb9b0398662b2b3e662788e56f439d209e3099419a",
+}
+
+
+@pytest.mark.parametrize("m, r", sorted(RHS_TEXT_SHA256))
+def test_rhs_text_is_pinned(m, r):
+    text = str(power_sum_rhs(m, r)).encode()
+    assert hashlib.sha256(text).hexdigest() == RHS_TEXT_SHA256[m, r]
+
+
+@pytest.mark.parametrize("m, r", [(12, 1), (10, 2)])
+def test_three_routes_agree_at_the_larger_sizes(m, r):
+    assert power_sum_lhs(m, r) == power_sum_rhs(m, r) == good_word_sum(m, r)
 
 
 def test_good_words_are_an_independent_route():
