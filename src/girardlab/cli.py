@@ -81,8 +81,11 @@ PREFACTOR_NOTE = (
 # theorem2's products); a run past one exits 2 at once.  theorem3 keeps
 # r = n = 7 (881,174 breakdown terms, 180,216 product terms) and refuses
 # r = n = 8 (11,211,272 breakdown terms); r = 12 makes 2^12 (S, T) entries.
-# theorem1 keeps (m, r) = (14, 1) and refuses (16, 1); its count also keeps
-# r below the recursion depth of the good-word oracle.  The audit keeps a
+# theorem1 keeps (m, r) = (14, 1), (12, 2) and (9, 3) (0.20, 0.24 and
+# 0.13 s for its three routes in-process, best of 3 on a shared 2-core
+# host) and refuses (15, 1), (10, 3) and (8, 4) (0.35, 0.20 and 0.21 s);
+# its count also keeps r below the recursion depth of the good-word
+# oracle, r <= 893 at m = 1.  The audit keeps a
 # dense (5,5) graph at r <= 2 and dense (4,4) at r = 4 (0.4-0.55 s and
 # 0.7 s by CLI on a shared 2-core host, BENCH_19.json), and refuses dense
 # (3,6) at r = 4 (118,998 objects, 84,240 of them pairs, 2.3-2.6 s
@@ -99,7 +102,7 @@ PREFACTOR_NOTE = (
 # for more than a few seconds.
 THEOREM3_MAX_R = 12
 THEOREM3_MAX_TERMS = 10**6
-THEOREM1_MAX_CODES = 200_000
+THEOREM1_MAX_WORK = 400_000
 NEWTON_GIRARD_MAX_STEPS = 10**6
 LEMMA21_MAX_CELLS = 500_000
 LEMMA21_MAX_WORDS = 200_000_000
@@ -247,12 +250,15 @@ def _charged_graph(args: argparse.Namespace, fixed):
 # -- subcommand handlers ----------------------------------------------------
 
 
-def _theorem1_codes(m: int, r: int, limit: int) -> int:
-    """Variable codes the 2^m - 1 products Pi_r(V) write, partial products
-    included: step j of a V of size k builds k^j monomials of j codes, so
-    the total is sum_k C(m, k) * sum_{j <= r} j * k^j.  The lhs and the
-    good-word oracle build fewer.  The sum over k stops at the first
-    partial sum past `limit`, so a huge m or r costs a term or two."""
+def _theorem1_work(m: int, r: int, limit: int) -> int:
+    """The work of the right side: the variable codes the 2^m - 1 products
+    Pi_r(V) write, partial products included, plus the m * 2^m (mask, bit)
+    visits of its subset transform, which dominate at r = 1.  Step j of a V
+    of size k builds k^j monomials of j codes, so the codes number
+    sum_k C(m, k) * sum_{j <= r} j * k^j.  The lhs and the good-word oracle
+    build fewer.  The sum over k stops at the first partial sum past
+    `limit`, and the visits are added only to a code count within it, so a
+    huge m or r costs a term or two."""
     total = 0
     for k in range(1, m + 1):
         if k == 1:
@@ -261,15 +267,16 @@ def _theorem1_codes(m: int, r: int, limit: int) -> int:
             per_set = k * (r * k ** (r + 1) - (r + 1) * k**r + 1) // (k - 1) ** 2
         total += binomial(m, k) * per_set
         if total > limit:
-            break
-    return total
+            return total
+    return total + (m << m)
 
 
 def _run_theorem1(args, report: RunReport) -> None:
     _limit_work(
         f"{report.command} --m {args.m} --r {args.r}",
-        _theorem1_codes(args.m, args.r, THEOREM1_MAX_CODES),
-        "variable codes in the products Pi_r(V)", THEOREM1_MAX_CODES, at_least=True,
+        _theorem1_work(args.m, args.r, THEOREM1_MAX_WORK),
+        "variable codes and transform steps of the right side", THEOREM1_MAX_WORK,
+        at_least=True,
     )
     report.trials = 1
     lhs = power_sum_lhs(args.m, args.r)

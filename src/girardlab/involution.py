@@ -202,12 +202,11 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
 
     * every BAD pair maps to a distinct BAD pair, back to itself on the
       second application, with negated weight (a perfect matching, so the
-      BAD weights cancel).  The BAD pairs are walked as couples: each pair
-      is classified once, and a BAD pair not yet weighed is weighed, sent
-      through `involute`, looked up by position, and checked against its
-      image, which is weighed there and skipped on its own turn.  So a
-      perfect matching costs one `involute` call and one weight per BAD
-      pair, and every BAD weight enters the sum once, matched or not;
+      BAD weights cancel).  Every pair is weighed once, up front, and
+      classified once.  The BAD pairs are walked as couples: a BAD pair not
+      yet met is sent through `involute`, looked up by position, and checked
+      against its image, which is marked met there and skipped on its own
+      turn.  So a perfect matching costs one `involute` call per BAD pair;
     * the GOOD pairs group by their underlying r-edge subdigraph, exactly
       r per group, the group weights summing to r * (-1)^(c-1) * W; when
       r > n there is no r-edge subdigraph, so any GOOD pair is reported;
@@ -224,27 +223,25 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
     if len(position) != len(pairs):
         problems.append("enumerate_pairs returned duplicates")
 
+    weights = [pair.weight(g) for pair in pairs]
     is_bad = bytearray(len(pairs))
-    good: list[WalkGammaPair] = []
+    good: list[int] = []
     for i, pair in enumerate(pairs):
         if pair.total_length != r:
             problems.append(f"pair has total length {pair.total_length}, wanted {r}")
         if classify(pair) == BAD:
             is_bad[i] = 1
         else:
-            good.append(pair)
+            good.append(i)
     bad_count = len(pairs) - len(good)
 
-    # The BAD pairs are walked as couples, and each is weighed once; the
-    # weighed pairs are marked by position.
-    weighed = bytearray(len(pairs))
-    bad_sum = 0
+    # The BAD pairs are walked as couples; the pairs met are marked by
+    # position.
+    met = bytearray(len(pairs))
     for i, pair in enumerate(pairs):
-        if not is_bad[i] or weighed[i]:
+        if not is_bad[i] or met[i]:
             continue
-        weighed[i] = 1
-        weight = pair.weight(g)
-        bad_sum += weight
+        met[i] = 1
         image = involute(pair)
         j = position.get(image)
         if j is None:
@@ -258,20 +255,18 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
             problems.append("involution has a fixed point")
         if involute(image) != pair:
             problems.append("involution fails to return after two applications")
-        image_weight = image.weight(g)
-        if not weighed[j]:
-            weighed[j] = 1
-            bad_sum += image_weight
-        if image_weight != -weight:
+        met[j] = 1
+        if weights[j] != -weights[i]:
             problems.append("involution image weight is not the negation")
 
+    bad_sum = sum(w for w, bad in zip(weights, is_bad) if bad)
     if bad_sum:
         problems.append("BAD pair weights do not cancel")
 
     good_sum = 0
-    groups: dict[LinearSubdigraph, list[WalkGammaPair]] = {}
-    for pair in good:
-        groups.setdefault(underlying_subdigraph(pair), []).append(pair)
+    groups: dict[LinearSubdigraph, list] = {}  # subdigraph -> its GOOD pairs' weights
+    for i in good:
+        groups.setdefault(underlying_subdigraph(pairs[i]), []).append(weights[i])
     expected = {gamma for gamma in subdigraphs if gamma.length == r}
     if set(groups) != expected:
         problems.append("GOOD pairs do not cover exactly the r-edge subdigraphs")
@@ -280,7 +275,7 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
             problems.append(f"subdigraph owns {len(members)} GOOD pairs, expected {r}")
         sign = -1 if (gamma.cycle_count - 1) % 2 else 1
         want = r * sign * gamma.weight(g)
-        got = sum(p.weight(g) for p in members)
+        got = sum(members)
         good_sum += got
         if got != want:
             problems.append("GOOD group weight sum is off")

@@ -30,12 +30,17 @@ exponent >= 2 is a trailing ``^e`` after the variable, e.g. ``y[2]^3`` or
 ``x[1]^(2)^2`` (the parenthesized superscript is part of the variable
 name, the bare one is the power).  ``parse_poly`` round-trips this format
 bit-exactly.
+
+Canonical form is kept in one place: `_merge`, which adds terms into a
+map, is the only code that drops a coefficient cancelled to zero, apart
+from the product's own accumulation in `Poly.__mul__`, and `_poly` wraps a
+map that is already canonical.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import groupby
+from itertools import groupby, repeat
 from math import isqrt
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -151,6 +156,21 @@ def _term_sort_key(m: Monomial):
     return (-_mono_degree(m), tuple((v, -e) for v, e in m))
 
 
+def _merge(data: dict, terms: Iterable[tuple[tuple[int, ...], int]], sign: int = 1) -> dict:
+    """Add sign * coeff into `data` for each (code monomial, coeff) of
+    `terms`, dropping every coefficient that cancels to zero; returns
+    `data`.  sign is 1 or -1, taken by a branch: a product per term would
+    cost a new int per term, about 10% of a large sum."""
+    get = data.get
+    for mono, coeff in terms:
+        new = get(mono, 0) + coeff if sign > 0 else get(mono, 0) - coeff
+        if new:
+            data[mono] = new
+        else:
+            data.pop(mono, None)
+    return data
+
+
 class Poly:
     """An immutable polynomial with integer coefficients.
 
@@ -163,16 +183,9 @@ class Poly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        data: dict = {}
-        if terms:
-            for mono, coeff in terms.items():
-                key = _encode(mono)
-                new = data.get(key, 0) + coeff
-                if new:
-                    data[key] = new
-                else:
-                    data.pop(key, None)
-        self._terms = data
+        self._terms = (
+            _merge({}, ((_encode(mono), coeff) for mono, coeff in terms.items())) if terms else {}
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -186,16 +199,11 @@ class Poly:
 
     @staticmethod
     def const(c: int) -> "Poly":
-        out = Poly()
-        if c:
-            out._terms = {_UNIT: c}
-        return out
+        return _poly({_UNIT: c} if c else {})
 
     @staticmethod
     def variable(v: VarId) -> "Poly":
-        out = Poly()
-        out._terms = {(_var_code(v),): 1}
-        return out
+        return _poly({(_var_code(v),): 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -244,38 +252,19 @@ class Poly:
         o = Poly._coerce(other)
         if o is None:
             return NotImplemented
-        data = dict(self._terms)
-        for mono, coeff in o._terms.items():
-            new = data.get(mono, 0) + coeff
-            if new:
-                data[mono] = new
-            else:
-                data.pop(mono, None)
-        out = Poly()
-        out._terms = data
-        return out
+        return _poly(_merge(dict(self._terms), o._terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        out = Poly()
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return _poly({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Poly":
         o = Poly._coerce(other)
         if o is None:
             return NotImplemented
-        data = dict(self._terms)
-        for mono, coeff in o._terms.items():
-            new = data.get(mono, 0) - coeff
-            if new:
-                data[mono] = new
-            else:
-                data.pop(mono, None)
-        out = Poly()
-        out._terms = data
-        return out
+        # one pass into a copy of the minuend, with no negated temporary
+        return _poly(_merge(dict(self._terms), o._terms.items(), -1))
 
     def __rsub__(self, other) -> "Poly":
         o = Poly._coerce(other)
@@ -287,6 +276,8 @@ class Poly:
         o = Poly._coerce(other)
         if o is None:
             return NotImplemented
+        # The hot loop of theorem3: it keeps its own accumulation rather
+        # than calling `_merge` once per row of the product.
         data: dict = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in o._terms.items():
@@ -297,19 +288,14 @@ class Poly:
                     data[mono] = new
                 else:
                     del data[mono]
-        out = Poly()
-        out._terms = data
-        return out
+        return _poly(data)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be integers >= 0")
-        out = Poly.one()
-        for _ in range(exponent):
-            out = out * self
-        return out
+        return poly_prod(repeat(self, exponent))
 
     def __eq__(self, other) -> bool:
         o = Poly._coerce(other)
@@ -364,19 +350,20 @@ class Poly:
         return f"Poly({str(self)!r})"
 
 
+def _poly(data: dict) -> Poly:
+    """Wrap `data`, a code-monomial map that is already canonical (so
+    `__init__` and its merge are skipped)."""
+    out = Poly.__new__(Poly)
+    out._terms = data
+    return out
+
+
 def poly_sum(items: Iterable[Poly]) -> Poly:
     """Sum with a single accumulator dict (faster than repeated __add__)."""
     data: dict = {}
     for p in items:
-        for mono, coeff in p._terms.items():
-            new = data.get(mono, 0) + coeff
-            if new:
-                data[mono] = new
-            else:
-                del data[mono]
-    out = Poly()
-    out._terms = data
-    return out
+        _merge(data, p._terms.items())
+    return _poly(data)
 
 
 def poly_prod(items: Iterable[Poly]) -> Poly:
@@ -423,41 +410,32 @@ def _parse_piece(piece: str) -> tuple[VarId, int]:
     return var, e
 
 
+def _parse_term(sign: str, term: str, text: str) -> tuple[tuple[int, ...], int]:
+    """One term of `text` with its sign, as (code monomial, coefficient)."""
+    if not term:
+        raise PolyParseError(f"empty term in {text!r}")
+    coeff = -1 if sign == "-" else 1
+    codes: list[int] = []
+    for piece in term.split("*"):
+        piece = piece.strip()
+        if _INT_RE.match(piece):
+            coeff *= int(piece)
+        else:
+            var, e = _parse_piece(piece)
+            codes += [_var_code(var)] * e
+    return tuple(sorted(codes)), coeff
+
+
 def parse_poly(text: str) -> Poly:
     """Inverse of str(poly) for the canonical text format."""
     s = text.strip()
     if not s:
         raise PolyParseError("empty polynomial text")
-    if s == "0":
-        return Poly.zero()
     chunks = _SPLIT_RE.split(s)
-    signed_terms = []
     first = chunks[0]
     if first.startswith("-"):
-        signed_terms.append((-1, first[1:].strip()))
+        chunks[:1] = ["-", first[1:].strip()]
     else:
-        signed_terms.append((1, first))
-    for k in range(1, len(chunks), 2):
-        sign = -1 if chunks[k] == "-" else 1
-        signed_terms.append((sign, chunks[k + 1]))
-
-    acc: dict = {}
-    for sign, term in signed_terms:
-        if not term:
-            raise PolyParseError(f"empty term in {text!r}")
-        coeff = sign
-        exps: dict[VarId, int] = {}
-        for piece in term.split("*"):
-            piece = piece.strip()
-            if _INT_RE.match(piece):
-                coeff *= int(piece)
-                continue
-            var, e = _parse_piece(piece)
-            exps[var] = exps.get(var, 0) + e
-        mono = tuple(sorted(exps.items()))
-        new = acc.get(mono, 0) + coeff
-        if new:
-            acc[mono] = new
-        else:
-            acc.pop(mono, None)
-    return Poly(acc)
+        chunks.insert(0, "+")
+    terms = (_parse_term(sign, term, text) for sign, term in zip(chunks[::2], chunks[1::2]))
+    return _poly(_merge({}, terms))

@@ -438,7 +438,8 @@ def test_out_of_range_value_is_usage_error(argv, capsys):
 # command -> (arguments, error) of one refusal made after the arguments parse
 REFUSED = {
     "verify theorem1": ("--m 16 --r 1", "verify theorem1 --m 16 --r 1 would need at least "
-                        "262,144 variable codes in the products Pi_r(V); the limit is 200,000"),
+                        "445,184 variable codes and transform steps of the right side; "
+                        "the limit is 400,000"),
     "verify theorem2": ("--random --r 1", "--random needs --n and --k"),
     "verify theorem3": ("--r 25 --n 1", "verify theorem3 --r 25 would make 2^25 (S, T) "
                         "entries; the limit is 2^12"),
@@ -546,9 +547,13 @@ def test_theorem3_refuses_oversized_work_up_front(argv, count, capsys):
     "argv, count",
     [
         ("verify theorem1 --m 30 --r 1", "at least 835,230 variable codes"),
-        ("verify theorem1 --m 16 --r 1", "at least 262,144 variable codes"),
+        ("verify theorem1 --m 16 --r 1", "at least 445,184 variable codes"),
+        ("verify theorem1 --m 15 --r 1", "at least 737,280 variable codes"),
+        ("verify theorem1 --m 10 --r 3", "at least 458,610 variable codes"),
+        ("verify theorem1 --m 8 --r 4", "at least 443,880 variable codes"),
+        ("verify theorem1 --m 1 --r 894", "at least 400,065 variable codes"),
         ("verify theorem1 --m 1 --r 1000", "at least 500,500 variable codes"),
-        ("verify theorem1 --m 2 --r 1000000000000", "the limit is 200,000"),
+        ("verify theorem1 --m 2 --r 1000000000000", "the limit is 400,000"),
         ("verify theorem1 --m 1000000000000 --r 1", "at least 1,000,000,000,000 "),
         ("verify newton-girard --n 3000 --r 3000 --random --trials 1",
          "13,509,001,500 power and coefficient steps"),
@@ -926,7 +931,17 @@ def test_theorem1_code_count_is_exact():
                     for j in range(1, r + 1):
                         out = out * poly_sum(Poly.variable(xvar(i, j)) for i in v)
                         written += sum(len(mono) for mono in out._terms)
-            assert cli._theorem1_codes(m, r, 10**9) == written, (m, r)
+            # the charge adds the transform's visits: every bit of every mask
+            assert cli._theorem1_work(m, r, 10**9) == written + m * 2**m, (m, r)
+
+
+def test_the_largest_accepted_theorem1_runs_pass(capsys):
+    # r = 893 is the largest r at m = 1, and the good-word oracle recurses
+    # r deep, so it also shows the charge keeps r within the recursion limit
+    for m, r in [(14, 1), (12, 2), (9, 3), (1, 893)]:
+        assert cli._theorem1_work(m, r, cli.THEOREM1_MAX_WORK) <= cli.THEOREM1_MAX_WORK
+    assert main(["verify", "theorem1", "--m", "1", "--r", "893"]) == 0
+    assert "result: PASS (1/1 checks)" in capsys.readouterr().out
 
 
 def test_theorem3_term_counts_are_exact():

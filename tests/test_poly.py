@@ -305,4 +305,17 @@ def test_int_codes_agree_with_the_variable_tuple_reference(a, b):
             (ref_mono_mul(m1, m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items()
         ),
     )
+    # every other place that merges terms meets the same reference
+    negated = {m: -c for m, c in a.items()}
+    assert_same(-p, negated)
+    assert_same(p - q, ref_accumulate([*a.items(), *((m, -c) for m, c in b.items())]))
+    assert_same(poly_sum([p, q, -p]), ref_accumulate([*a.items(), *b.items(), *negated.items()]))
+    assert poly_sum([p, q, -p]) == q
+    assert_same(parse_poly(str(p)), a)
+    assert_same(
+        p**2,
+        ref_accumulate(
+            (ref_mono_mul(m1, m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in a.items()
+        ),
+    )
     assert p.coefficient(((yvar(999), 1),)) == 0
