@@ -83,14 +83,13 @@ PREFACTOR_NOTE = (
 # r = n = 8 (11,211,272 breakdown terms); r = 12 makes 2^12 (S, T) entries.
 # theorem1 keeps (m, r) = (14, 1), (12, 2) and (9, 3) (0.20, 0.24 and
 # 0.13 s for its three routes in-process, best of 3 on a shared 2-core
-# host) and refuses (15, 1), (10, 3) and (8, 4) (0.35, 0.20 and 0.21 s);
-# its count also keeps r below the recursion depth of the good-word
-# oracle, r <= 893 at m = 1.  The audit keeps a
-# dense (5,5) graph at r <= 2 and dense (4,4) at r = 4 (0.4-0.55 s and
-# 0.7 s by CLI on a shared 2-core host, BENCH_19.json), and refuses dense
-# (3,6) at r = 4 (118,998 objects, 84,240 of them pairs, 2.3-2.6 s
-# in-process) and dense (6,5) at r = 1 (139,764 objects, 1.6-1.7 s
-# in-process; its cover search stops at 40,019).  An acyclic (35,4) file,
+# host) and refuses (15, 1), (10, 3) and (8, 4) (0.35, 0.20 and 0.21 s).
+# The audit keeps a dense (5,5) graph at r <= 2 and dense (4,4) at
+# r = 4 (0.4-0.55 s and 0.7 s by CLI on a shared 2-core host,
+# BENCH_19.json), and refuses dense (3,6) at r = 4 (118,998 objects,
+# 84,240 of them pairs, 2.3-2.6 s in-process) and dense (6,5) at r = 1
+# (139,764 objects, 1.6-1.7 s in-process; its cover search stops at
+# 40,019).  An acyclic (35,4) file,
 # charged its 39,200 DP states alone, is kept at every r.  theorem2 keeps
 # dense (12,6), (8,8) and (6,9) (0.35-0.7 s by CLI, BENCH_17.json) and
 # refuses dense (6,10) and (6,12).  theorem2 and the audit multiply their

@@ -11,6 +11,14 @@ The empty walk and the empty subdigraph exist only as conventions inside
 `closed_walk_sum` and `linear_subdigraph_sum` (both equal to 1 at size
 zero); the enumerators never yield them.
 
+A `LinearSubdigraph` has one constructor, which takes its canonical
+cycles and their vertex and color bitmasks; this module alone defines
+the canonical form.  `linear_subdigraphs` passes the masks its search
+grew, `with_cycle` and `without_cycle` (the involution's excise and
+splice moves) add or take out one cycle's bits, and `make_subdigraph`,
+the entry for hand-built input, checks the cycles and computes their
+masks.
+
 Every search and DP reads the graph's out-edges, each with its weights in
 color order, from the table the graph builds once (`ColoredDigraph._out`).
 The two generating sums do not enumerate anything; both run on `_step`,
@@ -142,12 +150,13 @@ class Walk:
         return prod(g.weight(u, v, c) for u, v, c in self.edges())
 
 
-def _canonical_cycle(edges: Iterable[Edge]) -> tuple[Edge, ...]:
-    """Rotate a cycle's edge list so it starts at its smallest vertex."""
-    seq = tuple(edges)
-    tails = [e[0] for e in seq]
-    pivot = tails.index(min(tails))
-    return seq[pivot:] + seq[:pivot]
+def _cycle_masks(cycle: tuple[Edge, ...]) -> tuple[int, int]:
+    """The vertex and color bitmasks of one cycle's edges."""
+    vmask = cmask = 0
+    for u, _, c in cycle:
+        vmask |= 1 << u
+        cmask |= 1 << c
+    return vmask, cmask
 
 
 @dataclass(frozen=True)
@@ -156,44 +165,27 @@ class LinearSubdigraph:
 
     Canonical form: each cycle starts at its smallest vertex and the
     cycles are sorted by that vertex, so equal subdigraphs are equal as
-    objects.  The empty instance (no cycles) is a valid value used by the
-    walk/subdigraph pairing, but is never enumerated.
+    objects.  The empty instance, `EMPTY_SUBDIGRAPH`, is a valid value
+    used by the walk/subdigraph pairing, but is never enumerated.
 
-    The edge count and the vertex and color bitmasks are derived once, at
-    construction, and take no part in equality, hashing or repr, as in
-    `Walk`.
+    Every instance is built in one way, from its canonical cycles and
+    their vertex and color bitmasks (bit i set for each vertex or color
+    i), and the masks take no part in equality, hashing or repr, as in
+    `Walk`.  Each builder passes the masks it already holds:
+    `linear_subdigraphs` those `_cycles_at` grew, `with_cycle` and
+    `without_cycle` this instance's with one cycle's bits added or taken
+    out.  `make_subdigraph` is the entry for hand-built cycles: it checks
+    and canonicalizes them and computes their masks.  Disjoint cycles have
+    one edge per vertex, so `length` is read off the vertex mask.
     """
 
     cycles: tuple[tuple[Edge, ...], ...]
-    length: int = field(init=False, repr=False, compare=False)
-    vertex_mask: int = field(init=False, repr=False, compare=False)
-    color_mask: int = field(init=False, repr=False, compare=False)
+    vertex_mask: int = field(repr=False, compare=False)
+    color_mask: int = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        length = vmask = cmask = 0
-        for cycle in self.cycles:
-            length += len(cycle)
-            for u, _, c in cycle:
-                vmask |= 1 << u
-                cmask |= 1 << c
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "vertex_mask", vmask)
-        object.__setattr__(self, "color_mask", cmask)
-
-    @classmethod
-    def _grown(cls, cycles: tuple[tuple[Edge, ...], ...], vertex_mask: int,
-               color_mask: int) -> "LinearSubdigraph":
-        """The instance on `cycles` whose masks the caller has already
-        grown; its disjoint cycles have one edge per vertex, so no cycle is
-        walked again."""
-        # one attribute at a time, as __post_init__ does: filling vars(out)
-        # instead would give every instance a dict for the collector to walk
-        out = object.__new__(cls)
-        object.__setattr__(out, "cycles", cycles)
-        object.__setattr__(out, "length", vertex_mask.bit_count())
-        object.__setattr__(out, "vertex_mask", vertex_mask)
-        object.__setattr__(out, "color_mask", color_mask)
-        return out
+    @property
+    def length(self) -> int:
+        return self.vertex_mask.bit_count()
 
     @property
     def cycle_count(self) -> int:
@@ -213,6 +205,24 @@ class LinearSubdigraph:
                 return cycle
         raise ValueError(f"no cycle contains vertex {v}")
 
+    def with_cycle(self, cycle: Iterable[Edge]) -> LinearSubdigraph:
+        """This subdigraph plus `cycle`, whose vertices and colors are not
+        checked against its own.  Only the new cycle is rotated to its
+        least vertex, and a plain tuple sort orders the cycles by that
+        vertex, which differs from cycle to cycle."""
+        edges = tuple(cycle)
+        pivot = edges.index(min(edges))  # the edge out of the least vertex
+        cycle = edges[pivot:] + edges[:pivot]
+        vmask, cmask = _cycle_masks(cycle)
+        return LinearSubdigraph(tuple(sorted((*self.cycles, cycle))),
+                                self.vertex_mask | vmask, self.color_mask | cmask)
+
+    def without_cycle(self, cycle: tuple[Edge, ...]) -> LinearSubdigraph:
+        """This subdigraph less one of its cycles."""
+        vmask, cmask = _cycle_masks(cycle)
+        return LinearSubdigraph(tuple(c for c in self.cycles if c != cycle),
+                                self.vertex_mask ^ vmask, self.color_mask ^ cmask)
+
     def weight(self, g: ColoredDigraph) -> int | Poly:
         """As `Walk.weight`, over the edges of every cycle."""
         if not self.color_mask & 1:
@@ -224,13 +234,21 @@ class LinearSubdigraph:
         return prod(g.weight(u, v, c) for cycle in self.cycles for u, v, c in cycle)
 
 
-EMPTY_SUBDIGRAPH = LinearSubdigraph(())
+EMPTY_SUBDIGRAPH = LinearSubdigraph((), 0, 0)
 
 
 def make_subdigraph(cycles: Iterable[Iterable[Edge]]) -> LinearSubdigraph:
-    """Canonicalize and wrap a collection of cycles."""
-    canon = sorted((_canonical_cycle(c) for c in cycles), key=lambda c: c[0][0])
-    return LinearSubdigraph(tuple(canon))
+    """The canonical subdigraph on hand-built cycles, added one at a time
+    through `with_cycle`, so their masks are computed once.  Raises
+    ValueError when the cycles share a vertex or a color, or one of them
+    repeats a vertex or a color."""
+    out = EMPTY_SUBDIGRAPH
+    for cycle in map(tuple, cycles):
+        grown = out.with_cycle(cycle)
+        if grown.length != out.length + len(cycle) or grown.color_mask.bit_count() != grown.length:
+            raise ValueError("cycles must be vertex-disjoint and color-distinct")
+        out = grown
+    return out
 
 
 def _cycles_at(g: ColoredDigraph, head: int, used_v: int, used_c: int) -> list:
@@ -296,7 +314,7 @@ def linear_subdigraphs(g: ColoredDigraph) -> list[LinearSubdigraph]:
                 continue
             for cycle, vmask, cmask in _cycles_at(g, head, used_v, used_c):
                 chosen.append(cycle)
-                out.append(LinearSubdigraph._grown(tuple(chosen), vmask, cmask))
+                out.append(LinearSubdigraph(tuple(chosen), vmask, cmask))
                 extend(head + 1, chosen, vmask, cmask)
                 chosen.pop()
 
@@ -317,9 +335,7 @@ def closed_walks(g: ColoredDigraph, *, max_length: int | None = None) -> list[Wa
     cap = g.colors if max_length is None else min(max_length, g.colors)
     out: list[Walk] = []
 
-    def extend(
-        root: int, current: int, steps: list[tuple[int, int]], used_c: set[int]
-    ) -> None:
+    def extend(root: int, current: int, steps: list[tuple[int, int]], used_c: int) -> None:
         if steps and current == root:
             out.append(Walk(root, tuple(steps)))
         left = cap - len(steps) - 1  # steps left after this one
@@ -331,16 +347,14 @@ def closed_walks(g: ColoredDigraph, *, max_length: int | None = None) -> list[Wa
             if not ahead >> v & 1:
                 continue
             for c, _ in weights:
-                if c in used_c:
+                if used_c >> c & 1:
                     continue
                 steps.append((v, c))
-                used_c.add(c)
-                extend(root, v, steps, used_c)
-                used_c.remove(c)
+                extend(root, v, steps, used_c | 1 << c)
                 steps.pop()
 
     for root in range(1, g.n + 1):
-        extend(root, root, [], set())
+        extend(root, root, [], 0)
     return out
 
 

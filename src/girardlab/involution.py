@@ -40,7 +40,6 @@ from .enumeration import (
     Edge,
     LinearSubdigraph,
     Walk,
-    _canonical_cycle,
     closed_walks,
     linear_subdigraphs,
 )
@@ -87,13 +86,6 @@ def classify(pair: WalkGammaPair) -> str:
     return GOOD if w.is_simple and not w.vertex_mask & pair.gamma.vertex_mask else BAD
 
 
-def _add_cycle(gamma: LinearSubdigraph, cycle: tuple[Edge, ...]) -> LinearSubdigraph:
-    """gamma, in canonical form, with `cycle` added in canonical form: only
-    the new cycle is rotated to its least vertex, and a plain tuple sort
-    orders the cycles by that vertex, which differs from cycle to cycle."""
-    return LinearSubdigraph(tuple(sorted((*gamma.cycles, _canonical_cycle(cycle)))))
-
-
 def _cycle_rooted_steps(cycle: tuple[Edge, ...], root: int) -> tuple[tuple[int, int], ...]:
     """The cycle as walk steps, traversed once starting from `root`."""
     tails = [e[0] for e in cycle]
@@ -121,18 +113,15 @@ def involute(pair: WalkGammaPair) -> WalkGammaPair:
             # case 1: splice the cycle through v into the walk
             cycle = gamma.cycle_containing(v)
             new_steps = w.steps[:i] + _cycle_rooted_steps(cycle, v) + w.steps[i:]
-            remaining = tuple(c for c in gamma.cycles if c != cycle)
-            return WalkGammaPair(Walk(w.start, new_steps), LinearSubdigraph(remaining))
+            return WalkGammaPair(Walk(w.start, new_steps), gamma.without_cycle(cycle))
         if v in first_seen:
             j = first_seen[v]
             if j == 0 and i == len(seq) - 1:
                 raise ValueError("involution is undefined on GOOD pairs")
             # case 2: excise the first completed cycle
-            cycle_edges = tuple(
-                (seq[t], seq[t + 1], w.steps[t][1]) for t in range(j, i)
-            )
+            cycle = tuple((seq[t], seq[t + 1], w.steps[t][1]) for t in range(j, i))
             new_steps = w.steps[:j] + w.steps[i:]
-            return WalkGammaPair(Walk(w.start, new_steps), _add_cycle(gamma, cycle_edges))
+            return WalkGammaPair(Walk(w.start, new_steps), gamma.with_cycle(cycle))
         first_seen[v] = i
     raise AssertionError("BAD pair produced no case; classification is broken")
 
@@ -141,7 +130,7 @@ def underlying_subdigraph(pair: WalkGammaPair) -> LinearSubdigraph:
     """For a GOOD pair: gamma together with the walk's own cycle."""
     if classify(pair) != GOOD:
         raise ValueError("only GOOD pairs have an underlying subdigraph")
-    return _add_cycle(pair.gamma, tuple(pair.walk.edges()))
+    return pair.gamma.with_cycle(pair.walk.edges())
 
 
 def enumerate_pairs(
@@ -264,9 +253,12 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
         problems.append("BAD pair weights do not cancel")
 
     good_sum = 0
-    groups: dict[LinearSubdigraph, list] = {}  # subdigraph -> its GOOD pairs' weights
+    # subdigraph -> its GOOD pairs' weights; each pair was classified above,
+    # so its underlying subdigraph is taken without a second check
+    groups: dict[LinearSubdigraph, list] = {}
     for i in good:
-        groups.setdefault(underlying_subdigraph(pairs[i]), []).append(weights[i])
+        pair = pairs[i]
+        groups.setdefault(pair.gamma.with_cycle(pair.walk.edges()), []).append(weights[i])
     expected = {gamma for gamma in subdigraphs if gamma.length == r}
     if set(groups) != expected:
         problems.append("GOOD pairs do not cover exactly the r-edge subdigraphs")

@@ -151,20 +151,17 @@ def good_word_sum(m: int, r: int) -> Poly:
     """Independent oracle: the commutative image of the good words.
 
     Sums x_{i_1}^(1) * ... * x_{i_r}^(r) * y_t over all tuples with
-    1 <= i_p <= m, 2 <= t <= m+1 and every i_p < t.
+    1 <= i_p <= m, 2 <= t <= m+1 and every i_p < t.  The words of each t
+    are built level by level, one letter p at a time, in the order of the
+    tuples (i_1, ..., i_r), so no call goes r deep.
     """
     _check_m_r(m, r)
     terms = []
-
-    def build(p: int, t: int, mono: Poly) -> None:
-        if p > r:
-            terms.append(mono * Poly.variable(yvar(t)))
-            return
-        for i in range(1, t):
-            build(p + 1, t, mono * Poly.variable(xvar(i, p)))
-
     for t in range(2, m + 2):
-        build(1, t, Poly.one())
+        words = [Poly.one()]
+        for p in range(1, r + 1):
+            words = [mono * Poly.variable(xvar(i, p)) for mono in words for i in range(1, t)]
+        terms += [mono * Poly.variable(yvar(t)) for mono in words]
     return poly_sum(terms)
 
 

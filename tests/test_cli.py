@@ -936,11 +936,22 @@ def test_theorem1_code_count_is_exact():
 
 
 def test_the_largest_accepted_theorem1_runs_pass(capsys):
-    # r = 893 is the largest r at m = 1, and the good-word oracle recurses
-    # r deep, so it also shows the charge keeps r within the recursion limit
+    # r = 893 is the largest r at m = 1
     for m, r in [(14, 1), (12, 2), (9, 3), (1, 893)]:
         assert cli._theorem1_work(m, r, cli.THEOREM1_MAX_WORK) <= cli.THEOREM1_MAX_WORK
     assert main(["verify", "theorem1", "--m", "1", "--r", "893"]) == 0
+    assert "result: PASS (1/1 checks)" in capsys.readouterr().out
+
+
+def test_theorem1_at_the_largest_r_runs_from_a_deep_caller(capsys):
+    # the good-word oracle builds its words level by level, so no route
+    # needs r frames of the stack, and a caller 200 frames deep has room
+    def nested(depth: int) -> int:
+        if depth:
+            return nested(depth - 1)
+        return main(["verify", "theorem1", "--m", "1", "--r", "893"])
+
+    assert nested(200) == 0
     assert "result: PASS (1/1 checks)" in capsys.readouterr().out
 
 

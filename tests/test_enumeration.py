@@ -6,15 +6,19 @@ from math import prod
 import pytest
 
 from girardlab import (
+    BAD,
     EMPTY_SUBDIGRAPH,
     ColoredDigraph,
     LinearSubdigraph,
     Poly,
     Walk,
+    classify,
     closed_walk_buckets,
     closed_walk_sum,
     closed_walks,
     colored_cycles,
+    enumerate_pairs,
+    involute,
     linear_subdigraph_buckets,
     linear_subdigraph_sum,
     linear_subdigraphs,
@@ -87,8 +91,9 @@ def _facts_graphs():
 
 
 def test_walk_and_subdigraph_facts_agree_with_their_definitions():
-    # the masks, the vertex sequence, is_simple and a subdigraph's length
-    # are derived once, at construction, from the same steps and cycles
+    # a walk's masks, vertex sequence and is_simple are derived once, at
+    # construction, from its steps; an enumerated subdigraph's masks and
+    # length must be what its cycles give
     seen = 0
     for g in _facts_graphs():
         # and a walk of no steps, an open one, a closed non-simple one, and an
@@ -138,7 +143,7 @@ def test_a_missing_edge_or_color_raises_the_graph_error():
         ([[(1, 2, 1), (2, 1, 2)]], r"no color 2 on edge \(2, 1\)"),
     ]:
         with pytest.raises(ValueError, match=message):
-            LinearSubdigraph(tuple(tuple(c) for c in cycles)).weight(g)
+            make_subdigraph(cycles).weight(g)
     assert Walk(1, ((2, 2), (1, 1))).weight(g) == 7 * 11
 
 
@@ -154,6 +159,17 @@ def test_make_subdigraph_canonicalizes():
     assert rotated.cycles[0][0][0] == 2  # starts at the smallest vertex
     pair = make_subdigraph([[(4, 4, 1)], [(2, 2, 3)]])
     assert [c[0][0] for c in pair.cycles] == [2, 4]  # sorted by start
+
+
+def test_make_subdigraph_refuses_cycles_that_meet():
+    for cycles in [
+        [[(1, 1, 1)], [(1, 1, 2)]],  # a shared vertex
+        [[(1, 1, 1)], [(2, 2, 1)]],  # a shared color
+        [[(1, 2, 1), (2, 1, 1)]],  # a color twice in one cycle
+        [[(1, 2, 1), (2, 1, 2), (1, 1, 3)]],  # a vertex twice in one cycle
+    ]:
+        with pytest.raises(ValueError, match="vertex-disjoint and color-distinct"):
+            make_subdigraph(cycles)
 
 
 def test_subdigraph_queries():
@@ -320,7 +336,7 @@ def reference_subdigraphs(g: ColoredDigraph) -> list[LinearSubdigraph]:
             if all(apart(i, j) for i in f)
         ]
         families += level
-    return [LinearSubdigraph(tuple(pool[i] for i in f)) for f in sorted(families)]
+    return [make_subdigraph(pool[i] for i in f) for f in sorted(families)]
 
 
 def check_against_reference(g: ColoredDigraph) -> None:
@@ -353,25 +369,40 @@ def near_acyclic_digraph(n: int, k: int, rng: random.Random) -> ColoredDigraph:
     return make_digraph(n, k, edges)
 
 
+def _facts_from_cycles(gamma) -> tuple[int, int, int]:
+    edges = [e for cycle in gamma.cycles for e in cycle]
+    return len(edges), _bits(e[0] for e in edges), _bits(e[2] for e in edges)
+
+
 def test_enumerated_subdigraphs_keep_the_constructor_facts():
-    # the enumerator hands over the masks it grew; the public constructor
-    # derives them from the cycles, and the two must agree, in the same order
+    # every builder passes the masks it holds: the enumerator those it
+    # grew, involute's with_cycle and without_cycle one cycle's bits more
+    # or less, make_subdigraph those of hand-built cycles; each subdigraph's
+    # length and masks must be what its cycles give
     rng = random.Random(4242)
     graphs = []
     for _ in range(20):
         n, k = rng.randint(1, 6), rng.randint(1, 5)
         graphs.append(random_digraph(n, k, rng.choice([0.3, 0.6]), 3, seed=rng.randrange(10**6)))
         graphs.append(near_acyclic_digraph(n, k, rng))
-    seen = 0
+    built, images = [EMPTY_SUBDIGRAPH], []
     for g in graphs:
         subs = linear_subdigraphs(g)
-        assert subs == reference_subdigraphs(g)
+        assert subs == reference_subdigraphs(g)  # each one through make_subdigraph
         for sub in subs:
-            again = LinearSubdigraph(sub.cycles)
-            assert (sub.length, sub.vertex_mask, sub.color_mask) == (
-                again.length, again.vertex_mask, again.color_mask)
-        seen += len(subs)
-    assert seen > 1000
+            # each cycle rotated off its least vertex, the cycles reversed
+            again = make_subdigraph(c[1:] + c[:1] for c in reversed(sub.cycles))
+            assert again == sub
+            built += [sub, again]
+        for r in range(1, min(g.colors, 3) + 1):
+            images += [(pair.gamma, involute(pair).gamma)
+                       for pair in enumerate_pairs(g, r, subdigraphs=subs) if classify(pair) == BAD]
+    for gamma in built + [image for _, image in images]:
+        assert (gamma.length, gamma.vertex_mask, gamma.color_mask) == _facts_from_cycles(gamma)
+    assert len(built) > 2000
+    # both moves are met many times: a cycle spliced out of gamma, and one added
+    spliced = sum(image.cycle_count < gamma.cycle_count for gamma, image in images)
+    assert spliced > 1000 and len(images) - spliced > 1000
 
 
 # ---------------------------------------------------------------------------
