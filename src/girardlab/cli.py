@@ -81,6 +81,9 @@ PREFACTOR_NOTE = (
 # theorem2's products); a run past one exits 2 at once.  theorem3 keeps
 # r = n = 7 (881,174 breakdown terms, 180,216 product terms) and refuses
 # r = n = 8 (11,211,272 breakdown terms); r = 12 makes 2^12 (S, T) entries.
+# The breakdown terms are term products made, not terms held: the
+# assembly sums them into one accumulator.  THEOREM3_MAX_TERMS was set
+# when every entry was held whole, and is not re-derived for that yet.
 # theorem1 keeps (m, r) = (14, 1), (12, 2) and (9, 3) (0.20, 0.24 and
 # 0.13 s for its three routes in-process, best of 3 on a shared 2-core
 # host) and refuses (15, 1), (10, 3) and (8, 4) (0.35, 0.20 and 0.21 s).
@@ -335,12 +338,14 @@ def _run_theorem2(args, report: RunReport) -> None:
 
 
 def _theorem3_terms(r: int, n: int) -> tuple[int, int]:
-    """The polynomial terms `verify theorem3` builds at (r, n), exactly:
+    """The polynomial terms `verify theorem3` makes at (r, n), exactly:
     (breakdown terms, product terms).
 
     The (S, T) entry with |S| = k < r is the n-term bracket times
     E(n, S, k), which has k! * C(n, k) terms and shares no variable with
-    the bracket.  The product terms are those the clow DP of the
+    the bracket.  The breakdown terms are term products made: the
+    assembly adds each into the residual's one accumulator, and holds no
+    entry whole.  The product terms are those the clow DP of the
     all-loops graph finishes over its heads j = 0..n, where every clow is
     one loop and the sequences with heads up to j sum to
     prod_{j' <= j} (1 - sum_i a[j']^(i) t_i): sum_j sum_S |E(j, S)| =

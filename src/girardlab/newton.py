@@ -18,9 +18,12 @@ The c values come from `enumeration.closed_walk_buckets`, a transfer-matrix
 DP that builds no walk; the ell values come from
 `enumeration.linear_subdigraph_buckets`, a signed sum over clow sequences
 on the same DP step that builds no subdigraph.  On an integer graph both
-maps hold ints, and the assembly multiplies ints too; each breakdown entry
-and each closing term becomes a `Poly` once, so a report holds `Poly`
-values whatever the weights.
+maps hold ints, and the assembly multiplies ints too.  The residual sums
+the (S, T) products into one accumulator (`poly.poly_dot`), so no entry
+becomes a `Poly` of its own; the report's breakdown keeps each entry's
+two factors and multiplies an entry only when it is read.  Each closing
+term becomes a `Poly` once, so a report holds `Poly` values whatever the
+weights.
 
 Specializing to the all-loops graph (digraph.self_loop_digraph) turns the
 identity into a statement about n alphabets of r symbols a[j]^(1..r), the
@@ -38,16 +41,16 @@ which the tests compare with the per-S enumeration `elementary_color_sum`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 from .digraph import ColoredDigraph, self_loop_digraph
 from .enumeration import as_poly, closed_walk_buckets, linear_subdigraph_buckets
 from .exactnum import factorial
-from .poly import Poly, VarId, avar, poly_prod, poly_sum
+from .poly import Poly, VarId, avar, poly_dot, poly_prod, poly_sum
 
 __all__ = [
     "NewtonReport",
@@ -64,6 +67,8 @@ __all__ = [
 ColorPair = tuple[frozenset[int], frozenset[int]]
 # (length, color set) -> sum, as the c and ell maps are keyed
 Buckets = Mapping[tuple[int, frozenset[int]], int | Poly]
+# (c(|T|, T), ell(|S|, S)): the two factors of one (S, T) entry
+Factors = tuple[int | Poly, int | Poly]
 
 _THEOREM3_NOTE = (
     "closing term r*E(n, [r], r) enters with sign (-1)^r "
@@ -76,10 +81,11 @@ class NewtonReport:
     """Outcome of one identity check.
 
     `breakdown` maps each (S, T) color pair with T nonempty to its
-    contribution; `residual` is the breakdown total plus the aggregated
-    closing term and must be the zero polynomial, `literal_residual` uses
-    the single-set closing term instead (equal to the aggregated one when
-    k = r, and when r > n, where both closing terms are zero).
+    contribution, multiplied when the entry is read; `residual` is the
+    breakdown total plus the aggregated closing term and must be the zero
+    polynomial, `literal_residual` uses the single-set closing term
+    instead (equal to the aggregated one when k = r, and when r > n, where
+    both closing terms are zero).
     """
 
     case: str  # "r>n" or "r<=n", named in failure records
@@ -101,18 +107,41 @@ def _closing_sum(ell: Buckets, r: int) -> int | Poly:
     return sum(val for (length, _), val in ell.items() if length == r)
 
 
+class _Products(Mapping):
+    """A read-only map from each (S, T) pair to the product of its two
+    factors, multiplied each time the entry is read; its length, keys
+    and membership cost no product."""
+
+    __slots__ = ("_factors",)
+
+    def __init__(self, factors: Mapping[ColorPair, Factors]):
+        self._factors = factors
+
+    def __getitem__(self, key: ColorPair) -> Poly:
+        return poly_dot((self._factors[key],))
+
+    def __contains__(self, key) -> bool:
+        return key in self._factors
+
+    def __iter__(self) -> Iterator[ColorPair]:
+        return iter(self._factors)
+
+    def __len__(self) -> int:
+        return len(self._factors)
+
+
 def _split_terms(
     colors: frozenset[int], r: int, c: Buckets, ell: Buckets
-) -> dict[ColorPair, Poly]:
-    """Contributions c(|T|, T) * ell(|S|, S) for disjoint S, T in `colors`
-    with |S| + |T| = r and T nonempty, each as a `Poly`; a key missing
-    from a map is a zero sum, and the empty S contributes 1.  There is no
-    such pair when r exceeds the color count, and a huge r then costs
-    nothing."""
+) -> dict[ColorPair, Factors]:
+    """The factors (c(|T|, T), ell(|S|, S)) of each contribution, for
+    disjoint S, T in `colors` with |S| + |T| = r and T nonempty; a key
+    missing from a map is a zero sum, and the empty S contributes 1.
+    There is no such pair when r exceeds the color count, and a huge r
+    then costs nothing."""
     cols = sorted(colors)
     if r > len(cols):
         return {}
-    terms: dict[ColorPair, Poly] = {}
+    terms: dict[ColorPair, Factors] = {}
     for s_size in range(r):
         t_size = r - s_size
         for s_tuple in combinations(cols, s_size):
@@ -121,7 +150,7 @@ def _split_terms(
             for t_tuple in combinations(rest, t_size):
                 t = frozenset(t_tuple)
                 ell_val = ell.get((s_size, s), 0) if s_size else 1
-                terms[(s, t)] = as_poly(c.get((t_size, t), 0) * ell_val)
+                terms[(s, t)] = (c.get((t_size, t), 0), ell_val)
     return terms
 
 
@@ -135,16 +164,16 @@ def _assemble(
     r * ell(r, colors) (literal).  Past n every ell(r, .) is zero, and so
     are both closing terms.
     """
-    breakdown = _split_terms(colors, r, c, ell)
+    factors = _split_terms(colors, r, c, ell)
     # Poly.const(r) coerces an int sum, and a constant left factor
     # multiplies a symbolic one without re-sorting its monomials
     aggregated = Poly.const(r) * _closing_sum(ell, r)
     literal = Poly.const(r) * ell.get((r, colors), 0)
-    base = poly_sum(breakdown.values())
+    base = poly_dot(factors.values())
     return NewtonReport(
         case="r>n" if r > n else "r<=n",
         r=r,
-        breakdown=breakdown,
+        breakdown=_Products(factors),
         aggregated_correction=aggregated,
         literal_correction=literal,
         residual=base + aggregated,

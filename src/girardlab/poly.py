@@ -32,9 +32,11 @@ name, the bare one is the power).  ``parse_poly`` round-trips this format
 bit-exactly.
 
 Canonical form is kept in one place: `_merge`, which adds terms into a
-map, is the only code that drops a coefficient cancelled to zero, apart
-from the product's own accumulation in `Poly.__mul__`, and `_poly` wraps a
-map that is already canonical.
+map, and `_add_product`, the one product kernel, which adds p * q into a
+map, are the only code that drops a coefficient cancelled to zero, and
+`_poly` wraps a map that is already canonical.  `Poly.__mul__` and
+`poly_dot`, a sum of products with one accumulator, both run on
+`_add_product`.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ __all__ = [
     "Poly",
     "poly_sum",
     "poly_prod",
+    "poly_dot",
     "parse_poly",
     "PolyParseError",
 ]
@@ -171,6 +174,24 @@ def _merge(data: dict, terms: Iterable[tuple[tuple[int, ...], int]], sign: int =
     return data
 
 
+def _add_product(data: dict, left: dict, right: dict) -> dict:
+    """Add the product of the code-monomial maps `left` and `right` into
+    `data`, dropping every coefficient that cancels to zero; returns
+    `data`.  The hot loop of theorem3: it makes no map per product and
+    calls no `_merge` per row.  A constant left factor needs no sort, so
+    a caller puts a constant on the left."""
+    get = data.get
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            mono = tuple(sorted(m1 + m2)) if m1 else m2
+            new = get(mono, 0) + c1 * c2
+            if new:
+                data[mono] = new
+            else:
+                del data[mono]
+    return data
+
+
 class Poly:
     """An immutable polynomial with integer coefficients.
 
@@ -276,19 +297,8 @@ class Poly:
         o = Poly._coerce(other)
         if o is None:
             return NotImplemented
-        # The hot loop of theorem3: it keeps its own accumulation rather
-        # than calling `_merge` once per row of the product.
-        data: dict = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in o._terms.items():
-                # a constant left factor needs no sort
-                mono = tuple(sorted(m1 + m2)) if m1 else m2
-                new = data.get(mono, 0) + c1 * c2
-                if new:
-                    data[mono] = new
-                else:
-                    del data[mono]
-        return _poly(data)
+        # the one product kernel, which `poly_dot` shares
+        return _poly(_add_product({}, self._terms, o._terms))
 
     __rmul__ = __mul__
 
@@ -364,6 +374,25 @@ def poly_sum(items: Iterable[Poly]) -> Poly:
     for p in items:
         _merge(data, p._terms.items())
     return _poly(data)
+
+
+def poly_dot(pairs: Iterable[tuple[int | Poly, int | Poly]]) -> Poly:
+    """The sum of p * q over `pairs`, each factor an int or a `Poly`, with
+    one accumulator: no product becomes a `Poly` of its own.  int * int
+    pairs add up as plain ints; the others go through `_add_product`,
+    with an int factor on the left."""
+    data: dict = {}
+    const = 0
+    for p, q in pairs:
+        if isinstance(q, int):
+            p, q = q, p
+        if not isinstance(p, int):
+            _add_product(data, p._terms, q._terms)
+        elif isinstance(q, int):
+            const += p * q
+        elif p:
+            _add_product(data, {_UNIT: p}, q._terms)
+    return _poly(_merge(data, ((_UNIT, const),)))
 
 
 def poly_prod(items: Iterable[Poly]) -> Poly:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from girardlab import ColoredDigraph, make_digraph
+import json
+import random
+
+from girardlab import ColoredDigraph, make_digraph, parse_digraph, random_digraph
 
 # Enough distinct primes for 9 vertex pairs x 3 colors.
 PRIMES = [
@@ -38,3 +41,16 @@ def permute_vertices(g: ColoredDigraph, perm: dict[int, int]) -> ColoredDigraph:
         (perm[u], perm[v]): list(weights) for (u, v), weights in g.edges.items()
     }
     return make_digraph(g.n, g.colors, edges)
+
+
+def parsed_dense_graph(n: int, k: int, seed: int) -> ColoredDigraph:
+    """A dense graph read from JSON text, as the CLI reads a graph file."""
+    rng = random.Random(seed)
+    pool = [w for w in range(-3, 4) if w]
+    edges = [{"from": u, "to": v, "weights": [rng.choice(pool) for _ in range(k)]}
+             for u in range(1, n + 1) for v in range(1, n + 1)]
+    return parse_digraph(json.dumps({"n": n, "colors": k, "edges": edges}))
+
+
+# Integer-weight graphs, one read from a file's text and one random.
+INT_GRAPHS = [parsed_dense_graph(4, 4, seed=5), random_digraph(4, 3, 0.7, 3, seed=21)]

@@ -1,4 +1,3 @@
-import json
 import random
 from itertools import combinations
 from math import prod
@@ -24,14 +23,13 @@ from girardlab import (
     linear_subdigraphs,
     make_digraph,
     make_subdigraph,
-    parse_digraph,
     random_digraph,
     self_loop_digraph,
     verify_walk_cycle_identity,
     xvar,
 )
 
-from _support import all_pattern_graphs, permute_vertices
+from _support import INT_GRAPHS, all_pattern_graphs, parsed_dense_graph, permute_vertices
 
 
 def two_cycle_graph(k: int = 2) -> ColoredDigraph:
@@ -563,18 +561,6 @@ def test_subdigraph_sum_is_a_bucket_lookup():
 # ---------------------------------------------------------------------------
 # the integer path: int weights stay ints, and the kernel stays ring-generic
 # ---------------------------------------------------------------------------
-
-
-def parsed_dense_graph(n: int, k: int, seed: int) -> ColoredDigraph:
-    """A dense graph read from JSON text, as the CLI reads a graph file."""
-    rng = random.Random(seed)
-    pool = [w for w in range(-3, 4) if w]
-    edges = [{"from": u, "to": v, "weights": [rng.choice(pool) for _ in range(k)]}
-             for u in range(1, n + 1) for v in range(1, n + 1)]
-    return parse_digraph(json.dumps({"n": n, "colors": k, "edges": edges}))
-
-
-INT_GRAPHS = [parsed_dense_graph(4, 4, seed=5), random_digraph(4, 3, 0.7, 3, seed=21)]
 
 
 @pytest.mark.parametrize("g", INT_GRAPHS, ids=["parsed_dense", "random"])

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,7 @@ from girardlab import (
     elementary_color_sum,
     factorial,
     make_digraph,
+    poly_sum,
     random_digraph,
     self_loop_digraph,
     total_subdigraph_sum,
@@ -22,9 +24,11 @@ from girardlab import (
     verify_classical_newton_girard,
     verify_colored_newton_girard,
     verify_walk_cycle_identity,
+    xvar,
+    yvar,
 )
 
-from _support import all_pattern_graphs
+from _support import INT_GRAPHS, all_pattern_graphs, parsed_dense_graph
 
 
 def one_loop_graph() -> ColoredDigraph:
@@ -243,6 +247,97 @@ def test_cross_check_fails_when_one_walk_bucket_is_off(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "symbolic and all-loops-graph paths disagree" in out
     assert "result: FAIL (0/1 checks)" in out
+
+
+# ---------------------------------------------------------------------------
+# assembly: the residual is summed from the entries' factors, and an entry
+# is multiplied only when it is read
+# ---------------------------------------------------------------------------
+
+
+def assert_assembled(report):
+    """Both residuals equal the breakdown, read entry by entry, plus their
+    closing terms."""
+    base = poly_sum(report.breakdown.values())
+    assert report.residual == base + report.aggregated_correction
+    assert report.literal_residual == base + report.literal_correction
+
+
+def one_symbolic_weight_graph():
+    g = parsed_dense_graph(3, 3, seed=8)
+    edges = {pair: list(ws) for pair, ws in g.edges.items()}
+    edges[(1, 2)][1] = Poly.variable(xvar(1, 2))
+    return make_digraph(g.n, g.colors, edges)
+
+
+@pytest.mark.parametrize(
+    "g", [*INT_GRAPHS, one_symbolic_weight_graph()], ids=["parsed_dense", "random", "symbolic"]
+)
+def test_residual_is_the_breakdown_plus_the_closing_term_on_graphs(g):
+    for r in range(1, g.colors + 2):
+        report = verify_walk_cycle_identity(g, r)
+        assert_assembled(report)
+        assert report.passed, r
+
+
+def test_residual_is_the_breakdown_plus_the_closing_term_on_alphabets():
+    for r in range(1, 6):
+        for n in range(1, 6):
+            report = verify_colored_newton_girard(r, n)
+            assert_assembled(report)
+            assert report.passed, (r, n)
+
+
+def test_residual_is_the_breakdown_plus_the_closing_term_when_it_fails(monkeypatch):
+    # one ell bucket off by y[1]: every entry it enters moves, so the
+    # residual is nonzero and the comparison is not 0 == 0
+    original = newton.linear_subdigraph_buckets
+
+    def perturbed(g):
+        buckets = dict(original(g))
+        key = (1, frozenset({1}))
+        buckets[key] = buckets[key] + Poly.variable(yvar(1))
+        return buckets
+
+    monkeypatch.setattr(newton, "linear_subdigraph_buckets", perturbed)
+    for report in (verify_colored_newton_girard(3, 3),
+                   verify_walk_cycle_identity(INT_GRAPHS[0], 3)):
+        assert not report.passed
+        assert yvar(1) in report.residual.variables()
+        assert_assembled(report)
+
+
+def test_breakdown_length_and_keys_make_no_product(monkeypatch):
+    products = []
+    poly_mul = Poly.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return poly_mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__rmul__", counted)
+    report = verify_colored_newton_girard(4, 4)
+    assert products  # the closing products count, so the counter is live
+    products.clear()
+    assert len(report.breakdown) == len(list(report.breakdown)) == 2**4 - 1
+    assert all(key in report.breakdown for key in report.breakdown)
+    assert (frozenset(), frozenset({5})) not in report.breakdown
+    assert products == []
+
+
+def test_the_assembly_holds_no_breakdown_entry():
+    # at (5, 5) the 31 entries hold about 7,000 terms; summing them into
+    # one accumulator keeps the peak far below what holding them costs
+    newton._alphabet_walks.cache_clear()
+    tracemalloc.start()
+    try:
+        report = verify_colored_newton_girard(5, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 800_000, peak
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from girardlab import Poly, PolyParseError, avar, parse_poly, poly_prod, poly_sum, xvar, yvar
+from girardlab import (
+    Poly, PolyParseError, avar, parse_poly, poly_dot, poly_prod, poly_sum, xvar, yvar,
+)
 
 X11 = Poly.variable(xvar(1, 1))
 X21 = Poly.variable(xvar(2, 1))
@@ -319,3 +321,46 @@ def test_int_codes_agree_with_the_variable_tuple_reference(a, b):
         ),
     )
     assert p.coefficient(((yvar(999), 1),)) == 0
+
+
+# A factor of poly_dot: an int or a reference term map, made a Poly below.
+dot_factors = st.one_of(st.integers(min_value=-4, max_value=4), ref_polys)
+
+
+def factor_terms(f):
+    """The reference term map of one factor."""
+    if isinstance(f, int):
+        return {(): f} if f else {}
+    return f
+
+
+def dot_reference(pairs):
+    return ref_accumulate(
+        (ref_mono_mul(m1, m2), c1 * c2)
+        for p, q in pairs
+        for m1, c1 in factor_terms(p).items()
+        for m2, c2 in factor_terms(q).items()
+    )
+
+
+def negated(f):
+    return -f if isinstance(f, int) else {m: -c for m, c in f.items()}
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(dot_factors, dot_factors), max_size=5))
+@example([(0, {((xvar(1, 1), 1),): 3}), ({((yvar(2), 2),): -1}, 0), (3, -2), (2, 3)])
+@example([({((avar(1, 1), 1),): 2}, 5), (-2, {((avar(1, 1), 1),): 5})])
+def test_poly_dot_agrees_with_the_reference(pairs):
+    def as_factor(f):
+        return f if isinstance(f, int) else Poly(f)
+
+    dot = poly_dot((as_factor(p), as_factor(q)) for p, q in pairs)
+    assert_same(dot, dot_reference(pairs))
+    # each product once more with its left factor negated: the sum cancels
+    # to the zero polynomial, int products and Poly products alike
+    both = [*pairs, *((negated(p), q) for p, q in pairs)]
+    assert_same(poly_dot((as_factor(p), as_factor(q)) for p, q in both), {})
+    # one pair alone is its product, a Poly even when both factors are ints
+    for p, q in pairs:
+        assert_same(poly_dot([(as_factor(p), as_factor(q))]), dot_reference([(p, q)]))
