@@ -240,10 +240,14 @@ EMPTY_SUBDIGRAPH = LinearSubdigraph((), 0, 0)
 def make_subdigraph(cycles: Iterable[Iterable[Edge]]) -> LinearSubdigraph:
     """The canonical subdigraph on hand-built cycles, added one at a time
     through `with_cycle`, so their masks are computed once.  Raises
-    ValueError when the cycles share a vertex or a color, or one of them
-    repeats a vertex or a color."""
+    ValueError when a cycle's edges do not chain head to tail and close,
+    when the cycles share a vertex or a color, or one of them repeats a
+    vertex or a color."""
     out = EMPTY_SUBDIGRAPH
     for cycle in map(tuple, cycles):
+        # at i = 0 the last edge's head meets the first edge's tail
+        if any(cycle[i - 1][1] != cycle[i][0] for i in range(len(cycle))):
+            raise ValueError("a cycle's edges must chain head to tail and close")
         grown = out.with_cycle(cycle)
         if grown.length != out.length + len(cycle) or grown.color_mask.bit_count() != grown.length:
             raise ValueError("cycles must be vertex-disjoint and color-distinct")
@@ -288,7 +292,10 @@ def _cycles_at(g: ColoredDigraph, head: int, used_v: int, used_c: int) -> list:
 def colored_cycles(g: ColoredDigraph) -> list[tuple[Edge, ...]]:
     """All simple directed cycles with injectively colored edges, each
     starting at its head (least vertex), sorted by (head, cycle); every
-    injective assignment of colors to its edges appears once."""
+    injective assignment of colors to its edges appears once.
+
+    `perfbench/tracer.py` wraps this function by name, so deleting it breaks
+    `--trace 1` and `test_traced_counts_repeat`."""
     return [
         cycle
         for head in range(1, g.n + 1)
@@ -440,6 +447,15 @@ def linear_subdigraph_buckets(
     return {(m.bit_count(), _color_set(m, g.colors)): val for m, val in done.items() if m}
 
 
+def _lookup(buckets, g: ColoredDigraph, size: int, colors: Iterable[int]) -> Poly:
+    """The bucket (size, colors) of `buckets(g)` as a `Poly`: 1 at size 0
+    with no colors (the empty object), 0 for a key the map lacks."""
+    key = (size, frozenset(colors))
+    if key == (0, frozenset()):
+        return Poly.one()
+    return as_poly(buckets(g).get(key, 0))
+
+
 def linear_subdigraph_sum(g: ColoredDigraph, p: int, colors: Iterable[int]) -> Poly:
     """ell(g, p, S): sum of (-1)^(cycle count) * weight over subdigraphs
     with p edges and color set exactly S, looked up in
@@ -448,10 +464,7 @@ def linear_subdigraph_sum(g: ColoredDigraph, p: int, colors: Iterable[int]) -> P
     Conventions: 1 when p = 0 and S is empty (the empty subdigraph), 0
     whenever p != |S| (a subdigraph's edge and color counts agree).
     """
-    s = frozenset(colors)
-    if p == 0 and not s:
-        return Poly.one()
-    return as_poly(linear_subdigraph_buckets(g).get((p, s), 0))
+    return _lookup(linear_subdigraph_buckets, g, p, colors)
 
 
 def closed_walk_sum(g: ColoredDigraph, q: int, colors: Iterable[int]) -> Poly:
@@ -462,10 +475,7 @@ def closed_walk_sum(g: ColoredDigraph, q: int, colors: Iterable[int]) -> Poly:
     Conventions: 1 when q = 0 and T is empty (the empty walk), 0 whenever
     q != |T| (a walk's length and color count agree).
     """
-    t = frozenset(colors)
-    if q == 0 and not t:
-        return Poly.one()
-    return as_poly(closed_walk_buckets(g).get((q, t), 0))
+    return _lookup(closed_walk_buckets, g, q, colors)
 
 
 def as_poly(value: int | Poly) -> Poly:

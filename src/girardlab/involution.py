@@ -78,11 +78,22 @@ class WalkGammaPair:
         return -weight if self.gamma.cycle_count % 2 else weight
 
 
-def classify(pair: WalkGammaPair) -> str:
-    """GOOD iff the walk avoids gamma's vertices and is simple."""
+def _checked_walk(pair: WalkGammaPair) -> Walk:
+    """The pair's walk, once the pair invariant holds: the walk is closed,
+    has at least one step and repeats no color, and its colors are disjoint
+    from gamma's.  Raises ValueError otherwise."""
     w = pair.walk
     if w.color_mask & pair.gamma.color_mask:
         raise ValueError("pair invariant broken: overlapping color sets")
+    steps = w.steps  # the last step's vertex is the walk's end
+    if not steps or steps[-1][0] != w.start or w.color_mask.bit_count() != len(steps):
+        raise ValueError("pair invariant broken: the walk is not closed and color-distinct")
+    return w
+
+
+def classify(pair: WalkGammaPair) -> str:
+    """GOOD iff the walk avoids gamma's vertices and is simple."""
+    w = _checked_walk(pair)
     return GOOD if w.is_simple and not w.vertex_mask & pair.gamma.vertex_mask else BAD
 
 
@@ -101,10 +112,8 @@ def involute(pair: WalkGammaPair) -> WalkGammaPair:
     ones): the scan below meets such a pair's first repeat at the walk's
     closing root, with no gamma vertex before it.
     """
-    w = pair.walk
+    w = _checked_walk(pair)
     gamma = pair.gamma
-    if w.color_mask & gamma.color_mask:
-        raise ValueError("pair invariant broken: overlapping color sets")
     gamma_mask = gamma.vertex_mask
     seq = w.vertex_seq()
     first_seen: dict[int, int] = {}
@@ -172,8 +181,6 @@ def enumerate_pairs(
 class InvolutionAudit:
     """Exhaustive audit of the involution on one graph at one r."""
 
-    r: int
-    n: int
     pair_count: int
     bad_count: int
     good_count: int
@@ -192,13 +199,16 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
     * every BAD pair maps to a distinct BAD pair, back to itself on the
       second application, with negated weight (a perfect matching, so the
       BAD weights cancel).  Every pair is weighed once, up front, and
-      classified once.  The BAD pairs are walked as couples: a BAD pair not
-      yet met is sent through `involute`, looked up by position, and checked
-      against its image, which is marked met there and skipped on its own
-      turn.  So a perfect matching costs one `involute` call per BAD pair;
-    * the GOOD pairs group by their underlying r-edge subdigraph, exactly
-      r per group, the group weights summing to r * (-1)^(c-1) * W; when
-      r > n there is no r-edge subdigraph, so any GOOD pair is reported;
+      classified there.  The BAD pairs are walked as couples: a BAD pair
+      not yet met is sent through `involute`, looked up by position, and
+      checked against its image, which is marked met there and skipped on
+      its own turn.  So a perfect matching costs one `involute` call per
+      BAD pair;
+    * the GOOD pairs group by their `underlying_subdigraph` (which
+      classifies each of them a second time), an r-edge subdigraph,
+      exactly r per group, the group weights summing to
+      r * (-1)^(c-1) * W; when r > n there is no r-edge subdigraph, so any
+      GOOD pair is reported;
     * the grand total (pair weights + r * aggregated ell) is zero and
       matches the walk/cycle identity residual.
     """
@@ -253,12 +263,9 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
         problems.append("BAD pair weights do not cancel")
 
     good_sum = 0
-    # subdigraph -> its GOOD pairs' weights; each pair was classified above,
-    # so its underlying subdigraph is taken without a second check
-    groups: dict[LinearSubdigraph, list] = {}
+    groups: dict[LinearSubdigraph, list] = {}  # subdigraph -> its GOOD pairs' weights
     for i in good:
-        pair = pairs[i]
-        groups.setdefault(pair.gamma.with_cycle(pair.walk.edges()), []).append(weights[i])
+        groups.setdefault(underlying_subdigraph(pairs[i]), []).append(weights[i])
     expected = {gamma for gamma in subdigraphs if gamma.length == r}
     if set(groups) != expected:
         problems.append("GOOD pairs do not cover exactly the r-edge subdigraphs")
@@ -280,8 +287,6 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
         problems.append("audit total disagrees with the identity residual")
 
     return InvolutionAudit(
-        r=r,
-        n=g.n,
         pair_count=len(pairs),
         bad_count=bad_count,
         good_count=len(good),

@@ -37,6 +37,10 @@ the signed sum is the elementary-symmetric generating function
 prod_j (1 - sum_i a[j]^(i) t_i).  The independent halves are c, which the
 all-loops cross-check compares key by key with the walk DP, and ell,
 which the tests compare with the per-S enumeration `elementary_color_sum`.
+
+A report holds values only.  The notes a run prints (the aggregation
+convention, a vacuous r, theorem3's closing sign) are the CLI's, which
+writes each of them in one place.
 """
 
 from __future__ import annotations
@@ -70,12 +74,6 @@ Buckets = Mapping[tuple[int, frozenset[int]], int | Poly]
 # (c(|T|, T), ell(|S|, S)): the two factors of one (S, T) entry
 Factors = tuple[int | Poly, int | Poly]
 
-_THEOREM3_NOTE = (
-    "closing term r*E(n, [r], r) enters with sign (-1)^r "
-    "(cycle parity of the length-r subdigraph sum)"
-)
-
-
 @dataclass(frozen=True, eq=False)
 class NewtonReport:
     """Outcome of one identity check.
@@ -89,13 +87,11 @@ class NewtonReport:
     """
 
     case: str  # "r>n" or "r<=n", named in failure records
-    r: int
     breakdown: Mapping[ColorPair, Poly]
     aggregated_correction: Poly
     literal_correction: Poly
     residual: Poly
     literal_residual: Poly
-    notes: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -155,8 +151,7 @@ def _split_terms(
 
 
 def _assemble(
-    n: int, colors: frozenset[int], r: int, c: Buckets, ell: Buckets,
-    notes: Sequence[str],
+    n: int, colors: frozenset[int], r: int, c: Buckets, ell: Buckets
 ) -> NewtonReport:
     """The walk/cycle identity at r, built from the c and ell maps of a
     graph with n vertices and color set `colors`: the (S, T) terms with T
@@ -172,18 +167,19 @@ def _assemble(
     base = poly_dot(factors.values())
     return NewtonReport(
         case="r>n" if r > n else "r<=n",
-        r=r,
         breakdown=_Products(factors),
         aggregated_correction=aggregated,
         literal_correction=literal,
         residual=base + aggregated,
         literal_residual=base + literal,
-        notes=tuple(notes),
     )
 
 
 def total_subdigraph_sum(g: ColoredDigraph, r: int) -> Poly:
-    """Aggregated closing sum: sum over all size-r color sets S of ell(r, S)."""
+    """Aggregated closing sum: sum over all size-r color sets S of ell(r, S).
+
+    `perfbench/tracer.py` wraps this function by name, so deleting it breaks
+    `--trace 1` and `test_traced_counts_repeat`."""
     if r < 1:
         raise ValueError("total_subdigraph_sum requires r >= 1")
     return as_poly(_closing_sum(linear_subdigraph_buckets(g), r))
@@ -195,16 +191,8 @@ def verify_walk_cycle_identity(g: ColoredDigraph, r: int) -> NewtonReport:
     the breakdown."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    notes: list[str] = []
-    if r > g.colors:
-        notes.append(f"vacuous: r={r} exceeds color count k={g.colors}")
-    if r <= g.n:
-        notes.append(
-            "closing term aggregates ell(r, S) over all size-r color sets; "
-            "the single-set ell(r, C) form matches only when k = r"
-        )
     return _assemble(
-        g.n, g.color_set(), r, closed_walk_buckets(g), linear_subdigraph_buckets(g), notes
+        g.n, g.color_set(), r, closed_walk_buckets(g), linear_subdigraph_buckets(g)
     )
 
 
@@ -269,9 +257,7 @@ def verify_colored_newton_girard(r: int, n: int) -> NewtonReport:
     if r < 1 or n < 1:
         raise ValueError("verify_colored_newton_girard requires r, n >= 1")
     ell = linear_subdigraph_buckets(self_loop_digraph(n, r))
-    return _assemble(
-        n, frozenset(range(1, r + 1)), r, _alphabet_walks(r, n), ell, (_THEOREM3_NOTE,)
-    )
+    return _assemble(n, frozenset(range(1, r + 1)), r, _alphabet_walks(r, n), ell)
 
 
 def cross_check_against_loops(r: int, n: int) -> bool:

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -191,6 +192,44 @@ def test_literal_ell_fails_when_k_exceeds_r(tmp_path, capsys):
     ]
     # the aggregated form passes on the same graph
     assert main(["verify", "theorem2", "--graph", path, "--r", "1"]) == 0
+
+
+def run_failing(argv, tmp_path, capsys):
+    """The failures of a run that must exit 1, read from its --out report."""
+    out_path = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out_path)]) == 1
+    assert "result: FAIL" in capsys.readouterr().out
+    return json.loads(out_path.read_text(encoding="utf-8"))["failures"]
+
+
+def test_theorem1_records_all_three_sides_of_a_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "good_word_sum", lambda m, r: powersum.good_word_sum(m, r) + 1)
+    failures = run_failing(["verify", "theorem1", "--m", "2", "--r", "1"], tmp_path, capsys)
+    lhs = powersum.power_sum_lhs(2, 1)
+    assert failures == [
+        {"m": 2, "r": 1, "lhs": str(lhs), "rhs": str(powersum.power_sum_rhs(2, 1)),
+         "good_words": str(lhs + 1)}
+    ]
+
+
+def test_powersum_records_the_values_that_disagree(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "power_sum_via_stirling",
+                        lambda m, n: powersum.power_sum_via_stirling(m, n) + 1)
+    failures = run_failing(["powersum", "--m", "2", "--n", "3", "--method", "all"],
+                           tmp_path, capsys)
+    assert failures == [
+        {"m": 2, "n": 3, "values": {"bernoulli": "14", "direct": "14", "stirling": "15"}}
+    ]
+
+
+def test_powersum_records_a_value_that_is_not_an_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "power_sum_via_bernoulli", lambda m, n: Fraction(1, 2))
+    failures = run_failing(["powersum", "--m", "2", "--n", "3", "--method", "all"],
+                           tmp_path, capsys)
+    assert failures == [
+        {"m": 2, "n": 3, "error": "bernoulli formula not integer-valued: 1/2"},
+        {"m": 2, "n": 3, "values": {"bernoulli": "1/2", "direct": "14", "stirling": "14"}},
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,16 @@ def test_make_subdigraph_refuses_cycles_that_meet():
             make_subdigraph(cycles)
 
 
+def test_make_subdigraph_refuses_edges_that_do_not_form_a_cycle():
+    for cycles in [
+        [[(1, 2, 1), (3, 1, 2)], [(2, 2, 3)]],  # 1 -> 2, then 3 -> 1
+        [[(1, 2, 1), (3, 1, 2)]],
+        [[(1, 2, 1)]],  # never closes
+    ]:
+        with pytest.raises(ValueError, match="chain head to tail and close"):
+            make_subdigraph(cycles)
+
+
 def test_subdigraph_queries():
     gamma = make_subdigraph([[(1, 2, 1), (2, 1, 2)], [(3, 3, 3)]])
     assert gamma.length == 3

@@ -88,6 +88,17 @@ def test_involute_rejects_overlapping_colors():
         involute(pair)
 
 
+def test_classify_and_involute_refuse_pairs_that_break_the_invariant():
+    for walk, gamma in [
+        (Walk(1, ((2, 1),)), EMPTY_SUBDIGRAPH),  # open
+        (Walk(1, ((1, 1), (1, 1))), make_subdigraph([[(2, 2, 2)]])),  # color 1 twice
+        (Walk(1, ()), EMPTY_SUBDIGRAPH),  # no step
+    ]:
+        for check in (classify, involute):
+            with pytest.raises(ValueError, match="pair invariant broken"):
+                check(WalkGammaPair(walk, gamma))
+
+
 def test_involute_raises_exactly_on_the_pairs_classify_calls_good():
     # involute decides GOOD from its own scan, without calling classify
     rng = random.Random(77)

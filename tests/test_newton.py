@@ -130,8 +130,9 @@ def test_identity_holds_on_random_graphs():
 
 
 def test_vacuous_note_when_r_exceeds_color_count():
+    # the CLI writes the vacuous note (tests/test_cli.py); the library
+    # check passes with no (S, T) entry
     report = verify_walk_cycle_identity(one_loop_graph(), 3)
-    assert any("vacuous" in note for note in report.notes)
     assert report.passed  # every bucket is empty
 
 
