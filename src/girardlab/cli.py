@@ -39,7 +39,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 from .digraph import (
@@ -126,18 +125,31 @@ class UsageError(Exception):
     """A parameter problem argparse cannot catch (exit code 2)."""
 
 
-@dataclass
 class RunReport:
-    command: str
-    params: dict
-    trials: int = 0
-    failures: list = field(default_factory=list)
-    seed: int | None = None
-    notes: list = field(default_factory=list)
-    elapsed_ms: int = 0
+    """The mutable record one run fills in, and its JSON report."""
+
+    def __init__(self, command: str, params: dict, trials: int = 0,
+                 failures: list | None = None, seed: int | None = None,
+                 notes: list | None = None, elapsed_ms: int = 0):
+        self.command = command
+        self.params = params
+        self.trials = trials
+        self.failures = [] if failures is None else failures
+        self.seed = seed
+        self.notes = [] if notes is None else notes
+        self.elapsed_ms = elapsed_ms
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -571,14 +583,14 @@ def _run_powersum(args, report: RunReport) -> None:
     values = {}
     for name in names:
         values[name] = value = methods[name](args.m, args.n)
-        if value.denominator != 1:
-            report.failures.append({"m": args.m, "n": args.n,
-                                    "error": f"{name} formula not integer-valued: {value}"})
         report.notes.append(f"value {name} = {value}")
-    if len(set(values.values())) > 1:
-        report.failures.append(
-            {"m": args.m, "n": args.n, "values": {k: str(v) for k, v in values.items()}}
-        )
+    # the run is one check, so it records at most one failure
+    fractional = [name for name, value in values.items() if value.denominator != 1]
+    if fractional or len(set(values.values())) > 1:
+        failure = {"m": args.m, "n": args.n, "values": {k: str(v) for k, v in values.items()}}
+        if fractional:
+            failure["not_integer"] = fractional
+        report.failures.append(failure)
 
 
 # -- parser and driver -------------------------------------------------------

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+from ._frozen import Frozen
 from .poly import Poly, avar
 
 __all__ = [
@@ -42,13 +42,28 @@ class GraphFormatError(ValueError):
     """Raised when graph JSON text cannot be parsed into a digraph."""
 
 
-@dataclass(frozen=True)
-class ColoredDigraph:
-    """n vertices (1-based), k colors (1-based), all-or-none colored edges."""
+class ColoredDigraph(Frozen):
+    """n vertices (1-based), k colors (1-based), all-or-none colored edges.
 
-    n: int
-    colors: int
-    edges: Mapping[tuple[int, int], tuple[int | Poly, ...]] = field(default_factory=dict)
+    Immutable (`Frozen`), and equal to another graph when n, colors and
+    edges are; unhashable, as its edge map is.  Unlike the slotted value
+    classes it keeps a `__dict__`, where `_out` and `_back` are cached on
+    first use.
+    """
+
+    _repr_fields = ("n", "colors", "edges")
+
+    def __init__(self, n: int, colors: int,
+                 edges: Mapping[tuple[int, int], tuple[int | Poly, ...]] | None = None):
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "colors", colors)
+        put(self, "edges", {} if edges is None else edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.colors, self.edges) == (other.n, other.colors, other.edges)
 
     def weight(self, u: int, v: int, color: int) -> int | Poly:
         """Weight of the color-th parallel edge from u to v."""

@@ -11,13 +11,16 @@ The empty walk and the empty subdigraph exist only as conventions inside
 `closed_walk_sum` and `linear_subdigraph_sum` (both equal to 1 at size
 zero); the enumerators never yield them.
 
-A `LinearSubdigraph` has one constructor, which takes its canonical
-cycles and their vertex and color bitmasks; this module alone defines
-the canonical form.  `linear_subdigraphs` passes the masks its search
-grew, `with_cycle` and `without_cycle` (the involution's excise and
-splice moves) add or take out one cycle's bits, and `make_subdigraph`,
-the entry for hand-built input, checks the cycles and computes their
-masks.
+`Walk` and `LinearSubdigraph` are immutable slotted classes (`Frozen`)
+that carry their vertex and color bitmasks; their own `__eq__`,
+`__hash__` and `__repr__` read the walk's start and steps and the
+subdigraph's cycles, never the masks.  A `LinearSubdigraph` has one
+constructor, which takes its canonical cycles and those masks; this
+module alone defines the canonical form.  `linear_subdigraphs` passes
+the masks its search grew, `with_cycle` and `without_cycle` (the
+involution's excise and splice moves) add or take out one cycle's bits,
+and `make_subdigraph`, the entry for hand-built input, checks the cycles
+and computes their masks.
 
 Every search and DP reads the graph's out-edges, each with its weights in
 color order, from the table the graph builds once (`ColoredDigraph._out`).
@@ -46,10 +49,10 @@ audit needs the objects, and the tests compare the DPs with them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, Iterator
 
+from ._frozen import Frozen
 from .digraph import ColoredDigraph
 from .poly import Poly
 
@@ -72,43 +75,50 @@ __all__ = [
 Edge = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(Frozen):
     """A walk: a start vertex and a tuple of (next_vertex, color) steps.
 
     Closed walks end where they start.  The class itself does not force
     distinct colors; the enumerator below only produces color-distinct
     closed walks.
 
-    The vertex sequence, the vertex and color bitmasks (bit i set for each
-    vertex or color i) and `is_simple` are derived once, at construction,
-    and take no part in equality, hashing or repr.  A negative vertex or
-    color has no bit, and raises ValueError there.
+    Immutable (`Frozen`).  `__init__` derives the vertex sequence, the
+    vertex and color bitmasks (bit i set for each vertex or color i) and
+    `is_simple` once; `__eq__`, `__hash__` and `__repr__` read only
+    `start` and `steps`.  A negative vertex or color has no bit, and
+    raises ValueError there.
     """
 
-    start: int
-    steps: tuple[tuple[int, int], ...]
-    _seq: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    vertex_mask: int = field(init=False, repr=False, compare=False)
-    color_mask: int = field(init=False, repr=False, compare=False)
-    is_simple: bool = field(init=False, repr=False, compare=False)
+    __slots__ = ("start", "steps", "_seq", "vertex_mask", "color_mask", "is_simple")
+    _repr_fields = ("start", "steps")
 
-    def __post_init__(self) -> None:
-        seq = [self.start]
-        vmask = 1 << self.start
+    def __init__(self, start: int, steps: tuple[tuple[int, int], ...]):
+        seq = [start]
+        vmask = 1 << start
         cmask = 0
-        for v, c in self.steps:
+        for v, c in steps:
             seq.append(v)
             vmask |= 1 << v
             cmask |= 1 << c
-        object.__setattr__(self, "_seq", tuple(seq))
-        object.__setattr__(self, "vertex_mask", vmask)
-        object.__setattr__(self, "color_mask", cmask)
         # simple: closed, and no vertex repeats except the root at the end,
         # so the len(steps) vertices before the end are distinct
-        length = len(self.steps)
-        simple = length > 0 and seq[-1] == self.start and vmask.bit_count() == length
-        object.__setattr__(self, "is_simple", simple)
+        length = len(steps)
+        simple = length > 0 and seq[-1] == start and vmask.bit_count() == length
+        put = object.__setattr__
+        put(self, "start", start)
+        put(self, "steps", steps)
+        put(self, "_seq", tuple(seq))
+        put(self, "vertex_mask", vmask)
+        put(self, "color_mask", cmask)
+        put(self, "is_simple", simple)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.start == other.start and self.steps == other.steps
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.steps))
 
     @property
     def length(self) -> int:
@@ -159,8 +169,7 @@ def _cycle_masks(cycle: tuple[Edge, ...]) -> tuple[int, int]:
     return vmask, cmask
 
 
-@dataclass(frozen=True)
-class LinearSubdigraph:
+class LinearSubdigraph(Frozen):
     """Vertex-disjoint colored cycles, color-distinct across the whole set.
 
     Canonical form: each cycle starts at its smallest vertex and the
@@ -170,18 +179,32 @@ class LinearSubdigraph:
 
     Every instance is built in one way, from its canonical cycles and
     their vertex and color bitmasks (bit i set for each vertex or color
-    i), and the masks take no part in equality, hashing or repr, as in
-    `Walk`.  Each builder passes the masks it already holds:
-    `linear_subdigraphs` those `_cycles_at` grew, `with_cycle` and
-    `without_cycle` this instance's with one cycle's bits added or taken
-    out.  `make_subdigraph` is the entry for hand-built cycles: it checks
-    and canonicalizes them and computes their masks.  Disjoint cycles have
-    one edge per vertex, so `length` is read off the vertex mask.
+    i); it is immutable (`Frozen`), and, as in `Walk`, `__eq__`,
+    `__hash__` and `__repr__` read only `cycles`, never the masks.  Each
+    builder passes the masks it already holds: `linear_subdigraphs` those
+    `_cycles_at` grew, `with_cycle` and `without_cycle` this instance's
+    with one cycle's bits added or taken out.  `make_subdigraph` is the
+    entry for hand-built cycles: it checks and canonicalizes them and
+    computes their masks.  Disjoint cycles have one edge per vertex, so
+    `length` is read off the vertex mask.
     """
 
-    cycles: tuple[tuple[Edge, ...], ...]
-    vertex_mask: int = field(repr=False, compare=False)
-    color_mask: int = field(repr=False, compare=False)
+    __slots__ = ("cycles", "vertex_mask", "color_mask")
+    _repr_fields = ("cycles",)
+
+    def __init__(self, cycles: tuple[tuple[Edge, ...], ...], vertex_mask: int, color_mask: int):
+        put = object.__setattr__
+        put(self, "cycles", cycles)
+        put(self, "vertex_mask", vertex_mask)
+        put(self, "color_mask", color_mask)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cycles == other.cycles
+
+    def __hash__(self) -> int:
+        return hash((self.cycles,))
 
     @property
     def length(self) -> int:

@@ -31,8 +31,7 @@ past n there are neither GOOD pairs nor a closing term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .digraph import ColoredDigraph
 from .enumeration import (
@@ -62,8 +61,7 @@ GOOD = "GOOD"
 BAD = "BAD"
 
 
-@dataclass(frozen=True)
-class WalkGammaPair:
+class WalkGammaPair(NamedTuple):
     """A closed walk and a color-disjoint linear subdigraph."""
 
     walk: Walk
@@ -177,8 +175,7 @@ def enumerate_pairs(
     return pairs
 
 
-@dataclass(frozen=True)
-class InvolutionAudit:
+class InvolutionAudit(NamedTuple):
     """Exhaustive audit of the involution on one graph at one r."""
 
     pair_count: int

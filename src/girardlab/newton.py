@@ -46,11 +46,11 @@ writes each of them in one place.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from types import MappingProxyType
 
+from ._frozen import Frozen
 from .digraph import ColoredDigraph, self_loop_digraph
 from .enumeration import as_poly, closed_walk_buckets, linear_subdigraph_buckets
 from .exactnum import factorial
@@ -74,8 +74,7 @@ Buckets = Mapping[tuple[int, frozenset[int]], int | Poly]
 # (c(|T|, T), ell(|S|, S)): the two factors of one (S, T) entry
 Factors = tuple[int | Poly, int | Poly]
 
-@dataclass(frozen=True, eq=False)
-class NewtonReport:
+class NewtonReport(Frozen):
     """Outcome of one identity check.
 
     `breakdown` maps each (S, T) color pair with T nonempty to its
@@ -83,15 +82,24 @@ class NewtonReport:
     breakdown total plus the aggregated closing term and must be the zero
     polynomial, `literal_residual` uses the single-set closing term
     instead (equal to the aggregated one when k = r, and when r > n, where
-    both closing terms are zero).
+    both closing terms are zero).  `case` is "r>n" or "r<=n", named in
+    failure records.  Immutable (`Frozen`); equality and hashing are by
+    identity, so comparing two reports multiplies no breakdown entry.
     """
 
-    case: str  # "r>n" or "r<=n", named in failure records
-    breakdown: Mapping[ColorPair, Poly]
-    aggregated_correction: Poly
-    literal_correction: Poly
-    residual: Poly
-    literal_residual: Poly
+    __slots__ = _repr_fields = ("case", "breakdown", "aggregated_correction",
+                                "literal_correction", "residual", "literal_residual")
+
+    def __init__(self, case: str, breakdown: Mapping[ColorPair, Poly],
+                 aggregated_correction: Poly, literal_correction: Poly,
+                 residual: Poly, literal_residual: Poly):
+        put = object.__setattr__
+        put(self, "case", case)
+        put(self, "breakdown", breakdown)
+        put(self, "aggregated_correction", aggregated_correction)
+        put(self, "literal_correction", literal_correction)
+        put(self, "residual", residual)
+        put(self, "literal_residual", literal_residual)
 
     @property
     def passed(self) -> bool:

@@ -224,11 +224,20 @@ def test_powersum_records_the_values_that_disagree(tmp_path, capsys, monkeypatch
 
 def test_powersum_records_a_value_that_is_not_an_integer(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "power_sum_via_bernoulli", lambda m, n: Fraction(1, 2))
-    failures = run_failing(["powersum", "--m", "2", "--n", "3", "--method", "all"],
-                           tmp_path, capsys)
-    assert failures == [
-        {"m": 2, "n": 3, "error": "bernoulli formula not integer-valued: 1/2"},
-        {"m": 2, "n": 3, "values": {"bernoulli": "1/2", "direct": "14", "stirling": "14"}},
+    out_path = tmp_path / "report.json"
+    assert main(["powersum", "--m", "2", "--n", "3", "--method", "all",
+                 "--out", str(out_path)]) == 1
+    # one check, one failure record: it keeps every value and names the
+    # method whose value is not an integer
+    assert "result: FAIL (0/1 checks)" in capsys.readouterr().out
+    assert json.loads(out_path.read_text(encoding="utf-8"))["failures"] == [
+        {"m": 2, "n": 3, "values": {"bernoulli": "1/2", "direct": "14", "stirling": "14"},
+         "not_integer": ["bernoulli"]},
+    ]
+    # a single method whose value is not an integer fails the same way
+    assert run_failing(["powersum", "--m", "2", "--n", "3", "--method", "bernoulli"],
+                       tmp_path, capsys) == [
+        {"m": 2, "n": 3, "values": {"bernoulli": "1/2"}, "not_integer": ["bernoulli"]},
     ]
 
 
@@ -429,6 +438,21 @@ def test_module_runs_from_a_checkout():
     )
     assert proc.returncode == 0, proc.stderr
     assert "result: PASS" in proc.stdout.splitlines()[-1]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every invocation pays this import first; `dataclasses` and the
+    # `inspect`, `ast`, `dis` and `tokenize` it pulls in cost more than
+    # the package's own modules
+    src = str(Path(girardlab.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import girardlab.cli; print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, src],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "girardlab.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 # inputs past a work limit, each of which ran for seconds to minutes

@@ -1,0 +1,125 @@
+"""The contract of the package's value classes: constructors, reprs,
+immutability, and the fields that equality and hashing read."""
+
+import copy
+import pickle
+
+import pytest
+
+from girardlab import (
+    EMPTY_SUBDIGRAPH,
+    ColoredDigraph,
+    InvolutionAudit,
+    LinearSubdigraph,
+    NewtonReport,
+    Poly,
+    Walk,
+    WalkGammaPair,
+    make_digraph,
+    make_subdigraph,
+    verify_walk_cycle_identity,
+)
+from girardlab.cli import RunReport
+
+WALK = Walk(1, ((1, 1),))
+GAMMA = make_subdigraph([[(2, 2, 2)]])
+
+# class -> (a builder of a fresh instance, its repr, the fields it has)
+CASES = {
+    ColoredDigraph: (
+        lambda: make_digraph(2, 2, {(1, 1): [2, 3]}),
+        "ColoredDigraph(n=2, colors=2, edges=mappingproxy({(1, 1): (2, 3)}))",
+        ["n", "colors", "edges"],
+    ),
+    Walk: (
+        lambda: Walk(start=1, steps=((2, 1), (1, 2))),
+        "Walk(start=1, steps=((2, 1), (1, 2)))",
+        ["start", "steps", "_seq", "vertex_mask", "color_mask", "is_simple"],
+    ),
+    LinearSubdigraph: (
+        lambda: make_subdigraph([[(1, 2, 1), (2, 1, 2)]]),
+        "LinearSubdigraph(cycles=(((1, 2, 1), (2, 1, 2)),))",
+        ["cycles", "vertex_mask", "color_mask"],
+    ),
+    WalkGammaPair: (
+        lambda: WalkGammaPair(walk=WALK, gamma=GAMMA),
+        "WalkGammaPair(walk=Walk(start=1, steps=((1, 1),)), "
+        "gamma=LinearSubdigraph(cycles=(((2, 2, 2),),)))",
+        ["walk", "gamma"],
+    ),
+    InvolutionAudit: (
+        lambda: InvolutionAudit(2, 0, 2, Poly.zero(), Poly.const(-5), problems=()),
+        "InvolutionAudit(pair_count=2, bad_count=0, good_count=2, total=Poly('0'), "
+        "correction=Poly('-5'), problems=())",
+        ["pair_count", "bad_count", "good_count", "total", "correction", "problems"],
+    ),
+    NewtonReport: (
+        lambda: NewtonReport("r<=n", {}, Poly.zero(), Poly.one(),
+                             residual=Poly.zero(), literal_residual=Poly.one()),
+        "NewtonReport(case='r<=n', breakdown={}, aggregated_correction=Poly('0'), "
+        "literal_correction=Poly('1'), residual=Poly('0'), literal_residual=Poly('1'))",
+        ["case", "breakdown", "aggregated_correction", "literal_correction", "residual",
+         "literal_residual"],
+    ),
+    RunReport: (
+        lambda: RunReport(command="powersum", params={"m": 1}, trials=1, failures=[{}],
+                          seed=3, notes=["n"], elapsed_ms=5),
+        "RunReport(command='powersum', params={'m': 1}, trials=1, failures=[{}], "
+        "seed=3, notes=['n'], elapsed_ms=5)",
+        ["command", "params", "trials", "failures", "seed", "notes", "elapsed_ms"],
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
+def test_value_class_contract(cls):
+    build, text, fields = CASES[cls]
+    value, twin = build(), build()
+    assert type(value) is cls and repr(value) == text
+    # copy and pickle fill in an instance past the assignment guard
+    assert repr(copy.copy(value)) == text
+    if cls is not ColoredDigraph:  # its edge map, a mappingproxy, does not pickle
+        assert repr(copy.deepcopy(value)) == repr(pickle.loads(pickle.dumps(value))) == text
+
+    if cls is RunReport:  # the one mutable class: filled in by a run
+        value.trials += 1
+        assert value != twin and RunReport("c", {}) == RunReport("c", {})
+        assert RunReport("c", {}).failures is not RunReport("c", {}).failures
+        assert vars(value) == {name: getattr(value, name) for name in fields}
+        return
+    for name in [*fields, "unknown"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == text
+
+    if cls is NewtonReport:
+        # identity, so comparing reports multiplies no breakdown entry
+        assert value == value and value != twin
+        assert hash(value) == object.__hash__(value)
+        g = make_digraph(1, 1, {(1, 1): [2]})
+        assert verify_walk_cycle_identity(g, 1) != verify_walk_cycle_identity(g, 1)
+        return
+    assert value == twin and not value != twin
+    if cls is ColoredDigraph:  # unhashable, as its edge map is
+        with pytest.raises(TypeError):
+            hash(value)
+        assert ColoredDigraph(2, 2) == ColoredDigraph(n=2, colors=2, edges={}) != value
+        return
+    # the hash of one tuple of the compared fields, which fixes set orders
+    compared = {Walk: ["start", "steps"], LinearSubdigraph: ["cycles"]}.get(cls, fields)
+    assert hash(value) == hash(twin) == hash(tuple(getattr(value, f) for f in compared))
+
+
+def test_walk_and_subdigraph_equality_ignores_the_masks():
+    walk = Walk(1, ((1, 1),))
+    object.__setattr__(walk, "vertex_mask", 0)  # masks no constructor would give
+    object.__setattr__(walk, "color_mask", 0)
+    assert walk == WALK and hash(walk) == hash(WALK) and repr(walk) == repr(WALK)
+    bare = LinearSubdigraph(GAMMA.cycles, 0, 0)
+    assert bare == GAMMA and hash(bare) == hash(GAMMA) and repr(bare) == repr(GAMMA)
+    assert LinearSubdigraph((), 1, 1) == EMPTY_SUBDIGRAPH
+    copied = pickle.loads(pickle.dumps(bare))
+    assert (copied.vertex_mask, copied.color_mask) == (0, 0)
+    assert walk != GAMMA and GAMMA != GAMMA.cycles
