@@ -13,6 +13,11 @@ with edges sorted by (from, to).  A duplicate (from, to) pair or a
 non-integer weight is a parse error; semantic problems (zero weight,
 wrong weights length, out-of-range endpoint) are reported by `validate`
 after parsing.
+
+The `ColoredDigraph` constructor is the one way to build a graph: it
+checks every weight and freezes a copy of the edge map, so no graph holds
+a float or a bool, and no caller can change a graph's edges after it is
+built.  `make_digraph` is that same constructor under a second name.
 """
 
 from __future__ import annotations
@@ -45,6 +50,12 @@ class GraphFormatError(ValueError):
 class ColoredDigraph(Frozen):
     """n vertices (1-based), k colors (1-based), all-or-none colored edges.
 
+    The constructor keeps each weight as the `int` or `Poly` it is, one
+    tuple per edge, and raises TypeError on any other weight (bool and
+    float included): exact arithmetic takes integer and polynomial
+    weights only.  The edge map is a read-only view of a fresh dict, so
+    the caller's mapping stays the caller's; `edges=None` gives no edges.
+
     Immutable (`Frozen`), and equal to another graph when n, colors and
     edges are; unhashable, as its edge map is.  Unlike the slotted value
     classes it keeps a `__dict__`, where `_out` and `_back` are cached on
@@ -54,11 +65,17 @@ class ColoredDigraph(Frozen):
     _repr_fields = ("n", "colors", "edges")
 
     def __init__(self, n: int, colors: int,
-                 edges: Mapping[tuple[int, int], tuple[int | Poly, ...]] | None = None):
+                 edges: Mapping[tuple[int, int], Iterable[int | Poly]] | None = None):
+        frozen: dict[tuple[int, int], tuple[int | Poly, ...]] = {}
+        for pair, weights in (edges or {}).items():
+            frozen[pair] = weights = tuple(weights)
+            for w in weights:
+                if isinstance(w, bool) or not isinstance(w, (int, Poly)):
+                    raise TypeError(f"edge {pair} weight must be an int or a Poly, got {w!r}")
         put = object.__setattr__
         put(self, "n", n)
         put(self, "colors", colors)
-        put(self, "edges", {} if edges is None else edges)
+        put(self, "edges", MappingProxyType(frozen))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -125,26 +142,8 @@ class ColoredDigraph(Frozen):
         return table
 
 
-def make_digraph(
-    n: int,
-    colors: int,
-    edges: Mapping[tuple[int, int], Iterable[Poly | int]],
-) -> ColoredDigraph:
-    """Build a graph, keeping each weight as the `int` or `Poly` it is.
-
-    Every builder in this module returns through here, so this is where a
-    graph's weights are checked and its edge map is frozen.  Raises
-    TypeError on any other weight (bool and float included): exact
-    arithmetic takes integer and polynomial weights only."""
-    frozen: dict[tuple[int, int], tuple[int | Poly, ...]] = {}
-    for pair, weights in edges.items():
-        frozen[pair] = tuple(weights)
-        for w in frozen[pair]:
-            if isinstance(w, bool) or not isinstance(w, (int, Poly)):
-                raise TypeError(
-                    f"edge {pair} weight must be an int or a Poly, got {w!r}"
-                )
-    return ColoredDigraph(n, colors, MappingProxyType(frozen))
+# The one constructor under the name the builders, demos and tests call.
+make_digraph = ColoredDigraph
 
 
 def validate(g: ColoredDigraph) -> list[str]:

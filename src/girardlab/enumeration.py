@@ -57,7 +57,6 @@ from .digraph import ColoredDigraph
 from .poly import Poly
 
 __all__ = [
-    "Edge",
     "Walk",
     "LinearSubdigraph",
     "EMPTY_SUBDIGRAPH",
@@ -148,15 +147,9 @@ class Walk(Frozen):
             u = v
 
     def weight(self, g: ColoredDigraph) -> int | Poly:
-        """The product of the edge weights, read from the graph's edge map.
-        An edge or color the graph lacks raises `ColoredDigraph.weight`'s
-        ValueError."""
-        if not self.color_mask & 1:  # color 0 would read a weight tuple from its end
-            table = g.edges
-            try:
-                return prod(table[u, v][c - 1] for u, (v, c) in zip(self._seq, self.steps))
-            except (KeyError, IndexError):
-                pass
+        """The product of the edge weights, each read through
+        `ColoredDigraph.weight`, which raises ValueError on an edge or a
+        color the graph lacks."""
         return prod(g.weight(u, v, c) for u, v, c in self.edges())
 
 
@@ -247,13 +240,8 @@ class LinearSubdigraph(Frozen):
                                 self.vertex_mask ^ vmask, self.color_mask ^ cmask)
 
     def weight(self, g: ColoredDigraph) -> int | Poly:
-        """As `Walk.weight`, over the edges of every cycle."""
-        if not self.color_mask & 1:
-            table = g.edges
-            try:
-                return prod(table[u, v][c - 1] for cycle in self.cycles for u, v, c in cycle)
-            except (KeyError, IndexError):
-                pass
+        """As `Walk.weight`: the product of `ColoredDigraph.weight` over
+        the edges of every cycle."""
         return prod(g.weight(u, v, c) for cycle in self.cycles for u, v, c in cycle)
 
 
@@ -268,8 +256,9 @@ def make_subdigraph(cycles: Iterable[Iterable[Edge]]) -> LinearSubdigraph:
     vertex or a color."""
     out = EMPTY_SUBDIGRAPH
     for cycle in map(tuple, cycles):
-        # at i = 0 the last edge's head meets the first edge's tail
-        if any(cycle[i - 1][1] != cycle[i][0] for i in range(len(cycle))):
+        # at i = 0 the last edge's head meets the first edge's tail; an
+        # empty edge list does not close
+        if not cycle or any(cycle[i - 1][1] != cycle[i][0] for i in range(len(cycle))):
             raise ValueError("a cycle's edges must chain head to tail and close")
         grown = out.with_cycle(cycle)
         if grown.length != out.length + len(cycle) or grown.color_mask.bit_count() != grown.length:

@@ -47,15 +47,10 @@ from math import isqrt
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
-    "FAM_X",
-    "FAM_Y",
-    "FAM_A",
     "VarId",
     "xvar",
     "yvar",
     "avar",
-    "var_text",
-    "Monomial",
     "Poly",
     "poly_sum",
     "poly_prod",
@@ -71,7 +66,6 @@ FAM_Y = 1
 FAM_A = 2
 
 _FAMILY_LETTER = {FAM_X: "x", FAM_Y: "y", FAM_A: "a"}
-_LETTER_FAMILY = {"x": FAM_X, "y": FAM_Y, "a": FAM_A}
 
 
 class VarId(NamedTuple):
@@ -415,24 +409,23 @@ _INT_RE = re.compile(r"[+-]?\d+\Z")
 _SPLIT_RE = re.compile(r"\s+([+-])\s+")
 
 
+# the variable makers by letter: they own the index rules
+_MAKERS = {"x": xvar, "y": yvar, "a": avar}
+
+
 def _parse_piece(piece: str) -> tuple[VarId, int]:
     m = _VAR_RE.match(piece)
     if m is None:
         raise PolyParseError(f"bad variable token {piece!r}")
     letter, sub, sup, exp = m.groups()
-    family = _LETTER_FAMILY[letter]
-    if family == FAM_Y:
-        if sup is not None:
-            raise PolyParseError(f"y variables take no superscript: {piece!r}")
-        var = VarId(family, int(sub), 0)
-        if var.sub < 1:
-            raise PolyParseError(f"variable indices must be >= 1: {piece!r}")
-    else:
-        if sup is None:
-            raise PolyParseError(f"{letter} variables need a superscript: {piece!r}")
-        var = VarId(family, int(sub), int(sup))
-        if var.sub < 1 or var.sup < 1:
-            raise PolyParseError(f"variable indices must be >= 1: {piece!r}")
+    if (sup is None) != (letter == "y"):
+        need = "take no" if letter == "y" else "need a"
+        raise PolyParseError(f"{letter} variables {need} superscript: {piece!r}")
+    indices = (int(sub),) if sup is None else (int(sub), int(sup))
+    try:
+        var = _MAKERS[letter](*indices)
+    except ValueError as exc:
+        raise PolyParseError(f"{exc}: {piece!r}") from None
     e = 1 if exp is None else int(exp)
     if e < 1:
         raise PolyParseError(f"exponent must be >= 1: {piece!r}")

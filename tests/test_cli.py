@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import girardlab
 from girardlab import make_digraph, random_digraph, serialize_digraph
-from girardlab import cli, enumeration, newton, powersum
+from girardlab import cli, enumeration, involution, newton, powersum
 from girardlab.cli import main
 from girardlab.digraph import self_loop_digraph
 from girardlab.enumeration import closed_walks, linear_subdigraph_buckets, linear_subdigraphs
@@ -212,14 +212,99 @@ def test_theorem1_records_all_three_sides_of_a_failure(tmp_path, capsys, monkeyp
     ]
 
 
-def test_powersum_records_the_values_that_disagree(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "power_sum_via_stirling",
-                        lambda m, n: powersum.power_sum_via_stirling(m, n) + 1)
-    failures = run_failing(["powersum", "--m", "2", "--n", "3", "--method", "all"],
-                           tmp_path, capsys)
-    assert failures == [
-        {"m": 2, "n": 3, "values": {"bernoulli": "14", "direct": "14", "stirling": "15"}}
-    ]
+def _one_bucket(change, key):
+    """A fault for a DP map: the entry at `key` goes through `change`."""
+    def fault(original):
+        def patched(g):
+            buckets = dict(original(g))
+            buckets[key] = change(buckets.get(key, 0))
+            return buckets
+        return patched
+    return fault
+
+
+def _off_by_one(original):
+    return lambda *args: original(*args) + 1
+
+
+# Vertex 1 has loops of weights 2 and 3, and 1 <-> 2 is a 2-cycle.  At r = 2
+# the (S, T) = ({}, {1, 2}) entry is c(2, {1, 2}) * 1, so one more in that
+# bucket leaves a residual of 1; the ({1}, {2}) entry is c(1, {2}) *
+# ell(1, {1}) = 3 * -2, so that ell without its sign leaves 12.
+FAULT_GRAPH = make_digraph(2, 2, {(1, 1): [2, 3], (1, 2): [1, 1], (2, 1): [1, 1]})
+THEOREM2 = ["verify", "theorem2", "--graph", "GRAPH", "--r", "2"]
+AUDIT = ["involution", "audit", "--graph", "GRAPH", "--r", "2"]
+THEOREM1 = ["verify", "theorem1", "--m", "2", "--r", "1"]
+LHS = "x[1]^(1)*y[2] + x[1]^(1)*y[3] + x[2]^(1)*y[3]"
+POWERSUM = ["powersum", "--m", "2", "--n", "3", "--method", "all"]
+# what an identity `involute` meets at each of the graph's 4 BAD pairs at r = 2
+BAD_PAIR = ["involution has a fixed point", "involution image weight is not the negation"]
+
+# One planted fault per route that runs in the CLI: the module and name
+# patched, the fault as a function of the original, the argv, and the one
+# failure record the run must write.
+PLANTED_FAULTS = [
+    pytest.param(newton, "closed_walk_buckets",
+                 _one_bucket(lambda v: v + 1, (2, frozenset({1, 2}))), THEOREM2,
+                 {"instance": 0, "graph_seed": None, "n": 2, "k": 2, "case": "r<=n",
+                  "residual": "1"},
+                 id="theorem2-walk-dp"),
+    pytest.param(newton, "linear_subdigraph_buckets",
+                 _one_bucket(lambda v: -v, (1, frozenset({1}))), THEOREM2,
+                 {"instance": 0, "graph_seed": None, "n": 2, "k": 2, "case": "r<=n",
+                  "residual": "12"},
+                 id="theorem2-clow-dp-sign"),
+    pytest.param(newton, "_closing_sum", lambda original: lambda ell, r: -original(ell, r),
+                 ["verify", "theorem3", "--r", "2", "--n", "2"],
+                 {"r": 2, "n": 2, "residual": "-4*a[1]^(1)*a[2]^(2) - 4*a[1]^(2)*a[2]^(1)"},
+                 id="theorem3-closing-sign"),
+    pytest.param(cli, "power_sum_rhs", _off_by_one, THEOREM1,
+                 {"m": 2, "r": 1, "lhs": LHS, "rhs": LHS + " + 1", "good_words": LHS},
+                 id="theorem1-rhs"),
+    # the oracle's ranges one wider: i_p <= m + 1 and t <= m + 2
+    pytest.param(cli, "good_word_sum", lambda original: lambda m, r: original(m + 1, r),
+                 THEOREM1,
+                 {"m": 2, "r": 1, "lhs": LHS, "rhs": LHS,
+                  "good_words": "x[1]^(1)*y[2] + x[1]^(1)*y[3] + x[1]^(1)*y[4] "
+                                "+ x[2]^(1)*y[3] + x[2]^(1)*y[4] + x[3]^(1)*y[4]"},
+                 id="theorem1-good-word-bound"),
+    pytest.param(cli, "power_sum_via_stirling", _off_by_one, POWERSUM,
+                 {"m": 2, "n": 3, "values": {"bernoulli": "14", "direct": "14", "stirling": "15"}},
+                 id="powersum-stirling"),
+    pytest.param(cli, "power_sum_via_bernoulli", _off_by_one, POWERSUM,
+                 {"m": 2, "n": 3, "values": {"bernoulli": "15", "direct": "14", "stirling": "14"}},
+                 id="powersum-bernoulli"),
+    pytest.param(cli, "power_sum_direct", _off_by_one, POWERSUM,
+                 {"m": 2, "n": 3, "values": {"bernoulli": "14", "direct": "15", "stirling": "14"}},
+                 id="powersum-direct"),
+    # S(3, 1) one more
+    pytest.param(powersum, "_stirling2_row",
+                 lambda original: lambda m, top: tuple(
+                     s + (k == 1) for k, s in enumerate(original(m, top))),
+                 ["verify", "lemma21", "--alpha", "3", "--c", "1,2"],
+                 {"instance": 0, "c": [1, 2]}, id="lemma21-stirling-row"),
+    pytest.param(newton, "elementary_coefficients",
+                 lambda original: lambda roots: [e + 1 for e in original(roots)],
+                 ["verify", "newton-girard", "--n", "2", "--r", "2", "--roots", "1,2"],
+                 {"instance": 0, "roots": [1, 2]}, id="newton-girard-coefficients"),
+    pytest.param(involution, "involute", lambda original: lambda pair: pair, AUDIT,
+                 {"instance": 0, "graph_seed": None, "problems": BAD_PAIR * 4, "total": "0"},
+                 id="audit-involute-identity"),
+    pytest.param(involution, "classify", lambda original: lambda pair: involution.GOOD, AUDIT,
+                 {"instance": 0, "graph_seed": None,
+                  "problems": ["GOOD pairs do not cover exactly the r-edge subdigraphs"],
+                  "total": "0"},
+                 id="audit-classify-all-good"),
+]
+
+
+@pytest.mark.parametrize("module, name, fault, argv, record", PLANTED_FAULTS)
+def test_a_planted_fault_fails_its_route(module, name, fault, argv, record, tmp_path, capsys,
+                                         monkeypatch):
+    graph = write_graph(tmp_path, FAULT_GRAPH)
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    argv = [graph if arg == "GRAPH" else arg for arg in argv]
+    assert run_failing(argv, tmp_path, capsys) == [record]
 
 
 def test_powersum_records_a_value_that_is_not_an_integer(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -9,6 +10,7 @@ from girardlab import (
     ColoredDigraph,
     GraphFormatError,
     Poly,
+    Walk,
     audit_involution,
     avar,
     closed_walk_buckets,
@@ -38,6 +40,10 @@ def test_make_digraph_coerces_ints_and_answers_queries():
 def test_make_digraph_refuses_a_weight_that_is_not_an_int_or_a_poly(weight):
     with pytest.raises(TypeError, match=r"edge \(1, 1\) weight must be an int or a Poly"):
         make_digraph(1, 1, {(1, 1): [weight]})
+    # the public constructor is the same one, and checks the same way
+    assert make_digraph is ColoredDigraph
+    with pytest.raises(TypeError, match=r"edge \(1, 1\) weight must be an int or a Poly"):
+        ColoredDigraph(1, 1, {(1, 1): (weight,)})
     with pytest.raises(TypeError):
         make_digraph(2, 2, {(1, 2): [1, 2], (2, 1): [3, weight]})
 
@@ -126,6 +132,13 @@ def test_edges_mapping_is_read_only():
     g = make_digraph(1, 1, {(1, 1): [1]})
     with pytest.raises(TypeError):
         g.edges[(1, 1)] = (Poly.const(2),)  # type: ignore[index]
+    # the constructor freezes a copy: the caller's dict stays the caller's
+    d = {(1, 1): (2,)}
+    g = ColoredDigraph(1, 1, d)
+    assert isinstance(g.edges, MappingProxyType)
+    d[(1, 1)] = (3,)
+    assert closed_walk_buckets(g) == {(1, frozenset({1})): 2}
+    assert Walk(1, ((1, 1),)).weight(g) == 2
 
 
 def test_validate_clean_graph():

@@ -175,6 +175,8 @@ def test_make_subdigraph_refuses_edges_that_do_not_form_a_cycle():
         [[(1, 2, 1), (3, 1, 2)], [(2, 2, 3)]],  # 1 -> 2, then 3 -> 1
         [[(1, 2, 1), (3, 1, 2)]],
         [[(1, 2, 1)]],  # never closes
+        [[]],  # no edges, so nothing closes
+        [[(1, 1, 1)], []],
     ]:
         with pytest.raises(ValueError, match="chain head to tail and close"):
             make_subdigraph(cycles)
