@@ -5,6 +5,7 @@ Run as `python demos/newton_identities.py`.
 
 from girardlab import (
     elementary_coefficients,
+    poly_dot,
     random_digraph,
     uniform_alpha_assignment,
     verify_classical_newton_girard,
@@ -25,9 +26,11 @@ for r in (1, 2):
     report = verify_walk_cycle_identity(g, r)
     print(f"r = {r}: case {report.case}, residual = {report.residual}, "
           f"passed = {report.passed}")
-    for (s, t), value in sorted(report.breakdown.items(),
-                                key=lambda kv: (sorted(kv[0][0]), sorted(kv[0][1]))):
-        print(f"    S = {sorted(s)!s:8} T = {sorted(t)!s:8} -> {value}")
+    # each entry keeps its two factors c(|T|, T) and ell(|S|, S)
+    for (s, t), (c, ell) in sorted(report.breakdown.items(),
+                                   key=lambda kv: (sorted(kv[0][0]), sorted(kv[0][1]))):
+        print(f"    S = {sorted(s)!s:8} T = {sorted(t)!s:8} -> "
+              f"({c}) * ({ell}) = {poly_dot(((c, ell),))}")
     if report.case == "r<=n":
         print(f"    closing term (aggregated) = {report.aggregated_correction}")
 

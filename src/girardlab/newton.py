@@ -21,9 +21,9 @@ on the same DP step that builds no subdigraph.  On an integer graph both
 maps hold ints, and the assembly multiplies ints too.  The residual sums
 the (S, T) products into one accumulator (`poly.poly_dot`), so no entry
 becomes a `Poly` of its own; the report's breakdown keeps each entry's
-two factors and multiplies an entry only when it is read.  Each closing
-term becomes a `Poly` once, so a report holds `Poly` values whatever the
-weights.
+two factors, and a reader multiplies one entry with `poly_dot`.  Each
+closing term becomes a `Poly` once, so a report's corrections and
+residuals are `Poly` values whatever the weights.
 
 Specializing to the all-loops graph (digraph.self_loop_digraph) turns the
 identity into a statement about n alphabets of r symbols a[j]^(1..r), the
@@ -45,12 +45,12 @@ writes each of them in one place.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import combinations, permutations
 from types import MappingProxyType
+from typing import NamedTuple
 
-from ._frozen import Frozen
 from .digraph import ColoredDigraph, self_loop_digraph
 from .enumeration import as_poly, closed_walk_buckets, linear_subdigraph_buckets
 from .exactnum import factorial
@@ -74,32 +74,31 @@ Buckets = Mapping[tuple[int, frozenset[int]], int | Poly]
 # (c(|T|, T), ell(|S|, S)): the two factors of one (S, T) entry
 Factors = tuple[int | Poly, int | Poly]
 
-class NewtonReport(Frozen):
-    """Outcome of one identity check.
 
-    `breakdown` maps each (S, T) color pair with T nonempty to its
-    contribution, multiplied when the entry is read; `residual` is the
-    breakdown total plus the aggregated closing term and must be the zero
-    polynomial, `literal_residual` uses the single-set closing term
-    instead (equal to the aggregated one when k = r, and when r > n, where
-    both closing terms are zero).  `case` is "r>n" or "r<=n", named in
-    failure records.  Immutable (`Frozen`); equality and hashing are by
-    identity, so comparing two reports multiplies no breakdown entry.
+class NewtonReport(NamedTuple):
+    """Outcome of one identity check, a plain value.
+
+    `breakdown` maps each (S, T) color pair with T nonempty to the two
+    factors (c(|T|, T), ell(|S|, S)) of its contribution, each an int or a
+    `Poly`; `poly_dot((report.breakdown[key],))` multiplies one entry.
+    `residual` is the breakdown total plus the aggregated closing term and
+    must be the zero polynomial, `literal_residual` uses the single-set
+    closing term instead (equal to the aggregated one when k = r, and when
+    r > n, where both closing terms are zero).  `case` is "r>n" or "r<=n",
+    named in failure records.
+
+    Two reports are equal when their fields are: factor dicts and `Poly`
+    values compare by their terms, so comparing reports multiplies no
+    entry.  A report is unhashable, as its breakdown dict is, and its repr
+    shows the factors, so a copy or an unpickled report reads the same.
     """
 
-    __slots__ = _repr_fields = ("case", "breakdown", "aggregated_correction",
-                                "literal_correction", "residual", "literal_residual")
-
-    def __init__(self, case: str, breakdown: Mapping[ColorPair, Poly],
-                 aggregated_correction: Poly, literal_correction: Poly,
-                 residual: Poly, literal_residual: Poly):
-        put = object.__setattr__
-        put(self, "case", case)
-        put(self, "breakdown", breakdown)
-        put(self, "aggregated_correction", aggregated_correction)
-        put(self, "literal_correction", literal_correction)
-        put(self, "residual", residual)
-        put(self, "literal_residual", literal_residual)
+    case: str
+    breakdown: dict[ColorPair, Factors]
+    aggregated_correction: Poly
+    literal_correction: Poly
+    residual: Poly
+    literal_residual: Poly
 
     @property
     def passed(self) -> bool:
@@ -109,29 +108,6 @@ class NewtonReport(Frozen):
 def _closing_sum(ell: Buckets, r: int) -> int | Poly:
     """sum over all size-r color sets S of ell(r, S), read off the buckets."""
     return sum(val for (length, _), val in ell.items() if length == r)
-
-
-class _Products(Mapping):
-    """A read-only map from each (S, T) pair to the product of its two
-    factors, multiplied each time the entry is read; its length, keys
-    and membership cost no product."""
-
-    __slots__ = ("_factors",)
-
-    def __init__(self, factors: Mapping[ColorPair, Factors]):
-        self._factors = factors
-
-    def __getitem__(self, key: ColorPair) -> Poly:
-        return poly_dot((self._factors[key],))
-
-    def __contains__(self, key) -> bool:
-        return key in self._factors
-
-    def __iter__(self) -> Iterator[ColorPair]:
-        return iter(self._factors)
-
-    def __len__(self) -> int:
-        return len(self._factors)
 
 
 def _split_terms(
@@ -175,7 +151,7 @@ def _assemble(
     base = poly_dot(factors.values())
     return NewtonReport(
         case="r>n" if r > n else "r<=n",
-        breakdown=_Products(factors),
+        breakdown=factors,
         aggregated_correction=aggregated,
         literal_correction=literal,
         residual=base + aggregated,

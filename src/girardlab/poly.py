@@ -115,12 +115,30 @@ _UNIT: Monomial = ()
 
 
 def _var_code(v: VarId) -> int:
-    """family + 3 * Cantor(sub, sup): a bijection onto the non-negative ints."""
+    """family + 3 * Cantor(sub, sup): a bijection from the triples with
+    family 0..2 and non-negative indices onto the non-negative ints.  It
+    checks nothing: `_ring_code` is the door for a caller's `VarId`."""
     family, sub, sup = v
-    if family not in _FAMILY_LETTER or sub < 0 or sup < 0:
-        raise ValueError(f"not a variable: {v!r}")
     w = sub + sup
     return family + 3 * (w * (w + 1) // 2 + sup)
+
+
+def _ring_code(v: VarId) -> int:
+    """The code of `v`, a ValueError unless `xvar`, `yvar` or `avar` would
+    return `v`: any other triple has a text form that `parse_poly` reads
+    as a different variable or refuses."""
+    family, sub, sup = v
+    if not (0 < sub and (sup == 0 if family == FAM_Y else 0 < sup) and family in _FAMILY_LETTER):
+        raise ValueError(f"not a variable: {v!r}")
+    return _var_code(v)
+
+
+def _coefficient(c) -> int:
+    """`c`, a TypeError unless it is an int and not a bool: the text form
+    says only ints."""
+    if isinstance(c, bool) or not isinstance(c, int):
+        raise TypeError(f"polynomial coefficients must be ints, got {c!r}")
+    return c
 
 
 def _code_var(code: int) -> VarId:
@@ -135,7 +153,7 @@ def _encode(mono: Monomial) -> tuple[int, ...]:
     for v, e in mono:
         if e < 0:
             raise ValueError(f"negative exponent in monomial {mono!r}")
-        codes += [_var_code(v)] * e
+        codes += [_ring_code(v)] * e
     return tuple(sorted(codes))
 
 
@@ -143,14 +161,10 @@ def _decode(codes: tuple[int, ...]) -> Monomial:
     return tuple(sorted((_code_var(c), len(list(run))) for c, run in groupby(codes)))
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
 def _term_sort_key(m: Monomial):
     # Descending total degree, then the variable order with larger powers
     # of earlier variables first (graded lexicographic).
-    return (-_mono_degree(m), tuple((v, -e) for v, e in m))
+    return (-sum(e for _, e in m), tuple((v, -e) for v, e in m))
 
 
 def _merge(data: dict, terms: Iterable[tuple[tuple[int, ...], int]], sign: int = 1) -> dict:
@@ -192,15 +206,16 @@ class Poly:
     Construct via `Poly.zero()`, `Poly.const(c)`, `Poly.variable(v)` or the
     arithmetic operators; a raw {monomial: coefficient} mapping is also
     accepted and canonicalized (zero coefficients dropped).  Ints coerce in
-    mixed arithmetic, so `2 * p + 1` works.
+    mixed arithmetic, so `2 * p + 1` works.  A coefficient that is a bool
+    or not an int is a TypeError, and a `VarId` that `xvar`, `yvar` or
+    `avar` would not return is a ValueError, so every `Poly` has a text
+    form that `parse_poly` reads back.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self._terms = (
-            _merge({}, ((_encode(mono), coeff) for mono, coeff in terms.items())) if terms else {}
-        )
+        self._terms = _merge({}, ((_encode(m), _coefficient(c)) for m, c in (terms or {}).items()))
 
     # -- constructors ------------------------------------------------------
 
@@ -214,11 +229,11 @@ class Poly:
 
     @staticmethod
     def const(c: int) -> "Poly":
-        return _poly({_UNIT: c} if c else {})
+        return _poly({_UNIT: c} if _coefficient(c) else {})
 
     @staticmethod
     def variable(v: VarId) -> "Poly":
-        return _poly({(_var_code(v),): 1})
+        return _poly({(_ring_code(v),): 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -259,7 +274,9 @@ class Poly:
     def _coerce(other) -> "Poly | None":
         if isinstance(other, Poly):
             return other
-        if isinstance(other, int):
+        # a bool is no coefficient: arithmetic with one is a TypeError, and
+        # a bool equals no polynomial
+        if isinstance(other, int) and not isinstance(other, bool):
             return Poly.const(other)
         return None
 

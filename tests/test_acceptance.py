@@ -19,6 +19,7 @@ from girardlab import (
     good_word_sum,
     parse_digraph,
     parse_poly,
+    poly_dot,
     power_sum_below,
     power_sum_direct,
     power_sum_lhs,
@@ -200,8 +201,8 @@ def test_c10_classical_corollary():
             k_top = r if r > n else r - 1
             for k in range(0, k_top + 1):
                 group = sum(
-                    value.evaluate(assign)
-                    for (s, _), value in res.breakdown.items()
+                    poly_dot((factors,)).evaluate(assign)
+                    for (s, _), factors in res.breakdown.items()
                     if len(s) == k
                 )
                 e_k = e[k] if k < len(e) else 0

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -24,7 +25,7 @@ from girardlab.cli import main
 from girardlab.digraph import self_loop_digraph
 from girardlab.enumeration import closed_walks, linear_subdigraph_buckets, linear_subdigraphs
 from girardlab.involution import enumerate_pairs
-from girardlab.poly import Poly, poly_sum, xvar
+from girardlab.poly import Poly, poly_dot, poly_sum, xvar
 
 from _support import all_pattern_graphs
 
@@ -258,6 +259,14 @@ PLANTED_FAULTS = [
                  ["verify", "theorem3", "--r", "2", "--n", "2"],
                  {"r": 2, "n": 2, "residual": "-4*a[1]^(1)*a[2]^(2) - 4*a[1]^(2)*a[2]^(1)"},
                  id="theorem3-closing-sign"),
+    pytest.param(newton, "closed_walk_buckets",
+                 _one_bucket(lambda v: v + 1, (1, frozenset({1}))),
+                 ["verify", "theorem3", "--r", "2", "--n", "2"],
+                 {"r": 2, "n": 2, "residual": "symbolic and all-loops-graph paths disagree"},
+                 id="theorem3-cross-check"),
+    pytest.param(cli, "power_sum_lhs", _off_by_one, THEOREM1,
+                 {"m": 2, "r": 1, "lhs": LHS + " + 1", "rhs": LHS, "good_words": LHS},
+                 id="theorem1-lhs"),
     pytest.param(cli, "power_sum_rhs", _off_by_one, THEOREM1,
                  {"m": 2, "r": 1, "lhs": LHS, "rhs": LHS + " + 1", "good_words": LHS},
                  id="theorem1-rhs"),
@@ -295,6 +304,13 @@ PLANTED_FAULTS = [
                   "problems": ["GOOD pairs do not cover exactly the r-edge subdigraphs"],
                   "total": "0"},
                  id="audit-classify-all-good"),
+    # the audit's recheck of the identity through the DP maps
+    pytest.param(newton, "closed_walk_buckets",
+                 _one_bucket(lambda v: v + 1, (2, frozenset({1, 2}))), AUDIT,
+                 {"instance": 0, "graph_seed": None,
+                  "problems": ["audit total disagrees with the identity residual"],
+                  "total": "0"},
+                 id="audit-identity-recheck"),
 ]
 
 
@@ -371,6 +387,34 @@ def test_help_exits_zero(capsys):
         out = capsys.readouterr().out
         assert out.startswith(f"usage: girard-lab {command} "), command
         assert "--out PATH" in out, command
+
+
+def _leaf_parsers(parser, path=()):
+    """(subcommand words, parser) for each subcommand with no subcommands
+    of its own."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, (*path, name))
+
+
+def test_the_synopsis_matches_the_parser():
+    # README and the module docstring show one synopsis, whitespace aside
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme_block = readme.split("one subcommand per identity:\n\n```\n", 1)[1].split("```")[0]
+    doc_block = cli.__doc__.split("Subcommands:\n", 1)[1].split("each of them followed by")[0]
+    assert readme_block.split() == doc_block.split()
+    # one entry per line that starts with the command name, with its wrapped lines
+    entries = re.split(r"\n\s*(?=girard-lab )", doc_block.strip())
+    leaves = dict(_leaf_parsers(cli.build_parser()))
+    assert sorted(leaves) == sorted(LEAF_COMMANDS)
+    for command, parser in leaves.items():
+        named = [e for e in entries if e.startswith(f"girard-lab {command} ")]
+        assert len(named) == 1, command
+        for flag in re.findall(r"--[a-z][a-z-]*", named[0]):
+            assert flag in parser._option_string_actions, (command, flag)
 
 
 # ---------------------------------------------------------------------------
@@ -1109,7 +1153,8 @@ def test_theorem3_term_counts_are_exact():
         for n in range(1, 6):
             breakdown, product = cli._theorem3_terms(r, n)
             report = newton.verify_colored_newton_girard(r, n)
-            assert breakdown == sum(p.term_count() for p in report.breakdown.values())
+            assert breakdown == sum(
+                poly_dot((factors,)).term_count() for factors in report.breakdown.values())
             # the clow DP's sequences with heads up to j >= 1 are the
             # all-loops ell map of j vertices, and the empty S holds 1 for
             # each j = 0..n

@@ -16,6 +16,7 @@ from girardlab import (
     elementary_color_sum,
     factorial,
     make_digraph,
+    poly_dot,
     poly_sum,
     random_digraph,
     self_loop_digraph,
@@ -251,15 +252,15 @@ def test_cross_check_fails_when_one_walk_bucket_is_off(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# assembly: the residual is summed from the entries' factors, and an entry
-# is multiplied only when it is read
+# assembly: the residual is summed from the entries' factors, and the
+# report keeps each entry's two factors
 # ---------------------------------------------------------------------------
 
 
 def assert_assembled(report):
-    """Both residuals equal the breakdown, read entry by entry, plus their
-    closing terms."""
-    base = poly_sum(report.breakdown.values())
+    """Both residuals equal the breakdown, each entry's factors multiplied
+    on their own, plus their closing terms."""
+    base = poly_sum(poly_dot((factors,)) for factors in report.breakdown.values())
     assert report.residual == base + report.aggregated_correction
     assert report.literal_residual == base + report.literal_correction
 
@@ -318,12 +319,13 @@ def test_breakdown_length_and_keys_make_no_product(monkeypatch):
 
     monkeypatch.setattr(Poly, "__mul__", counted)
     monkeypatch.setattr(Poly, "__rmul__", counted)
-    report = verify_colored_newton_girard(4, 4)
+    report, twin = verify_colored_newton_girard(4, 4), verify_colored_newton_girard(4, 4)
     assert products  # the closing products count, so the counter is live
     products.clear()
     assert len(report.breakdown) == len(list(report.breakdown)) == 2**4 - 1
     assert all(key in report.breakdown for key in report.breakdown)
     assert (frozenset(), frozenset({5})) not in report.breakdown
+    assert report == twin and report is not twin
     assert products == []
 
 
@@ -395,8 +397,8 @@ def test_uniform_collapse_reproduces_classical_terms():
         k_top = r if r > n else r - 1
         for k in range(0, k_top + 1):
             group = sum(
-                value.evaluate(assign)
-                for (s, _), value in report.breakdown.items()
+                poly_dot((factors,)).evaluate(assign)
+                for (s, _), factors in report.breakdown.items()
                 if len(s) == k
             )
             e_k = e[k] if k < len(e) else 0

@@ -1,12 +1,13 @@
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from girardlab import (
-    Poly, PolyParseError, avar, parse_poly, poly_dot, poly_prod, poly_sum, xvar, yvar,
+    Poly, PolyParseError, VarId, avar, parse_poly, poly_dot, poly_prod, poly_sum, xvar, yvar,
 )
 
 X11 = Poly.variable(xvar(1, 1))
@@ -45,6 +46,17 @@ def test_distinct_superscripts_are_distinct_variables():
 def test_integer_coercion():
     assert 2 * X11 + 1 == Poly.const(1) + X11 + X11
     assert (3 - Y2) == Poly.const(3) - Y2
+    # only ints coerce: the text form says no float, fraction or bool
+    for bad in [2.5, Fraction(1, 2), True]:
+        with pytest.raises(TypeError):
+            Poly.const(bad)
+        with pytest.raises(TypeError):
+            Poly({((xvar(1, 1), 1),): bad})
+        with pytest.raises(TypeError):
+            X11 + bad
+        with pytest.raises(TypeError):
+            bad * X11
+        assert Poly.one() != bad
 
 
 def test_pow():
@@ -72,6 +84,12 @@ def test_variable_index_validation():
         yvar(0)
     with pytest.raises(ValueError):
         avar(1, 0)
+    # a VarId no maker returns prints as another variable, or as none
+    for bad in [VarId(1, 2, 5), VarId(0, 0, 0), VarId(0, 1, 0), VarId(2, 0, 1), VarId(1, 0, 0)]:
+        with pytest.raises(ValueError):
+            Poly.variable(bad)
+        with pytest.raises(ValueError):
+            Poly({((bad, 1),): 1})
 
 
 def test_canonical_text_example():

@@ -18,6 +18,7 @@ from girardlab import (
     make_digraph,
     make_subdigraph,
     verify_walk_cycle_identity,
+    xvar,
 )
 from girardlab.cli import RunReport
 
@@ -94,18 +95,22 @@ def test_value_class_contract(cls):
             delattr(value, name)
     assert repr(value) == text
 
-    if cls is NewtonReport:
-        # identity, so comparing reports multiplies no breakdown entry
-        assert value == value and value != twin
-        assert hash(value) == object.__hash__(value)
-        g = make_digraph(1, 1, {(1, 1): [2]})
-        assert verify_walk_cycle_identity(g, 1) != verify_walk_cycle_identity(g, 1)
-        return
     assert value == twin and not value != twin
-    if cls is ColoredDigraph:  # unhashable, as its edge map is
+    if cls in (ColoredDigraph, NewtonReport):  # unhashable, as its edge map or breakdown is
         with pytest.raises(TypeError):
             hash(value)
+    if cls is ColoredDigraph:
         assert ColoredDigraph(2, 2) == ColoredDigraph(n=2, colors=2, edges={}) != value
+        return
+    if cls is NewtonReport:
+        # a real report is a value too: equal to its rerun, and its repr
+        # shows the factors, which a copy keeps
+        g = make_digraph(1, 2, {(1, 1): [2, Poly.variable(xvar(1, 1))]})
+        report = verify_walk_cycle_identity(g, 1)
+        assert report == verify_walk_cycle_identity(g, 1)
+        real = repr(report)
+        assert " at 0x" not in real and "(Poly('x[1]^(1)'), 1)" in real
+        assert repr(copy.deepcopy(report)) == repr(pickle.loads(pickle.dumps(report))) == real
         return
     # the hash of one tuple of the compared fields, which fixes set orders
     compared = {Walk: ["start", "steps"], LinearSubdigraph: ["cycles"]}.get(cls, fields)
