@@ -200,7 +200,8 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
       not yet met is sent through `involute`, looked up by position, and
       checked against its image, which is marked met there and skipped on
       its own turn.  So a perfect matching costs one `involute` call per
-      BAD pair;
+      BAD pair.  An `involute` that refuses a pair classified BAD, or its
+      image, is one problem for that pair, and the audit goes on;
     * the GOOD pairs group by their `underlying_subdigraph` (which
       classifies each of them a second time), an r-edge subdigraph,
       exactly r per group, the group weights summing to
@@ -231,6 +232,15 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
             good.append(i)
     bad_count = len(pairs) - len(good)
 
+    def image_of(pair: WalkGammaPair) -> WalkGammaPair | None:
+        # None, and one problem, when `involute` refuses a pair that
+        # `classify` calls BAD
+        try:
+            return involute(pair)
+        except ValueError:
+            problems.append("involute refuses a pair classified BAD")
+            return None
+
     # The BAD pairs are walked as couples; the pairs met are marked by
     # position.
     met = bytearray(len(pairs))
@@ -238,7 +248,9 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
         if not is_bad[i] or met[i]:
             continue
         met[i] = 1
-        image = involute(pair)
+        image = image_of(pair)
+        if image is None:
+            continue
         j = position.get(image)
         if j is None:
             problems.append("involution image escapes the enumerated pairs")
@@ -249,7 +261,8 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
             continue
         if image == pair:
             problems.append("involution has a fixed point")
-        if involute(image) != pair:
+        back = image_of(image)
+        if back is not None and back != pair:
             problems.append("involution fails to return after two applications")
         met[j] = 1
         if weights[j] != -weights[i]:

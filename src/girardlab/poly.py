@@ -1,6 +1,7 @@
 """Sparse multivariate polynomials over the integers.
 
-The ring carries three indexed variable families:
+The ring carries the indexed variable families of `_FAMILIES`, one row
+each:
 
 * ``x[i]^(j)`` -- doubly indexed x variables (subscript i, superscript j),
 * ``y[l]``     -- singly indexed y variables,
@@ -16,13 +17,14 @@ Representation.  At the interface a monomial is a sorted tuple of
 (variable, exponent) pairs with positive exponents (``Monomial``).
 Inside a ``Poly`` it is a sorted tuple of int variable codes, each code
 repeated once per unit of exponent, and the unit monomial is ``()``.
-The code of a variable is family + 3 * Cantor(sub, sup), a bijection
-with no table behind it, so any number of threads can encode and decode
-at once.  A monomial product is ``tuple(sorted(m1 + m2))``, one C-level
-merge of two sorted runs, with no exponent bound to guard; a product of
-polynomials with s and t terms costs s * t of them.  Codes are turned
-back into variables only where a caller sees monomials: ``terms``,
-``variables``, ``evaluate`` and the text form.
+The code of a variable is family + F·Cantor(sub, sup), F the number of
+families, a bijection with no lookup table behind it, so any number of
+threads can encode and decode at once.  A monomial product is
+``tuple(sorted(m1 + m2))``, one C-level merge of two sorted runs, with no
+exponent bound to guard; a product of polynomials with s and t terms
+costs s * t of them.  Codes are turned back into variables only where a
+caller sees monomials: ``terms``, ``variables``, ``evaluate`` and the
+text form.
 
 Text form: terms are ordered by descending total degree, ties broken by
 the variable order, and rendered like ``3*x[1]^(1)*y[2] - y[3]``.  An
@@ -59,13 +61,11 @@ __all__ = [
     "PolyParseError",
 ]
 
-# Family codes double as the sort rank: every x precedes every y precedes
-# every a.
-FAM_X = 0
-FAM_Y = 1
-FAM_A = 2
-
-_FAMILY_LETTER = {FAM_X: "x", FAM_Y: "y", FAM_A: "a"}
+# The variable families: each one's letter, and whether its variables
+# carry a superscript.  A family's position is its code and its sort rank,
+# so every x precedes every y precedes every a.
+_FAMILIES = (("x", True), ("y", False), ("a", True))
+FAM_X, FAM_Y, FAM_A = range(len(_FAMILIES))
 
 
 class VarId(NamedTuple):
@@ -76,35 +76,36 @@ class VarId(NamedTuple):
     sup: int
 
     def __str__(self) -> str:
-        return var_text(self)
+        letter, has_sup = _FAMILIES[self.family]
+        return f"{letter}[{self.sub}]^({self.sup})" if has_sup else f"{letter}[{self.sub}]"
+
+
+def _checked_var(v: VarId) -> VarId:
+    """`v`, a ValueError unless it is a variable of the ring: a family of
+    `_FAMILIES`, int indices that are not bools, sub >= 1, and sup >= 1 in
+    a family that carries a superscript, 0 in one that does not.  Any other
+    triple has a text form that `parse_poly` reads as a different variable
+    or refuses."""
+    family, sub, sup = v
+    if not (type(family) is type(sub) is type(sup) is int and 0 <= family < len(_FAMILIES)
+            and sub >= 1 and (sup >= 1 if _FAMILIES[family][1] else sup == 0)):
+        raise ValueError(f"not a variable: {v!r}")
+    return v
 
 
 def xvar(i: int, j: int) -> VarId:
     """The variable x[i]^(j)."""
-    if i < 1 or j < 1:
-        raise ValueError("x variable indices must be >= 1")
-    return VarId(FAM_X, i, j)
+    return _checked_var(VarId(FAM_X, i, j))
 
 
 def yvar(l: int) -> VarId:
     """The variable y[l]."""
-    if l < 1:
-        raise ValueError("y variable index must be >= 1")
-    return VarId(FAM_Y, l, 0)
+    return _checked_var(VarId(FAM_Y, l, 0))
 
 
 def avar(j: int, i: int) -> VarId:
     """The variable a[j]^(i) (subscript j, superscript i)."""
-    if j < 1 or i < 1:
-        raise ValueError("a variable indices must be >= 1")
-    return VarId(FAM_A, j, i)
-
-
-def var_text(v: VarId) -> str:
-    letter = _FAMILY_LETTER[v.family]
-    if v.family == FAM_Y:
-        return f"{letter}[{v.sub}]"
-    return f"{letter}[{v.sub}]^({v.sup})"
+    return _checked_var(VarId(FAM_A, j, i))
 
 
 # A monomial as callers see it: ((VarId, exponent), ...) sorted by VarId,
@@ -115,22 +116,13 @@ _UNIT: Monomial = ()
 
 
 def _var_code(v: VarId) -> int:
-    """family + 3 * Cantor(sub, sup): a bijection from the triples with
-    family 0..2 and non-negative indices onto the non-negative ints.  It
-    checks nothing: `_ring_code` is the door for a caller's `VarId`."""
+    """family + F * Cantor(sub, sup), F the number of families: a bijection
+    from the triples with a family of `_FAMILIES` and non-negative indices
+    onto the non-negative ints.  It checks nothing: `_checked_var` is the
+    door for a caller's `VarId`."""
     family, sub, sup = v
     w = sub + sup
-    return family + 3 * (w * (w + 1) // 2 + sup)
-
-
-def _ring_code(v: VarId) -> int:
-    """The code of `v`, a ValueError unless `xvar`, `yvar` or `avar` would
-    return `v`: any other triple has a text form that `parse_poly` reads
-    as a different variable or refuses."""
-    family, sub, sup = v
-    if not (0 < sub and (sup == 0 if family == FAM_Y else 0 < sup) and family in _FAMILY_LETTER):
-        raise ValueError(f"not a variable: {v!r}")
-    return _var_code(v)
+    return family + len(_FAMILIES) * (w * (w + 1) // 2 + sup)
 
 
 def _coefficient(c) -> int:
@@ -142,7 +134,7 @@ def _coefficient(c) -> int:
 
 
 def _code_var(code: int) -> VarId:
-    pair, family = divmod(code, 3)
+    pair, family = divmod(code, len(_FAMILIES))
     w = (isqrt(8 * pair + 1) - 1) // 2
     sup = pair - w * (w + 1) // 2
     return VarId(family, w - sup, sup)
@@ -153,7 +145,7 @@ def _encode(mono: Monomial) -> tuple[int, ...]:
     for v, e in mono:
         if e < 0:
             raise ValueError(f"negative exponent in monomial {mono!r}")
-        codes += [_ring_code(v)] * e
+        codes += [_var_code(_checked_var(v))] * e
     return tuple(sorted(codes))
 
 
@@ -233,7 +225,7 @@ class Poly:
 
     @staticmethod
     def variable(v: VarId) -> "Poly":
-        return _poly({(_ring_code(v),): 1})
+        return _poly({(_var_code(_checked_var(v)),): 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -241,16 +233,10 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    @property
-    def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and _UNIT in self._terms)
-
     def constant_value(self) -> int:
         """The value of a constant polynomial; raises on a non-constant one."""
-        if not self._terms:
-            return 0
-        if self.is_constant:
-            return self._terms[_UNIT]
+        if self._terms.keys() <= {_UNIT}:
+            return self._terms.get(_UNIT, 0)
         raise ValueError(f"polynomial is not constant: {self}")
 
     def term_count(self) -> int:
@@ -274,11 +260,10 @@ class Poly:
     def _coerce(other) -> "Poly | None":
         if isinstance(other, Poly):
             return other
-        # a bool is no coefficient: arithmetic with one is a TypeError, and
-        # a bool equals no polynomial
-        if isinstance(other, int) and not isinstance(other, bool):
+        try:
             return Poly.const(other)
-        return None
+        except TypeError:
+            return None
 
     def __add__(self, other) -> "Poly":
         o = Poly._coerce(other)
@@ -342,7 +327,7 @@ class Poly:
                 if code not in values:
                     v = _code_var(code)
                     if v not in assignment:
-                        raise ValueError(f"assignment missing variable {var_text(v)}")
+                        raise ValueError(f"assignment missing variable {v}")
                     values[code] = assignment[v]
                 val *= values[code]
             total += val
@@ -354,7 +339,7 @@ class Poly:
         parts = []
         for idx, (mono, coeff) in enumerate(self.terms()):
             body = "*".join(
-                var_text(v) if e == 1 else f"{var_text(v)}^{e}" for v, e in mono
+                str(v) if e == 1 else f"{v}^{e}" for v, e in mono
             )
             mag = abs(coeff)
             if body:
@@ -391,17 +376,19 @@ def poly_dot(pairs: Iterable[tuple[int | Poly, int | Poly]]) -> Poly:
     """The sum of p * q over `pairs`, each factor an int or a `Poly`, with
     one accumulator: no product becomes a `Poly` of its own.  int * int
     pairs add up as plain ints; the others go through `_add_product`,
-    with an int factor on the left."""
+    with an int factor on the left.  A factor that is neither, a bool
+    included, is a TypeError whatever its partner."""
     data: dict = {}
     const = 0
     for p, q in pairs:
-        if isinstance(q, int):
+        if not isinstance(q, Poly):
             p, q = q, p
-        if not isinstance(p, int):
+        # q is a Poly unless neither factor is
+        if isinstance(p, Poly):
             _add_product(data, p._terms, q._terms)
-        elif isinstance(q, int):
-            const += p * q
-        elif p:
+        elif not isinstance(q, Poly):
+            const += _coefficient(p) * _coefficient(q)
+        elif _coefficient(p):
             _add_product(data, {_UNIT: p}, q._terms)
     return _poly(_merge(data, ((_UNIT, const),)))
 
@@ -421,13 +408,10 @@ class PolyParseError(ValueError):
     """Raised when polynomial text does not match the canonical format."""
 
 
-_VAR_RE = re.compile(r"([xya])\[(\d+)\](?:\^\((\d+)\))?(?:\^(\d+))?\Z")
+_LETTERS = {letter: family for family, (letter, _) in enumerate(_FAMILIES)}
+_VAR_RE = re.compile(rf"([{''.join(_LETTERS)}])\[(\d+)\](?:\^\((\d+)\))?(?:\^(\d+))?\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _SPLIT_RE = re.compile(r"\s+([+-])\s+")
-
-
-# the variable makers by letter: they own the index rules
-_MAKERS = {"x": xvar, "y": yvar, "a": avar}
 
 
 def _parse_piece(piece: str) -> tuple[VarId, int]:
@@ -435,12 +419,13 @@ def _parse_piece(piece: str) -> tuple[VarId, int]:
     if m is None:
         raise PolyParseError(f"bad variable token {piece!r}")
     letter, sub, sup, exp = m.groups()
-    if (sup is None) != (letter == "y"):
-        need = "take no" if letter == "y" else "need a"
+    family = _LETTERS[letter]
+    has_sup = _FAMILIES[family][1]
+    if (sup is not None) != has_sup:
+        need = "need a" if has_sup else "take no"
         raise PolyParseError(f"{letter} variables {need} superscript: {piece!r}")
-    indices = (int(sub),) if sup is None else (int(sub), int(sup))
     try:
-        var = _MAKERS[letter](*indices)
+        var = _checked_var(VarId(family, int(sub), int(sup or 0)))
     except ValueError as exc:
         raise PolyParseError(f"{exc}: {piece!r}") from None
     e = 1 if exp is None else int(exp)

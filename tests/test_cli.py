@@ -240,6 +240,7 @@ LHS = "x[1]^(1)*y[2] + x[1]^(1)*y[3] + x[2]^(1)*y[3]"
 POWERSUM = ["powersum", "--m", "2", "--n", "3", "--method", "all"]
 # what an identity `involute` meets at each of the graph's 4 BAD pairs at r = 2
 BAD_PAIR = ["involution has a fixed point", "involution image weight is not the negation"]
+REFUSED = "involute refuses a pair classified BAD"
 
 # One planted fault per route that runs in the CLI: the module and name
 # patched, the fault as a function of the original, the argv, and the one
@@ -304,6 +305,33 @@ PLANTED_FAULTS = [
                   "problems": ["GOOD pairs do not cover exactly the r-edge subdigraphs"],
                   "total": "0"},
                  id="audit-classify-all-good"),
+    # every GOOD pair goes to `involute` too, which refuses it
+    pytest.param(involution, "classify", lambda original: lambda pair: involution.BAD, AUDIT,
+                 {"instance": 0, "graph_seed": None,
+                  "problems": [REFUSED] * 4 + ["BAD pair weights do not cancel",
+                                               "GOOD pairs do not cover exactly the r-edge "
+                                               "subdigraphs"],
+                  "total": "0"},
+                 id="audit-classify-all-bad"),
+    # an `involute` that skips the gamma-vertex test
+    pytest.param(involution, "involute",
+                 lambda original: lambda pair: original(involution.WalkGammaPair(
+                     pair.walk,
+                     enumeration.LinearSubdigraph(pair.gamma.cycles, 0, pair.gamma.color_mask))),
+                 AUDIT,
+                 {"instance": 0, "graph_seed": None, "problems": [REFUSED] * 4, "total": "0"},
+                 id="audit-involute-blind-to-gamma"),
+    # a wrong weight index: a walk reads color c % k + 1 for color c
+    pytest.param(enumeration.Walk, "weight",
+                 lambda original: lambda walk, g: math.prod(
+                     g.weight(u, v, c % g.colors + 1) for u, v, c in walk.edges()),
+                 AUDIT,
+                 {"instance": 0, "graph_seed": None,
+                  "problems": ["involution image weight is not the negation"] * 2
+                  + ["BAD pair weights do not cancel",
+                     "audit total disagrees with the identity residual"],
+                  "total": "-1"},
+                 id="audit-walk-weight-index"),
     # the audit's recheck of the identity through the DP maps
     pytest.param(newton, "closed_walk_buckets",
                  _one_bucket(lambda v: v + 1, (2, frozenset({1, 2}))), AUDIT,
@@ -415,6 +443,40 @@ def test_the_synopsis_matches_the_parser():
         assert len(named) == 1, command
         for flag in re.findall(r"--[a-z][a-z-]*", named[0]):
             assert flag in parser._option_string_actions, (command, flag)
+
+
+SUPERSCRIPTS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+
+
+def _limit_values(cell):
+    """The numbers a README limit cell names, written 400,000, 2.5·10⁶ or 10⁶."""
+    values = set()
+    for mantissa, power, plain in re.findall(
+            r"(?:(\d+(?:\.\d+)?)·)?10([⁰¹²³⁴⁵⁶⁷⁸⁹]+)|(\d[\d,]*)", cell):
+        if plain:
+            values.add(int(plain.replace(",", "")))
+        else:
+            values.add(Fraction(mantissa or 1) * 10 ** int(power.translate(SUPERSCRIPTS)))
+    return values
+
+
+def test_the_limits_table_matches_the_limits():
+    # README's limits table has one row per subcommand, and the limit in
+    # that row is the value of each of the subcommand's *_MAX_* constants
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| subcommand | count | limit |\n|---|---|---|\n", 1)[1]
+    rows = [line.strip("|").split("|") for line in table.split("\n\n", 1)[0].splitlines()]
+    commands = [cells[0].strip().strip("`") for cells in rows]
+    assert sorted(commands) == sorted(dict(_leaf_parsers(cli.build_parser())))
+    named = set()
+    for command, cells in zip(commands, rows):
+        prefix = command.split()[-1].upper().replace("-", "_") + "_MAX_"
+        limits = {name: value for name, value in vars(cli).items() if name.startswith(prefix)}
+        assert limits, command
+        assert _limit_values(cells[-1]) == set(limits.values()), command
+        named |= set(limits)
+    # and no limit is left out of the table
+    assert named == {name for name in vars(cli) if "_MAX_" in name}
 
 
 # ---------------------------------------------------------------------------

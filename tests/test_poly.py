@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from girardlab import (
     Poly, PolyParseError, VarId, avar, parse_poly, poly_dot, poly_prod, poly_sum, xvar, yvar,
 )
+from girardlab.poly import _FAMILIES, _code_var, _var_code
 
 X11 = Poly.variable(xvar(1, 1))
 X21 = Poly.variable(xvar(2, 1))
@@ -84,8 +85,13 @@ def test_variable_index_validation():
         yvar(0)
     with pytest.raises(ValueError):
         avar(1, 0)
+    # an index that is not an int, or is a bool, has no text form
+    for make, indices in [(xvar, (1.5, 1)), (xvar, (True, 1)), (yvar, (True,)), (avar, (1, 2.0))]:
+        with pytest.raises(ValueError):
+            make(*indices)
     # a VarId no maker returns prints as another variable, or as none
-    for bad in [VarId(1, 2, 5), VarId(0, 0, 0), VarId(0, 1, 0), VarId(2, 0, 1), VarId(1, 0, 0)]:
+    for bad in [VarId(1, 2, 5), VarId(0, 0, 0), VarId(0, 1, 0), VarId(2, 0, 1), VarId(1, 0, 0),
+                VarId(0, 1.5, 1)]:
         with pytest.raises(ValueError):
             Poly.variable(bad)
         with pytest.raises(ValueError):
@@ -212,6 +218,26 @@ def test_no_exponent_cap():
     assert text == "x[2]^(3)^300 - 7*y[2]^257*a[1]^(1)"
     assert parse_poly(text) == p
     assert p.coefficient(((xvar(2, 3), 300),)) == 1
+
+
+# the maker of each family of `_FAMILIES`, in its order
+MAKERS = [xvar, yvar, avar]
+
+
+@pytest.mark.parametrize("family, letter, has_sup", [
+    (family, letter, has_sup) for family, (letter, has_sup) in enumerate(_FAMILIES)
+])
+def test_each_family_round_trips(family, letter, has_sup):
+    v = MAKERS[family](*((3, 2) if has_sup else (3,)))
+    assert v == VarId(family, 3, 2 if has_sup else 0)
+    text = f"{letter}[3]^(2)" if has_sup else f"{letter}[3]"
+    assert str(v) == text
+    assert parse_poly(text) == Poly.variable(v)
+    assert str(parse_poly(f"-{text}^4")) == f"-{text}^4"
+    assert _code_var(_var_code(v)) == v
+    # a superscript is there exactly when the family carries one
+    with pytest.raises(PolyParseError, match="superscript"):
+        parse_poly(f"{letter}[3]" if has_sup else f"{letter}[3]^(2)")
 
 
 def test_variable_codes_are_a_bijection():
@@ -382,3 +408,10 @@ def test_poly_dot_agrees_with_the_reference(pairs):
     # one pair alone is its product, a Poly even when both factors are ints
     for p, q in pairs:
         assert_same(poly_dot([(as_factor(p), as_factor(q))]), dot_reference([(p, q)]))
+    # a factor that is neither an int nor a Poly, a bool included, is a
+    # TypeError whatever its partner, zero included
+    bad_pairs = [(True, X11), (X11, False), (1.5, X11), (0, 1.5)]
+    bad_pairs += [(as_factor(p), 1.5) for p, _ in pairs] + [(False, as_factor(q)) for _, q in pairs]
+    for bad in bad_pairs:
+        with pytest.raises(TypeError):
+            poly_dot([bad])
