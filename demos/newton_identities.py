@@ -34,12 +34,13 @@ for r in (1, 2):
     if report.case == "r<=n":
         print(f"    closing term (aggregated) = {report.aggregated_correction}")
 
-# The closing term aggregates ell(r, S) over *all* size-r color sets.  The
-# single-set form r * ell(r, C) with C = {1..k} only agrees when k = r:
+# The identity is a sum of smaller ones, one per size-r color set U: the
+# entries with S and T partitioning U, closed by r * ell(r, U).  The check
+# passes only when every U's residual is zero, not just their sum:
 report = verify_walk_cycle_identity(g, 1)
-print("\nliteral single-set closing term on the same graph at r = 1:")
-print("    literal residual =", report.literal_residual,
-      "(zero only when k = r)")
+print("\nresidual per color set U on the same graph at r = 1:")
+for u, residual in report.residuals.items():
+    print(f"    U = {sorted(u)}: residual = {residual}")
 
 # -- the multi-alphabet form ----------------------------------------------------
 #

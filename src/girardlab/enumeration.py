@@ -465,7 +465,8 @@ def _lookup(buckets, g: ColoredDigraph, size: int, colors: Iterable[int]) -> Pol
     key = (size, frozenset(colors))
     if key == (0, frozenset()):
         return Poly.one()
-    return as_poly(buckets(g).get(key, 0))
+    value = buckets(g).get(key, 0)
+    return value if isinstance(value, Poly) else Poly.const(value)
 
 
 def linear_subdigraph_sum(g: ColoredDigraph, p: int, colors: Iterable[int]) -> Poly:
@@ -488,8 +489,3 @@ def closed_walk_sum(g: ColoredDigraph, q: int, colors: Iterable[int]) -> Poly:
     q != |T| (a walk's length and color count agree).
     """
     return _lookup(closed_walk_buckets, g, q, colors)
-
-
-def as_poly(value: int | Poly) -> Poly:
-    """A bucket value as a `Poly`: an int becomes a constant."""
-    return value if isinstance(value, Poly) else Poly.const(value)

@@ -9,21 +9,27 @@ walk/cycle identity states, for every r >= 1,
 
 It is one formula, as classical Newton-Girard is (e_t = 0 for t > n): a
 linear subdigraph covers at most n vertices, so ell(p, .) vanishes for
-p > n and the closing term is zero when r > n.  The closing term
-aggregates over *all* size-r color sets; the single-set form
-r * ell(r, C) with C = {1..k} is only equivalent when k = r (or r > n,
-where both are zero), so reports carry both residuals.
+p > n and the closing term is zero when r > n.  It is also a sum of
+smaller identities, one for each color set U with |U| = r:
+
+    sum over disjoint S, T with union U, T nonempty, of
+    c(|T|, T) * ell(|S|, S)  +  r * ell(r, U)  =  0,
+
+the coefficient of t^U in Newton's identity for the matrix
+sum_c t_c * A_c over Z[t_1..t_k]/(t_1^2, ..., t_k^2), A_c the color-c
+weight matrix.  A check passes when every U's residual is zero, so a
+fault that moves weight between two sets U cannot cancel in the sum.
 
 The c values come from `enumeration.closed_walk_buckets`, a transfer-matrix
 DP that builds no walk; the ell values come from
 `enumeration.linear_subdigraph_buckets`, a signed sum over clow sequences
 on the same DP step that builds no subdigraph.  On an integer graph both
 maps hold ints, and the assembly multiplies ints too.  The residual sums
-the (S, T) products into one accumulator (`poly.poly_dot`), so no entry
-becomes a `Poly` of its own; the report's breakdown keeps each entry's
-two factors, and a reader multiplies one entry with `poly_dot`.  Each
-closing term becomes a `Poly` once, so a report's corrections and
-residuals are `Poly` values whatever the weights.
+each U's (S, T) products into one accumulator (`poly.poly_dot`), so no
+entry becomes a `Poly` of its own; the report's breakdown keeps each
+entry's two factors, and a reader multiplies one entry with `poly_dot`.
+A report's correction and residuals are `Poly` values whatever the
+weights.
 
 Specializing to the all-loops graph (digraph.self_loop_digraph) turns the
 identity into a statement about n alphabets of r symbols a[j]^(1..r), the
@@ -52,7 +58,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .digraph import ColoredDigraph, self_loop_digraph
-from .enumeration import as_poly, closed_walk_buckets, linear_subdigraph_buckets
+from .enumeration import closed_walk_buckets, linear_subdigraph_buckets
 from .exactnum import factorial
 from .poly import Poly, VarId, avar, poly_dot, poly_prod, poly_sum
 
@@ -81,11 +87,12 @@ class NewtonReport(NamedTuple):
     `breakdown` maps each (S, T) color pair with T nonempty to the two
     factors (c(|T|, T), ell(|S|, S)) of its contribution, each an int or a
     `Poly`; `poly_dot((report.breakdown[key],))` multiplies one entry.
-    `residual` is the breakdown total plus the aggregated closing term and
-    must be the zero polynomial, `literal_residual` uses the single-set
-    closing term instead (equal to the aggregated one when k = r, and when
-    r > n, where both closing terms are zero).  `case` is "r>n" or "r<=n",
-    named in failure records.
+    `residuals` maps each size-r color set U, in lexicographic order, to
+    the residual of U's own identity: the entries with S and T partitioning
+    U, plus r * ell(r, U).  `residual` is their sum, the breakdown total
+    plus the aggregated closing term `aggregated_correction`.  The check
+    passes when every U's residual is the zero polynomial.  `case` is
+    "r>n" or "r<=n", named in failure records.
 
     Two reports are equal when their fields are: factor dicts and `Poly`
     values compare by their terms, so comparing reports multiplies no
@@ -96,13 +103,12 @@ class NewtonReport(NamedTuple):
     case: str
     breakdown: dict[ColorPair, Factors]
     aggregated_correction: Poly
-    literal_correction: Poly
     residual: Poly
-    literal_residual: Poly
+    residuals: dict[frozenset[int], Poly]
 
     @property
     def passed(self) -> bool:
-        return self.residual.is_zero
+        return not any(self.residuals.values())
 
 
 def _closing_sum(ell: Buckets, r: int) -> int | Poly:
@@ -110,52 +116,39 @@ def _closing_sum(ell: Buckets, r: int) -> int | Poly:
     return sum(val for (length, _), val in ell.items() if length == r)
 
 
-def _split_terms(
-    colors: frozenset[int], r: int, c: Buckets, ell: Buckets
-) -> dict[ColorPair, Factors]:
-    """The factors (c(|T|, T), ell(|S|, S)) of each contribution, for
-    disjoint S, T in `colors` with |S| + |T| = r and T nonempty; a key
-    missing from a map is a zero sum, and the empty S contributes 1.
-    There is no such pair when r exceeds the color count, and a huge r
-    then costs nothing."""
-    cols = sorted(colors)
-    if r > len(cols):
-        return {}
-    terms: dict[ColorPair, Factors] = {}
-    for s_size in range(r):
-        t_size = r - s_size
-        for s_tuple in combinations(cols, s_size):
-            s = frozenset(s_tuple)
-            rest = [col for col in cols if col not in s]
-            for t_tuple in combinations(rest, t_size):
-                t = frozenset(t_tuple)
-                ell_val = ell.get((s_size, s), 0) if s_size else 1
-                terms[(s, t)] = (c.get((t_size, t), 0), ell_val)
-    return terms
-
-
 def _assemble(
     n: int, colors: frozenset[int], r: int, c: Buckets, ell: Buckets
 ) -> NewtonReport:
     """The walk/cycle identity at r, built from the c and ell maps of a
-    graph with n vertices and color set `colors`: the (S, T) terms with T
-    nonempty, closed by r * sum_{|S| = r} ell(r, S) (aggregated) or
-    r * ell(r, colors) (literal).  Past n every ell(r, .) is zero, and so
-    are both closing terms.
+    graph with n vertices and color set `colors`, one size-r color set U
+    at a time: the factors (c(|T|, T), ell(|S|, S)) of each entry with S
+    and T partitioning U and T nonempty, closed by r * ell(r, U).  A key
+    missing from a map is a zero sum, and the empty S contributes 1.  Past
+    n every ell(r, .) is zero, and so is every closing term.
     """
-    factors = _split_terms(colors, r, c, ell)
-    # Poly.const(r) coerces an int sum, and a constant left factor
-    # multiplies a symbolic one without re-sorting its monomials
-    aggregated = Poly.const(r) * _closing_sum(ell, r)
-    literal = Poly.const(r) * ell.get((r, colors), 0)
-    base = poly_dot(factors.values())
+    breakdown: dict[ColorPair, Factors] = {}
+    residuals: dict[frozenset[int], Poly] = {}
+    # no U when r exceeds the color count, and combinations would
+    # allocate r slots before finding none, so a huge r skips the loop
+    for u_tuple in combinations(sorted(colors), r) if r <= len(colors) else ():
+        u = frozenset(u_tuple)
+        entries = [(r, ell.get((r, u), 0))]
+        for s_size in range(r):
+            for s_tuple in combinations(u_tuple, s_size):
+                s = frozenset(s_tuple)
+                t = u - s
+                factors = (c.get((r - s_size, t), 0), ell.get((s_size, s), 0) if s_size else 1)
+                breakdown[(s, t)] = factors
+                entries.append(factors)
+        residuals[u] = poly_dot(entries)
     return NewtonReport(
         case="r>n" if r > n else "r<=n",
-        breakdown=factors,
-        aggregated_correction=aggregated,
-        literal_correction=literal,
-        residual=base + aggregated,
-        literal_residual=base + literal,
+        breakdown=breakdown,
+        # Poly.const(r) coerces an int sum, and a constant left factor
+        # multiplies a symbolic one without re-sorting its monomials
+        aggregated_correction=Poly.const(r) * _closing_sum(ell, r),
+        residual=poly_sum(residuals.values()),
+        residuals=residuals,
     )
 
 
@@ -166,12 +159,13 @@ def total_subdigraph_sum(g: ColoredDigraph, r: int) -> Poly:
     `--trace 1` and `test_traced_counts_repeat`."""
     if r < 1:
         raise ValueError("total_subdigraph_sum requires r >= 1")
-    return as_poly(_closing_sum(linear_subdigraph_buckets(g), r))
+    total = _closing_sum(linear_subdigraph_buckets(g), r)
+    return total if isinstance(total, Poly) else Poly.const(total)
 
 
 def verify_walk_cycle_identity(g: ColoredDigraph, r: int) -> NewtonReport:
     """Check the walk/cycle identity on one graph at one r, with c and ell
-    from the two DPs; both closing terms are read off the same ell map as
+    from the two DPs; the closing terms are read off the same ell map as
     the breakdown."""
     if r < 1:
         raise ValueError("r must be >= 1")

@@ -428,10 +428,7 @@ def _parse_piece(piece: str) -> tuple[VarId, int]:
         var = _checked_var(VarId(family, int(sub), int(sup or 0)))
     except ValueError as exc:
         raise PolyParseError(f"{exc}: {piece!r}") from None
-    e = 1 if exp is None else int(exp)
-    if e < 1:
-        raise PolyParseError(f"exponent must be >= 1: {piece!r}")
-    return var, e
+    return var, 1 if exp is None else int(exp)
 
 
 def _parse_term(sign: str, term: str, text: str) -> tuple[tuple[int, ...], int]:
@@ -451,7 +448,9 @@ def _parse_term(sign: str, term: str, text: str) -> tuple[tuple[int, ...], int]:
 
 
 def parse_poly(text: str) -> Poly:
-    """Inverse of str(poly) for the canonical text format."""
+    """Inverse of str(poly) for the canonical text format: text that `str`
+    would not write, outer whitespace aside, is a PolyParseError, so each
+    polynomial has one text (no `x[01]^(1)`, `2*3`, `+5` or `3 - 3`)."""
     s = text.strip()
     if not s:
         raise PolyParseError("empty polynomial text")
@@ -462,4 +461,7 @@ def parse_poly(text: str) -> Poly:
     else:
         chunks.insert(0, "+")
     terms = (_parse_term(sign, term, text) for sign, term in zip(chunks[::2], chunks[1::2]))
-    return _poly(_merge({}, terms))
+    out = _poly(_merge({}, terms))
+    if str(out) != s:
+        raise PolyParseError(f"not the canonical text of {out}: {text!r}")
+    return out

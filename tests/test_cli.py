@@ -174,27 +174,6 @@ def test_powersum_all_methods(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_literal_ell_fails_when_k_exceeds_r(tmp_path, capsys):
-    # one vertex, one loop in two colors: the single-set closing term
-    # ell(1, {1, 2}) vanishes, leaving the walk sum 2 + 3 uncancelled.
-    path = write_graph(tmp_path, make_digraph(1, 2, {(1, 1): [2, 3]}))
-    out_path = tmp_path / "report.json"
-    rc = main(
-        ["verify", "theorem2", "--graph", path, "--r", "1", "--literal-ell",
-         "--out", str(out_path)]
-    )
-    assert rc == 1
-    out = capsys.readouterr().out
-    assert "result: FAIL (0/1 checks)" in out
-    report = json.loads(out_path.read_text(encoding="utf-8"))
-    assert report["failures"] == [
-        {"instance": 0, "graph_seed": None, "n": 1, "k": 2,
-         "case": "r<=n", "residual": "5"}
-    ]
-    # the aggregated form passes on the same graph
-    assert main(["verify", "theorem2", "--graph", path, "--r", "1"]) == 0
-
-
 def run_failing(argv, tmp_path, capsys):
     """The failures of a run that must exit 1, read from its --out report."""
     out_path = tmp_path / "report.json"
@@ -224,6 +203,21 @@ def _one_bucket(change, key):
     return fault
 
 
+def _moved(amount, source, target):
+    """A fault for a DP map: `amount` moves from the entry at `source` to
+    the one at `target`, so the sum over all keys stays the same."""
+    return lambda original: _one_bucket(lambda v: v + amount, target)(
+        _one_bucket(lambda v: v - amount, source)(original))
+
+
+def _each_trial(trials, seed, **fields):
+    """The failure record of every trial of a `--random` graph campaign:
+    `fields`, with the instance and the graph seed the CLI draws."""
+    rng = random.Random(seed)
+    return [{"instance": idx, "graph_seed": rng.randrange(2**31), **fields}
+            for idx in range(trials)]
+
+
 def _off_by_one(original):
     return lambda *args: original(*args) + 1
 
@@ -234,6 +228,8 @@ def _off_by_one(original):
 # ell(1, {1}) = 3 * -2, so that ell without its sign leaves 12.
 FAULT_GRAPH = make_digraph(2, 2, {(1, 1): [2, 3], (1, 2): [1, 1], (2, 1): [1, 1]})
 THEOREM2 = ["verify", "theorem2", "--graph", "GRAPH", "--r", "2"]
+# dense (4, 4) graphs at r = 2: six color sets U, each checked on its own
+THEOREM2_RANDOM = "verify theorem2 --random --n 4 --k 4 --r 2 --trials 20 --seed 3".split()
 AUDIT = ["involution", "audit", "--graph", "GRAPH", "--r", "2"]
 THEOREM1 = ["verify", "theorem1", "--m", "2", "--r", "1"]
 LHS = "x[1]^(1)*y[2] + x[1]^(1)*y[3] + x[2]^(1)*y[3]"
@@ -244,19 +240,32 @@ REFUSED = "involute refuses a pair classified BAD"
 
 # One planted fault per route that runs in the CLI: the module and name
 # patched, the fault as a function of the original, the argv, and the one
-# failure record the run must write.
+# failure record the run must write, or the list of them for a campaign.
 PLANTED_FAULTS = [
     pytest.param(newton, "closed_walk_buckets",
                  _one_bucket(lambda v: v + 1, (2, frozenset({1, 2}))), THEOREM2,
                  {"instance": 0, "graph_seed": None, "n": 2, "k": 2, "case": "r<=n",
-                  "residual": "1"},
+                  "color_set": [1, 2], "residual": "1"},
                  id="theorem2-walk-dp"),
     pytest.param(newton, "linear_subdigraph_buckets",
                  _one_bucket(lambda v: -v, (1, frozenset({1}))), THEOREM2,
                  {"instance": 0, "graph_seed": None, "n": 2, "k": 2, "case": "r<=n",
-                  "residual": "12"},
+                  "color_set": [1, 2], "residual": "12"},
                  id="theorem2-clow-dp-sign"),
-    pytest.param(newton, "_closing_sum", lambda original: lambda ell, r: -original(ell, r),
+    # weight moved between two color sets leaves the sum over all of them
+    # alone: U = {1, 2} is off by +r * 5 or +5, and U = {1, 3} by as much
+    # the other way
+    pytest.param(newton, "linear_subdigraph_buckets",
+                 _moved(5, (2, frozenset({1, 3})), (2, frozenset({1, 2}))), THEOREM2_RANDOM,
+                 _each_trial(20, 3, n=4, k=4, case="r<=n", color_set=[1, 2], residual="10"),
+                 id="theorem2-ell-moved-between-color-sets"),
+    pytest.param(newton, "closed_walk_buckets",
+                 _moved(5, (2, frozenset({1, 3})), (2, frozenset({1, 2}))), THEOREM2_RANDOM,
+                 _each_trial(20, 3, n=4, k=4, case="r<=n", color_set=[1, 2], residual="5"),
+                 id="theorem2-c-moved-between-color-sets"),
+    # ell(2, {1, 2}) enters theorem3 at r = 2 only in the closing term
+    pytest.param(newton, "linear_subdigraph_buckets",
+                 _one_bucket(lambda v: -v, (2, frozenset({1, 2}))),
                  ["verify", "theorem3", "--r", "2", "--n", "2"],
                  {"r": 2, "n": 2, "residual": "-4*a[1]^(1)*a[2]^(2) - 4*a[1]^(2)*a[2]^(1)"},
                  id="theorem3-closing-sign"),
@@ -348,7 +357,8 @@ def test_a_planted_fault_fails_its_route(module, name, fault, argv, record, tmp_
     graph = write_graph(tmp_path, FAULT_GRAPH)
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
     argv = [graph if arg == "GRAPH" else arg for arg in argv]
-    assert run_failing(argv, tmp_path, capsys) == [record]
+    assert run_failing(argv, tmp_path, capsys) == (record if isinstance(record, list)
+                                                   else [record])
 
 
 def test_powersum_records_a_value_that_is_not_an_integer(tmp_path, capsys, monkeypatch):

@@ -12,8 +12,8 @@ from girardlab import random_digraph, serialize_digraph
 from girardlab.cli import main
 
 AGGREGATION = (
-    "closing term aggregates ell(r, S) over all size-r color sets; --literal-ell "
-    "checks the single-set ell(r, C) form, valid when k = r"
+    "closing term aggregates ell(r, S) over all size-r color sets; each size-r color "
+    "set U is checked on its own, closed by r*ell(r, U)"
 )
 VACUOUS = "vacuous: r exceeds color count"
 THEOREM3_SIGN = (
@@ -33,17 +33,8 @@ def report(command, params, trials, seed=None, failures=(), notes=()):
             "notes": list(notes), "params": params, "seed": seed, "trials": trials}
 
 
-def literal_failure(idx, graph_seed, residual):
-    return {"case": "r<=n", "graph_seed": graph_seed, "instance": idx, "k": 3, "n": 2,
-            "residual": residual}
-
-
-LITERAL_FAILURES = [literal_failure(0, 577090037, "-4"),
-                    literal_failure(1, 271041745, "-50"),
-                    literal_failure(2, 1095513148, "40")]
-
-# 30-digit weights: the residual of `--literal-ell` at k = 3 > r = 2 is a
-# 61-digit integer, the sum the benchmark's det(I - X) expansion gives
+# 30-digit weights: at r = 2 each of the three color sets U cancels
+# 60-digit products c(1, T) * ell(1, S) against r * ell(2, U) exactly
 BIG = {"n": 2, "colors": 3, "edges": [
     {"from": 1, "to": 1, "weights": [123456789012345678901234567890,
                                      -987654321098765432109876543210,
@@ -58,9 +49,6 @@ BIG = {"n": 2, "colors": 3, "edges": [
                                      246813579024681357902468135790,
                                      -135792468013579246801357924680]},
 ]}
-BIG_RESIDUAL = "-1656357426777570469042785776241537633725343673505832173128502"
-BIG_FAILURE = {"case": "r<=n", "graph_seed": None, "instance": 0, "k": 3, "n": 2,
-               "residual": BIG_RESIDUAL}
 
 # argv -> (exit code, stdout, report); "small.json" and "big.json" are the
 # graphs the test writes, and lemma21's campaign takes the default seed
@@ -91,17 +79,16 @@ GOLDEN = {
     "verify theorem2 --graph small.json --r 2": (
         0,
         'command: verify theorem2\n'
-        'params: {"graph": "small.json", "literal_ell": false, "r": 2}\n'
+        'params: {"graph": "small.json", "r": 2}\n'
         f'note: {AGGREGATION}\n'
         'result: PASS (1/1 checks)\n',
-        report("verify theorem2", {"graph": "small.json", "literal_ell": False, "r": 2},
-               1, notes=[AGGREGATION]),
+        report("verify theorem2", {"graph": "small.json", "r": 2}, 1, notes=[AGGREGATION]),
     ),
     "verify theorem2 --random --n 2 --k 2 --density 0.7 --weight-bound 4 --trials 3"
     " --seed 5 --r 3": (
         0,
         'command: verify theorem2\n'
-        'params: {"density": 0.7, "k": 2, "literal_ell": false, "n": 2, "r": 3, '
+        'params: {"density": 0.7, "k": 2, "n": 2, "r": 3, '
         '"trials": 3, "weight_bound": 4}\n'
         'seed: 5\n'
         f'note: {AGGREGATION}\n'
@@ -110,40 +97,28 @@ GOLDEN = {
         f'note: instance 2: {VACUOUS}\n'
         'result: PASS (3/3 checks)\n',
         report("verify theorem2",
-               {"density": 0.7, "k": 2, "literal_ell": False, "n": 2, "r": 3, "trials": 3,
-                "weight_bound": 4},
+               {"density": 0.7, "k": 2, "n": 2, "r": 3, "trials": 3, "weight_bound": 4},
                3, seed=5,
                notes=[AGGREGATION] + [f"instance {i}: {VACUOUS}" for i in range(3)]),
     ),
-    "verify theorem2 --random --n 2 --k 3 --trials 3 --seed 1 --r 2 --literal-ell": (
-        1,
+    "verify theorem2 --random --n 2 --k 3 --trials 3 --seed 1 --r 2": (
+        0,
         'command: verify theorem2\n'
-        'params: {"density": 1.0, "k": 3, "literal_ell": true, "n": 2, "r": 2, '
-        '"trials": 3, "weight_bound": 3}\n'
+        'params: {"density": 1.0, "k": 3, "n": 2, "r": 2, "trials": 3, "weight_bound": 3}\n'
         'seed: 1\n'
         f'note: {AGGREGATION}\n'
-        'FAIL: {"case": "r<=n", "graph_seed": 577090037, "instance": 0, "k": 3, "n": 2, '
-        '"residual": "-4"}\n'
-        'FAIL: {"case": "r<=n", "graph_seed": 271041745, "instance": 1, "k": 3, "n": 2, '
-        '"residual": "-50"}\n'
-        'FAIL: {"case": "r<=n", "graph_seed": 1095513148, "instance": 2, "k": 3, "n": 2, '
-        '"residual": "40"}\n'
-        'result: FAIL (0/3 checks)\n',
+        'result: PASS (3/3 checks)\n',
         report("verify theorem2",
-               {"density": 1.0, "k": 3, "literal_ell": True, "n": 2, "r": 2, "trials": 3,
-                "weight_bound": 3},
-               3, seed=1, failures=LITERAL_FAILURES, notes=[AGGREGATION]),
+               {"density": 1.0, "k": 3, "n": 2, "r": 2, "trials": 3, "weight_bound": 3},
+               3, seed=1, notes=[AGGREGATION]),
     ),
-    "verify theorem2 --graph big.json --r 2 --literal-ell": (
-        1,
+    "verify theorem2 --graph big.json --r 2": (
+        0,
         'command: verify theorem2\n'
-        'params: {"graph": "big.json", "literal_ell": true, "r": 2}\n'
+        'params: {"graph": "big.json", "r": 2}\n'
         f'note: {AGGREGATION}\n'
-        'FAIL: {"case": "r<=n", "graph_seed": null, "instance": 0, "k": 3, "n": 2, '
-        f'"residual": "{BIG_RESIDUAL}"}}\n'
-        'result: FAIL (0/1 checks)\n',
-        report("verify theorem2", {"graph": "big.json", "literal_ell": True, "r": 2},
-               1, failures=[BIG_FAILURE], notes=[AGGREGATION]),
+        'result: PASS (1/1 checks)\n',
+        report("verify theorem2", {"graph": "big.json", "r": 2}, 1, notes=[AGGREGATION]),
     ),
     "involution audit --graph small.json --r 2": (
         0,

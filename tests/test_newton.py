@@ -83,7 +83,7 @@ def test_report_case_r_greater_than_n():
     assert report.case == "r>n"
     assert report.passed
     assert report.residual == Poly.zero()
-    assert report.literal_residual == report.residual
+    assert report.residuals == {frozenset({1, 2}): Poly.zero()}
     assert report.aggregated_correction == Poly.zero()
     # one formula: the breakdown holds the nonempty-T pairs only, and the
     # closing term is zero because no ell survives past n
@@ -94,28 +94,60 @@ def test_report_case_r_greater_than_n():
 
 def test_report_case_r_at_most_n_hand_example():
     # n = 1, k = 2, r = 1: walk terms contribute 2 + 3, the aggregated
-    # closing term -(2 + 3); the single-set form ell(1, {1, 2}) is zero,
-    # so the literal residual stays at 5.
+    # closing term -(2 + 3); each color set U = {c} is closed on its own,
+    # c(1, {c}) + ell(1, {c}) = 0.
     report = verify_walk_cycle_identity(one_loop_graph(), 1)
     assert report.case == "r<=n"
     assert report.passed
     assert report.aggregated_correction == Poly.const(-5)
-    assert report.literal_correction == Poly.zero()
     assert report.residual == Poly.zero()
-    assert report.literal_residual == Poly.const(5)
-    assert not report.literal_residual.is_zero
+    assert report.residuals == {frozenset({1}): Poly.zero(), frozenset({2}): Poly.zero()}
 
 
-def test_aggregated_and_literal_agree_when_k_equals_r():
+def test_one_color_set_when_k_equals_r():
     rng = random.Random(77)
     for _ in range(8):
         n = rng.randint(2, 4)
         k = rng.randint(1, min(n, 3))
         g = random_digraph(n, k, 0.8, 3, seed=rng.randrange(10**6))
         report = verify_walk_cycle_identity(g, k)  # r == k
-        assert report.aggregated_correction == report.literal_correction
-        assert report.residual == report.literal_residual
+        assert report.residuals == {g.color_set(): report.residual}
         assert report.passed, (n, k)
+
+
+def test_each_color_set_closes_on_its_own_on_random_graphs():
+    # every r <= k + 1, r > n included: one residual per size-r color set
+    # U, in lexicographic order, each zero, and none past k
+    rng = random.Random(3144)
+    for _ in range(40):
+        n, k = rng.randint(1, 4), rng.randint(1, 4)
+        g = random_digraph(n, k, rng.choice([0.5, 1.0]), 3, seed=rng.randrange(10**6))
+        for r in range(1, k + 2):
+            report = verify_walk_cycle_identity(g, r)
+            assert list(report.residuals) == [
+                frozenset(u) for u in combinations(range(1, k + 1), r)], (n, k, r)
+            assert not any(report.residuals.values()), (n, k, r)
+            assert report.residual == poly_sum(report.residuals.values())
+
+
+def test_one_failing_color_set_fails_the_check_when_the_sum_cancels(monkeypatch):
+    # 5 moved from ell(2, {1, 3}) to ell(2, {1, 2}) leaves the sum over all
+    # U, and so `residual`, at zero; U = {1, 2} is off by r * 5
+    original = newton.linear_subdigraph_buckets
+
+    def moved(g):
+        buckets = dict(original(g))
+        buckets[(2, frozenset({1, 3}))] -= 5
+        buckets[(2, frozenset({1, 2}))] += 5
+        return buckets
+
+    monkeypatch.setattr(newton, "linear_subdigraph_buckets", moved)
+    report = verify_walk_cycle_identity(random_digraph(3, 3, 1.0, 3, seed=5), 2)
+    assert report.residual == Poly.zero()
+    assert report.residuals == {frozenset({1, 2}): Poly.const(10),
+                                frozenset({1, 3}): Poly.const(-10),
+                                frozenset({2, 3}): Poly.zero()}
+    assert not report.passed
 
 
 def test_identity_holds_on_random_graphs():
@@ -200,7 +232,7 @@ def test_colored_newton_girard_residual_vanishes():
             report = verify_colored_newton_girard(r, n)
             assert report.passed, (r, n)
             assert report.case == ("r>n" if r > n else "r<=n")
-            assert report.residual == report.literal_residual
+            assert list(report.residuals) == [frozenset(range(1, r + 1))]
 
 
 def test_closing_term_needs_the_parity_sign():
@@ -230,7 +262,7 @@ def test_loop_graph_breakdown_is_the_symbolic_breakdown(r, n):
     assert symbolic.case == graphical.case == ("r>n" if r > n else "r<=n")
     assert dict(symbolic.breakdown) == dict(graphical.breakdown)
     assert symbolic.aggregated_correction == graphical.aggregated_correction
-    assert symbolic.literal_correction == graphical.literal_correction
+    assert symbolic.residuals == graphical.residuals
     assert symbolic.residual == graphical.residual == Poly.zero()
 
 
@@ -258,11 +290,17 @@ def test_cross_check_fails_when_one_walk_bucket_is_off(monkeypatch, capsys):
 
 
 def assert_assembled(report):
-    """Both residuals equal the breakdown, each entry's factors multiplied
-    on their own, plus their closing terms."""
+    """The residual is the breakdown, each entry's factors multiplied on
+    their own, plus the aggregated closing term, and the sum of the
+    residuals per color set; what each U's residual adds to U's entries,
+    its closing term, sums to the aggregated one."""
     base = poly_sum(poly_dot((factors,)) for factors in report.breakdown.values())
     assert report.residual == base + report.aggregated_correction
-    assert report.literal_residual == base + report.literal_correction
+    assert report.residual == poly_sum(report.residuals.values())
+    closing = dict(report.residuals)
+    for (s, t), factors in report.breakdown.items():
+        closing[s | t] -= poly_dot((factors,))
+    assert poly_sum(closing.values()) == report.aggregated_correction
 
 
 def one_symbolic_weight_graph():

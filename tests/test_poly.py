@@ -124,6 +124,16 @@ def test_parse_rejects_garbage():
             parse_poly(bad)
 
 
+@pytest.mark.parametrize("text", [
+    "x[01]^(1)", "x[1]^(1)^01", "x[1]^(1)^1", "2*3", "+5", "-0", "0*x[1]^(1)", "3 - 3",
+    "y[1] + x[1]^(1)", "x[1]^(1)*x[1]^(1)",
+])
+def test_parse_rejects_text_str_never_writes(text):
+    # each reads as a polynomial whose canonical text is another one
+    with pytest.raises(PolyParseError, match="canonical"):
+        parse_poly(text)
+
+
 def test_parse_zero():
     assert parse_poly("0") == Poly.zero()
 

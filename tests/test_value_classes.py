@@ -56,11 +56,10 @@ CASES = {
     ),
     NewtonReport: (
         lambda: NewtonReport("r<=n", {}, Poly.zero(), Poly.one(),
-                             residual=Poly.zero(), literal_residual=Poly.one()),
+                             residuals={frozenset({1}): Poly.one()}),
         "NewtonReport(case='r<=n', breakdown={}, aggregated_correction=Poly('0'), "
-        "literal_correction=Poly('1'), residual=Poly('0'), literal_residual=Poly('1'))",
-        ["case", "breakdown", "aggregated_correction", "literal_correction", "residual",
-         "literal_residual"],
+        "residual=Poly('1'), residuals={frozenset({1}): Poly('1')})",
+        ["case", "breakdown", "aggregated_correction", "residual", "residuals"],
     ),
     RunReport: (
         lambda: RunReport(command="powersum", params={"m": 1}, trials=1, failures=[{}],
