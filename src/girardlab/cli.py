@@ -39,6 +39,7 @@ import os
 import random
 import sys
 import time
+from math import perm
 from typing import Iterable
 
 from .digraph import (
@@ -498,9 +499,7 @@ def _audit_objects(n: int, k: int, r: int, successors) -> int:
         return total
     succ = {u: successors(u) for u in range(1, n + 1)}
     top = min(k, n)
-    colorings = [1]  # k!/(k-p)!, the injective colorings of p edges
-    for p in range(k):
-        colorings.append(colorings[-1] * (k - p))
+    colorings = [perm(k, p) for p in range(k + 1)]  # the injective colorings of p edges
     traces = [0] * (min(r, k) + 1)  # tr(B^q)
     for root in range(1, n + 1):
         paths = {root: 1}  # vertex -> walks from the root that end there

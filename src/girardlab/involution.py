@@ -148,9 +148,12 @@ def enumerate_pairs(
 ) -> list[WalkGammaPair]:
     """All pairs with total length r, walk length >= 1, disjoint colors.
 
-    The length-zero walk has no object form, and the identity has no term
-    for it (T is nonempty in every (S, T) entry).  `subdigraphs` is the
-    full `linear_subdigraphs(g)` list when the caller already holds it.
+    The walks are those of `closed_walks(g, max_length=r)`, stable-sorted
+    by length, and each walk of length q meets the gammas of length r - q
+    in `subdigraphs` order, the empty one first.  The length-zero walk has
+    no object form, and the identity has no term for it (T is nonempty in
+    every (S, T) entry).  `subdigraphs` is the full `linear_subdigraphs(g)`
+    list when the caller already holds it.
     """
     if r < 1:
         raise ValueError("enumerate_pairs requires r >= 1")
@@ -160,18 +163,13 @@ def enumerate_pairs(
     # test of each (walk, gamma) combination is an int AND
     gammas_by_length: dict[int, list[LinearSubdigraph]] = {0: [EMPTY_SUBDIGRAPH]}
     for gamma in subdigraphs:
-        if gamma.length < r:
-            gammas_by_length.setdefault(gamma.length, []).append(gamma)
-    walks_by_length: dict[int, list[Walk]] = {}
-    for w in closed_walks(g, max_length=r):  # one pass for every length
-        walks_by_length.setdefault(w.length, []).append(w)
+        gammas_by_length.setdefault(gamma.length, []).append(gamma)
     pairs: list[WalkGammaPair] = []
-    for q in range(1, min(r, g.colors) + 1):  # no walk is longer than k
-        for w in walks_by_length.get(q, []):
-            walk_mask = w.color_mask
-            for gamma in gammas_by_length.get(r - q, []):
-                if not walk_mask & gamma.color_mask:
-                    pairs.append(WalkGammaPair(w, gamma))
+    for w in sorted(closed_walks(g, max_length=r), key=lambda walk: walk.length):
+        walk_mask = w.color_mask
+        for gamma in gammas_by_length.get(r - w.length, []):
+            if not walk_mask & gamma.color_mask:
+                pairs.append(WalkGammaPair(w, gamma))
     return pairs
 
 
@@ -272,7 +270,6 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
     if bad_sum:
         problems.append("BAD pair weights do not cancel")
 
-    good_sum = 0
     groups: dict[LinearSubdigraph, list] = {}  # subdigraph -> its GOOD pairs' weights
     for i in good:
         groups.setdefault(underlying_subdigraph(pairs[i]), []).append(weights[i])
@@ -283,16 +280,13 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
         if len(members) != r:
             problems.append(f"subdigraph owns {len(members)} GOOD pairs, expected {r}")
         sign = -1 if (gamma.cycle_count - 1) % 2 else 1
-        want = r * sign * gamma.weight(g)
-        got = sum(members)
-        good_sum += got
-        if got != want:
+        if sum(members) != r * sign * gamma.weight(g):
             problems.append("GOOD group weight sum is off")
 
     # the recheck takes c and ell from the DPs, not from the pairs above
     report = verify_walk_cycle_identity(g, r)
     correction = report.aggregated_correction
-    total = bad_sum + good_sum + correction  # a Poly, as the correction is
+    total = sum(weights) + correction  # a Poly, as the correction is
     if total != report.residual:
         problems.append("audit total disagrees with the identity residual")
 

@@ -30,8 +30,9 @@ Text form: terms are ordered by descending total degree, ties broken by
 the variable order, and rendered like ``3*x[1]^(1)*y[2] - y[3]``.  An
 exponent >= 2 is a trailing ``^e`` after the variable, e.g. ``y[2]^3`` or
 ``x[1]^(2)^2`` (the parenthesized superscript is part of the variable
-name, the bare one is the power).  ``parse_poly`` round-trips this format
-bit-exactly.
+name, the bare one is the power).  ``parse_poly`` reads this format
+back, and the round trip is its grammar: it refuses a text unless ``str``
+writes exactly that text for what was read.
 
 Canonical form is kept in one place: `_merge`, which adds terms into a
 map, and `_add_product`, the one product kernel, which adds p * q into a
@@ -310,7 +311,10 @@ class Poly:
         return self._terms == o._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        terms = self._terms
+        if terms.keys() <= {_UNIT}:  # a constant hashes as the int it equals
+            return hash(terms.get(_UNIT, 0))
+        return hash(frozenset(terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -409,59 +413,52 @@ class PolyParseError(ValueError):
 
 
 _LETTERS = {letter: family for family, (letter, _) in enumerate(_FAMILIES)}
-_VAR_RE = re.compile(rf"([{''.join(_LETTERS)}])\[(\d+)\](?:\^\((\d+)\))?(?:\^(\d+))?\Z")
-_INT_RE = re.compile(r"[+-]?\d+\Z")
+# A factor: a sign it may carry, then a magnitude or a variable with the
+# power it may carry.  An index is a positive int, so each variable matched
+# is one of the ring's; the round trip refuses a leading zero.
+_FACTOR_RE = re.compile(
+    rf"([+-]?)(?:(\d+)|([{''.join(_LETTERS)}])\[(0*[1-9]\d*)\](?:\^\((0*[1-9]\d*)\))?(?:\^(\d+))?)"
+)
 _SPLIT_RE = re.compile(r"\s+([+-])\s+")
 
 
-def _parse_piece(piece: str) -> tuple[VarId, int]:
-    m = _VAR_RE.match(piece)
-    if m is None:
-        raise PolyParseError(f"bad variable token {piece!r}")
-    letter, sub, sup, exp = m.groups()
-    family = _LETTERS[letter]
-    has_sup = _FAMILIES[family][1]
-    if (sup is not None) != has_sup:
-        need = "need a" if has_sup else "take no"
-        raise PolyParseError(f"{letter} variables {need} superscript: {piece!r}")
-    try:
-        var = _checked_var(VarId(family, int(sub), int(sup or 0)))
-    except ValueError as exc:
-        raise PolyParseError(f"{exc}: {piece!r}") from None
-    return var, 1 if exp is None else int(exp)
-
-
-def _parse_term(sign: str, term: str, text: str) -> tuple[tuple[int, ...], int]:
-    """One term of `text` with its sign, as (code monomial, coefficient)."""
-    if not term:
-        raise PolyParseError(f"empty term in {text!r}")
+def _parse_term(sign: str, term: str) -> tuple[tuple[int, ...], int]:
+    """A term and the sign before it, as (code monomial, coefficient)."""
     coeff = -1 if sign == "-" else 1
     codes: list[int] = []
     for piece in term.split("*"):
-        piece = piece.strip()
-        if _INT_RE.match(piece):
-            coeff *= int(piece)
-        else:
-            var, e = _parse_piece(piece)
-            codes += [_var_code(var)] * e
+        m = _FACTOR_RE.fullmatch(piece)
+        if m is None:
+            raise PolyParseError(f"bad factor {piece!r}")
+        factor_sign, magnitude, letter, sub, sup, power = m.groups()
+        if factor_sign == "-":
+            coeff = -coeff
+        if magnitude:
+            coeff *= int(magnitude)
+            continue
+        family = _LETTERS[letter]
+        has_sup = _FAMILIES[family][1]
+        if (sup is not None) != has_sup:
+            need = "need a" if has_sup else "take no"
+            raise PolyParseError(f"{letter} variables {need} superscript: {piece!r}")
+        codes += [_var_code(VarId(family, int(sub), int(sup or 0)))] * int(power or 1)
     return tuple(sorted(codes)), coeff
 
 
 def parse_poly(text: str) -> Poly:
-    """Inverse of str(poly) for the canonical text format: text that `str`
-    would not write, outer whitespace aside, is a PolyParseError, so each
+    """Inverse of str(poly) for the canonical text format.  The terms are
+    read loosely, a sign on any factor and any power included, and the
+    round trip is the grammar: text that `str` would not write for what
+    was read, outer whitespace aside, is a PolyParseError.  So each
     polynomial has one text (no `x[01]^(1)`, `2*3`, `+5` or `3 - 3`)."""
     s = text.strip()
-    if not s:
-        raise PolyParseError("empty polynomial text")
-    chunks = _SPLIT_RE.split(s)
-    first = chunks[0]
-    if first.startswith("-"):
-        chunks[:1] = ["-", first[1:].strip()]
-    else:
-        chunks.insert(0, "+")
-    terms = (_parse_term(sign, term, text) for sign, term in zip(chunks[::2], chunks[1::2]))
-    out = _poly(_merge({}, terms))
-    if str(out) != s:
-        raise PolyParseError(f"not the canonical text of {out}: {text!r}")
-    return out
+    chunks = _SPLIT_RE.split(s)  # term, sign, term, ...; the first term's sign is its own
+    try:
+        out = _poly(_merge({}, map(_parse_term, ["+", *chunks[1::2]], chunks[::2])))
+        if str(out) == s:
+            return out
+    except PolyParseError:
+        raise
+    except ValueError as exc:  # an int past the interpreter's digit limit
+        raise PolyParseError(f"{exc}: {text!r}") from None
+    raise PolyParseError(f"not the canonical text of {out}: {text!r}")

@@ -13,10 +13,12 @@ from girardlab import (
     WalkGammaPair,
     audit_involution,
     classify,
+    closed_walks,
     cross_check_against_loops,
     enumerate_pairs,
     involute,
     linear_subdigraph_sum,
+    linear_subdigraphs,
     make_subdigraph,
     random_digraph,
     self_loop_digraph,
@@ -162,6 +164,24 @@ def test_enumerate_pairs_census_on_the_loop_graph():
     assert len(good) == 4  # two 2-edge subdigraphs, each rooted two ways
     with pytest.raises(ValueError):
         enumerate_pairs(g, 0)
+
+
+def test_enumerate_pairs_order_is_walks_by_length_then_subdigraphs():
+    # the order the audit reports its problems in, and so the audit
+    # records of PLANTED_FAULTS, rest on this one
+    rng = random.Random(3203)
+    for _ in range(40):
+        n, k = rng.randint(1, 4), rng.randint(1, 4)
+        g = random_digraph(n, k, rng.choice([0.3, 0.6, 1.0]), 3, seed=rng.randrange(10**6))
+        gammas = [EMPTY_SUBDIGRAPH, *linear_subdigraphs(g)]
+        for r in range(1, k + 3):
+            walks = sorted(closed_walks(g, max_length=r), key=lambda walk: walk.length)
+            want = [
+                WalkGammaPair(w, gamma) for w in walks for gamma in gammas
+                if w.length + gamma.length == r and not w.color_mask & gamma.color_mask
+            ]
+            assert enumerate_pairs(g, r) == want, (n, k, r)
+            assert enumerate_pairs(g, r, subdigraphs=gammas[1:]) == want
 
 
 def test_audit_on_the_loop_graph():

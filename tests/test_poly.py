@@ -1,5 +1,6 @@
 import functools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,42 @@ def test_parse_rejects_text_str_never_writes(text):
     # each reads as a polynomial whose canonical text is another one
     with pytest.raises(PolyParseError, match="canonical"):
         parse_poly(text)
+
+
+_FUZZ_ALPHABET = "xya[]()^*+-0123 9"
+
+
+def _fuzz_texts():
+    rng = random.Random(6071)
+    for _ in range(20_000):
+        yield "".join(rng.choice(_FUZZ_ALPHABET) for _ in range(rng.randint(0, 12)))
+    yield from [
+        "", " ", "-", "1 + ", "x[1]^(1)*", "*x[1]^(1)", "x[1]^(1) +  y[2]", "x[1]^(1)+y[2]",
+        "--1", "1 - -1", "a[1]^(1)^(2)", "x[]^(1)", "+5",
+    ]
+
+
+def test_parse_raises_only_poly_parse_error():
+    # any text either reads back to itself or is a PolyParseError: no
+    # other exception from a failed match or a missing piece escapes
+    for text in _fuzz_texts():
+        try:
+            p = parse_poly(text)
+        except PolyParseError:
+            continue
+        assert isinstance(p, Poly) and str(p) == text.strip(), text
+
+
+@pytest.mark.parametrize("text", ["1" * 4301, "y[" + "1" * 4301 + "]", "y[1]^" + "1" * 4301])
+def test_parse_refuses_ints_past_the_digit_limit(text):
+    # int() of more digits than the interpreter's limit is a plain ValueError
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(PolyParseError, match="limit"):
+            parse_poly(text)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_parse_zero():
@@ -425,3 +462,11 @@ def test_poly_dot_agrees_with_the_reference(pairs):
     for bad in bad_pairs:
         with pytest.raises(TypeError):
             poly_dot([bad])
+
+
+@pytest.mark.parametrize("c", [0, 3, -7, 2**70])
+def test_a_constant_hashes_as_the_int_it_equals(c):
+    p = Poly.const(c)
+    assert p == c and hash(p) == hash(c)
+    assert p in {c} and c in {p}
+    assert {c: "a"}.get(p) == "a" and {p: "a"}.get(c) == "a"
