@@ -266,6 +266,16 @@ def _charged_graph(args: argparse.Namespace, fixed):
     return args.n, args.k, _words(args.weight_bound), lambda u: every
 
 
+def _note_vacuous(report: RunReport, trials: int, r: int, k: int) -> None:
+    """Note each instance of a theorem2 or audit run as vacuous when r
+    exceeds k, the color count every instance has: the identity at r then
+    has no (S, T) entry, and the audit no pair."""
+    if r > k:
+        report.notes.extend(
+            f"instance {idx}: vacuous: r exceeds color count" for idx in range(trials)
+        )
+
+
 # -- subcommand handlers ----------------------------------------------------
 
 
@@ -338,10 +348,7 @@ def _run_theorem2(args, report: RunReport) -> None:
         trials * words * _theorem2_work(n, k, args.r, THEOREM2_MAX_WORK),
         "weight products and (S, T) entries (an upper bound)", THEOREM2_MAX_WORK,
     )
-    if args.r > k:  # every instance has k colors
-        report.notes.extend(
-            f"instance {idx}: vacuous: r exceeds color count" for idx in range(trials)
-        )
+    _note_vacuous(report, trials, args.r, k)
 
     def check(instance):
         graph_seed, g = instance
@@ -552,6 +559,7 @@ def _run_involution_audit(args, report: RunReport) -> None:
         "DP states, closed walks, linear subdigraphs and pairs", AUDIT_MAX_OBJECTS,
         at_least=True,
     )
+    _note_vacuous(report, trials, args.r, k)
 
     def check(instance):
         graph_seed, g = instance

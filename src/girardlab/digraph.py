@@ -28,7 +28,6 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._frozen import Frozen
 from .poly import Poly, avar
 
 __all__ = [
@@ -47,7 +46,7 @@ class GraphFormatError(ValueError):
     """Raised when graph JSON text cannot be parsed into a digraph."""
 
 
-class ColoredDigraph(Frozen):
+class ColoredDigraph:
     """n vertices (1-based), k colors (1-based), all-or-none colored edges.
 
     The constructor keeps each weight as the `int` or `Poly` it is, one
@@ -56,13 +55,16 @@ class ColoredDigraph(Frozen):
     weights only.  The edge map is a read-only view of a fresh dict, so
     the caller's mapping stays the caller's; `edges=None` gives no edges.
 
-    Immutable (`Frozen`), and equal to another graph when n, colors and
-    edges are; unhashable, as its edge map is.  Unlike the slotted value
-    classes it keeps a `__dict__`, where `_out` and `_back` are cached on
-    first use.
+    Immutable: assigning or deleting an attribute raises AttributeError.
+    Equal to another graph when n, colors and edges are; unhashable, as
+    its edge map is.  Unlike the NamedTuple value classes it keeps a
+    `__dict__`, where `_out` and `_back` are cached on first use, and
+    which `copy.copy` fills in past the guard.
     """
 
-    _repr_fields = ("n", "colors", "edges")
+    # a plain class, not a frozen dataclass: `dataclasses` and the
+    # `inspect`, `ast` and `dis` it imports took longer to load than the
+    # rest of `import girardlab.cli`, which every CLI invocation pays first
 
     def __init__(self, n: int, colors: int,
                  edges: Mapping[tuple[int, int], Iterable[int | Poly]] | None = None):
@@ -76,6 +78,15 @@ class ColoredDigraph(Frozen):
         put(self, "n", n)
         put(self, "colors", colors)
         put(self, "edges", MappingProxyType(frozen))
+
+    def __repr__(self) -> str:
+        return f"ColoredDigraph(n={self.n!r}, colors={self.colors!r}, edges={self.edges!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

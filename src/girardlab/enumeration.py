@@ -11,11 +11,13 @@ The empty walk and the empty subdigraph exist only as conventions inside
 `closed_walk_sum` and `linear_subdigraph_sum` (both equal to 1 at size
 zero); the enumerators never yield them.
 
-`Walk` and `LinearSubdigraph` are immutable slotted classes (`Frozen`)
-that carry their vertex and color bitmasks; their own `__eq__`,
-`__hash__` and `__repr__` read the walk's start and steps and the
-subdigraph's cycles, never the masks.  A `LinearSubdigraph` has one
-constructor, which takes its canonical cycles and those masks; this
+`Walk` and `LinearSubdigraph` are NamedTuples that carry their vertex
+and color bitmasks beside the fields the masks are computed from.  Tuple
+equality and hashing read every field; every builder below gives the
+masks those fields give, so two walks are equal when their starts and
+steps are, and two subdigraphs when their cycles are.  A `Walk` is
+built from its start and steps, and derives the rest.  A
+`LinearSubdigraph` takes its canonical cycles and those masks; this
 module alone defines the canonical form.  `linear_subdigraphs` passes
 the masks its search grew, `with_cycle` and `without_cycle` (the
 involution's excise and splice moves) add or take out one cycle's bits,
@@ -50,9 +52,8 @@ audit needs the objects, and the tests compare the DPs with them.
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from ._frozen import Frozen
 from .digraph import ColoredDigraph
 from .poly import Poly
 
@@ -74,50 +75,54 @@ __all__ = [
 Edge = tuple[int, int, int]
 
 
-class Walk(Frozen):
+# typing.NamedTuple refuses a `__new__` in the class body, so `Walk`
+# derives its last three fields in a subclass of this one
+class _WalkFields(NamedTuple):
+    start: int
+    steps: tuple[tuple[int, int], ...]
+    vertex_mask: int
+    color_mask: int
+    is_simple: bool
+
+
+class Walk(_WalkFields):
     """A walk: a start vertex and a tuple of (next_vertex, color) steps.
 
     Closed walks end where they start.  The class itself does not force
     distinct colors; the enumerator below only produces color-distinct
     closed walks.
 
-    Immutable (`Frozen`).  `__init__` derives the vertex sequence, the
-    vertex and color bitmasks (bit i set for each vertex or color i) and
-    `is_simple` once; `__eq__`, `__hash__` and `__repr__` read only
-    `start` and `steps`.  A negative vertex or color has no bit, and
-    raises ValueError there.
+    A NamedTuple, built from `start` and `steps` alone: `__new__` derives
+    the vertex and color bitmasks (bit i set for each vertex or color i)
+    and `is_simple` once, and a negative vertex or color has no bit, and
+    raises ValueError there.  Equality and hashing read every field, and
+    the derived ones follow from the first two, so two walks are equal
+    when their starts and steps are.  As a tuple, a walk equals the plain
+    tuple of its fields and sorts as one; `len(walk)` counts those
+    fields (`length` counts the steps), and `_replace` and `_make` skip
+    `__new__`, so they derive nothing.  The repr shows `start` and
+    `steps`.
     """
 
-    __slots__ = ("start", "steps", "_seq", "vertex_mask", "color_mask", "is_simple")
-    _repr_fields = ("start", "steps")
+    __slots__ = ()
 
-    def __init__(self, start: int, steps: tuple[tuple[int, int], ...]):
-        seq = [start]
+    def __new__(cls, start: int, steps: tuple[tuple[int, int], ...]):
         vmask = 1 << start
         cmask = 0
         for v, c in steps:
-            seq.append(v)
             vmask |= 1 << v
             cmask |= 1 << c
         # simple: closed, and no vertex repeats except the root at the end,
         # so the len(steps) vertices before the end are distinct
         length = len(steps)
-        simple = length > 0 and seq[-1] == start and vmask.bit_count() == length
-        put = object.__setattr__
-        put(self, "start", start)
-        put(self, "steps", steps)
-        put(self, "_seq", tuple(seq))
-        put(self, "vertex_mask", vmask)
-        put(self, "color_mask", cmask)
-        put(self, "is_simple", simple)
+        simple = length > 0 and steps[-1][0] == start and vmask.bit_count() == length
+        return super().__new__(cls, start, steps, vmask, cmask, simple)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.start == other.start and self.steps == other.steps
+    def __getnewargs__(self):
+        return self.start, self.steps
 
-    def __hash__(self) -> int:
-        return hash((self.start, self.steps))
+    def __repr__(self) -> str:
+        return f"Walk(start={self.start!r}, steps={self.steps!r})"
 
     @property
     def length(self) -> int:
@@ -125,7 +130,7 @@ class Walk(Frozen):
 
     @property
     def end(self) -> int:
-        return self._seq[-1]
+        return self.steps[-1][0] if self.steps else self.start
 
     @property
     def is_closed(self) -> bool:
@@ -138,7 +143,7 @@ class Walk(Frozen):
     def vertex_seq(self) -> tuple[int, ...]:
         """All visited vertices in order, the start included at both ends
         when the walk is closed."""
-        return self._seq
+        return (self.start, *(v for v, _ in self.steps))
 
     def edges(self) -> Iterator[Edge]:
         u = self.start
@@ -162,7 +167,7 @@ def _cycle_masks(cycle: tuple[Edge, ...]) -> tuple[int, int]:
     return vmask, cmask
 
 
-class LinearSubdigraph(Frozen):
+class LinearSubdigraph(NamedTuple):
     """Vertex-disjoint colored cycles, color-distinct across the whole set.
 
     Canonical form: each cycle starts at its smallest vertex and the
@@ -170,34 +175,27 @@ class LinearSubdigraph(Frozen):
     objects.  The empty instance, `EMPTY_SUBDIGRAPH`, is a valid value
     used by the walk/subdigraph pairing, but is never enumerated.
 
-    Every instance is built in one way, from its canonical cycles and
-    their vertex and color bitmasks (bit i set for each vertex or color
-    i); it is immutable (`Frozen`), and, as in `Walk`, `__eq__`,
-    `__hash__` and `__repr__` read only `cycles`, never the masks.  Each
-    builder passes the masks it already holds: `linear_subdigraphs` those
-    `_cycles_at` grew, `with_cycle` and `without_cycle` this instance's
-    with one cycle's bits added or taken out.  `make_subdigraph` is the
-    entry for hand-built cycles: it checks and canonicalizes them and
-    computes their masks.  Disjoint cycles have one edge per vertex, so
-    `length` is read off the vertex mask.
+    A NamedTuple of the canonical cycles and their vertex and color
+    bitmasks (bit i set for each vertex or color i).  Each builder passes
+    the masks it already holds: `linear_subdigraphs` those `_cycles_at`
+    grew, `with_cycle` and `without_cycle` this instance's with one
+    cycle's bits added or taken out.  `make_subdigraph` is the entry for
+    hand-built cycles: it checks and canonicalizes them and computes their
+    masks.  Equality and hashing read every field, and the masks follow
+    from the cycles for every value those builders make.  As a tuple, a
+    subdigraph equals the plain tuple of its fields and sorts as one;
+    `len` counts those fields (`length` counts the edges), and `_replace`
+    and `_make` take masks unchecked.  The repr shows `cycles`.  Disjoint
+    cycles have one edge per vertex, so `length` is read off the vertex
+    mask.
     """
 
-    __slots__ = ("cycles", "vertex_mask", "color_mask")
-    _repr_fields = ("cycles",)
+    cycles: tuple[tuple[Edge, ...], ...]
+    vertex_mask: int
+    color_mask: int
 
-    def __init__(self, cycles: tuple[tuple[Edge, ...], ...], vertex_mask: int, color_mask: int):
-        put = object.__setattr__
-        put(self, "cycles", cycles)
-        put(self, "vertex_mask", vertex_mask)
-        put(self, "color_mask", color_mask)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.cycles == other.cycles
-
-    def __hash__(self) -> int:
-        return hash((self.cycles,))
+    def __repr__(self) -> str:
+        return f"LinearSubdigraph(cycles={self.cycles!r})"
 
     @property
     def length(self) -> int:

@@ -200,13 +200,18 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
       its own turn.  So a perfect matching costs one `involute` call per
       BAD pair.  An `involute` that refuses a pair classified BAD, or its
       image, is one problem for that pair, and the audit goes on;
-    * the GOOD pairs group by their `underlying_subdigraph` (which
-      classifies each of them a second time), an r-edge subdigraph,
-      exactly r per group, the group weights summing to
-      r * (-1)^(c-1) * W; when r > n there is no r-edge subdigraph, so any
-      GOOD pair is reported;
+    * the GOOD pairs group by their underlying subdigraph, gamma with the
+      walk's cycle added (the loop above has classified them, so the
+      grouping does not call `underlying_subdigraph`, which classifies
+      again), an r-edge subdigraph, exactly r per group, the group weights
+      summing to r * (-1)^(c-1) * W; when r > n there is no r-edge
+      subdigraph, so any GOOD pair is reported;
     * the grand total (pair weights + r * aggregated ell) is zero and
-      matches the walk/cycle identity residual.
+      matches the walk/cycle identity residual, the sum over the size-r
+      color sets U; then each U's own residual is zero, and the first U,
+      in lexicographic order, whose residual is not is one problem that
+      names U and that residual.  So weight that the c or ell map moves
+      from one U to another, which leaves the sum alone, still fails.
     """
     if r < 1:
         raise ValueError("audit_involution requires r >= 1")
@@ -272,7 +277,8 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
 
     groups: dict[LinearSubdigraph, list] = {}  # subdigraph -> its GOOD pairs' weights
     for i in good:
-        groups.setdefault(underlying_subdigraph(pairs[i]), []).append(weights[i])
+        pair = pairs[i]
+        groups.setdefault(pair.gamma.with_cycle(pair.walk.edges()), []).append(weights[i])
     expected = {gamma for gamma in subdigraphs if gamma.length == r}
     if set(groups) != expected:
         problems.append("GOOD pairs do not cover exactly the r-edge subdigraphs")
@@ -289,6 +295,9 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
     total = sum(weights) + correction  # a Poly, as the correction is
     if total != report.residual:
         problems.append("audit total disagrees with the identity residual")
+    u = next((u for u, residual in report.residuals.items() if residual), None)
+    if u is not None:
+        problems.append(f"identity residual at color set {sorted(u)} is {report.residuals[u]}")
 
     return InvolutionAudit(
         pair_count=len(pairs),

@@ -124,6 +124,18 @@ def test_theorem2_vacuous_when_r_exceeds_k(capsys):
     assert "vacuous" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("source", [
+    ["--graph", "GRAPH"], ["--random", "--n", "2", "--k", "2", "--trials", "2", "--seed", "0"],
+], ids=["graph", "random"])
+def test_audit_vacuous_when_r_exceeds_k(source, tmp_path, capsys):
+    source = [write_graph(tmp_path, FAULT_GRAPH) if arg == "GRAPH" else arg for arg in source]
+    out_path = tmp_path / "report.json"
+    assert main(["involution", "audit", *source, "--r", "3", "--out", str(out_path)]) == 0
+    notes = json.loads(out_path.read_text(encoding="utf-8"))["notes"]
+    trials = 1 if "--graph" in source else 2
+    assert notes == [f"instance {idx}: vacuous: r exceeds color count" for idx in range(trials)]
+
+
 def test_theorem3_passes(capsys):
     assert main(["verify", "theorem3", "--r", "2", "--n", "3"]) == 0
     assert "result: PASS" in capsys.readouterr().out
@@ -231,6 +243,8 @@ THEOREM2 = ["verify", "theorem2", "--graph", "GRAPH", "--r", "2"]
 # dense (4, 4) graphs at r = 2: six color sets U, each checked on its own
 THEOREM2_RANDOM = "verify theorem2 --random --n 4 --k 4 --r 2 --trials 20 --seed 3".split()
 AUDIT = ["involution", "audit", "--graph", "GRAPH", "--r", "2"]
+# the same graphs audited: the recheck reads each U's residual
+AUDIT_RANDOM = "involution audit --random --n 4 --k 4 --r 2 --trials 5 --seed 3".split()
 THEOREM1 = ["verify", "theorem1", "--m", "2", "--r", "1"]
 LHS = "x[1]^(1)*y[2] + x[1]^(1)*y[3] + x[2]^(1)*y[3]"
 POWERSUM = ["powersum", "--m", "2", "--n", "3", "--method", "all"]
@@ -345,9 +359,21 @@ PLANTED_FAULTS = [
     pytest.param(newton, "closed_walk_buckets",
                  _one_bucket(lambda v: v + 1, (2, frozenset({1, 2}))), AUDIT,
                  {"instance": 0, "graph_seed": None,
-                  "problems": ["audit total disagrees with the identity residual"],
+                  "problems": ["audit total disagrees with the identity residual",
+                               "identity residual at color set [1, 2] is 1"],
                   "total": "0"},
                  id="audit-identity-recheck"),
+    # weight moved between two color sets leaves the audit total alone
+    pytest.param(newton, "linear_subdigraph_buckets",
+                 _moved(5, (2, frozenset({1, 3})), (2, frozenset({1, 2}))), AUDIT_RANDOM,
+                 _each_trial(5, 3, problems=["identity residual at color set [1, 2] is 10"],
+                             total="0"),
+                 id="audit-ell-moved-between-color-sets"),
+    pytest.param(newton, "closed_walk_buckets",
+                 _moved(5, (2, frozenset({1, 3})), (2, frozenset({1, 2}))), AUDIT_RANDOM,
+                 _each_trial(5, 3, problems=["identity residual at color set [1, 2] is 5"],
+                             total="0"),
+                 id="audit-c-moved-between-color-sets"),
 ]
 
 

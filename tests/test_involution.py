@@ -141,6 +141,41 @@ def test_involute_images_carry_the_facts_of_their_walks_and_subdigraphs():
                 assert image.weight(g) == -pair.weight(g)
 
 
+def test_every_mask_matches_the_fields_it_is_computed_from():
+    # equality and hashing read the masks, so equal starts and steps, or
+    # equal cycles, make equal values only when every builder's masks are
+    # the ones the fields give
+    def check_walk(w):
+        assert w == Walk(w.start, w.steps)
+
+    def check_subdigraph(gamma):
+        edges = [e for cycle in gamma.cycles for e in cycle]
+        assert gamma.vertex_mask == sum({1 << u for u, _, _ in edges})
+        assert gamma.color_mask == sum({1 << c for _, _, c in edges})
+
+    rng = random.Random(3301)
+    for _ in range(30):
+        n, k = rng.randint(1, 4), rng.randint(1, 4)
+        g = random_digraph(n, k, rng.uniform(0.3, 1.0), 3, seed=rng.randrange(10**6))
+        for w in closed_walks(g):
+            check_walk(w)
+        subdigraphs = linear_subdigraphs(g)
+        for gamma in subdigraphs:
+            check_subdigraph(gamma)
+            # hand-built: the cycles in reverse order, each from its last edge
+            built = make_subdigraph([cycle[-1:] + cycle[:-1] for cycle in gamma.cycles[::-1]])
+            check_subdigraph(built)
+            assert built == gamma
+        for r in range(1, k + 2):
+            for pair in enumerate_pairs(g, r, subdigraphs=subdigraphs):
+                if classify(pair) == GOOD:
+                    check_subdigraph(underlying_subdigraph(pair))
+                else:
+                    image = involute(pair)
+                    check_walk(image.walk)
+                    check_subdigraph(image.gamma)
+
+
 def test_underlying_subdigraph():
     pair = WalkGammaPair(Walk(1, ((1, 1),)), make_subdigraph([[(2, 2, 2)]]))
     assert underlying_subdigraph(pair) == make_subdigraph(

@@ -7,7 +7,6 @@ import pickle
 import pytest
 
 from girardlab import (
-    EMPTY_SUBDIGRAPH,
     ColoredDigraph,
     InvolutionAudit,
     LinearSubdigraph,
@@ -35,7 +34,7 @@ CASES = {
     Walk: (
         lambda: Walk(start=1, steps=((2, 1), (1, 2))),
         "Walk(start=1, steps=((2, 1), (1, 2)))",
-        ["start", "steps", "_seq", "vertex_mask", "color_mask", "is_simple"],
+        ["start", "steps", "vertex_mask", "color_mask", "is_simple"],
     ),
     LinearSubdigraph: (
         lambda: make_subdigraph([[(1, 2, 1), (2, 1, 2)]]),
@@ -111,19 +110,6 @@ def test_value_class_contract(cls):
         assert " at 0x" not in real and "(Poly('x[1]^(1)'), 1)" in real
         assert repr(copy.deepcopy(report)) == repr(pickle.loads(pickle.dumps(report))) == real
         return
-    # the hash of one tuple of the compared fields, which fixes set orders
-    compared = {Walk: ["start", "steps"], LinearSubdigraph: ["cycles"]}.get(cls, fields)
-    assert hash(value) == hash(twin) == hash(tuple(getattr(value, f) for f in compared))
+    # the hash of one tuple of every field, which fixes set orders
+    assert hash(value) == hash(twin) == hash(tuple(getattr(value, f) for f in fields))
 
-
-def test_walk_and_subdigraph_equality_ignores_the_masks():
-    walk = Walk(1, ((1, 1),))
-    object.__setattr__(walk, "vertex_mask", 0)  # masks no constructor would give
-    object.__setattr__(walk, "color_mask", 0)
-    assert walk == WALK and hash(walk) == hash(WALK) and repr(walk) == repr(WALK)
-    bare = LinearSubdigraph(GAMMA.cycles, 0, 0)
-    assert bare == GAMMA and hash(bare) == hash(GAMMA) and repr(bare) == repr(GAMMA)
-    assert LinearSubdigraph((), 1, 1) == EMPTY_SUBDIGRAPH
-    copied = pickle.loads(pickle.dumps(bare))
-    assert (copied.vertex_mask, copied.color_mask) == (0, 0)
-    assert walk != GAMMA and GAMMA != GAMMA.cycles
