@@ -54,6 +54,8 @@ class ColoredDigraph:
     float included): exact arithmetic takes integer and polynomial
     weights only.  The edge map is a read-only view of a fresh dict, so
     the caller's mapping stays the caller's; `edges=None` gives no edges.
+    `colors` is the color count k; the color set is 1..k, and a caller
+    that needs it as a set builds `range(1, k + 1)`.
 
     Immutable: assigning or deleting an attribute raises AttributeError.
     Equal to another graph when n, colors and edges are; unhashable, as
@@ -102,9 +104,6 @@ class ColoredDigraph:
         if not 1 <= color <= len(weights):
             raise ValueError(f"no color {color} on edge ({u}, {v})")
         return weights[color - 1]
-
-    def color_set(self) -> frozenset[int]:
-        return frozenset(range(1, self.colors + 1))
 
     def successors(self, u: int) -> list[int]:
         return [v for v, _ in self._out.get(u, ())]

@@ -16,13 +16,16 @@ and color bitmasks beside the fields the masks are computed from.  Tuple
 equality and hashing read every field; every builder below gives the
 masks those fields give, so two walks are equal when their starts and
 steps are, and two subdigraphs when their cycles are.  A `Walk` is
-built from its start and steps, and derives the rest.  A
+built from its start and steps, and derives the two masks.  A
 `LinearSubdigraph` takes its canonical cycles and those masks; this
 module alone defines the canonical form.  `linear_subdigraphs` passes
 the masks its search grew, `with_cycle` and `without_cycle` (the
 involution's excise and splice moves) add or take out one cycle's bits,
 and `make_subdigraph`, the entry for hand-built input, checks the cycles
-and computes their masks.
+and computes their masks.  Each value keeps only what the package reads:
+a walk's vertex and color sets are its masks (bit i for vertex or color
+i), and the involution reads simplicity off the vertex mask; a
+subdigraph keeps `colors`, a set, for the demos to print.
 
 Every search and DP reads the graph's out-edges, each with its weights in
 color order, from the table the graph builds once (`ColoredDigraph._out`).
@@ -76,13 +79,12 @@ Edge = tuple[int, int, int]
 
 
 # typing.NamedTuple refuses a `__new__` in the class body, so `Walk`
-# derives its last three fields in a subclass of this one
+# derives its two masks in a subclass of this one
 class _WalkFields(NamedTuple):
     start: int
     steps: tuple[tuple[int, int], ...]
     vertex_mask: int
     color_mask: int
-    is_simple: bool
 
 
 class Walk(_WalkFields):
@@ -94,10 +96,12 @@ class Walk(_WalkFields):
 
     A NamedTuple, built from `start` and `steps` alone: `__new__` derives
     the vertex and color bitmasks (bit i set for each vertex or color i)
-    and `is_simple` once, and a negative vertex or color has no bit, and
-    raises ValueError there.  Equality and hashing read every field, and
-    the derived ones follow from the first two, so two walks are equal
-    when their starts and steps are.  As a tuple, a walk equals the plain
+    once, and a negative vertex or color has no bit, and raises
+    ValueError there.  Equality and hashing read every field, and the
+    masks follow from the first two, so two walks are equal when their
+    starts and steps are.  Whether a walk is closed, simple or
+    color-distinct is the involution's to test (`classify`), from
+    `steps` and the masks.  As a tuple, a walk equals the plain
     tuple of its fields and sorts as one; `len(walk)` counts those
     fields (`length` counts the steps), and `_replace` and `_make` skip
     `__new__`, so they derive nothing.  The repr shows `start` and
@@ -112,11 +116,7 @@ class Walk(_WalkFields):
         for v, c in steps:
             vmask |= 1 << v
             cmask |= 1 << c
-        # simple: closed, and no vertex repeats except the root at the end,
-        # so the len(steps) vertices before the end are distinct
-        length = len(steps)
-        simple = length > 0 and steps[-1][0] == start and vmask.bit_count() == length
-        return super().__new__(cls, start, steps, vmask, cmask, simple)
+        return super().__new__(cls, start, steps, vmask, cmask)
 
     def __getnewargs__(self):
         return self.start, self.steps
@@ -127,18 +127,6 @@ class Walk(_WalkFields):
     @property
     def length(self) -> int:
         return len(self.steps)
-
-    @property
-    def end(self) -> int:
-        return self.steps[-1][0] if self.steps else self.start
-
-    @property
-    def is_closed(self) -> bool:
-        return self.end == self.start
-
-    @property
-    def colors(self) -> frozenset[int]:
-        return frozenset(c for _, c in self.steps)
 
     def vertex_seq(self) -> tuple[int, ...]:
         """All visited vertices in order, the start included at both ends
@@ -187,7 +175,8 @@ class LinearSubdigraph(NamedTuple):
     `len` counts those fields (`length` counts the edges), and `_replace`
     and `_make` take masks unchecked.  The repr shows `cycles`.  Disjoint
     cycles have one edge per vertex, so `length` is read off the vertex
-    mask.
+    mask, which also stands for the vertex set; `colors` gives the color
+    set as a frozenset.
     """
 
     cycles: tuple[tuple[Edge, ...], ...]
@@ -204,10 +193,6 @@ class LinearSubdigraph(NamedTuple):
     @property
     def cycle_count(self) -> int:
         return len(self.cycles)
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(e[0] for cycle in self.cycles for e in cycle)
 
     @property
     def colors(self) -> frozenset[int]:

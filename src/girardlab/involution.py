@@ -90,9 +90,13 @@ def _checked_walk(pair: WalkGammaPair) -> Walk:
 
 
 def classify(pair: WalkGammaPair) -> str:
-    """GOOD iff the walk avoids gamma's vertices and is simple."""
+    """GOOD iff the walk avoids gamma's vertices and is simple.
+
+    `_checked_walk` has proved the walk closed and nonempty, so it is
+    simple when its vertices, the root counted once, number its steps."""
     w = _checked_walk(pair)
-    return GOOD if w.is_simple and not w.vertex_mask & pair.gamma.vertex_mask else BAD
+    simple = w.vertex_mask.bit_count() == len(w.steps)
+    return GOOD if simple and not w.vertex_mask & pair.gamma.vertex_mask else BAD
 
 
 def _cycle_rooted_steps(cycle: tuple[Edge, ...], root: int) -> tuple[tuple[int, int], ...]:
@@ -189,29 +193,33 @@ class InvolutionAudit(NamedTuple):
 
 
 def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
-    """Check every promise the involution makes, exhaustively.
+    """Check every promise the involution makes, exhaustively, in one pass
+    over the pairs, each weighed once up front.
 
     * every BAD pair maps to a distinct BAD pair, back to itself on the
       second application, with negated weight (a perfect matching, so the
-      BAD weights cancel).  Every pair is weighed once, up front, and
-      classified there.  The BAD pairs are walked as couples: a BAD pair
-      not yet met is sent through `involute`, looked up by position, and
-      checked against its image, which is marked met there and skipped on
-      its own turn.  So a perfect matching costs one `involute` call per
-      BAD pair.  An `involute` that refuses a pair classified BAD, or its
-      image, is one problem for that pair, and the audit goes on;
-    * the GOOD pairs group by their underlying subdigraph, gamma with the
-      walk's cycle added (the loop above has classified them, so the
+      BAD weights cancel).  Each BAD pair adds its weight to the BAD sum.
+      A BAD pair not yet met is sent through `involute`, its image looked
+      up by position, classified, and checked against it, and the image
+      is marked met, so it is skipped on its own turn.  So a perfect
+      matching costs one `involute` call per BAD pair.  An `involute` that
+      refuses a pair classified BAD, or its image, is one problem for that
+      pair, and the audit goes on;
+    * each GOOD pair joins the group of its underlying subdigraph, gamma
+      with the walk's cycle added (the pass has classified it, so the
       grouping does not call `underlying_subdigraph`, which classifies
-      again), an r-edge subdigraph, exactly r per group, the group weights
-      summing to r * (-1)^(c-1) * W; when r > n there is no r-edge
-      subdigraph, so any GOOD pair is reported;
+      again).  Each group is an r-edge subdigraph with exactly r GOOD
+      pairs, whose weights sum to r * (-1)^(c-1) * W; when r > n there is
+      no r-edge subdigraph, so any GOOD pair is reported.  The GOOD count
+      is the groups' total size, and the rest of the pairs are BAD;
     * the grand total (pair weights + r * aggregated ell) is zero and
       matches the walk/cycle identity residual, the sum over the size-r
       color sets U; then each U's own residual is zero, and the first U,
       in lexicographic order, whose residual is not is one problem that
       names U and that residual.  So weight that the c or ell map moves
       from one U to another, which leaves the sum alone, still fails.
+
+    A pair's wrong total length is a problem met on its turn in the pass.
     """
     if r < 1:
         raise ValueError("audit_involution requires r >= 1")
@@ -222,18 +230,7 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
     position = {pair: i for i, pair in enumerate(pairs)}
     if len(position) != len(pairs):
         problems.append("enumerate_pairs returned duplicates")
-
     weights = [pair.weight(g) for pair in pairs]
-    is_bad = bytearray(len(pairs))
-    good: list[int] = []
-    for i, pair in enumerate(pairs):
-        if pair.total_length != r:
-            problems.append(f"pair has total length {pair.total_length}, wanted {r}")
-        if classify(pair) == BAD:
-            is_bad[i] = 1
-        else:
-            good.append(i)
-    bad_count = len(pairs) - len(good)
 
     def image_of(pair: WalkGammaPair) -> WalkGammaPair | None:
         # None, and one problem, when `involute` refuses a pair that
@@ -244,11 +241,17 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
             problems.append("involute refuses a pair classified BAD")
             return None
 
-    # The BAD pairs are walked as couples; the pairs met are marked by
-    # position.
-    met = bytearray(len(pairs))
+    groups: dict[LinearSubdigraph, list] = {}  # subdigraph -> its GOOD pairs' weights
+    bad_sum = 0
+    met = bytearray(len(pairs))  # the BAD pairs met, by position
     for i, pair in enumerate(pairs):
-        if not is_bad[i] or met[i]:
+        if pair.total_length != r:
+            problems.append(f"pair has total length {pair.total_length}, wanted {r}")
+        if classify(pair) == GOOD:
+            groups.setdefault(pair.gamma.with_cycle(pair.walk.edges()), []).append(weights[i])
+            continue
+        bad_sum += weights[i]
+        if met[i]:
             continue
         met[i] = 1
         image = image_of(pair)
@@ -258,7 +261,7 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
         if j is None:
             problems.append("involution image escapes the enumerated pairs")
             continue
-        if not is_bad[j]:
+        if classify(image) == GOOD:
             # involute is defined on BAD pairs only
             problems.append("involution image is GOOD")
             continue
@@ -270,15 +273,9 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
         met[j] = 1
         if weights[j] != -weights[i]:
             problems.append("involution image weight is not the negation")
-
-    bad_sum = sum(w for w, bad in zip(weights, is_bad) if bad)
     if bad_sum:
         problems.append("BAD pair weights do not cancel")
 
-    groups: dict[LinearSubdigraph, list] = {}  # subdigraph -> its GOOD pairs' weights
-    for i in good:
-        pair = pairs[i]
-        groups.setdefault(pair.gamma.with_cycle(pair.walk.edges()), []).append(weights[i])
     expected = {gamma for gamma in subdigraphs if gamma.length == r}
     if set(groups) != expected:
         problems.append("GOOD pairs do not cover exactly the r-edge subdigraphs")
@@ -288,6 +285,7 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
         sign = -1 if (gamma.cycle_count - 1) % 2 else 1
         if sum(members) != r * sign * gamma.weight(g):
             problems.append("GOOD group weight sum is off")
+    good_count = sum(map(len, groups.values()))
 
     # the recheck takes c and ell from the DPs, not from the pairs above
     report = verify_walk_cycle_identity(g, r)
@@ -301,8 +299,8 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
 
     return InvolutionAudit(
         pair_count=len(pairs),
-        bad_count=bad_count,
-        good_count=len(good),
+        bad_count=len(pairs) - good_count,
+        good_count=good_count,
         total=total,
         correction=correction,
         problems=tuple(problems),

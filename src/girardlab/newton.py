@@ -169,9 +169,8 @@ def verify_walk_cycle_identity(g: ColoredDigraph, r: int) -> NewtonReport:
     the breakdown."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    return _assemble(
-        g.n, g.color_set(), r, closed_walk_buckets(g), linear_subdigraph_buckets(g)
-    )
+    return _assemble(g.n, frozenset(range(1, g.colors + 1)), r,
+                     closed_walk_buckets(g), linear_subdigraph_buckets(g))
 
 
 def elementary_color_sum(n: int, colors: Iterable[int], length: int) -> Poly:

@@ -41,7 +41,6 @@ __all__ = [
     "power_sum_rhs",
     "good_word_sum",
     "stirling2",
-    "stirling2_recurrence",
     "verify_binomial_transform",
     "power_sum_direct",
     "power_sum_below",
@@ -195,13 +194,6 @@ def _stirling2_row(m: int, top: int) -> tuple[int, ...]:
     for _ in range(m):
         row = [0] + [k * row[k] + row[k - 1] for k in range(1, top + 1)]
     return tuple(row)
-
-
-def stirling2_recurrence(m: int, k: int) -> int:
-    """S(m, k) from the triangle S(m, k) = k S(m-1, k) + S(m-1, k-1)."""
-    if m < 0 or k < 0:
-        raise ValueError("stirling2_recurrence requires m, k >= 0")
-    return _stirling2_row(m, k)[k]
 
 
 def verify_binomial_transform(alpha: int, c: Sequence[int]) -> bool:

@@ -251,6 +251,37 @@ POWERSUM = ["powersum", "--m", "2", "--n", "3", "--method", "all"]
 # what an identity `involute` meets at each of the graph's 4 BAD pairs at r = 2
 BAD_PAIR = ["involution has a fixed point", "involution image weight is not the negation"]
 REFUSED = "involute refuses a pair classified BAD"
+# one of the graph's 4 GOOD pairs at r = 2: the 2-cycle rooted at 1
+GOOD_PAIR = involution.WalkGammaPair(enumeration.Walk(1, ((2, 1), (1, 2))),
+                                     enumeration.EMPTY_SUBDIGRAPH)
+
+
+def _first_pair_twice(original):
+    """A fault for `enumerate_pairs`: its list, then its first pair again."""
+    def patched(*args, **kwargs):
+        pairs = original(*args, **kwargs)
+        return pairs + pairs[:1]
+    return patched
+
+
+def _bad_pairs():
+    """The graph's BAD pairs at r = 2, in enumeration order."""
+    return [pair for pair in enumerate_pairs(FAULT_GRAPH, 2)
+            if involution.classify(pair) == involution.BAD]
+
+
+def _next_bad(original):
+    """A fault for `involute`: each BAD pair goes to the next one, the
+    last to the first."""
+    bad = _bad_pairs()
+    return lambda pair: bad[(bad.index(pair) + 1) % len(bad)]
+
+
+def _first_bad_called_good(original):
+    """A fault for `classify`: the first BAD pair is called GOOD."""
+    first = _bad_pairs()[0]
+    return lambda pair: involution.GOOD if pair == first else original(pair)
+
 
 # One planted fault per route that runs in the CLI: the module and name
 # patched, the fault as a function of the original, the argv, and the one
@@ -355,6 +386,49 @@ PLANTED_FAULTS = [
                      "audit total disagrees with the identity residual"],
                   "total": "-1"},
                  id="audit-walk-weight-index"),
+    # the first pair, a BAD one of weight -6, enumerated twice
+    pytest.param(involution, "enumerate_pairs", _first_pair_twice, AUDIT,
+                 {"instance": 0, "graph_seed": None,
+                  "problems": ["enumerate_pairs returned duplicates",
+                               "BAD pair weights do not cancel",
+                               "audit total disagrees with the identity residual"],
+                  "total": "-6"},
+                 id="audit-duplicate-pair"),
+    pytest.param(involution, "involute",
+                 lambda original: lambda pair: involution.WalkGammaPair(
+                     enumeration.Walk(pair.walk.start, pair.walk.steps * 2), pair.gamma),
+                 AUDIT,
+                 {"instance": 0, "graph_seed": None,
+                  "problems": ["involution image escapes the enumerated pairs"] * 4,
+                  "total": "0"},
+                 id="audit-image-escapes"),
+    pytest.param(involution, "involute", lambda original: lambda pair: GOOD_PAIR, AUDIT,
+                 {"instance": 0, "graph_seed": None,
+                  "problems": ["involution image is GOOD"] * 4, "total": "0"},
+                 id="audit-image-is-good"),
+    # the BAD weights are -6, -6, 6, 6 in enumeration order
+    pytest.param(involution, "involute", _next_bad, AUDIT,
+                 {"instance": 0, "graph_seed": None,
+                  "problems": ["involution fails to return after two applications",
+                               "involution image weight is not the negation"] * 2,
+                  "total": "0"},
+                 id="audit-involute-next-bad"),
+    pytest.param(involution.WalkGammaPair, "total_length",
+                 lambda original: property(lambda self: 3), AUDIT,
+                 {"instance": 0, "graph_seed": None,
+                  "problems": ["pair has total length 3, wanted 2"] * 8, "total": "0"},
+                 id="audit-total-length"),
+    # the first BAD pair's partner then maps to a GOOD pair, and that pair,
+    # grouped with the GOOD ones, has two loops at vertex 1
+    pytest.param(involution, "classify", _first_bad_called_good, AUDIT,
+                 {"instance": 0, "graph_seed": None,
+                  "problems": ["involution image is GOOD",
+                               "BAD pair weights do not cancel",
+                               "GOOD pairs do not cover exactly the r-edge subdigraphs",
+                               "subdigraph owns 1 GOOD pairs, expected 2",
+                               "GOOD group weight sum is off"],
+                  "total": "0"},
+                 id="audit-classify-first-bad-good"),
     # the audit's recheck of the identity through the DP maps
     pytest.param(newton, "closed_walk_buckets",
                  _one_bucket(lambda v: v + 1, (2, frozenset({1, 2}))), AUDIT,

@@ -31,7 +31,6 @@ def test_make_digraph_coerces_ints_and_answers_queries():
     assert (2, 1) not in g.edges
     assert g.weight(1, 2, 1) == Poly.const(3)
     assert g.weight(2, 2, 2) == Poly.const(7)
-    assert g.color_set() == frozenset({1, 2})
     assert g.successors(2) == [2]
     assert g.successors(1) == [2]
 

@@ -7,10 +7,12 @@ import pytest
 from girardlab import (
     BAD,
     EMPTY_SUBDIGRAPH,
+    GOOD,
     ColoredDigraph,
     LinearSubdigraph,
     Poly,
     Walk,
+    WalkGammaPair,
     classify,
     closed_walk_buckets,
     closed_walk_sum,
@@ -49,26 +51,19 @@ def walks_of_length(g: ColoredDigraph, q: int) -> list[Walk]:
 def test_walk_basic_queries():
     w = Walk(1, ((2, 1), (1, 2)))
     assert w.length == 2
-    assert w.end == 1
-    assert w.is_closed
-    assert w.colors == frozenset({1, 2})
     assert w.vertex_seq() == (1, 2, 1)
-    assert w.is_simple
     assert list(w.edges()) == [(1, 2, 1), (2, 1, 2)]
 
 
 def test_walk_open_and_nonsimple():
-    open_w = Walk(1, ((2, 1),))
-    assert open_w.end == 2
-    assert not open_w.is_closed
-    assert not open_w.is_simple
-    trivial = Walk(3, ())
-    assert trivial.end == 3
-    assert trivial.is_closed
-    assert not trivial.is_simple  # zero steps never count as a cycle
+    # simplicity is `classify`'s to judge: it refuses an open walk, and a
+    # walk of zero steps, which never counts as a cycle, and calls a
+    # closed walk that revisits a vertex BAD
+    for walk in (Walk(1, ((2, 1),)), Walk(3, ())):
+        with pytest.raises(ValueError, match="not closed"):
+            classify(WalkGammaPair(walk, EMPTY_SUBDIGRAPH))
     revisit = Walk(1, ((2, 1), (2, 2), (1, 3)))
-    assert revisit.is_closed
-    assert not revisit.is_simple
+    assert classify(WalkGammaPair(revisit, EMPTY_SUBDIGRAPH)) == BAD
 
 
 def test_walk_weight_multiplies_edge_weights():
@@ -89,9 +84,9 @@ def _facts_graphs():
 
 
 def test_walk_and_subdigraph_facts_agree_with_their_definitions():
-    # a walk's masks, vertex sequence and is_simple are derived once, at
-    # construction, from its steps; an enumerated subdigraph's masks and
-    # length must be what its cycles give
+    # a walk's masks and vertex sequence are derived from its steps, and
+    # `classify` reads its simplicity off the vertex mask; an enumerated
+    # subdigraph's masks and length must be what its cycles give
     seen = 0
     for g in _facts_graphs():
         # and a walk of no steps, an open one, a closed non-simple one, and an
@@ -102,13 +97,14 @@ def test_walk_and_subdigraph_facts_agree_with_their_definitions():
             seq = w.vertex_seq()
             assert seq == (w.start,) + tuple(v for v, _ in w.steps)
             assert w.vertex_mask == _bits(seq)
-            assert w.color_mask == _bits(w.colors)
+            assert w.color_mask == _bits(c for _, c in w.steps)
             interior = seq[:-1]
-            simple = bool(w.steps) and w.is_closed and len(set(interior)) == len(interior)
-            assert w.is_simple == simple
+            if w.steps and seq[-1] == w.start:  # closed, as `classify` requires
+                simple = len(set(interior)) == len(interior)
+                assert (classify(WalkGammaPair(w, EMPTY_SUBDIGRAPH)) == GOOD) == simple
             seen += 1
         for gamma in linear_subdigraphs(g) + [EMPTY_SUBDIGRAPH]:
-            assert gamma.vertex_mask == _bits(gamma.vertices)
+            assert gamma.vertex_mask == _bits(u for cycle in gamma.cycles for u, _, _ in cycle)
             assert gamma.color_mask == _bits(gamma.colors)
             assert gamma.length == sum(len(c) for c in gamma.cycles)
             seen += 1
@@ -186,13 +182,11 @@ def test_subdigraph_queries():
     gamma = make_subdigraph([[(1, 2, 1), (2, 1, 2)], [(3, 3, 3)]])
     assert gamma.length == 3
     assert gamma.cycle_count == 2
-    assert gamma.vertices == frozenset({1, 2, 3})
     assert gamma.colors == frozenset({1, 2, 3})
     assert gamma.cycle_containing(2) == ((1, 2, 1), (2, 1, 2))
     with pytest.raises(ValueError):
         gamma.cycle_containing(4)
     assert EMPTY_SUBDIGRAPH.length == 0
-    assert EMPTY_SUBDIGRAPH.vertices == frozenset()
 
 
 def test_colored_cycles_loop_graph():
@@ -257,8 +251,8 @@ def test_closed_walk_census_on_the_loop_graph():
     assert len(walks_of_length(g, 1)) == 4
     assert len(walks_of_length(g, 2)) == 4
     assert len(walks_of_length(g, 5)) == 0  # capped by the color count
-    assert all(w.is_closed for w in walks)
-    assert all(len(w.colors) == w.length for w in walks)
+    assert all(w.vertex_seq()[-1] == w.start for w in walks)
+    assert all(len({c for _, c in w.steps}) == w.length for w in walks)
 
 
 def test_closed_walks_distinguish_roots():
@@ -424,7 +418,7 @@ def reference_walk_buckets(g: ColoredDigraph) -> dict:
     """closed_walks(g) grouped by (length, color set), weights summed."""
     buckets: dict = {}
     for w in closed_walks(g):
-        key = (w.length, w.colors)
+        key = (w.length, frozenset(c for _, c in w.steps))
         buckets[key] = buckets.get(key, Poly.zero()) + w.weight(g)
     return buckets
 

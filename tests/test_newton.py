@@ -111,7 +111,7 @@ def test_one_color_set_when_k_equals_r():
         k = rng.randint(1, min(n, 3))
         g = random_digraph(n, k, 0.8, 3, seed=rng.randrange(10**6))
         report = verify_walk_cycle_identity(g, k)  # r == k
-        assert report.residuals == {g.color_set(): report.residual}
+        assert report.residuals == {frozenset(range(1, k + 1)): report.residual}
         assert report.passed, (n, k)
 
 

@@ -34,7 +34,7 @@ CASES = {
     Walk: (
         lambda: Walk(start=1, steps=((2, 1), (1, 2))),
         "Walk(start=1, steps=((2, 1), (1, 2)))",
-        ["start", "steps", "vertex_mask", "color_mask", "is_simple"],
+        ["start", "steps", "vertex_mask", "color_mask"],
     ),
     LinearSubdigraph: (
         lambda: make_subdigraph([[(1, 2, 1), (2, 1, 2)]]),
