@@ -4,11 +4,11 @@ Run as `python demos/colored_digraphs.py`.
 """
 
 from girardlab import (
+    ColoredDigraph,
     closed_walk_sum,
     closed_walks,
     linear_subdigraph_sum,
     linear_subdigraphs,
-    make_digraph,
     parse_digraph,
     self_loop_digraph,
     serialize_digraph,
@@ -20,7 +20,7 @@ from girardlab import (
 # present pair carries one parallel edge per color (here k = 2), each with
 # its own nonzero weight.
 
-g = make_digraph(2, 2, {(1, 2): [1, 2], (2, 1): [3, -1], (1, 1): [5, 7]})
+g = ColoredDigraph(2, 2, {(1, 2): [1, 2], (2, 1): [3, -1], (1, 1): [5, 7]})
 
 print("graph JSON:")
 print(serialize_digraph(g))

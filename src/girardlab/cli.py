@@ -207,8 +207,9 @@ def _instances(args: argparse.Namespace, report: RunReport) -> tuple[Iterable, i
 
     The flag `--<args.source>` (`--graph`, `--roots` or `--c`) names one
     instance, recorded in `report.params`.  For `--random` the fixed
-    instance is None: the seed is resolved once, the seed, the
-    `args.draw_sizes` arguments and the trial count are recorded, and
+    instance is None: the seed is resolved once, a size of
+    `args.draw_sizes` left unset is refused, the seed, the sizes and the
+    trial count are recorded, and
     `args.draw(args, rng)` makes each instance from one random.Random(seed)
     as the trial loop asks for it, so a run holds one instance however many
     trials it makes.  Usage and graph errors are raised here, before any
@@ -227,6 +228,8 @@ def _instances(args: argparse.Namespace, report: RunReport) -> tuple[Iterable, i
             report.params[fixed] = instance
         return [instance], 1, instance
     report.seed = _resolve_seed(args)
+    if missing := [f"--{name}" for name in args.draw_sizes if getattr(args, name) is None]:
+        raise UsageError(f"--random needs {' and '.join(missing)}")
     report.params.update({name: getattr(args, name) for name in args.draw_sizes},
                          trials=args.trials)
     rng = random.Random(report.seed)
@@ -260,8 +263,6 @@ def _charged_graph(args: argparse.Namespace, fixed):
         g = fixed[1]
         weights = (abs(w) for ws in g.edges.values() for w in ws)
         return g.n, g.colors, _words(max(weights, default=1)), g.successors
-    if args.n is None or args.k is None:
-        raise UsageError("--random needs --n and --k")
     every = range(1, args.n + 1)
     return args.n, args.k, _words(args.weight_bound), lambda u: every
 
@@ -331,9 +332,10 @@ def _theorem2_work(n: int, k: int, r: int, limit: int) -> int:
     and k colors: each DP state makes at most n * k weight products (int
     products, on the file and `--random` graphs the CLI checks), and the
     breakdown has C(k, r) * 2^r (S, T) entries.  A DP term past `limit` is
-    returned at once, so a huge k or r costs nothing to count."""
+    returned at once, and C(k, r) is 0 for r > k, so a huge k or r costs
+    nothing to count."""
     total = _dp_states(n, k) * n * min(k, 64)
-    if total > limit or r > k:
+    if total > limit:
         return total
     return total + (binomial(k, r) << r)
 

@@ -17,7 +17,7 @@ after parsing.
 The `ColoredDigraph` constructor is the one way to build a graph: it
 checks every weight and freezes a copy of the edge map, so no graph holds
 a float or a bool, and no caller can change a graph's edges after it is
-built.  `make_digraph` is that same constructor under a second name.
+built.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .poly import Poly, avar
 
 __all__ = [
     "ColoredDigraph",
-    "make_digraph",
     "validate",
     "self_loop_digraph",
     "random_digraph",
@@ -152,10 +151,6 @@ class ColoredDigraph:
         return table
 
 
-# The one constructor under the name the builders, demos and tests call.
-make_digraph = ColoredDigraph
-
-
 def validate(g: ColoredDigraph) -> list[str]:
     """Return all structural violations as strings (empty when well formed)."""
     problems = []
@@ -190,7 +185,7 @@ def self_loop_digraph(n: int, r: int) -> ColoredDigraph:
         (j, j): tuple(Poly.variable(avar(j, i)) for i in range(1, r + 1))
         for j in range(1, n + 1)
     }
-    return make_digraph(n, r, edges)
+    return ColoredDigraph(n, r, edges)
 
 
 def random_digraph(
@@ -223,7 +218,7 @@ def random_digraph(
                 # entries, without building the list
                 indices = (rng.randrange(2 * weight_bound) for _ in range(k))
                 edges[(u, v)] = tuple(i - weight_bound + (i >= weight_bound) for i in indices)
-    return make_digraph(n, k, edges)
+    return ColoredDigraph(n, k, edges)
 
 
 def serialize_digraph(g: ColoredDigraph) -> str:
@@ -295,4 +290,4 @@ def parse_digraph(text: str) -> ColoredDigraph:
         if (u, v) in edges:
             raise GraphFormatError(f"{where}: duplicate edge ({u}, {v})")
         edges[(u, v)] = weights
-    return make_digraph(n, colors, edges)
+    return ColoredDigraph(n, colors, edges)

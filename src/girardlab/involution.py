@@ -189,7 +189,7 @@ class InvolutionAudit(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return not self.problems and self.total.is_zero
+        return not self.problems and not self.total
 
 
 def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:

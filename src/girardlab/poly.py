@@ -45,7 +45,7 @@ map, are the only code that drops a coefficient cancelled to zero, and
 from __future__ import annotations
 
 import re
-from itertools import groupby, repeat
+from itertools import groupby
 from math import isqrt
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -230,10 +230,6 @@ class Poly:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def constant_value(self) -> int:
         """The value of a constant polynomial; raises on a non-constant one."""
         if self._terms.keys() <= {_UNIT}:
@@ -251,9 +247,6 @@ class Poly:
 
     def variables(self) -> frozenset[VarId]:
         return frozenset(map(_code_var, {c for mono in self._terms for c in mono}))
-
-    def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(_encode(mono), 0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -298,11 +291,6 @@ class Poly:
         return _poly(_add_product({}, self._terms, o._terms))
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Poly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial powers must be integers >= 0")
-        return poly_prod(repeat(self, exponent))
 
     def __eq__(self, other) -> bool:
         o = Poly._coerce(other)

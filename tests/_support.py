@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import random
 
-from girardlab import ColoredDigraph, make_digraph, parse_digraph, random_digraph
+from girardlab import ColoredDigraph, parse_digraph, random_digraph
 
 # Enough distinct primes for 9 vertex pairs x 3 colors.
 PRIMES = [
@@ -26,7 +26,7 @@ def pattern_graph(n: int, k: int, mask: int) -> ColoredDigraph:
     for idx, pair in enumerate(pairs):
         if mask >> idx & 1:
             edges[pair] = [PRIMES[idx * k + c] for c in range(k)]
-    return make_digraph(n, k, edges)
+    return ColoredDigraph(n, k, edges)
 
 
 def all_pattern_graphs(n: int, k: int):
@@ -40,7 +40,7 @@ def permute_vertices(g: ColoredDigraph, perm: dict[int, int]) -> ColoredDigraph:
     edges = {
         (perm[u], perm[v]): list(weights) for (u, v), weights in g.edges.items()
     }
-    return make_digraph(g.n, g.colors, edges)
+    return ColoredDigraph(g.n, g.colors, edges)
 
 
 def parsed_dense_graph(n: int, k: int, seed: int) -> ColoredDigraph:

@@ -141,7 +141,7 @@ def test_c07_walk_cycle_identity_case_two():
         for r in range(1, min(g.n, g.colors) + 1):
             checks += 1
             res = verify_walk_cycle_identity(g, r)
-            if not res.residual.is_zero:
+            if res.residual:
                 failures.append((g.n, g.colors, r, "aggregated"))
             color_sets += len(res.residuals)
             failures += [(g.n, g.colors, r, sorted(u)) for u, p in res.residuals.items() if p]
@@ -171,7 +171,7 @@ def test_c09_multi_alphabet_identity():
     for r in range(1, 4):
         for n in range(1, 4):
             res = verify_colored_newton_girard(r, n)
-            if not res.residual.is_zero:
+            if res.residual:
                 failures.append((r, n, "residual"))
             if not cross_check_against_loops(r, n):
                 failures.append((r, n, "loop-graph path"))

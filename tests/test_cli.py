@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import girardlab
-from girardlab import make_digraph, random_digraph, serialize_digraph
+from girardlab import ColoredDigraph, random_digraph, serialize_digraph
 from girardlab import cli, enumeration, involution, newton, powersum
 from girardlab.cli import main
 from girardlab.digraph import self_loop_digraph
@@ -238,7 +238,7 @@ def _off_by_one(original):
 # the (S, T) = ({}, {1, 2}) entry is c(2, {1, 2}) * 1, so one more in that
 # bucket leaves a residual of 1; the ({1}, {2}) entry is c(1, {2}) *
 # ell(1, {1}) = 3 * -2, so that ell without its sign leaves 12.
-FAULT_GRAPH = make_digraph(2, 2, {(1, 1): [2, 3], (1, 2): [1, 1], (2, 1): [1, 1]})
+FAULT_GRAPH = ColoredDigraph(2, 2, {(1, 1): [2, 3], (1, 2): [1, 1], (2, 1): [1, 1]})
 THEOREM2 = ["verify", "theorem2", "--graph", "GRAPH", "--r", "2"]
 # dense (4, 4) graphs at r = 2: six color sets U, each checked on its own
 THEOREM2_RANDOM = "verify theorem2 --random --n 4 --k 4 --r 2 --trials 20 --seed 3".split()
@@ -495,6 +495,10 @@ def test_random_without_dimensions_is_usage_error(capsys):
     rc = main(["verify", "theorem2", "--random", "--r", "1"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    # only the size left unset is named
+    assert main(["verify", "theorem2", "--random", "--n", "2", "--r", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "--random needs --k" in err and "--n" not in err
 
 
 def test_wrong_root_count_is_usage_error(capsys):
@@ -1011,7 +1015,7 @@ def huge_weight_graph(n, k, seed):
     # dense, with 4000-digit weights of either sign
     rng = random.Random(seed)
     big = 10**4000 - 1
-    return make_digraph(n, k, {
+    return ColoredDigraph(n, k, {
         (u, v): [rng.choice([-1, 1]) * (big - rng.randrange(1000)) for _ in range(k)]
         for u in range(1, n + 1) for v in range(1, n + 1)
     })
@@ -1109,7 +1113,7 @@ def test_every_benchmark_size_is_within_the_limits(tmp_path, capsys):
 def acyclic_digraph(n, k, density=1.0, rng=None):
     """Edges u -> v for u < v only (each with probability `density`)."""
     rng = rng or random.Random(0)
-    return make_digraph(n, k, {
+    return ColoredDigraph(n, k, {
         (u, v): [rng.choice([-2, -1, 1, 2]) for _ in range(k)]
         for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < density
     })
@@ -1122,7 +1126,7 @@ def near_acyclic_digraph(n, k, back_edges, rng):
     for _ in range(back_edges):
         v = rng.randint(1, n)
         edges[rng.randint(v, n), v] = [rng.choice([-2, -1, 1, 2]) for _ in range(k)]
-    return make_digraph(n, k, edges)
+    return ColoredDigraph(n, k, edges)
 
 
 def test_audit_object_count_is_exact():
@@ -1210,8 +1214,8 @@ def test_a_loopless_dense_graph_file_near_the_dp_bound_is_refused_at_once(tmp_pa
     # every cover of this graph has a 2-cycle or longer, so no bound from
     # looped vertices helps; the exact cover count took about 1.7 s to refuse it
     n, k = 35, 4
-    g = make_digraph(n, k, {(u, v): [1] * k for u in range(1, n + 1)
-                            for v in range(1, n + 1) if u != v})
+    g = ColoredDigraph(n, k, {(u, v): [1] * k for u in range(1, n + 1)
+                               for v in range(1, n + 1) if u != v})
     path = write_graph(tmp_path, g)
     started = time.perf_counter()
     assert main(["involution", "audit", "--graph", path, "--r", "1"]) == 2

@@ -14,7 +14,6 @@ from girardlab import (
     audit_involution,
     avar,
     closed_walk_buckets,
-    make_digraph,
     parse_digraph,
     random_digraph,
     self_loop_digraph,
@@ -26,7 +25,7 @@ from girardlab import (
 
 
 def test_make_digraph_coerces_ints_and_answers_queries():
-    g = make_digraph(2, 2, {(1, 2): [3, -1], (2, 2): [Poly.const(5), 7]})
+    g = ColoredDigraph(2, 2, {(1, 2): [3, -1], (2, 2): [Poly.const(5), 7]})
     assert (1, 2) in g.edges
     assert (2, 1) not in g.edges
     assert g.weight(1, 2, 1) == Poly.const(3)
@@ -38,17 +37,15 @@ def test_make_digraph_coerces_ints_and_answers_queries():
 @pytest.mark.parametrize("weight", [0.5, 2.0, Fraction(1, 2), "3", True, False])
 def test_make_digraph_refuses_a_weight_that_is_not_an_int_or_a_poly(weight):
     with pytest.raises(TypeError, match=r"edge \(1, 1\) weight must be an int or a Poly"):
-        make_digraph(1, 1, {(1, 1): [weight]})
-    # the public constructor is the same one, and checks the same way
-    assert make_digraph is ColoredDigraph
+        ColoredDigraph(1, 1, {(1, 1): [weight]})
     with pytest.raises(TypeError, match=r"edge \(1, 1\) weight must be an int or a Poly"):
         ColoredDigraph(1, 1, {(1, 1): (weight,)})
     with pytest.raises(TypeError):
-        make_digraph(2, 2, {(1, 2): [1, 2], (2, 1): [3, weight]})
+        ColoredDigraph(2, 2, {(1, 2): [1, 2], (2, 1): [3, weight]})
 
 
 def test_weight_lookup_errors():
-    g = make_digraph(2, 1, {(1, 2): [4]})
+    g = ColoredDigraph(2, 1, {(1, 2): [4]})
     with pytest.raises(ValueError, match="no edge"):
         g.weight(2, 1, 1)
     with pytest.raises(ValueError, match="no color 2"):
@@ -57,7 +54,7 @@ def test_weight_lookup_errors():
 
 def test_edge_table_is_in_vertex_color_order_and_matches_weight():
     graphs = [
-        make_digraph(3, 2, {(2, 1): [3, -1], (1, 3): [2, 5], (1, 1): [7, 4], (2, 3): [1, 1]}),
+        ColoredDigraph(3, 2, {(2, 1): [3, -1], (1, 3): [2, 5], (1, 1): [7, 4], (2, 3): [1, 1]}),
         random_digraph(4, 3, 0.6, 5, seed=9),
         self_loop_digraph(3, 2),
     ]
@@ -95,8 +92,8 @@ def test_edge_table_is_built_once_per_graph(monkeypatch):
 def test_back_table_holds_the_shortest_paths_within_k_edges():
     # checked against Bellman-Ford rounds over the edges whose ends are >= low
     rng = random.Random(3)
-    graphs = [make_digraph(4, 2, {(1, 2): [1, 1], (2, 3): [1, 1], (3, 4): [1, 1],
-                                  (4, 1): [1, 1]})]
+    graphs = [ColoredDigraph(4, 2, {(1, 2): [1, 1], (2, 3): [1, 1], (3, 4): [1, 1],
+                                     (4, 1): [1, 1]})]
     graphs += [random_digraph(rng.randint(1, 6), rng.randint(1, 4), rng.choice([0.2, 0.5]),
                               2, seed=rng.randrange(10**6)) for _ in range(40)]
     for g in graphs:
@@ -121,14 +118,14 @@ def test_short_weight_tuple_fails_at_first_use_and_in_validate():
     # first DP raises
     edges = [{"from": 1, "to": 2, "weights": [1]}, {"from": 2, "to": 1, "weights": [1, 2]}]
     text = json.dumps({"n": 2, "colors": 2, "edges": edges})
-    for g in [make_digraph(2, 2, {(1, 2): [1], (2, 1): [1, 2]}), parse_digraph(text)]:
+    for g in [ColoredDigraph(2, 2, {(1, 2): [1], (2, 1): [1, 2]}), parse_digraph(text)]:
         assert validate(g) == ["edge (1, 2) carries 1 weights, expected 2"]
         with pytest.raises(ValueError, match=r"no color 2 on edge \(1, 2\)"):
             closed_walk_buckets(g)
 
 
 def test_edges_mapping_is_read_only():
-    g = make_digraph(1, 1, {(1, 1): [1]})
+    g = ColoredDigraph(1, 1, {(1, 1): [1]})
     with pytest.raises(TypeError):
         g.edges[(1, 1)] = (Poly.const(2),)  # type: ignore[index]
     # the constructor freezes a copy: the caller's dict stays the caller's
@@ -141,17 +138,17 @@ def test_edges_mapping_is_read_only():
 
 
 def test_validate_clean_graph():
-    g = make_digraph(3, 2, {(1, 2): [1, 2], (3, 3): [-1, 4]})
+    g = ColoredDigraph(3, 2, {(1, 2): [1, 2], (3, 3): [-1, 4]})
     assert validate(g) == []
 
 
 def test_validate_reports_every_problem():
-    g = make_digraph(1, 2, {(1, 3): [1, 0], (1, 1): [5]})
+    g = ColoredDigraph(1, 2, {(1, 3): [1, 0], (1, 1): [5]})
     problems = validate(g)
     assert any("out of range" in p for p in problems)
     assert any("zero weight" in p for p in problems)
     assert any("expected 2" in p for p in problems)
-    assert validate(make_digraph(0, 0, {})) == [
+    assert validate(ColoredDigraph(0, 0, {})) == [
         "vertex count must be >= 1, got 0",
         "color count must be >= 1, got 0",
     ]
@@ -222,7 +219,7 @@ def test_random_digraph_rejects_bad_arguments():
 
 
 def test_serialize_canonical_text():
-    g = make_digraph(2, 1, {(2, 1): [-3], (1, 2): [5]})
+    g = ColoredDigraph(2, 1, {(2, 1): [-3], (1, 2): [5]})
     text = serialize_digraph(g)
     assert text == (
         '{\n'
@@ -249,7 +246,7 @@ def test_serialize_canonical_text():
 
 
 def test_serialize_rejects_symbolic_weights():
-    g = make_digraph(1, 1, {(1, 1): [Poly.variable(xvar(1, 1))]})
+    g = ColoredDigraph(1, 1, {(1, 1): [Poly.variable(xvar(1, 1))]})
     with pytest.raises(ValueError, match="symbolic"):
         serialize_digraph(g)
 

@@ -20,8 +20,8 @@ A11 = Poly.variable(avar(1, 1))
 
 
 def test_zero_and_one():
-    assert Poly.zero().is_zero
-    assert (Poly.one() - 1).is_zero
+    assert not Poly.zero()
+    assert not Poly.one() - 1
     assert Poly.const(0) == Poly.zero()
     assert str(Poly.zero()) == "0"
 
@@ -59,13 +59,6 @@ def test_integer_coercion():
         with pytest.raises(TypeError):
             bad * X11
         assert Poly.one() != bad
-
-
-def test_pow():
-    assert X11**0 == Poly.one()
-    assert X11**3 == X11 * X11 * X11
-    with pytest.raises(ValueError):
-        X11 ** (-1)
 
 
 def test_evaluate():
@@ -106,7 +99,7 @@ def test_canonical_text_example():
 
 
 def test_text_covers_all_families_and_powers():
-    p = A11 * A11 - 2 * Y2**3 + 5
+    p = A11 * A11 - 2 * Y2 * Y2 * Y2 + 5
     text = str(p)
     assert text == "-2*y[2]^3 + a[1]^(1)^2 + 5"
     assert parse_poly(text) == p
@@ -191,7 +184,7 @@ polys = st.lists(
     st.tuples(monomials, st.integers(min_value=-5, max_value=5)), max_size=5
 ).map(
     lambda terms: poly_sum(
-        Poly.const(c) * poly_prod(Poly.variable(v) ** e for v, e in mono)
+        Poly.const(c) * poly_prod(Poly.variable(v) for v, e in mono for _ in range(e))
         for mono, c in terms
     )
 )
@@ -260,11 +253,11 @@ def test_product_starts_from_the_first_factor(factors):
 
 
 def test_no_exponent_cap():
-    p = Poly.variable(xvar(2, 3)) ** 300 - 7 * Y2**257 * A11
+    p = Poly({((xvar(2, 3), 300),): 1, ((yvar(2), 257), (avar(1, 1), 1)): -7})
     text = str(p)
     assert text == "x[2]^(3)^300 - 7*y[2]^257*a[1]^(1)"
     assert parse_poly(text) == p
-    assert p.coefficient(((xvar(2, 3), 300),)) == 1
+    assert dict(p.terms()).get(((xvar(2, 3), 300),), 0) == 1
 
 
 # the maker of each family of `_FAMILIES`, in its order
@@ -381,8 +374,9 @@ def assert_same(p, data):
     assert p.term_count() == len(data)
     assert p.variables() == frozenset(v for m in data for v, _ in m)
     assert str(p) == ref_str(data)
+    terms = dict(p.terms())
     for mono, coeff in data.items():
-        assert p.coefficient(mono) == coeff
+        assert terms.get(mono, 0) == coeff
 
 
 @settings(max_examples=200)
@@ -406,12 +400,12 @@ def test_int_codes_agree_with_the_variable_tuple_reference(a, b):
     assert poly_sum([p, q, -p]) == q
     assert_same(parse_poly(str(p)), a)
     assert_same(
-        p**2,
+        poly_prod([p, p]),
         ref_accumulate(
             (ref_mono_mul(m1, m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in a.items()
         ),
     )
-    assert p.coefficient(((yvar(999), 1),)) == 0
+    assert dict(p.terms()).get(((yvar(999), 1),), 0) == 0
 
 
 # A factor of poly_dot: an int or a reference term map, made a Poly below.

@@ -14,7 +14,6 @@ from girardlab import (
     Poly,
     Walk,
     WalkGammaPair,
-    make_digraph,
     make_subdigraph,
     verify_walk_cycle_identity,
     xvar,
@@ -27,7 +26,7 @@ GAMMA = make_subdigraph([[(2, 2, 2)]])
 # class -> (a builder of a fresh instance, its repr, the fields it has)
 CASES = {
     ColoredDigraph: (
-        lambda: make_digraph(2, 2, {(1, 1): [2, 3]}),
+        lambda: ColoredDigraph(2, 2, {(1, 1): [2, 3]}),
         "ColoredDigraph(n=2, colors=2, edges=mappingproxy({(1, 1): (2, 3)}))",
         ["n", "colors", "edges"],
     ),
@@ -103,7 +102,7 @@ def test_value_class_contract(cls):
     if cls is NewtonReport:
         # a real report is a value too: equal to its rerun, and its repr
         # shows the factors, which a copy keeps
-        g = make_digraph(1, 2, {(1, 1): [2, Poly.variable(xvar(1, 1))]})
+        g = ColoredDigraph(1, 2, {(1, 1): [2, Poly.variable(xvar(1, 1))]})
         report = verify_walk_cycle_identity(g, 1)
         assert report == verify_walk_cycle_identity(g, 1)
         real = repr(report)
