@@ -35,7 +35,7 @@ assert parse_digraph(serialize_digraph(g)).edges == g.edges
 subs = linear_subdigraphs(g)
 print(f"{len(subs)} linear subdigraphs:")
 for s in subs:
-    print(f"  length {s.length}, {s.cycle_count} cycle(s), "
+    print(f"  length {s.length}, {len(s.cycles)} cycle(s), "
           f"colors {sorted(s.colors)}, weight {s.weight(g)}")
 
 # -- closed colored walks --------------------------------------------------------
@@ -44,7 +44,7 @@ for s in subs:
 # so its length is capped by k.  Equal edge sets with different roots are
 # different walks.
 
-walks = closed_walks(g)
+walks = closed_walks(g, g.colors)
 print(f"\n{len(walks)} closed colored walks:")
 for w in walks:
     print(f"  root {w.start}, steps {w.steps}, weight {w.weight(g)}")

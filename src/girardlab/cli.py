@@ -355,6 +355,11 @@ def _run_theorem2(args, report: RunReport) -> None:
     def check(instance):
         graph_seed, g = instance
         res = verify_walk_cycle_identity(g, args.r)
+        # a PASS must have compared every size-r color set: C(k, r) of them
+        expected = binomial(g.colors, args.r)
+        if len(res.residuals) != expected:
+            return {"graph_seed": graph_seed, "n": g.n, "k": g.colors,
+                    "compared": len(res.residuals), "expected": expected}
         # the first color set, in lexicographic order, whose identity fails
         u = next((u for u, residual in res.residuals.items() if residual), None)
         if u is not None:
@@ -402,7 +407,11 @@ def _run_theorem3(args, report: RunReport) -> None:
     report.trials = 1
     res = verify_colored_newton_girard(args.r, args.n)
     report.notes.append(THEOREM3_NOTE)
-    if not res.passed:
+    if len(res.residuals) != 1:  # the one color set [r]
+        report.failures.append(
+            {"r": args.r, "n": args.n, "compared": len(res.residuals), "expected": 1}
+        )
+    elif not res.passed:
         report.failures.append(
             {"r": args.r, "n": args.n, "residual": str(res.residual)}
         )

@@ -50,6 +50,8 @@ longer than the colors or steps left after it, so a colored path that
 cannot close is not followed, and no output moves.  The enumerators are
 exhaustive, for desk-scale graphs (n, k up to about 5): the involution
 audit needs the objects, and the tests compare the DPs with them.
+`closed_walks` takes its length cap from the caller, always: `g.colors`
+for every closed walk, r for the walks of the involution's pairs.
 """
 
 from __future__ import annotations
@@ -191,10 +193,6 @@ class LinearSubdigraph(NamedTuple):
         return self.vertex_mask.bit_count()
 
     @property
-    def cycle_count(self) -> int:
-        return len(self.cycles)
-
-    @property
     def colors(self) -> frozenset[int]:
         return frozenset(e[2] for cycle in self.cycles for e in cycle)
 
@@ -256,15 +254,15 @@ def _cycles_at(g: ColoredDigraph, head: int, used_v: int, used_c: int) -> list:
     order: depth first through free vertices above `head`, one free color
     per step, successors and colors increasing.  The masks are grown by the
     cycle's own vertices and colors.  A step into a vertex further from
-    `head` than the colors left after it is not taken."""
+    `head` than the colors left after it is not taken; with no color left
+    only `head` is within reach, so the search never passes the last
+    color."""
     path: list[Edge] = []
     out: list = []
     reach = g._back[head, head]
 
     def grow(u: int, vmask: int, cmask: int) -> None:
         left = g.colors - cmask.bit_count() - 1  # colors left after this step
-        if left < 0:
-            return
         # the free vertices above head that can close within `left` edges
         ahead = reach[min(left, len(reach) - 1)] & ~vmask
         for v, weights in g._out[u]:
@@ -324,17 +322,17 @@ def linear_subdigraphs(g: ColoredDigraph) -> list[LinearSubdigraph]:
     return out
 
 
-def closed_walks(g: ColoredDigraph, *, max_length: int | None = None) -> list[Walk]:
-    """All closed colored walks (length >= 1), in depth-first order from
-    each root in turn.
+def closed_walks(g: ColoredDigraph, max_length: int) -> list[Walk]:
+    """All closed colored walks of 1 to `max_length` steps, in depth-first
+    order from each root in turn.
 
-    The distinct-color rule caps every walk at k steps.  `max_length`
-    caps the step count lower, so a caller that needs every length up to
-    r makes one pass; the walks of each length keep their order.  A step
-    into a vertex further from the root than the steps left after it is
-    not taken.
+    The cap is required.  The distinct-color rule caps every walk at k
+    steps, so `closed_walks(g, g.colors)` gives every closed walk, and a
+    caller that needs every length up to r passes r and makes one pass;
+    the walks of each length keep their order.  A step into a vertex
+    further from the root than the steps left after it is not taken.
     """
-    cap = g.colors if max_length is None else min(max_length, g.colors)
+    cap = min(max_length, g.colors)
     out: list[Walk] = []
 
     def extend(root: int, current: int, steps: list[tuple[int, int]], used_c: int) -> None:
@@ -387,14 +385,15 @@ def closed_walk_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], i
     """(length, color set) -> weight sum of the closed walks with that
     length and color set.
 
-    The map equals `closed_walks(g)` grouped by (length, colors), with a
-    key for every pair some walk has, even when its sum is zero; but no
-    walk is built.  For each root, a layer maps (vertex, used-color mask)
-    to the weight sum of the walks from the root that end there, and
-    `_step` pushes it along every edge in every unused color.  The states
-    back at the root are the closed walks of that length; walks go on
-    past the root, as in `closed_walks`.  Every mask has one length, so a
-    root costs at most n * 2^k states times n * k weight products.
+    The map equals `closed_walks(g, g.colors)`, every closed walk,
+    grouped by (length, colors), with a key for every pair some walk has,
+    even when its sum is zero; but no walk is built.  For each root, a
+    layer maps (vertex, used-color mask) to the weight sum of the walks
+    from the root that end there, and `_step` pushes it along every edge
+    in every unused color.  The states back at the root are the closed
+    walks of that length; walks go on past the root, as in
+    `closed_walks`.  Every mask has one length, so a root costs at most
+    n * 2^k states times n * k weight products.
     """
     buckets: dict = {}
     for root in range(1, g.n + 1):

@@ -73,7 +73,7 @@ class WalkGammaPair(NamedTuple):
 
     def weight(self, g: ColoredDigraph) -> int | Poly:
         weight = self.walk.weight(g) * self.gamma.weight(g)
-        return -weight if self.gamma.cycle_count % 2 else weight
+        return -weight if len(self.gamma.cycles) % 2 else weight
 
 
 def _checked_walk(pair: WalkGammaPair) -> Walk:
@@ -147,29 +147,26 @@ def underlying_subdigraph(pair: WalkGammaPair) -> LinearSubdigraph:
 def enumerate_pairs(
     g: ColoredDigraph,
     r: int,
-    *,
-    subdigraphs: Sequence[LinearSubdigraph] | None = None,
+    subdigraphs: Sequence[LinearSubdigraph],
 ) -> list[WalkGammaPair]:
     """All pairs with total length r, walk length >= 1, disjoint colors.
 
-    The walks are those of `closed_walks(g, max_length=r)`, stable-sorted
-    by length, and each walk of length q meets the gammas of length r - q
-    in `subdigraphs` order, the empty one first.  The length-zero walk has
-    no object form, and the identity has no term for it (T is nonempty in
-    every (S, T) entry).  `subdigraphs` is the full `linear_subdigraphs(g)`
-    list when the caller already holds it.
+    `subdigraphs` is required: the full `linear_subdigraphs(g)` list, which
+    the audit also reads, so the graph is enumerated once.  The walks are
+    those of `closed_walks(g, r)`, stable-sorted by length, and each walk
+    of length q meets the gammas of length r - q in `subdigraphs` order,
+    the empty one first.  The length-zero walk has no object form, and the
+    identity has no term for it (T is nonempty in every (S, T) entry).
     """
     if r < 1:
         raise ValueError("enumerate_pairs requires r >= 1")
-    if subdigraphs is None:
-        subdigraphs = linear_subdigraphs(g)
     # each walk and subdigraph carries its color mask, so the disjointness
     # test of each (walk, gamma) combination is an int AND
     gammas_by_length: dict[int, list[LinearSubdigraph]] = {0: [EMPTY_SUBDIGRAPH]}
     for gamma in subdigraphs:
         gammas_by_length.setdefault(gamma.length, []).append(gamma)
     pairs: list[WalkGammaPair] = []
-    for w in sorted(closed_walks(g, max_length=r), key=lambda walk: walk.length):
+    for w in sorted(closed_walks(g, r), key=lambda walk: walk.length):
         walk_mask = w.color_mask
         for gamma in gammas_by_length.get(r - w.length, []):
             if not walk_mask & gamma.color_mask:
@@ -225,7 +222,7 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
         raise ValueError("audit_involution requires r >= 1")
     problems: list[str] = []
     subdigraphs = linear_subdigraphs(g)
-    pairs = enumerate_pairs(g, r, subdigraphs=subdigraphs)
+    pairs = enumerate_pairs(g, r, subdigraphs)
     # pair -> its position in `pairs` (the last one, for a duplicate)
     position = {pair: i for i, pair in enumerate(pairs)}
     if len(position) != len(pairs):
@@ -282,7 +279,7 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
     for gamma, members in groups.items():
         if len(members) != r:
             problems.append(f"subdigraph owns {len(members)} GOOD pairs, expected {r}")
-        sign = -1 if (gamma.cycle_count - 1) % 2 else 1
+        sign = -1 if (len(gamma.cycles) - 1) % 2 else 1
         if sum(members) != r * sign * gamma.weight(g):
             problems.append("GOOD group weight sum is off")
     good_count = sum(map(len, groups.values()))

@@ -32,7 +32,9 @@ exponent >= 2 is a trailing ``^e`` after the variable, e.g. ``y[2]^3`` or
 ``x[1]^(2)^2`` (the parenthesized superscript is part of the variable
 name, the bare one is the power).  ``parse_poly`` reads this format
 back, and the round trip is its grammar: it refuses a text unless ``str``
-writes exactly that text for what was read.
+writes exactly that text for what was read.  It is the one route by which
+a caller hands the ring an exponent, and nothing bounds it: ``y[1]^e``
+becomes a monomial of e codes.
 
 Canonical form is kept in one place: `_merge`, which adds terms into a
 map, and `_add_product`, the one product kernel, which adds p * q into a
@@ -141,15 +143,6 @@ def _code_var(code: int) -> VarId:
     return VarId(family, w - sup, sup)
 
 
-def _encode(mono: Monomial) -> tuple[int, ...]:
-    codes = []
-    for v, e in mono:
-        if e < 0:
-            raise ValueError(f"negative exponent in monomial {mono!r}")
-        codes += [_var_code(_checked_var(v))] * e
-    return tuple(sorted(codes))
-
-
 def _decode(codes: tuple[int, ...]) -> Monomial:
     return tuple(sorted((_code_var(c), len(list(run))) for c, run in groupby(codes)))
 
@@ -196,19 +189,20 @@ def _add_product(data: dict, left: dict, right: dict) -> dict:
 class Poly:
     """An immutable polynomial with integer coefficients.
 
-    Construct via `Poly.zero()`, `Poly.const(c)`, `Poly.variable(v)` or the
-    arithmetic operators; a raw {monomial: coefficient} mapping is also
-    accepted and canonicalized (zero coefficients dropped).  Ints coerce in
-    mixed arithmetic, so `2 * p + 1` works.  A coefficient that is a bool
-    or not an int is a TypeError, and a `VarId` that `xvar`, `yvar` or
-    `avar` would not return is a ValueError, so every `Poly` has a text
-    form that `parse_poly` reads back.
+    Construct via `Poly.zero()` (the same as `Poly()`, which takes no
+    argument), `Poly.const(c)`, `Poly.variable(v)`, `parse_poly` or the
+    arithmetic operators; there is no constructor from a {monomial:
+    coefficient} mapping.  Ints coerce in mixed arithmetic, so `2 * p + 1`
+    works.  A coefficient that is a bool or not an int is a TypeError, and
+    a `VarId` that `xvar`, `yvar` or `avar` would not return is a
+    ValueError, so every `Poly` has a text form that `parse_poly` reads
+    back.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self._terms = _merge({}, ((_encode(m), _coefficient(c)) for m, c in (terms or {}).items()))
+    def __init__(self):
+        self._terms = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -349,8 +343,7 @@ class Poly:
 
 
 def _poly(data: dict) -> Poly:
-    """Wrap `data`, a code-monomial map that is already canonical (so
-    `__init__` and its merge are skipped)."""
+    """Wrap `data`, a code-monomial map that is already canonical."""
     out = Poly.__new__(Poly)
     out._terms = data
     return out

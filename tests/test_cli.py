@@ -266,8 +266,8 @@ def _first_pair_twice(original):
 
 def _bad_pairs():
     """The graph's BAD pairs at r = 2, in enumeration order."""
-    return [pair for pair in enumerate_pairs(FAULT_GRAPH, 2)
-            if involution.classify(pair) == involution.BAD]
+    pairs = enumerate_pairs(FAULT_GRAPH, 2, linear_subdigraphs(FAULT_GRAPH))
+    return [pair for pair in pairs if involution.classify(pair) == involution.BAD]
 
 
 def _next_bad(original):
@@ -275,6 +275,13 @@ def _next_bad(original):
     last to the first."""
     bad = _bad_pairs()
     return lambda pair: bad[(bad.index(pair) + 1) % len(bad)]
+
+
+def _without_color_1(original):
+    """A fault for `newton._assemble`: color 1 is dropped from its color
+    set, so fewer color sets U are compared than the sizes call for, and
+    each one compared still has a zero residual."""
+    return lambda n, colors, r, c, ell: original(n, colors - {1}, r, c, ell)
 
 
 def _first_bad_called_good(original):
@@ -429,6 +436,20 @@ PLANTED_FAULTS = [
                                "GOOD group weight sum is off"],
                   "total": "0"},
                  id="audit-classify-first-bad-good"),
+    # too few color sets compared: no U of size 3 is left at k = 3, one of
+    # the three of size 2, and none of theorem3's one set [3]
+    pytest.param(newton, "_assemble", _without_color_1,
+                 "verify theorem2 --random --n 3 --k 3 --r 3 --trials 3 --seed 0".split(),
+                 _each_trial(3, 0, n=3, k=3, compared=0, expected=1),
+                 id="theorem2-too-few-color-sets"),
+    pytest.param(newton, "_assemble", _without_color_1,
+                 "verify theorem2 --random --n 3 --k 3 --r 2 --trials 2 --seed 0".split(),
+                 _each_trial(2, 0, n=3, k=3, compared=1, expected=3),
+                 id="theorem2-one-of-three-color-sets"),
+    pytest.param(newton, "_assemble", _without_color_1,
+                 ["verify", "theorem3", "--r", "3", "--n", "3"],
+                 {"r": 3, "n": 3, "compared": 0, "expected": 1},
+                 id="theorem3-no-color-set"),
     # the audit's recheck of the identity through the DP maps
     pytest.param(newton, "closed_walk_buckets",
                  _one_bucket(lambda v: v + 1, (2, frozenset({1, 2}))), AUDIT,
@@ -1134,8 +1155,9 @@ def test_audit_object_count_is_exact():
     # subdigraphs and (walk, gamma) pairs the audit enumerates
     def enumerated(g, r):
         states = 2 * g.n * g.n * 2**g.colors
-        return (states + len(closed_walks(g, max_length=r)) + len(linear_subdigraphs(g))
-                + len(enumerate_pairs(g, r)))
+        subdigraphs = linear_subdigraphs(g)
+        return (states + len(closed_walks(g, r)) + len(subdigraphs)
+                + len(enumerate_pairs(g, r, subdigraphs)))
 
     graphs = [g for n in range(1, 3) for k in range(1, 4) for g in all_pattern_graphs(n, k)]
     rng = random.Random(5)

@@ -39,7 +39,7 @@ def two_cycle_graph(k: int = 2) -> ColoredDigraph:
 
 def walks_of_length(g: ColoredDigraph, q: int) -> list[Walk]:
     """The closed walks with q steps, in enumeration order."""
-    return [w for w in closed_walks(g) if w.length == q]
+    return [w for w in closed_walks(g, g.colors) if w.length == q]
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_walk_and_subdigraph_facts_agree_with_their_definitions():
         # open one with as many distinct vertices as steps
         extra = [Walk(1, ()), Walk(1, ((2, 1),)), Walk(1, ((1, 1), (1, 2))),
                  Walk(1, ((2, 1), (2, 2)))]
-        for w in closed_walks(g) + extra:
+        for w in closed_walks(g, g.colors) + extra:
             seq = w.vertex_seq()
             assert seq == (w.start,) + tuple(v for v, _ in w.steps)
             assert w.vertex_mask == _bits(seq)
@@ -112,7 +112,7 @@ def test_walk_and_subdigraph_facts_agree_with_their_definitions():
 
 def test_weights_are_the_products_of_the_graph_weights():
     for g in _facts_graphs():
-        for w in closed_walks(g):
+        for w in closed_walks(g, g.colors):
             assert w.weight(g) == prod(g.weight(u, v, c) for u, v, c in w.edges())
         for gamma in linear_subdigraphs(g) + [EMPTY_SUBDIGRAPH]:
             edges = [e for cycle in gamma.cycles for e in cycle]
@@ -180,7 +180,7 @@ def test_make_subdigraph_refuses_edges_that_do_not_form_a_cycle():
 def test_subdigraph_queries():
     gamma = make_subdigraph([[(1, 2, 1), (2, 1, 2)], [(3, 3, 3)]])
     assert gamma.length == 3
-    assert gamma.cycle_count == 2
+    assert len(gamma.cycles) == 2
     assert gamma.colors == frozenset({1, 2, 3})
     assert gamma.cycle_containing(2) == ((1, 2, 1), (2, 1, 2))
     with pytest.raises(ValueError):
@@ -219,7 +219,7 @@ def test_linear_subdigraph_census_on_the_loop_graph():
     g = self_loop_digraph(2, 2)
     everything = linear_subdigraphs(g)
     assert len(everything) == 6  # 4 single loops + 2 disjoint loop pairs
-    assert len([s for s in everything if s.cycle_count == 2]) == 2
+    assert len([s for s in everything if len(s.cycles) == 2]) == 2
 
 
 def test_linear_subdigraphs_are_disjoint_and_unique():
@@ -229,7 +229,7 @@ def test_linear_subdigraphs_are_disjoint_and_unique():
         subs = linear_subdigraphs(g)
         assert len(subs) == len(set(subs))
         for s in subs:
-            assert s.cycle_count >= 1
+            assert len(s.cycles) >= 1
             assert sum(len(c) for c in s.cycles) == s.length
             seen_v: set[int] = set()
             seen_c: set[int] = set()
@@ -245,11 +245,13 @@ def test_linear_subdigraphs_are_disjoint_and_unique():
 
 def test_closed_walk_census_on_the_loop_graph():
     g = self_loop_digraph(2, 2)
-    walks = closed_walks(g)
+    walks = closed_walks(g, g.colors)
     assert len(walks) == 8  # per vertex: 2 one-step + 2 two-step color orders
     assert len(walks_of_length(g, 1)) == 4
     assert len(walks_of_length(g, 2)) == 4
-    assert len(walks_of_length(g, 5)) == 0  # capped by the color count
+    assert closed_walks(g, 5) == walks  # capped by the color count
+    with pytest.raises(TypeError):  # the cap has no default
+        closed_walks(g)
     assert all(w.vertex_seq()[-1] == w.start for w in walks)
     assert all(len({c for _, c in w.steps}) == w.length for w in walks)
 
@@ -399,12 +401,12 @@ def test_enumerated_subdigraphs_keep_the_constructor_facts():
             built += [sub, again]
         for r in range(1, min(g.colors, 3) + 1):
             images += [(pair.gamma, involute(pair).gamma)
-                       for pair in enumerate_pairs(g, r, subdigraphs=subs) if classify(pair) == BAD]
+                       for pair in enumerate_pairs(g, r, subs) if classify(pair) == BAD]
     for gamma in built + [image for _, image in images]:
         assert (gamma.length, gamma.vertex_mask, gamma.color_mask) == _facts_from_cycles(gamma)
     assert len(built) > 2000
     # both moves are met many times: a cycle spliced out of gamma, and one added
-    spliced = sum(image.cycle_count < gamma.cycle_count for gamma, image in images)
+    spliced = sum(len(image.cycles) < len(gamma.cycles) for gamma, image in images)
     assert spliced > 1000 and len(images) - spliced > 1000
 
 
@@ -414,9 +416,10 @@ def test_enumerated_subdigraphs_keep_the_constructor_facts():
 
 
 def reference_walk_buckets(g: ColoredDigraph) -> dict:
-    """closed_walks(g) grouped by (length, color set), weights summed."""
+    """closed_walks(g, g.colors) grouped by (length, color set), weights
+    summed."""
     buckets: dict = {}
-    for w in closed_walks(g):
+    for w in closed_walks(g, g.colors):
         key = (w.length, frozenset(c for _, c in w.steps))
         buckets[key] = buckets.get(key, Poly.zero()) + w.weight(g)
     return buckets
@@ -488,7 +491,7 @@ def test_walk_sum_is_a_bucket_lookup():
 def test_max_length_caps_without_filtering():
     g = prime_weighted_dense_graph(3, 3)
     for cap in range(0, 5):
-        capped = closed_walks(g, max_length=cap)
+        capped = closed_walks(g, cap)
         assert all(w.length <= cap for w in capped)
         for q in range(1, 5):
             # same walks, in the same order, as the exact-length pass
@@ -508,7 +511,7 @@ def reference_subdigraph_buckets(g: ColoredDigraph) -> dict:
     buckets: dict = {}
     for gamma in linear_subdigraphs(g):
         key = (gamma.length, gamma.colors)
-        sign = -1 if gamma.cycle_count % 2 else 1
+        sign = -1 if len(gamma.cycles) % 2 else 1
         buckets[key] = buckets.get(key, Poly.zero()) + sign * gamma.weight(g)
     return buckets
 

@@ -108,8 +108,9 @@ def test_involute_raises_exactly_on_the_pairs_classify_calls_good():
     for _ in range(6):
         n, k = rng.randint(1, 3), rng.randint(2, 4)
         g = random_digraph(n, k, rng.choice([0.6, 1.0]), 3, seed=rng.randrange(10**6))
+        subdigraphs = linear_subdigraphs(g)
         for r in range(1, k + 1):
-            for pair in enumerate_pairs(g, r):
+            for pair in enumerate_pairs(g, r, subdigraphs):
                 kind = classify(pair)
                 counts[kind] += 1
                 if kind == GOOD:
@@ -124,8 +125,9 @@ def test_involute_raises_exactly_on_the_pairs_classify_calls_good():
 def test_involute_images_carry_the_facts_of_their_walks_and_subdigraphs():
     for seed in range(2):
         g = random_digraph(3, 4, 1.0, 3, seed=seed)
+        subdigraphs = linear_subdigraphs(g)
         for r in (2, 3, 4):
-            for pair in enumerate_pairs(g, r):
+            for pair in enumerate_pairs(g, r, subdigraphs):
                 if classify(pair) == GOOD:
                     continue
                 image = involute(pair)
@@ -161,7 +163,7 @@ def test_every_mask_matches_the_fields_it_is_computed_from():
     for _ in range(30):
         n, k = rng.randint(1, 4), rng.randint(1, 4)
         g = random_digraph(n, k, rng.uniform(0.3, 1.0), 3, seed=rng.randrange(10**6))
-        for w in closed_walks(g):
+        for w in closed_walks(g, g.colors):
             check_walk(w)
         subdigraphs = linear_subdigraphs(g)
         for gamma in subdigraphs:
@@ -171,7 +173,7 @@ def test_every_mask_matches_the_fields_it_is_computed_from():
             check_subdigraph(built)
             assert built == gamma
         for r in range(1, k + 2):
-            for pair in enumerate_pairs(g, r, subdigraphs=subdigraphs):
+            for pair in enumerate_pairs(g, r, subdigraphs):
                 if classify(pair) == GOOD:
                     check_subdigraph(underlying_subdigraph(pair))
                 else:
@@ -192,7 +194,7 @@ def test_underlying_subdigraph():
 
 def test_enumerate_pairs_census_on_the_loop_graph():
     g = self_loop_digraph(2, 2)
-    pairs = enumerate_pairs(g, 2)
+    pairs = enumerate_pairs(g, 2, linear_subdigraphs(g))
     # 4 two-step walks with empty gamma + 4 one-step walks x 2 color-
     # disjoint single loops
     assert len(pairs) == 12
@@ -202,7 +204,9 @@ def test_enumerate_pairs_census_on_the_loop_graph():
     good = [p for p in pairs if classify(p) == GOOD]
     assert len(good) == 4  # two 2-edge subdigraphs, each rooted two ways
     with pytest.raises(ValueError):
-        enumerate_pairs(g, 0)
+        enumerate_pairs(g, 0, linear_subdigraphs(g))
+    with pytest.raises(TypeError):  # the subdigraph list has no default
+        enumerate_pairs(g, 2)
 
 
 def test_enumerate_pairs_order_is_walks_by_length_then_subdigraphs():
@@ -214,13 +218,12 @@ def test_enumerate_pairs_order_is_walks_by_length_then_subdigraphs():
         g = random_digraph(n, k, rng.choice([0.3, 0.6, 1.0]), 3, seed=rng.randrange(10**6))
         gammas = [EMPTY_SUBDIGRAPH, *linear_subdigraphs(g)]
         for r in range(1, k + 3):
-            walks = sorted(closed_walks(g, max_length=r), key=lambda walk: walk.length)
+            walks = sorted(closed_walks(g, r), key=lambda walk: walk.length)
             want = [
                 WalkGammaPair(w, gamma) for w in walks for gamma in gammas
                 if w.length + gamma.length == r and not w.color_mask & gamma.color_mask
             ]
-            assert enumerate_pairs(g, r) == want, (n, k, r)
-            assert enumerate_pairs(g, r, subdigraphs=gammas[1:]) == want
+            assert enumerate_pairs(g, r, gammas[1:]) == want, (n, k, r)
 
 
 def test_audit_on_the_loop_graph():
@@ -338,7 +341,7 @@ def test_audit_reports_an_image_that_is_good(monkeypatch):
     # a broken involution that sends one BAD pair to a GOOD pair is a
     # reported problem, not a crash (involute raises on GOOD pairs)
     g = self_loop_digraph(2, 2)
-    pairs = enumerate_pairs(g, 2)
+    pairs = enumerate_pairs(g, 2, linear_subdigraphs(g))
     victim = next(p for p in pairs if classify(p) == BAD)
     good = next(p for p in pairs if classify(p) == GOOD)
     original = involution.involute
@@ -356,7 +359,7 @@ def test_audit_reports_an_image_that_is_good(monkeypatch):
 
 def _loop_pairs():
     g = self_loop_digraph(2, 2)
-    pairs = enumerate_pairs(g, 2)
+    pairs = enumerate_pairs(g, 2, linear_subdigraphs(g))
     return g, pairs, [p for p in pairs if classify(p) == BAD]
 
 

@@ -24,6 +24,10 @@ def test_zero_and_one():
     assert not Poly.one() - 1
     assert Poly.const(0) == Poly.zero()
     assert str(Poly.zero()) == "0"
+    assert Poly() == Poly.zero()
+    # no constructor takes a monomial map
+    with pytest.raises(TypeError):
+        Poly({((xvar(1, 1), 1),): 1})
 
 
 def test_addition_merges_and_cancels():
@@ -52,8 +56,6 @@ def test_integer_coercion():
     for bad in [2.5, Fraction(1, 2), True]:
         with pytest.raises(TypeError):
             Poly.const(bad)
-        with pytest.raises(TypeError):
-            Poly({((xvar(1, 1), 1),): bad})
         with pytest.raises(TypeError):
             X11 + bad
         with pytest.raises(TypeError):
@@ -88,8 +90,6 @@ def test_variable_index_validation():
                 VarId(0, 1.5, 1)]:
         with pytest.raises(ValueError):
             Poly.variable(bad)
-        with pytest.raises(ValueError):
-            Poly({((bad, 1),): 1})
 
 
 def test_canonical_text_example():
@@ -253,11 +253,10 @@ def test_product_starts_from_the_first_factor(factors):
 
 
 def test_no_exponent_cap():
-    p = Poly({((xvar(2, 3), 300),): 1, ((yvar(2), 257), (avar(1, 1), 1)): -7})
-    text = str(p)
-    assert text == "x[2]^(3)^300 - 7*y[2]^257*a[1]^(1)"
-    assert parse_poly(text) == p
-    assert dict(p.terms()).get(((xvar(2, 3), 300),), 0) == 1
+    text = "x[2]^(3)^300 - 7*y[2]^257*a[1]^(1)"
+    p = parse_poly(text)
+    assert str(p) == text
+    assert dict(p.terms()) == {((xvar(2, 3), 300),): 1, ((yvar(2), 257), (avar(1, 1), 1)): -7}
 
 
 # the maker of each family of `_FAMILIES`, in its order
@@ -367,9 +366,14 @@ ref_polys = st.lists(
 )
 
 
+def ref_poly(data):
+    """The polynomial of a reference term map, read from its reference text."""
+    return parse_poly(ref_str(data))
+
+
 def assert_same(p, data):
     # canonical: equal to the polynomial built from the reference terms
-    assert p == Poly(data) and hash(p) == hash(Poly(data))
+    assert p == ref_poly(data) and hash(p) == hash(ref_poly(data))
     assert list(p.terms()) == [(m, data[m]) for m in sorted(data, key=ref_term_key)]
     assert p.term_count() == len(data)
     assert p.variables() == frozenset(v for m in data for v, _ in m)
@@ -382,7 +386,7 @@ def assert_same(p, data):
 @settings(max_examples=200)
 @given(ref_polys, ref_polys)
 def test_int_codes_agree_with_the_variable_tuple_reference(a, b):
-    p, q = Poly(a), Poly(b)
+    p, q = ref_poly(a), ref_poly(b)
     assert_same(p, a)
     assert_same(q, b)
     assert_same(p + q, ref_accumulate([*a.items(), *b.items()]))
@@ -438,7 +442,7 @@ def negated(f):
 @example([({((avar(1, 1), 1),): 2}, 5), (-2, {((avar(1, 1), 1),): 5})])
 def test_poly_dot_agrees_with_the_reference(pairs):
     def as_factor(f):
-        return f if isinstance(f, int) else Poly(f)
+        return f if isinstance(f, int) else ref_poly(f)
 
     dot = poly_dot((as_factor(p), as_factor(q)) for p, q in pairs)
     assert_same(dot, dot_reference(pairs))
