@@ -32,7 +32,7 @@ assert parse_digraph(serialize_digraph(g)).edges == g.edges
 # pairwise distinct colors.  Its length is its edge count, which always
 # equals the size of its color set.
 
-subs = linear_subdigraphs(g)
+subs = linear_subdigraphs(g, g.colors)
 print(f"{len(subs)} linear subdigraphs:")
 for s in subs:
     print(f"  length {s.length}, {len(s.cycles)} cycle(s), "

@@ -25,7 +25,7 @@ from girardlab import (
 # GOOD pairs have a simple walk that avoids gamma; all others are BAD.
 
 g = self_loop_digraph(2, 2)
-pairs = enumerate_pairs(g, 2, linear_subdigraphs(g))
+pairs = enumerate_pairs(g, 2, linear_subdigraphs(g, g.colors))
 print(f"all pairs of total length 2 on the 2-vertex all-loops graph "
       f"({len(pairs)}):")
 for p in sorted(pairs, key=lambda p: (p.walk.start, p.walk.steps, p.gamma.cycles)):

@@ -66,6 +66,7 @@ from .powersum import (
     power_sum_via_stirling,
     verify_binomial_transform,
 )
+from .poly import value_text
 
 __all__ = ["main", "build_parser", "RunReport"]
 
@@ -314,8 +315,8 @@ def _run_theorem1(args, report: RunReport) -> None:
     words = good_word_sum(args.m, args.r)
     if not (lhs == rhs == words):
         report.failures.append(
-            {"m": args.m, "r": args.r, "lhs": str(lhs), "rhs": str(rhs),
-             "good_words": str(words)}
+            {"m": args.m, "r": args.r, "lhs": value_text(lhs), "rhs": value_text(rhs),
+             "good_words": value_text(words)}
         )
 
 
@@ -364,7 +365,7 @@ def _run_theorem2(args, report: RunReport) -> None:
         u = next((u for u, residual in res.residuals.items() if residual), None)
         if u is not None:
             return {"graph_seed": graph_seed, "n": g.n, "k": g.colors, "case": res.case,
-                    "color_set": sorted(u), "residual": str(res.residuals[u])}
+                    "color_set": sorted(u), "residual": value_text(res.residuals[u])}
 
     _check_each(report, instances, check)
 
@@ -413,7 +414,7 @@ def _run_theorem3(args, report: RunReport) -> None:
         )
     elif not res.passed:
         report.failures.append(
-            {"r": args.r, "n": args.n, "residual": str(res.residual)}
+            {"r": args.r, "n": args.n, "residual": value_text(res.residual)}
         )
     elif not cross_check_against_loops(args.r, args.n):
         report.failures.append(
@@ -505,6 +506,12 @@ def _audit_objects(n: int, k: int, r: int, successors) -> int:
     sum_{q=1}^{r} tr(B^q) * covers_{r-q}(B) * k!/(k-r)!, none when r > k.
     A count that runs to the end is exact.
 
+    The audit enumerates the subdigraphs of at most r edges only, but the
+    second sum still charges every one up to min(k, n) edges, so at
+    r < min(k, n) the count is above what the audit builds.  The count,
+    and `AUDIT_MAX_OBJECTS` with it, stay as they are until the limits
+    are taken from measured audit times over a ladder of sizes.
+
     A depth-first search finds the covers, heads increasing as in
     `enumeration.linear_subdigraphs`: each cycle runs through free
     vertices above its head, and a cover stops growing at min(k, n)
@@ -577,7 +584,7 @@ def _run_involution_audit(args, report: RunReport) -> None:
         audit = audit_involution(g, args.r)
         if not audit.ok:
             return {"graph_seed": graph_seed, "problems": list(audit.problems),
-                    "total": str(audit.total)}
+                    "total": value_text(audit.total)}
 
     _check_each(report, instances, check)
 
@@ -602,11 +609,12 @@ def _run_powersum(args, report: RunReport) -> None:
     values = {}
     for name in names:
         values[name] = value = methods[name](args.m, args.n)
-        report.notes.append(f"value {name} = {value}")
+        report.notes.append(f"value {name} = {value_text(value)}")
     # the run is one check, so it records at most one failure
     fractional = [name for name, value in values.items() if value.denominator != 1]
     if fractional or len(set(values.values())) > 1:
-        failure = {"m": args.m, "n": args.n, "values": {k: str(v) for k, v in values.items()}}
+        failure = {"m": args.m, "n": args.n,
+                   "values": {k: value_text(v) for k, v in values.items()}}
         if fractional:
             failure["not_integer"] = fractional
         report.failures.append(failure)

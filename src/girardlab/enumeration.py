@@ -50,8 +50,10 @@ longer than the colors or steps left after it, so a colored path that
 cannot close is not followed, and no output moves.  The enumerators are
 exhaustive, for desk-scale graphs (n, k up to about 5): the involution
 audit needs the objects, and the tests compare the DPs with them.
-`closed_walks` takes its length cap from the caller, always: `g.colors`
-for every closed walk, r for the walks of the involution's pairs.
+`closed_walks` and `linear_subdigraphs` take their length cap from the
+caller, always: `g.colors` for every object, r for the involution audit,
+whose pairs read the lengths below r and whose GOOD check reads length r.
+A cap below k also caps the color budget of the subdigraph search.
 """
 
 from __future__ import annotations
@@ -248,21 +250,22 @@ def make_subdigraph(cycles: Iterable[Iterable[Edge]]) -> LinearSubdigraph:
     return out
 
 
-def _cycles_at(g: ColoredDigraph, head: int, used_v: int, used_c: int) -> list:
+def _cycles_at(g: ColoredDigraph, head: int, used_v: int, used_c: int, budget: int) -> list:
     """(cycle, vertex mask, color mask) for each colored cycle with least
     vertex `head` that avoids the masks `used_v` and `used_c`, in tuple
     order: depth first through free vertices above `head`, one free color
     per step, successors and colors increasing.  The masks are grown by the
-    cycle's own vertices and colors.  A step into a vertex further from
-    `head` than the colors left after it is not taken; with no color left
-    only `head` is within reach, so the search never passes the last
-    color."""
+    cycle's own vertices and colors.  Each edge takes one color, so
+    `budget`, at most `g.colors` and above `used_c`'s color count, caps
+    the colors of the grown mask: a step into a vertex further from `head`
+    than the colors left after it is not taken; with no color left only
+    `head` is within reach, so the search never passes the last color."""
     path: list[Edge] = []
     out: list = []
     reach = g._back[head, head]
 
     def grow(u: int, vmask: int, cmask: int) -> None:
-        left = g.colors - cmask.bit_count() - 1  # colors left after this step
+        left = budget - cmask.bit_count() - 1  # colors left after this step
         # the free vertices above head that can close within `left` edges
         ahead = reach[min(left, len(reach) - 1)] & ~vmask
         for v, weights in g._out[u]:
@@ -292,27 +295,33 @@ def colored_cycles(g: ColoredDigraph) -> list[tuple[Edge, ...]]:
     return [
         cycle
         for head in range(1, g.n + 1)
-        for cycle, _, _ in _cycles_at(g, head, 0, 0)
+        for cycle, _, _ in _cycles_at(g, head, 0, 0, g.colors)
     ]
 
 
-def linear_subdigraphs(g: ColoredDigraph) -> list[LinearSubdigraph]:
-    """All (nonempty) linear subdigraphs, depth first, each node's
-    children in (head, cycle) order.
+def linear_subdigraphs(g: ColoredDigraph, max_length: int) -> list[LinearSubdigraph]:
+    """All (nonempty) linear subdigraphs of 1 to `max_length` edges, depth
+    first, each node's children in (head, cycle) order.
 
     Heads strictly increase along a subdigraph, as in the clow sequences
     of `linear_subdigraph_buckets`: each free head above the last offers
     the cycles `_cycles_at` finds on the vertices and colors still free.
+    The cap is required, as for `closed_walks`.  Each edge takes one
+    color, so the search stops at min(max_length, k) colors;
+    `linear_subdigraphs(g, g.colors)` gives every subdigraph, and a
+    smaller cap gives that list without the longer ones, in the same
+    order, as a subdigraph's descendants are longer than it.
     """
+    budget = min(max_length, g.colors)
     out: list[LinearSubdigraph] = []
 
     def extend(low: int, chosen: list[tuple[Edge, ...]], used_v: int, used_c: int) -> None:
-        if used_c.bit_count() == g.colors:  # no color left for another cycle
+        if used_c.bit_count() >= budget:  # no color left for another cycle
             return
         for head in range(low, g.n + 1):
             if used_v >> head & 1:
                 continue
-            for cycle, vmask, cmask in _cycles_at(g, head, used_v, used_c):
+            for cycle, vmask, cmask in _cycles_at(g, head, used_v, used_c, budget):
                 chosen.append(cycle)
                 out.append(LinearSubdigraph(tuple(chosen), vmask, cmask))
                 extend(head + 1, chosen, vmask, cmask)

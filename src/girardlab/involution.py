@@ -43,7 +43,7 @@ from .enumeration import (
     linear_subdigraphs,
 )
 from .newton import verify_walk_cycle_identity
-from .poly import Poly
+from .poly import Poly, value_text
 
 __all__ = [
     "GOOD",
@@ -72,8 +72,13 @@ class WalkGammaPair(NamedTuple):
         return self.walk.length + self.gamma.length
 
     def weight(self, g: ColoredDigraph) -> int | Poly:
-        weight = self.walk.weight(g) * self.gamma.weight(g)
-        return -weight if len(self.gamma.cycles) % 2 else weight
+        return self.walk.weight(g) * _signed_weight(self.gamma, g)
+
+
+def _signed_weight(gamma: LinearSubdigraph, g: ColoredDigraph) -> int | Poly:
+    """(-1)^(cycle count) * W(gamma), gamma's factor in a pair's weight."""
+    weight = gamma.weight(g)
+    return -weight if len(gamma.cycles) % 2 else weight
 
 
 def _checked_walk(pair: WalkGammaPair) -> Walk:
@@ -151,12 +156,15 @@ def enumerate_pairs(
 ) -> list[WalkGammaPair]:
     """All pairs with total length r, walk length >= 1, disjoint colors.
 
-    `subdigraphs` is required: the full `linear_subdigraphs(g)` list, which
-    the audit also reads, so the graph is enumerated once.  The walks are
-    those of `closed_walks(g, r)`, stable-sorted by length, and each walk
-    of length q meets the gammas of length r - q in `subdigraphs` order,
-    the empty one first.  The length-zero walk has no object form, and the
-    identity has no term for it (T is nonempty in every (S, T) entry).
+    `subdigraphs` is required: a `linear_subdigraphs(g, cap)` list with a
+    cap of at least r - 1, as the gammas of the pairs have fewer than r
+    edges and longer ones are skipped.  The audit passes its list capped
+    at r, which it also reads, so the graph is enumerated once.  The
+    walks are those of `closed_walks(g, r)`, stable-sorted by length, and
+    each walk of length q meets the gammas of length r - q in
+    `subdigraphs` order, the empty one first.  The length-zero walk has no
+    object form, and the identity has no term for it (T is nonempty in
+    every (S, T) entry).
     """
     if r < 1:
         raise ValueError("enumerate_pairs requires r >= 1")
@@ -172,6 +180,24 @@ def enumerate_pairs(
             if not walk_mask & gamma.color_mask:
                 pairs.append(WalkGammaPair(w, gamma))
     return pairs
+
+
+def _pair_weights(g: ColoredDigraph, pairs: Sequence[WalkGammaPair]) -> list[int | Poly]:
+    """The weight of each pair, its walk's weight times gamma's signed
+    weight: a few thousand walks and subdigraphs make up the pairs, and
+    each is weighed once.  `enumerate_pairs` lists the pairs of one walk
+    together, so a walk is weighed where it differs from the walk of the
+    pair before, and no map of the walks is built, which would raise the
+    audit's peak memory.  The gammas, far fewer, are weighed through a
+    map that is dropped on return."""
+    gamma_weight = {gamma: _signed_weight(gamma, g) for gamma in {pair.gamma for pair in pairs}}
+    weights = []
+    last = None
+    for w, gamma in pairs:
+        if w != last:
+            last, walk_weight = w, w.weight(g)
+        weights.append(walk_weight * gamma_weight[gamma])
+    return weights
 
 
 class InvolutionAudit(NamedTuple):
@@ -191,7 +217,11 @@ class InvolutionAudit(NamedTuple):
 
 def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
     """Check every promise the involution makes, exhaustively, in one pass
-    over the pairs, each weighed once up front.
+    over the pairs, all weighed up front.  A pair's weight is its walk's
+    weight times its subdigraph's signed weight, and each walk and each
+    subdigraph of the pairs is weighed once (`_pair_weights`).  The
+    subdigraphs are enumerated up to r edges: the pairs read the shorter
+    ones, and the GOOD check those of exactly r edges.
 
     * every BAD pair maps to a distinct BAD pair, back to itself on the
       second application, with negated weight (a perfect matching, so the
@@ -221,13 +251,13 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
     if r < 1:
         raise ValueError("audit_involution requires r >= 1")
     problems: list[str] = []
-    subdigraphs = linear_subdigraphs(g)
+    subdigraphs = linear_subdigraphs(g, r)
     pairs = enumerate_pairs(g, r, subdigraphs)
     # pair -> its position in `pairs` (the last one, for a duplicate)
     position = {pair: i for i, pair in enumerate(pairs)}
     if len(position) != len(pairs):
         problems.append("enumerate_pairs returned duplicates")
-    weights = [pair.weight(g) for pair in pairs]
+    weights = _pair_weights(g, pairs)
 
     def image_of(pair: WalkGammaPair) -> WalkGammaPair | None:
         # None, and one problem, when `involute` refuses a pair that
@@ -279,8 +309,8 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
     for gamma, members in groups.items():
         if len(members) != r:
             problems.append(f"subdigraph owns {len(members)} GOOD pairs, expected {r}")
-        sign = -1 if (len(gamma.cycles) - 1) % 2 else 1
-        if sum(members) != r * sign * gamma.weight(g):
+        # r * (-1)^(c-1) * W: gamma's signed weight, negated, r times
+        if sum(members) != -r * _signed_weight(gamma, g):
             problems.append("GOOD group weight sum is off")
     good_count = sum(map(len, groups.values()))
 
@@ -292,7 +322,8 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
         problems.append("audit total disagrees with the identity residual")
     u = next((u for u, residual in report.residuals.items() if residual), None)
     if u is not None:
-        problems.append(f"identity residual at color set {sorted(u)} is {report.residuals[u]}")
+        problems.append(f"identity residual at color set {sorted(u)} "
+                        f"is {value_text(report.residuals[u])}")
 
     return InvolutionAudit(
         pair_count=len(pairs),

@@ -47,6 +47,7 @@ map, are the only code that drops a coefficient cancelled to zero, and
 from __future__ import annotations
 
 import re
+import sys
 from itertools import groupby
 from math import isqrt
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -62,6 +63,7 @@ __all__ = [
     "poly_dot",
     "parse_poly",
     "PolyParseError",
+    "value_text",
 ]
 
 # The variable families: each one's letter, and whether its variables
@@ -340,6 +342,17 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({str(self)!r})"
+
+
+def value_text(value: object) -> str:
+    """`str(value)` for a value a report prints (a `Poly`, an int or a
+    `Fraction`), or a short stand-in when one of its integers is past the
+    interpreter's limit on digits turned into text
+    (`sys.get_int_max_str_digits()`), where `str` raises ValueError."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"(not printed: an integer past the {sys.get_int_max_str_digits()}-digit limit)"
 
 
 def _poly(data: dict) -> Poly:

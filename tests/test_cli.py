@@ -266,7 +266,7 @@ def _first_pair_twice(original):
 
 def _bad_pairs():
     """The graph's BAD pairs at r = 2, in enumeration order."""
-    pairs = enumerate_pairs(FAULT_GRAPH, 2, linear_subdigraphs(FAULT_GRAPH))
+    pairs = enumerate_pairs(FAULT_GRAPH, 2, linear_subdigraphs(FAULT_GRAPH, FAULT_GRAPH.colors))
     return [pair for pair in pairs if involution.classify(pair) == involution.BAD]
 
 
@@ -499,6 +499,49 @@ def test_powersum_records_a_value_that_is_not_an_integer(tmp_path, capsys, monke
                        tmp_path, capsys) == [
         {"m": 2, "n": 3, "values": {"bernoulli": "1/2"}, "not_integer": ["bernoulli"]},
     ]
+
+
+# a value whose text would pass the interpreter's 4,300-digit limit
+LONG_INT = 10**4400
+NOT_PRINTED = "(not printed: an integer past the 4300-digit limit)"
+LONG_ELL = _one_bucket(lambda v: v + LONG_INT, (2, frozenset({1, 2})))
+
+
+@pytest.mark.parametrize("module, name, fault, argv, record", [
+    pytest.param(cli, "power_sum_lhs", lambda original: lambda m, r: Poly.const(LONG_INT),
+                 THEOREM1,
+                 {"m": 2, "r": 1, "lhs": NOT_PRINTED, "rhs": LHS, "good_words": LHS},
+                 id="theorem1"),
+    pytest.param(newton, "linear_subdigraph_buckets", LONG_ELL, THEOREM2,
+                 {"instance": 0, "graph_seed": None, "n": 2, "k": 2, "case": "r<=n",
+                  "color_set": [1, 2], "residual": NOT_PRINTED},
+                 id="theorem2"),
+    pytest.param(newton, "linear_subdigraph_buckets", LONG_ELL,
+                 ["verify", "theorem3", "--r", "2", "--n", "2"],
+                 {"r": 2, "n": 2, "residual": NOT_PRINTED}, id="theorem3"),
+    pytest.param(newton, "linear_subdigraph_buckets", LONG_ELL, AUDIT,
+                 {"instance": 0, "graph_seed": None,
+                  "problems": [f"identity residual at color set [1, 2] is {NOT_PRINTED}"],
+                  "total": NOT_PRINTED},
+                 id="audit"),
+    pytest.param(cli, "power_sum_direct", lambda original: lambda m, n: LONG_INT, POWERSUM,
+                 {"m": 2, "n": 3, "values": {"bernoulli": "14", "direct": NOT_PRINTED,
+                                             "stirling": "14"}},
+                 id="powersum"),
+])
+def test_a_value_too_long_to_print_is_a_failure_record(module, name, fault, argv, record,
+                                                       tmp_path, capsys, monkeypatch):
+    # str() of an int past the digit limit raises ValueError; every value a
+    # report prints goes through one guard, so the run still ends in exit 1
+    graph = write_graph(tmp_path, FAULT_GRAPH)
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    argv = [graph if arg == "GRAPH" else arg for arg in argv]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run_failing(argv, tmp_path, capsys) == [record]
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 # ---------------------------------------------------------------------------
@@ -1155,7 +1198,7 @@ def test_audit_object_count_is_exact():
     # subdigraphs and (walk, gamma) pairs the audit enumerates
     def enumerated(g, r):
         states = 2 * g.n * g.n * 2**g.colors
-        subdigraphs = linear_subdigraphs(g)
+        subdigraphs = linear_subdigraphs(g, g.colors)
         return (states + len(closed_walks(g, r)) + len(subdigraphs)
                 + len(enumerate_pairs(g, r, subdigraphs)))
 

@@ -1,6 +1,6 @@
 import random
 from itertools import combinations
-from math import prod
+from math import comb, factorial, perm, prod
 
 import pytest
 
@@ -102,7 +102,7 @@ def test_walk_and_subdigraph_facts_agree_with_their_definitions():
                 simple = len(set(interior)) == len(interior)
                 assert (classify(WalkGammaPair(w, EMPTY_SUBDIGRAPH)) == GOOD) == simple
             seen += 1
-        for gamma in linear_subdigraphs(g) + [EMPTY_SUBDIGRAPH]:
+        for gamma in linear_subdigraphs(g, g.colors) + [EMPTY_SUBDIGRAPH]:
             assert gamma.vertex_mask == _bits(u for cycle in gamma.cycles for u, _, _ in cycle)
             assert gamma.color_mask == _bits(gamma.colors)
             assert gamma.length == sum(len(c) for c in gamma.cycles)
@@ -114,7 +114,7 @@ def test_weights_are_the_products_of_the_graph_weights():
     for g in _facts_graphs():
         for w in closed_walks(g, g.colors):
             assert w.weight(g) == prod(g.weight(u, v, c) for u, v, c in w.edges())
-        for gamma in linear_subdigraphs(g) + [EMPTY_SUBDIGRAPH]:
+        for gamma in linear_subdigraphs(g, g.colors) + [EMPTY_SUBDIGRAPH]:
             edges = [e for cycle in gamma.cycles for e in cycle]
             assert gamma.weight(g) == prod(g.weight(u, v, c) for u, v, c in edges)
 
@@ -217,16 +217,18 @@ def test_colored_cycles_triangle_counts_color_orders():
 
 def test_linear_subdigraph_census_on_the_loop_graph():
     g = self_loop_digraph(2, 2)
-    everything = linear_subdigraphs(g)
+    everything = linear_subdigraphs(g, g.colors)
     assert len(everything) == 6  # 4 single loops + 2 disjoint loop pairs
     assert len([s for s in everything if len(s.cycles) == 2]) == 2
+    with pytest.raises(TypeError):  # the cap has no default
+        linear_subdigraphs(g)
 
 
 def test_linear_subdigraphs_are_disjoint_and_unique():
     rng = random.Random(52)
     for _ in range(12):
         g = random_digraph(4, 3, 0.6, 3, seed=rng.randrange(10**6))
-        subs = linear_subdigraphs(g)
+        subs = linear_subdigraphs(g, g.colors)
         assert len(subs) == len(set(subs))
         for s in subs:
             assert len(s.cycles) >= 1
@@ -347,7 +349,7 @@ def reference_subdigraphs(g: ColoredDigraph) -> list[LinearSubdigraph]:
 def check_against_reference(g: ColoredDigraph) -> None:
     cycles = colored_cycles(g)
     assert cycles == sorted(cycles, key=lambda c: (c[0][0], c))
-    assert linear_subdigraphs(g) == reference_subdigraphs(g)
+    assert linear_subdigraphs(g, g.colors) == reference_subdigraphs(g)
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)])
@@ -361,6 +363,31 @@ def test_linear_subdigraphs_match_reference_on_dense_graphs(seed):
     # with n > k a later head often lies on an earlier cycle already
     for n, k in [(4, 4), (5, 3), (6, 3)]:
         check_against_reference(random_digraph(n, k, 1.0, 3, seed=seed))
+
+
+def test_a_capped_enumeration_is_the_full_list_without_the_longer_subdigraphs():
+    # the cap is a color budget for the search: every cap from 0 to k + 1
+    # gives the reference list less its longer subdigraphs, in its order
+    rng = random.Random(3701)
+    graphs = [random_digraph(rng.randint(1, 5), rng.randint(1, 4), density, 3,
+                             seed=rng.randrange(10**6))
+              for density in (0.3, 1.0) for _ in range(8)]
+    graphs += [self_loop_digraph(3, 3), random_digraph(2, 4, 1.0, 3, seed=8)]  # symbolic; r > n
+    cut = 0
+    for g in graphs:
+        everything = reference_subdigraphs(g)
+        for cap in range(g.colors + 2):
+            capped = linear_subdigraphs(g, cap)
+            assert capped == [gamma for gamma in everything if gamma.length <= cap], cap
+            cut += len(capped) < len(everything)
+        # colored_cycles keeps no cap: on the complete graph with loops it
+        # finds every C(n, L) * (L - 1)! cycle of each length L <= min(n, k),
+        # in each of its k!/(k - L)! colorings
+        if all((u, v) in g.edges for u in range(1, g.n + 1) for v in range(1, g.n + 1)):
+            assert len(colored_cycles(g)) == sum(
+                comb(g.n, length) * factorial(length - 1) * perm(g.colors, length)
+                for length in range(1, min(g.n, g.colors) + 1))
+    assert cut > 20
 
 
 def near_acyclic_digraph(n: int, k: int, rng: random.Random) -> ColoredDigraph:
@@ -392,7 +419,7 @@ def test_enumerated_subdigraphs_keep_the_constructor_facts():
         graphs.append(near_acyclic_digraph(n, k, rng))
     built, images = [EMPTY_SUBDIGRAPH], []
     for g in graphs:
-        subs = linear_subdigraphs(g)
+        subs = linear_subdigraphs(g, g.colors)
         assert subs == reference_subdigraphs(g)  # each one through make_subdigraph
         for sub in subs:
             # each cycle rotated off its least vertex, the cycles reversed
@@ -506,10 +533,10 @@ def test_max_length_caps_without_filtering():
 
 
 def reference_subdigraph_buckets(g: ColoredDigraph) -> dict:
-    """linear_subdigraphs(g) grouped by (length, color set), signed
+    """linear_subdigraphs(g, g.colors) grouped by (length, color set), signed
     weights summed."""
     buckets: dict = {}
-    for gamma in linear_subdigraphs(g):
+    for gamma in linear_subdigraphs(g, g.colors):
         key = (gamma.length, gamma.colors)
         sign = -1 if len(gamma.cycles) % 2 else 1
         buckets[key] = buckets.get(key, Poly.zero()) + sign * gamma.weight(g)

@@ -108,7 +108,7 @@ def test_involute_raises_exactly_on_the_pairs_classify_calls_good():
     for _ in range(6):
         n, k = rng.randint(1, 3), rng.randint(2, 4)
         g = random_digraph(n, k, rng.choice([0.6, 1.0]), 3, seed=rng.randrange(10**6))
-        subdigraphs = linear_subdigraphs(g)
+        subdigraphs = linear_subdigraphs(g, g.colors)
         for r in range(1, k + 1):
             for pair in enumerate_pairs(g, r, subdigraphs):
                 kind = classify(pair)
@@ -125,7 +125,7 @@ def test_involute_raises_exactly_on_the_pairs_classify_calls_good():
 def test_involute_images_carry_the_facts_of_their_walks_and_subdigraphs():
     for seed in range(2):
         g = random_digraph(3, 4, 1.0, 3, seed=seed)
-        subdigraphs = linear_subdigraphs(g)
+        subdigraphs = linear_subdigraphs(g, g.colors)
         for r in (2, 3, 4):
             for pair in enumerate_pairs(g, r, subdigraphs):
                 if classify(pair) == GOOD:
@@ -165,7 +165,7 @@ def test_every_mask_matches_the_fields_it_is_computed_from():
         g = random_digraph(n, k, rng.uniform(0.3, 1.0), 3, seed=rng.randrange(10**6))
         for w in closed_walks(g, g.colors):
             check_walk(w)
-        subdigraphs = linear_subdigraphs(g)
+        subdigraphs = linear_subdigraphs(g, g.colors)
         for gamma in subdigraphs:
             check_subdigraph(gamma)
             # hand-built: the cycles in reverse order, each from its last edge
@@ -194,7 +194,7 @@ def test_underlying_subdigraph():
 
 def test_enumerate_pairs_census_on_the_loop_graph():
     g = self_loop_digraph(2, 2)
-    pairs = enumerate_pairs(g, 2, linear_subdigraphs(g))
+    pairs = enumerate_pairs(g, 2, linear_subdigraphs(g, g.colors))
     # 4 two-step walks with empty gamma + 4 one-step walks x 2 color-
     # disjoint single loops
     assert len(pairs) == 12
@@ -204,7 +204,7 @@ def test_enumerate_pairs_census_on_the_loop_graph():
     good = [p for p in pairs if classify(p) == GOOD]
     assert len(good) == 4  # two 2-edge subdigraphs, each rooted two ways
     with pytest.raises(ValueError):
-        enumerate_pairs(g, 0, linear_subdigraphs(g))
+        enumerate_pairs(g, 0, linear_subdigraphs(g, g.colors))
     with pytest.raises(TypeError):  # the subdigraph list has no default
         enumerate_pairs(g, 2)
 
@@ -216,7 +216,7 @@ def test_enumerate_pairs_order_is_walks_by_length_then_subdigraphs():
     for _ in range(40):
         n, k = rng.randint(1, 4), rng.randint(1, 4)
         g = random_digraph(n, k, rng.choice([0.3, 0.6, 1.0]), 3, seed=rng.randrange(10**6))
-        gammas = [EMPTY_SUBDIGRAPH, *linear_subdigraphs(g)]
+        gammas = [EMPTY_SUBDIGRAPH, *linear_subdigraphs(g, g.colors)]
         for r in range(1, k + 3):
             walks = sorted(closed_walks(g, r), key=lambda walk: walk.length)
             want = [
@@ -256,6 +256,25 @@ def test_audit_random_graphs():
             assert audit.bad_count % 2 == 0  # perfectly matched
     with pytest.raises(ValueError):
         audit_involution(self_loop_digraph(1, 1), 0)
+
+
+def test_the_audit_at_r_equals_the_audit_of_every_subdigraph(monkeypatch):
+    # the audit enumerates subdigraphs up to r edges; with the cap ignored
+    # (every subdigraph, the literal list) each audit value stays the same
+    rng = random.Random(3727)
+    graphs = [random_digraph(rng.randint(1, 4), rng.randint(1, 4), rng.choice([0.3, 0.6, 1.0]),
+                             3, seed=rng.randrange(10**6)) for _ in range(30)]
+    graphs.append(self_loop_digraph(3, 3))
+    audits = {(i, r): audit_involution(g, r)
+              for i, g in enumerate(graphs) for r in range(1, g.colors + 2)}
+    cut = sum(len(linear_subdigraphs(graphs[i], r))
+              < len(linear_subdigraphs(graphs[i], graphs[i].colors)) for i, r in audits)
+    assert cut > 10
+    monkeypatch.setattr(involution, "linear_subdigraphs",
+                        lambda g, max_length: linear_subdigraphs(g, g.colors))
+    for (i, r), audit in audits.items():
+        assert audit_involution(graphs[i], r) == audit, (i, r)
+    assert sum(audit.good_count > 0 for audit in audits.values()) > 20
 
 
 def test_one_subdigraph_enumeration_per_check_and_per_audit(monkeypatch):
@@ -308,31 +327,42 @@ def test_walks_are_enumerated_only_by_the_audit(monkeypatch):
 
 def test_audit_weighs_each_pair_once_and_involutes_each_bad_pair_once(monkeypatch):
     # the BAD pairs are walked as couples: one involute per pair of a couple
-    # (its image, then the image's image) and one weight per pair
+    # (its image, then the image's image).  The pairs are weighed from
+    # their walks and subdigraphs, each weighed once: the subdigraphs of
+    # the pairs, and the r-edge ones of the GOOD groups
     weighed = []
     involuted = []
-    original_weight = WalkGammaPair.weight
     original_involute = involution.involute
 
-    def counted_weight(self, g):
-        weighed.append(self)
-        return original_weight(self, g)
+    def counted(cls):
+        original = cls.weight
+
+        def weight(self, g):
+            weighed.append(self)
+            return original(self, g)
+        monkeypatch.setattr(cls, "weight", weight)
 
     def counted_involute(pair):
         involuted.append(pair)
         return original_involute(pair)
 
-    monkeypatch.setattr(WalkGammaPair, "weight", counted_weight)
+    counted(enumeration.Walk)
+    counted(enumeration.LinearSubdigraph)
     monkeypatch.setattr(involution, "involute", counted_involute)
     g = random_digraph(3, 4, 1.0, 3, seed=41)
+    subdigraphs = linear_subdigraphs(g, g.colors)
     for r in range(2, 5):  # both cases: r <= n and r > n; r = 1 has no BAD
+        pairs = enumerate_pairs(g, r, subdigraphs)
+        walks = {pair.walk for pair in pairs}
+        gammas = {pair.gamma for pair in pairs} | {s for s in subdigraphs if s.length == r}
         weighed.clear()
         involuted.clear()
         audit = audit_involution(g, r)
         assert audit.ok
         assert audit.bad_count > 0
-        assert len(weighed) == audit.bad_count + audit.good_count
-        assert len(set(weighed)) == audit.pair_count
+        assert audit.pair_count > len(walks) and audit.pair_count > len(gammas)
+        assert len(weighed) == len(set(weighed)) == len(walks) + len(gammas)
+        assert set(weighed) == walks | gammas
         assert len(involuted) == audit.bad_count
         assert len(set(involuted)) == audit.bad_count
 
@@ -341,7 +371,7 @@ def test_audit_reports_an_image_that_is_good(monkeypatch):
     # a broken involution that sends one BAD pair to a GOOD pair is a
     # reported problem, not a crash (involute raises on GOOD pairs)
     g = self_loop_digraph(2, 2)
-    pairs = enumerate_pairs(g, 2, linear_subdigraphs(g))
+    pairs = enumerate_pairs(g, 2, linear_subdigraphs(g, g.colors))
     victim = next(p for p in pairs if classify(p) == BAD)
     good = next(p for p in pairs if classify(p) == GOOD)
     original = involution.involute
@@ -359,7 +389,7 @@ def test_audit_reports_an_image_that_is_good(monkeypatch):
 
 def _loop_pairs():
     g = self_loop_digraph(2, 2)
-    pairs = enumerate_pairs(g, 2, linear_subdigraphs(g))
+    pairs = enumerate_pairs(g, 2, linear_subdigraphs(g, g.colors))
     return g, pairs, [p for p in pairs if classify(p) == BAD]
 
 
@@ -401,13 +431,16 @@ def test_audit_reports_an_image_outside_the_pairs(monkeypatch):
 
 
 def test_audit_reports_an_image_weight_that_is_not_the_negation(monkeypatch):
-    g, _, bad = _loop_pairs()
+    # the image of the first BAD pair is the one pair of its two-step walk,
+    # so a walk weight one more than it should be moves that pair alone
+    g, pairs, bad = _loop_pairs()
     victim = involute(bad[0])
-    original = WalkGammaPair.weight
+    assert [pair for pair in pairs if pair.walk == victim.walk] == [victim]
+    original = Walk.weight
     monkeypatch.setattr(
-        WalkGammaPair,
+        Walk,
         "weight",
-        lambda self, g: original(self, g) + (1 if self == victim else 0),
+        lambda self, g: original(self, g) + (1 if self == victim.walk else 0),
     )
     audit = audit_involution(g, 2)
     assert not audit.ok
