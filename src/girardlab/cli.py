@@ -57,6 +57,7 @@ from .newton import (
     verify_colored_newton_girard,
     verify_walk_cycle_identity,
 )
+from .poly import value_text
 from .powersum import (
     good_word_sum,
     power_sum_direct,
@@ -66,7 +67,6 @@ from .powersum import (
     power_sum_via_stirling,
     verify_binomial_transform,
 )
-from .poly import value_text
 
 __all__ = ["main", "build_parser", "RunReport"]
 
