@@ -20,6 +20,13 @@ theorem1 is the symbolic generalized power-sum identity, theorem2 the
 walk/cycle identity on colored digraphs, theorem3 its multi-alphabet
 specialization, lemma21 the binomial-transform power-sum check.
 
+A run declares only the parsers its argv names: the top parser, `verify`
+or `involution` when the subcommand is under one, and the subcommand
+itself, since declaring all seven costs a fresh process more than a small
+theorem2 check.  An argv that names no subcommand (none, `-h`, `verify -h`,
+a typo) gets the whole parser, so that its help or usage error lists every
+choice.
+
 Every run prints a text summary to stdout and, with --out PATH, writes a
 JSON report {"command", "params", "trials", "failures", "elapsed_ms",
 "seed", "notes"}.  Reports for identical argv and seed are byte-identical
@@ -660,13 +667,14 @@ def _add_source(p: argparse.ArgumentParser, fixed: str, noun: str, trials: int, 
     p.set_defaults(source=fixed, draw=draw, draw_sizes=draw_sizes)
 
 
-def _add_command(which, name: str, run, sizes: str, *flags, source=None,
-                 **parser_opts) -> None:
-    """Declare the subcommand `name`, run as `run(args, report)`: a required
-    positive-int `--<size>` for each name in `sizes`, each (flag, options)
-    of `flags`, the campaign input `_add_source(**source)` and `--out`.  The
-    sizes and flags are the params of its report."""
-    p = which.add_parser(name, **parser_opts)
+def _add_command(which, name: str, run, sizes: str, summary: str, source=None,
+                 flags=()) -> None:
+    """Declare the subcommand `name`, run as `run(args, report)` and listed
+    with `summary`: a required positive-int `--<size>` for each name in
+    `sizes`, the campaign input `_add_source(**source)`, each (flag,
+    options) of `flags` and `--out`.  The sizes and flags are the params of
+    its report."""
+    p = which.add_parser(name, help=summary)
     params = [p.add_argument(f"--{size}", type=_positive_int, required=True).dest
               for size in sizes.split()]
     params += [p.add_argument(flag, **opts).dest for flag, opts in flags]
@@ -676,58 +684,74 @@ def _add_command(which, name: str, run, sizes: str, *flags, source=None,
     p.set_defaults(run=run, params=params)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="girard-lab",
-        description="Exact verification of power-sum and colored "
-        "Newton-Girard identities.",
-    )
-    top = parser.add_subparsers(dest="command", required=True)
-    verify = top.add_parser("verify", help="verify one of the identities")
-    which = verify.add_subparsers(dest="target", required=True)
-    graph = dict(fixed="graph", noun="graphs", trials=10, draw=_draw_graph, sizes=[
-        ("--n", dict(type=_positive_int, help="vertex count for --random")),
-        ("--k", dict(type=_positive_int, help="color count for --random")),
-        ("--density", dict(type=_density, default=1.0,
-                           help="edge probability in (0, 1] for --random (default 1.0)")),
-        ("--weight-bound", dict(type=_positive_int, default=3,
-                                help="weights drawn from nonzero [-W, W] (default 3)")),
-    ], metavar="PATH", help="graph JSON file")
+_GRAPH = dict(fixed="graph", noun="graphs", trials=10, draw=_draw_graph, sizes=[
+    ("--n", dict(type=_positive_int, help="vertex count for --random")),
+    ("--k", dict(type=_positive_int, help="color count for --random")),
+    ("--density", dict(type=_density, default=1.0,
+                       help="edge probability in (0, 1] for --random (default 1.0)")),
+    ("--weight-bound", dict(type=_positive_int, default=3,
+                            help="weights drawn from nonzero [-W, W] (default 3)")),
+], metavar="PATH", help="graph JSON file")
+# The summary of each command that has subcommands of its own
+_GROUPS = {"verify": "verify one of the identities", "involution": "involution machinery"}
+# Every subcommand's words, in the order the help lists them, and the
+# arguments `_add_command` declares it with after its name: (handler,
+# sizes, summary[, campaign source[, other flags]])
+_COMMANDS = {
+    ("verify", "theorem1"): (_run_theorem1, "m r", "generalized power-sum identity"),
+    ("verify", "theorem2"): (_run_theorem2, "r", "walk/cycle identity on a digraph", _GRAPH),
+    ("verify", "theorem3"): (_run_theorem3, "r n", "multi-alphabet Newton-Girard identity"),
+    ("verify", "newton-girard"): (_run_newton_girard, "n r", "classical Newton-Girard on roots",
+                                  dict(fixed="roots", noun="root lists", trials=20,
+                                       draw=lambda args, rng: _draw_entries(args.n, rng),
+                                       help="comma-separated integer roots")),
+    ("verify", "lemma21"): (_run_lemma21, "alpha", "binomial-transform power-sum check", dict(
+        fixed="c", noun="sequences", trials=20, draw=lambda args, rng: _draw_entries(args.m, rng),
+        sizes=[("--m", dict(type=_positive_int, default=6, help="sequence length for --random"))],
+        help="comma-separated integer sequence c_1..c_m")),
+    ("involution", "audit"): (_run_involution_audit, "r", "exhaustive pairing audit", _GRAPH),
+    ("powersum",): (_run_powersum, "m n", "compute 1^m + ... + n^m several ways", None, [
+        ("--method", dict(required=True, choices=["stirling", "bernoulli", "direct", "all"]))]),
+}
 
-    _add_command(which, "theorem1", _run_theorem1, "m r",
-                 help="generalized power-sum identity")
-    _add_command(which, "theorem2", _run_theorem2, "r", source=graph,
-                 help="walk/cycle identity on a digraph")
-    _add_command(which, "theorem3", _run_theorem3, "r n",
-                 help="multi-alphabet Newton-Girard identity")
-    _add_command(which, "newton-girard", _run_newton_girard, "n r", source=dict(
-        fixed="roots", noun="root lists", trials=20,
-        draw=lambda args, rng: _draw_entries(args.n, rng),
-        help="comma-separated integer roots",
-    ), help="classical Newton-Girard on roots")
-    _add_command(which, "lemma21", _run_lemma21, "alpha", source=dict(
-        fixed="c", noun="sequences", trials=20,
-        draw=lambda args, rng: _draw_entries(args.m, rng),
-        sizes=[("--m", dict(type=_positive_int, default=6,
-                            help="sequence length for --random"))],
-        help="comma-separated integer sequence c_1..c_m",
-    ), help="binomial-transform power-sum check")
 
-    inv = top.add_parser("involution", help="involution machinery")
-    _add_command(inv.add_subparsers(dest="target", required=True), "audit",
-                 _run_involution_audit, "r", source=graph, help="exhaustive pairing audit")
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of `girard-lab`: every subcommand, or only the one whose
+    words lead `argv`.
 
-    _add_command(top, "powersum", _run_powersum, "m n",
-                 ("--method", dict(required=True,
-                                   choices=["stirling", "bernoulli", "direct", "all"])),
-                 help="compute 1^m + ... + n^m several ways")
+    A run pays for each parser and argument it declares, and declaring all
+    seven subcommands costs more than a small theorem2 check.  So when
+    `argv` starts with a subcommand's words, only the chain to it is
+    declared: the top parser, `verify` or `involution` if the subcommand
+    is under one, and the subcommand with its own arguments.  That chain
+    parses `argv` exactly as the whole parser does: the subcommand's
+    parser reads every word after its name, and an argument it does not
+    know fails through the top parser, whose usage line still lists every
+    command name.  An `argv` that names no subcommand (none, `-h`,
+    `verify -h`, a typo) gets the whole parser, since its help or error
+    lists the choices at each level; so does `argv=None`.
+    """
+    parser = argparse.ArgumentParser(prog="girard-lab", description="Exact verification of "
+                                     "power-sum and colored Newton-Girard identities.")
+    commands = {words: spec for words, spec in _COMMANDS.items()
+                if argv is not None and argv[:len(words)] == list(words)} or _COMMANDS
+    # a partial build's usage line still names every command
+    names = "{" + ",".join(dict.fromkeys(words[0] for words in _COMMANDS)) + "}"
+    top = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if commands is _COMMANDS else names)
+    groups = {}
+    for (*group, name), spec in commands.items():
+        if group and group[0] not in groups:
+            groups[group[0]] = top.add_parser(group[0], help=_GROUPS[group[0]]).add_subparsers(
+                dest="target", required=True)
+        _add_command(groups[group[0]] if group else top, name, *spec)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

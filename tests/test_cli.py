@@ -28,6 +28,7 @@ from girardlab.involution import enumerate_pairs
 from girardlab.poly import Poly, poly_dot, poly_sum, xvar
 
 from _support import all_pattern_graphs
+from test_golden_reports import GOLDEN
 
 REPORT_KEYS = {
     "command", "params", "trials", "failures", "elapsed_ms", "seed", "notes",
@@ -897,6 +898,60 @@ def test_a_refused_run_writes_no_report(command, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
     assert not out_path.exists()
+
+
+# ---------------------------------------------------------------------------
+# the parser a run declares
+# ---------------------------------------------------------------------------
+
+# every argv the golden, planted-fault and oversized runs make; each
+# subcommand with --help, with no flags, with a bad value, with a stray
+# word alone and after arguments that parse; and argvs that name none
+PARSED_ARGVS = [
+    *(argv.split() for argv in GOLDEN),
+    *(param.values[3] for param in PLANTED_FAULTS),
+    *(argv.split() for argv in OVERSIZED),
+    *(command.split() + tail for command in LEAF_COMMANDS
+      for tail in (["--help"], [], ["--r", "0"], ["stray"],
+                   REFUSED[command][0].split() + ["stray"])),
+    [], ["-h"], ["verify"], ["verify", "-h"], ["verify", "theorem9"], ["involution"],
+]
+
+
+def _parsed(parser, argv, capsys):
+    """The namespace `parser` makes of `argv`, or its exit code and output."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSED_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_the_parser_an_argv_declares_parses_it_as_the_whole_parser_does(argv, capsys):
+    # a stray word fails through the top parser, whose usage line names
+    # every command even when only one is declared
+    assert (_parsed(cli.build_parser(argv), argv, capsys)
+            == _parsed(cli.build_parser(), argv, capsys))
+
+
+@pytest.mark.parametrize("argv, leaves", [
+    *((command.split() + ["--r", "1"], [command]) for command in LEAF_COMMANDS),
+    *((argv, LEAF_COMMANDS) for argv in [[], ["-h"], ["verify"], ["verify", "-h"],
+                                         ["verify", "theorem9"], ["involution"],
+                                         ["theorem1", "verify"], ["--", "powersum"]]),
+])
+def test_an_argv_that_names_a_subcommand_declares_it_alone(argv, leaves):
+    assert sorted(dict(_leaf_parsers(cli.build_parser(argv)))) == sorted(leaves)
+
+
+def test_main_reads_the_command_line_when_given_no_argv(monkeypatch, capsys):
+    # the girard-lab console script calls main() with no argument
+    monkeypatch.setattr(sys, "argv", ["girard-lab", "verify", "theorem1", "--m", "1", "--r", "1"])
+    assert main() == 0
+    out = capsys.readouterr().out
+    assert out.startswith("command: verify theorem1\n")
+    assert out.endswith("result: PASS (1/1 checks)\n")
 
 
 def test_unwritable_report_path_is_usage_error(tmp_path, capsys):
