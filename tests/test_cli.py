@@ -904,6 +904,9 @@ def test_a_refused_run_writes_no_report(command, tmp_path, capsys):
 # the parser a run declares
 # ---------------------------------------------------------------------------
 
+# argvs that name no subcommand, so get the whole parser
+NO_SUBCOMMAND = [[], ["-h"], ["verify"], ["verify", "-h"], ["verify", "theorem9"],
+                 ["involution"], ["theorem1", "verify"], ["--", "powersum"]]
 # every argv the golden, planted-fault and oversized runs make; each
 # subcommand with --help, with no flags, with a bad value, with a stray
 # word alone and after arguments that parse; and argvs that name none
@@ -914,7 +917,7 @@ PARSED_ARGVS = [
     *(command.split() + tail for command in LEAF_COMMANDS
       for tail in (["--help"], [], ["--r", "0"], ["stray"],
                    REFUSED[command][0].split() + ["stray"])),
-    [], ["-h"], ["verify"], ["verify", "-h"], ["verify", "theorem9"], ["involution"],
+    *NO_SUBCOMMAND,
 ]
 
 
@@ -937,9 +940,7 @@ def test_the_parser_an_argv_declares_parses_it_as_the_whole_parser_does(argv, ca
 
 @pytest.mark.parametrize("argv, leaves", [
     *((command.split() + ["--r", "1"], [command]) for command in LEAF_COMMANDS),
-    *((argv, LEAF_COMMANDS) for argv in [[], ["-h"], ["verify"], ["verify", "-h"],
-                                         ["verify", "theorem9"], ["involution"],
-                                         ["theorem1", "verify"], ["--", "powersum"]]),
+    *((argv, LEAF_COMMANDS) for argv in NO_SUBCOMMAND),
 ])
 def test_an_argv_that_names_a_subcommand_declares_it_alone(argv, leaves):
     assert sorted(dict(_leaf_parsers(cli.build_parser(argv)))) == sorted(leaves)
