@@ -95,12 +95,12 @@ PREFACTOR_NOTE = (
 # theorem1 keeps (m, r) = (14, 1), (12, 2) and (9, 3) (0.20, 0.24 and
 # 0.13 s for its three routes in-process, best of 3 on a shared 2-core
 # host) and refuses (15, 1), (10, 3) and (8, 4) (0.35, 0.20 and 0.21 s).
-# The audit keeps a dense (5,5) graph at r <= 2 and dense (4,4) at
-# r = 4 (0.4-0.55 s and 0.7 s by CLI on a shared 2-core host,
-# BENCH_19.json), and refuses dense (3,6) at r = 4 (118,998 objects,
-# 84,240 of them pairs, 2.3-2.6 s in-process) and dense (6,5) at r = 1
-# (139,764 objects, 1.6-1.7 s in-process; its cover search stops at
-# 40,019).  An acyclic (35,4) file,
+# The audit, charged the subdigraphs of at most r edges it builds, keeps
+# dense (5,5) at r <= 3, (4,4) at r = 4 and (35,4) at r = 1 (0.15, 0.20
+# and 0.57 s in-process on a shared 2-core host), and refuses dense
+# (3,6) at r = 4 (118,998 objects, 84,240 of them pairs, 2.3-2.6 s
+# in-process), dense (6,5) at r = 3 (60,564 objects) and dense (36,4) at
+# r = 1 (41,472).  An acyclic (35,4) file,
 # charged its 39,200 DP states alone, is kept at every r.  theorem2 keeps
 # dense (12,6), (8,8) and (6,9) (0.35-0.7 s by CLI, BENCH_17.json) and
 # refuses dense (6,10) and (6,12).  theorem2 and the audit multiply their
@@ -506,31 +506,25 @@ def _audit_objects(n: int, k: int, r: int, successors) -> int:
     first is the identity recheck's two DPs, which hold at most
     `_dp_states(n, k)` states per graph, so a huge size costs nothing to
     count.  The second adds the closed walks of length <= r,
-    sum_{q <= r} tr(B^q) * k!/(k-q)!, and the linear subdigraphs,
-    sum_p covers_p(B) * k!/(k-p)!, where covers_p(B) counts the cycle
-    covers of p-vertex subsets, p <= min(k, n).  The third adds the
-    (walk, gamma) pairs, whose r edges take distinct colors:
-    sum_{q=1}^{r} tr(B^q) * covers_{r-q}(B) * k!/(k-r)!, none when r > k.
-    A count that runs to the end is exact.
-
-    The audit enumerates the subdigraphs of at most r edges only, but the
-    second sum still charges every one up to min(k, n) edges, so at
-    r < min(k, n) the count is above what the audit builds.  The count,
-    and `AUDIT_MAX_OBJECTS` with it, stay as they are until the limits
-    are taken from measured audit times over a ladder of sizes.
+    sum_{q <= r} tr(B^q) * k!/(k-q)!, and the linear subdigraphs the
+    audit enumerates, sum_p covers_p(B) * k!/(k-p)!, where covers_p(B)
+    counts the cycle covers of p-vertex subsets, p <= min(k, n, r).  The
+    third adds the (walk, gamma) pairs, whose r edges take distinct
+    colors: sum_{q=1}^{r} tr(B^q) * covers_{r-q}(B) * k!/(k-r)!, none
+    when r > k.  A count that runs to the end is exact.
 
     A depth-first search finds the covers, heads increasing as in
     `enumeration.linear_subdigraphs`: each cycle runs through free
-    vertices above its head, and a cover stops growing at min(k, n)
+    vertices above its head, and a cover stops growing at min(k, n, r)
     edges, so each cover it finds starts a search of paths of at most
-    min(k, n) vertices: polynomial in n for each k.  It returns as soon as
-    the total passes the limit, after at most that many covers.
+    that many vertices: polynomial in n for each k.  It returns as soon
+    as the total passes the limit, after at most that many covers.
     """
     total = _dp_states(n, k)
     if total > AUDIT_MAX_OBJECTS:
         return total
     succ = {u: successors(u) for u in range(1, n + 1)}
-    top = min(k, n)
+    top = min(k, n, r)
     colorings = [perm(k, p) for p in range(k + 1)]  # the injective colorings of p edges
     traces = [0] * (min(r, k) + 1)  # tr(B^q)
     for root in range(1, n + 1):
@@ -568,7 +562,7 @@ def _audit_objects(n: int, k: int, r: int, successors) -> int:
 
     if total > AUDIT_MAX_OBJECTS or covers(1, 0, 0) or r > k:
         return total
-    # no cover has more than top = min(k, n) vertices, so q >= r - top
+    # no cover has more than top = min(k, n, r) vertices, so q >= r - top
     return total + colorings[r] * sum(
         traces[q] * counts[r - q] for q in range(max(1, r - top), r + 1)
     )

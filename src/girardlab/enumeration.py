@@ -15,17 +15,24 @@ zero); the enumerators never yield them.
 and color bitmasks beside the fields the masks are computed from.  Tuple
 equality and hashing read every field; every builder below gives the
 masks those fields give, so two walks are equal when their starts and
-steps are, and two subdigraphs when their cycles are.  A `Walk` is
-built from its start and steps, and derives the two masks.  A
-`LinearSubdigraph` takes its canonical cycles and those masks; this
-module alone defines the canonical form.  `linear_subdigraphs` passes
-the masks its search grew, `with_cycle` and `without_cycle` (the
-involution's excise and splice moves) add or take out one cycle's bits,
-and `make_subdigraph`, the entry for hand-built input, checks the cycles
-and computes their masks.  Each value keeps only what the package reads:
-a walk's vertex and color sets are its masks (bit i for vertex or color
-i), and the involution reads simplicity off the vertex mask; a
-subdigraph keeps `colors`, a set, for the demos to print.
+steps are, and two subdigraphs when their cycles are.  `Walk(start,
+steps)`, the entry for hand-built walks, derives the two masks; the
+builders that already hold them pass them through `_walk`:
+`closed_walks` the masks its search grew, and `involution.involute`
+the walk's masks OR the cycle's for a splice, and for an excise the
+walk's colors XOR the cycle's and the vertices of the steps that remain.
+A `LinearSubdigraph` takes its canonical cycles and those masks; this
+module defines the canonical form, which a cycle dropped from it keeps.
+`linear_subdigraphs` passes the masks its search grew, `with_cycle` (the
+excise) adds one cycle's bits, `involute`'s splice XORs them out, and
+`make_subdigraph`, the entry for hand-built input, checks the cycles and
+computes their masks.  The test
+`test_every_mask_matches_the_fields_it_is_computed_from` (in
+`tests/test_involution.py`) checks every builder's masks against
+`Walk(start, steps)` and the cycles.  Each value keeps only what the
+package reads: a walk's vertex and color sets are its masks (bit i for
+vertex or color i), and the involution reads simplicity off the vertex
+mask; a subdigraph keeps `colors`, a set, for the demos to print.
 
 Every search and DP reads the graph's out-edges, each with its weights in
 color order, from the table the graph builds once (`ColoredDigraph._out`).
@@ -101,7 +108,10 @@ class Walk(_WalkFields):
     A NamedTuple, built from `start` and `steps` alone: `__new__` derives
     the vertex and color bitmasks (bit i set for each vertex or color i)
     once, and a negative vertex or color has no bit, and raises
-    ValueError there.  Equality and hashing read every field, and the
+    ValueError there.  `closed_walks` and `involute` hold the masks
+    already, and pass them through `_walk`, which skips `__new__`; the
+    mask test of `tests/test_involution.py` compares their walks with
+    `Walk(start, steps)`.  Equality and hashing read every field, and the
     masks follow from the first two, so two walks are equal when their
     starts and steps are.  Whether a walk is closed, simple or
     color-distinct is the involution's to test (`classify`), from
@@ -132,11 +142,6 @@ class Walk(_WalkFields):
     def length(self) -> int:
         return len(self.steps)
 
-    def vertex_seq(self) -> tuple[int, ...]:
-        """All visited vertices in order, the start included at both ends
-        when the walk is closed."""
-        return (self.start, *(v for v, _ in self.steps))
-
     def edges(self) -> Iterator[Edge]:
         u = self.start
         for v, c in self.steps:
@@ -147,7 +152,18 @@ class Walk(_WalkFields):
         """The product of the edge weights, each read through
         `ColoredDigraph.weight`, which raises ValueError on an edge or a
         color the graph lacks."""
-        return prod(g.weight(u, v, c) for u, v, c in self.edges())
+        out, u = 1, self.start
+        for v, c in self.steps:
+            out *= g.weight(u, v, c)
+            u = v
+        return out
+
+
+def _walk(start: int, steps: tuple[tuple[int, int], ...], vertex_mask: int,
+          color_mask: int) -> Walk:
+    """The walk on `start` and `steps` with the masks its builder already
+    holds, unchecked, as `Walk._make` would make it."""
+    return tuple.__new__(Walk, (start, steps, vertex_mask, color_mask))
 
 
 def _cycle_masks(cycle: tuple[Edge, ...]) -> tuple[int, int]:
@@ -170,8 +186,8 @@ class LinearSubdigraph(NamedTuple):
     A NamedTuple of the canonical cycles and their vertex and color
     bitmasks (bit i set for each vertex or color i).  Each builder passes
     the masks it already holds: `linear_subdigraphs` those `_cycles_at`
-    grew, `with_cycle` and `without_cycle` this instance's with one
-    cycle's bits added or taken out.  `make_subdigraph` is the entry for
+    grew, `with_cycle` this instance's with one cycle's bits added, and
+    `involute`'s splice this instance's with one cycle's bits taken out.  `make_subdigraph` is the entry for
     hand-built cycles: it checks and canonicalizes them and computes their
     masks.  Equality and hashing read every field, and the masks follow
     from the cycles for every value those builders make.  As a tuple, a
@@ -198,12 +214,6 @@ class LinearSubdigraph(NamedTuple):
     def colors(self) -> frozenset[int]:
         return frozenset(e[2] for cycle in self.cycles for e in cycle)
 
-    def cycle_containing(self, v: int) -> tuple[Edge, ...]:
-        for cycle in self.cycles:
-            if any(e[0] == v for e in cycle):
-                return cycle
-        raise ValueError(f"no cycle contains vertex {v}")
-
     def with_cycle(self, cycle: Iterable[Edge]) -> LinearSubdigraph:
         """This subdigraph plus `cycle`, whose vertices and colors are not
         checked against its own.  Only the new cycle is rotated to its
@@ -215,12 +225,6 @@ class LinearSubdigraph(NamedTuple):
         vmask, cmask = _cycle_masks(cycle)
         return LinearSubdigraph(tuple(sorted((*self.cycles, cycle))),
                                 self.vertex_mask | vmask, self.color_mask | cmask)
-
-    def without_cycle(self, cycle: tuple[Edge, ...]) -> LinearSubdigraph:
-        """This subdigraph less one of its cycles."""
-        vmask, cmask = _cycle_masks(cycle)
-        return LinearSubdigraph(tuple(c for c in self.cycles if c != cycle),
-                                self.vertex_mask ^ vmask, self.color_mask ^ cmask)
 
     def weight(self, g: ColoredDigraph) -> int | Poly:
         """As `Walk.weight`: the product of `ColoredDigraph.weight` over
@@ -344,9 +348,10 @@ def closed_walks(g: ColoredDigraph, max_length: int) -> list[Walk]:
     cap = min(max_length, g.colors)
     out: list[Walk] = []
 
-    def extend(root: int, current: int, steps: list[tuple[int, int]], used_c: int) -> None:
+    def extend(root: int, current: int, steps: list[tuple[int, int]], used_v: int,
+               used_c: int) -> None:
         if steps and current == root:
-            out.append(Walk(root, tuple(steps)))
+            out.append(_walk(root, tuple(steps), used_v, used_c))
         left = cap - len(steps) - 1  # steps left after this one
         if left < 0:
             return
@@ -359,11 +364,11 @@ def closed_walks(g: ColoredDigraph, max_length: int) -> list[Walk]:
                 if used_c >> c & 1:
                     continue
                 steps.append((v, c))
-                extend(root, v, steps, used_c | 1 << c)
+                extend(root, v, steps, used_v | 1 << v, used_c | 1 << c)
                 steps.pop()
 
     for root in range(1, g.n + 1):
-        extend(root, root, [], 0)
+        extend(root, root, [], 1 << root, 0)
     return out
 
 

@@ -39,6 +39,8 @@ from .enumeration import (
     Edge,
     LinearSubdigraph,
     Walk,
+    _cycle_masks,
+    _walk,
     closed_walks,
     linear_subdigraphs,
 )
@@ -117,29 +119,52 @@ def involute(pair: WalkGammaPair) -> WalkGammaPair:
 
     Raises ValueError on a GOOD pair (the map is only defined on BAD
     ones): the scan below meets such a pair's first repeat at the walk's
-    closing root, with no gamma vertex before it.
+    closing root, with no gamma vertex before it.  The scan keeps the
+    vertices seen as a bitmask, and each image carries masks derived
+    from the pair's own: a splice ORs the cycle's into the walk's and
+    XORs them out of gamma's, and an excise XORs the cycle's colors out
+    of the walk's and takes the vertices of the steps that remain.
     """
     w = _checked_walk(pair)
     gamma = pair.gamma
-    gamma_mask = gamma.vertex_mask
-    seq = w.vertex_seq()
-    first_seen: dict[int, int] = {}
-    for i, v in enumerate(seq):
-        if gamma_mask >> v & 1:
+    steps = w.steps
+    v, seen = w.start, 0
+    for i, (after, _) in enumerate(steps):
+        bit = 1 << v
+        if gamma.vertex_mask & bit:
             # case 1: splice the cycle through v into the walk
-            cycle = gamma.cycle_containing(v)
-            new_steps = w.steps[:i] + _cycle_rooted_steps(cycle, v) + w.steps[i:]
-            return WalkGammaPair(Walk(w.start, new_steps), gamma.without_cycle(cycle))
-        if v in first_seen:
-            j = first_seen[v]
-            if j == 0 and i == len(seq) - 1:
-                raise ValueError("involution is undefined on GOOD pairs")
-            # case 2: excise the first completed cycle
-            cycle = tuple((seq[t], seq[t + 1], w.steps[t][1]) for t in range(j, i))
-            new_steps = w.steps[:j] + w.steps[i:]
-            return WalkGammaPair(Walk(w.start, new_steps), gamma.with_cycle(cycle))
-        first_seen[v] = i
-    raise AssertionError("BAD pair produced no case; classification is broken")
+            for cycle in gamma.cycles:
+                vmask, cmask = _cycle_masks(cycle)
+                if vmask & bit:
+                    break
+            else:
+                raise ValueError(f"no cycle contains vertex {v}")
+            new_steps = steps[:i] + _cycle_rooted_steps(cycle, v) + steps[i:]
+            rest = tuple(c for c in gamma.cycles if c is not cycle)
+            return WalkGammaPair(
+                _walk(w.start, new_steps, w.vertex_mask | vmask, w.color_mask | cmask),
+                LinearSubdigraph(rest, gamma.vertex_mask ^ vmask, gamma.color_mask ^ cmask))
+        if seen & bit:
+            # case 2: excise the first completed cycle, from v's first visit
+            j, u = 0, w.start
+            while u != v:
+                u = steps[j][0]
+                j += 1
+            cycle, cmask = [], 0
+            for head, c in steps[j:i]:
+                cycle.append((u, head, c))
+                cmask |= 1 << c
+                u = head
+            new_steps = steps[:j] + steps[i:]
+            vmask = 1 << w.start
+            for u, _ in new_steps:
+                vmask |= 1 << u
+            return WalkGammaPair(_walk(w.start, new_steps, vmask, w.color_mask ^ cmask),
+                                 gamma.with_cycle(cycle))
+        seen |= bit
+        v = after
+    # the walk is closed, so its last step returns to the root, seen first
+    raise ValueError("involution is undefined on GOOD pairs")
 
 
 def underlying_subdigraph(pair: WalkGammaPair) -> LinearSubdigraph:
@@ -217,21 +242,23 @@ class InvolutionAudit(NamedTuple):
 
 def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
     """Check every promise the involution makes, exhaustively, in one pass
-    over the pairs, all weighed up front.  A pair's weight is its walk's
-    weight times its subdigraph's signed weight, and each walk and each
-    subdigraph of the pairs is weighed once (`_pair_weights`).  The
-    subdigraphs are enumerated up to r edges: the pairs read the shorter
-    ones, and the GOOD check those of exactly r edges.
+    over the pairs, all weighed and classified up front.  A pair's weight
+    is its walk's weight times its subdigraph's signed weight, and each
+    walk and each subdigraph of the pairs is weighed once
+    (`_pair_weights`).  Each pair is classified once, into a list by
+    position.  The subdigraphs are enumerated up to r edges: the pairs
+    read the shorter ones, and the GOOD check those of exactly r edges.
 
     * every BAD pair maps to a distinct BAD pair, back to itself on the
       second application, with negated weight (a perfect matching, so the
       BAD weights cancel).  Each BAD pair adds its weight to the BAD sum.
       A BAD pair not yet met is sent through `involute`, its image looked
-      up by position, classified, and checked against it, and the image
-      is marked met, so it is skipped on its own turn.  So a perfect
-      matching costs one `involute` call per BAD pair.  An `involute` that
-      refuses a pair classified BAD, or its image, is one problem for that
-      pair, and the audit goes on;
+      up by position j (the image is `pairs[j]`, so its class is the one
+      listed at j), and checked against it, and the image is marked met,
+      so it is skipped on its own turn.  So a perfect matching costs one
+      `involute` call per BAD pair, and the audit one `classify` call per
+      pair.  An `involute` that refuses a pair classified BAD, or its
+      image, is one problem for that pair, and the audit goes on;
     * each GOOD pair joins the group of its underlying subdigraph, gamma
       with the walk's cycle added (the pass has classified it, so the
       grouping does not call `underlying_subdigraph`, which classifies
@@ -268,13 +295,14 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
             problems.append("involute refuses a pair classified BAD")
             return None
 
+    kinds = [classify(pair) for pair in pairs]
     groups: dict[LinearSubdigraph, list] = {}  # subdigraph -> its GOOD pairs' weights
     bad_sum = 0
     met = bytearray(len(pairs))  # the BAD pairs met, by position
     for i, pair in enumerate(pairs):
         if pair.total_length != r:
             problems.append(f"pair has total length {pair.total_length}, wanted {r}")
-        if classify(pair) == GOOD:
+        if kinds[i] == GOOD:
             groups.setdefault(pair.gamma.with_cycle(pair.walk.edges()), []).append(weights[i])
             continue
         bad_sum += weights[i]
@@ -288,7 +316,7 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
         if j is None:
             problems.append("involution image escapes the enumerated pairs")
             continue
-        if classify(image) == GOOD:
+        if kinds[j] == GOOD:  # the image is pairs[j]
             # involute is defined on BAD pairs only
             problems.append("involution image is GOOD")
             continue

@@ -880,9 +880,9 @@ REFUSED = {
                              "--roots must list exactly n = 3 integers"),
     "verify lemma21": ("--alpha 2 --c 1,two,3",
                        "--c must be a comma-separated list of integers"),
-    "involution audit": ("--random --n 6 --k 5 --r 1 --trials 1",
-                         "involution audit --r 1 on 1 random graph(s) counted as dense "
-                         "would need at least 40,019 DP states, closed walks, linear "
+    "involution audit": ("--random --n 6 --k 5 --r 3 --trials 1",
+                         "involution audit --r 3 on 1 random graph(s) counted as dense "
+                         "would need at least 60,564 DP states, closed walks, linear "
                          "subdigraphs and pairs; the limit is 40,000"),
     "powersum": ("--m 1000 --n 1000 --method all", "powersum --m 1000 --n 1000 would "
                  "need 1,000,000 power and recurrence steps; the limit is 400,000"),
@@ -1062,7 +1062,7 @@ def test_theorem3_refuses_oversized_work_up_front(argv, count, capsys):
          "32,637,938,274 64-bit words"),
         ("involution audit --random --n 2 --k 2 --r 2 --trials 20000",
          "at least 1,360,000 DP states, closed walks, linear subdigraphs and pairs"),
-        ("involution audit --random --n 6 --k 5 --r 1 --trials 1", "at least 40,019 DP"),
+        ("involution audit --random --n 6 --k 5 --r 3 --trials 1", "at least 60,564 DP"),
         ("involution audit --random --n 1 --k 15 --r 1 --trials 1", "at least 65,536 DP"),
         ("involution audit --random --n 1000000000000 --k 3 --r 3 --trials 1",
          "the limit is 40,000"),
@@ -1088,7 +1088,7 @@ def test_theorem3_refuses_oversized_work_up_front(argv, count, capsys):
         ("verify theorem2 --random --n 6 --k 6 --r 6 --trials 1 --weight-bound NINES4000",
          "(208-word weights) would need 34,518,016 weight products"),
         ("involution audit --random --n 5 --k 5 --r 2 --trials 1 --weight-bound NINES4000",
-         "(208-word weights) would need at least 7,477,600 DP states"),
+         "(208-word weights) would need at least 738,400 DP states"),
     ],
 )
 def test_oversized_work_is_refused_up_front(argv, count, capsys):
@@ -1106,7 +1106,7 @@ def test_oversized_work_is_refused_up_front(argv, count, capsys):
     "command, n, k, dense, r, count",
     [
         ("involution audit", 5, 5, True, 5, "at least 459,625 DP states"),
-        ("involution audit", 12, 6, True, 2, "at least 40,620 DP states"),
+        ("involution audit", 12, 6, True, 3, "at least 230,184 DP states"),
         ("involution audit", 3, 6, True, 4, "at least 118,998 DP states"),
         ("verify theorem2", 6, 12, True, 6, "21,233,664 weight products"),
         ("verify theorem2", 6, 10, True, 6, "4,423,680 weight products"),
@@ -1145,7 +1145,7 @@ def huge_weight_graph(n, k, seed):
     "command, n, k, r, count",
     [
         ("verify theorem2", 6, 6, 6, "(208-word weights) would need 34,518,016 weight"),
-        ("involution audit", 5, 5, 2, "(208-word weights) would need at least 7,477,600 DP"),
+        ("involution audit", 5, 5, 2, "(208-word weights) would need at least 738,400 DP"),
     ],
 )
 def test_graph_file_with_huge_weights_is_refused_up_front(command, n, k, r, count,
@@ -1254,7 +1254,7 @@ def test_audit_object_count_is_exact():
     # subdigraphs and (walk, gamma) pairs the audit enumerates
     def enumerated(g, r):
         states = 2 * g.n * g.n * 2**g.colors
-        subdigraphs = linear_subdigraphs(g, g.colors)
+        subdigraphs = linear_subdigraphs(g, r)
         return (states + len(closed_walks(g, r)) + len(subdigraphs)
                 + len(enumerate_pairs(g, r, subdigraphs)))
 
@@ -1281,9 +1281,9 @@ def test_audit_object_count_is_exact():
 def dense_audit_objects(n, k, r):
     """`cli._audit_objects` of the dense graph (every edge, loops too) in
     closed form: tr(B^q) = n^q, and the p-vertex covers are the n!/(n-p)!
-    arrangements."""
+    arrangements, p <= min(k, r) (perm(n, p) is 0 past n)."""
     walks = sum(n**q * math.perm(k, q) for q in range(1, r + 1))
-    subdigraphs = sum(math.perm(n, p) * math.perm(k, p) for p in range(1, k + 1))
+    subdigraphs = sum(math.perm(n, p) * math.perm(k, p) for p in range(1, min(k, r) + 1))
     pairs = math.perm(k, r) * sum(n**q * math.perm(n, r - q) for q in range(1, r + 1))
     return cli._dp_states(n, k) + walks + subdigraphs + pairs
 
@@ -1301,9 +1301,12 @@ def test_dense_audit_count_closed_form():
 # every used-column set of its cover DP, and dense n = 22 at k = 1 (a 0.01 s
 # audit) ran past 60 s before it started; n = 100 at k = 1 counts the DP
 # states alone at the limit, 40,000.  Dense (60, 2) at r = 1 is accepted; its
-# audit took 5 s while the subdigraph search went on after the last color
+# audit took 5 s while the subdigraph search went on after the last color.
+# Dense (35, 4) at r = 1 is charged the loops alone of its covers, 39,620,
+# as its audit builds no longer subdigraph; the audit took 0.57 s
 @pytest.mark.parametrize("n, k, r, code", [
     (22, 1, 1, 0), (100, 1, 1, 2), (70, 2, 2, 2), (50, 3, 3, 2), (60, 2, 1, 0),
+    (35, 4, 1, 0),
 ])
 def test_a_large_audit_with_few_colors_is_counted_at_once(n, k, r, code):
     assert code == (2 if dense_audit_objects(n, k, r) > cli.AUDIT_MAX_OBJECTS else 0)
@@ -1315,9 +1318,10 @@ def test_a_large_audit_with_few_colors_is_counted_at_once(n, k, r, code):
 
 
 # dense audits near the DP bound at k = 4 and 5: on a shared 2-core host the
-# exact cover count took 1.5-2.0 s, 0.55-0.7 s and 0.7-0.8 s to refuse them
-# before the count stopped at the limit
-@pytest.mark.parametrize("n, k, r", [(35, 4, 1), (25, 5, 2), (30, 4, 2)])
+# exact cover count took 0.55-0.7 s and 0.7-0.8 s to refuse the last two
+# before the count stopped at the limit (and 1.5-2.0 s for (35, 4, 1), which
+# was charged every cover up to 4 edges then)
+@pytest.mark.parametrize("n, k, r", [(36, 4, 1), (25, 5, 2), (30, 4, 2)])
 def test_a_dense_audit_near_the_dp_bound_is_refused_at_once(n, k, r, capsys):
     # the "at least" count is a lower bound on the exact one, past the limit
     every = range(1, n + 1)
@@ -1333,13 +1337,16 @@ def test_a_dense_audit_near_the_dp_bound_is_refused_at_once(n, k, r, capsys):
 
 def test_a_loopless_dense_graph_file_near_the_dp_bound_is_refused_at_once(tmp_path, capsys):
     # every cover of this graph has a 2-cycle or longer, so no bound from
-    # looped vertices helps; the exact cover count took about 1.7 s to refuse it
+    # looped vertices helps; the exact cover count took about 1.7 s to refuse
+    # it at r = 1, when it was charged covers of up to 4 edges.  At r = 1 the
+    # audit builds no cover, and is charged the DP states alone, 39,200
     n, k = 35, 4
     g = ColoredDigraph(n, k, {(u, v): [1] * k for u in range(1, n + 1)
                                for v in range(1, n + 1) if u != v})
+    assert cli._audit_objects(n, k, 1, g.successors) == cli._dp_states(n, k)
     path = write_graph(tmp_path, g)
     started = time.perf_counter()
-    assert main(["involution", "audit", "--graph", path, "--r", "1"]) == 2
+    assert main(["involution", "audit", "--graph", path, "--r", "2"]) == 2
     assert time.perf_counter() - started < 0.5
     assert "would need at least" in capsys.readouterr().err
 

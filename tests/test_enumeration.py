@@ -50,7 +50,6 @@ def walks_of_length(g: ColoredDigraph, q: int) -> list[Walk]:
 def test_walk_basic_queries():
     w = Walk(1, ((2, 1), (1, 2)))
     assert w.length == 2
-    assert w.vertex_seq() == (1, 2, 1)
     assert list(w.edges()) == [(1, 2, 1), (2, 1, 2)]
 
 
@@ -83,7 +82,7 @@ def _facts_graphs():
 
 
 def test_walk_and_subdigraph_facts_agree_with_their_definitions():
-    # a walk's masks and vertex sequence are derived from its steps, and
+    # a walk's masks are derived from its start and steps, and
     # `classify` reads its simplicity off the vertex mask; an enumerated
     # subdigraph's masks and length must be what its cycles give
     seen = 0
@@ -93,8 +92,7 @@ def test_walk_and_subdigraph_facts_agree_with_their_definitions():
         extra = [Walk(1, ()), Walk(1, ((2, 1),)), Walk(1, ((1, 1), (1, 2))),
                  Walk(1, ((2, 1), (2, 2)))]
         for w in closed_walks(g, g.colors) + extra:
-            seq = w.vertex_seq()
-            assert seq == (w.start,) + tuple(v for v, _ in w.steps)
+            seq = (w.start,) + tuple(v for v, _ in w.steps)
             assert w.vertex_mask == _bits(seq)
             assert w.color_mask == _bits(c for _, c in w.steps)
             interior = seq[:-1]
@@ -182,9 +180,7 @@ def test_subdigraph_queries():
     assert gamma.length == 3
     assert len(gamma.cycles) == 2
     assert gamma.colors == frozenset({1, 2, 3})
-    assert gamma.cycle_containing(2) == ((1, 2, 1), (2, 1, 2))
-    with pytest.raises(ValueError):
-        gamma.cycle_containing(4)
+    assert gamma.cycles == (((1, 2, 1), (2, 1, 2)), ((3, 3, 3),))
     assert EMPTY_SUBDIGRAPH.length == 0
 
 
@@ -254,7 +250,7 @@ def test_closed_walk_census_on_the_loop_graph():
     assert closed_walks(g, 5) == walks  # capped by the color count
     with pytest.raises(TypeError):  # the cap has no default
         closed_walks(g)
-    assert all(w.vertex_seq()[-1] == w.start for w in walks)
+    assert all(w.steps[-1][0] == w.start for w in walks)
     assert all(len({c for _, c in w.steps}) == w.length for w in walks)
 
 
@@ -408,7 +404,7 @@ def _facts_from_cycles(gamma) -> tuple[int, int, int]:
 
 def test_enumerated_subdigraphs_keep_the_constructor_facts():
     # every builder passes the masks it holds: the enumerator those it
-    # grew, involute's with_cycle and without_cycle one cycle's bits more
+    # grew, involute's excise (with_cycle) and splice one cycle's bits more
     # or less, make_subdigraph those of hand-built cycles; each subdigraph's
     # length and masks must be what its cycles give
     rng = random.Random(4242)

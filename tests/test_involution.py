@@ -67,6 +67,28 @@ def test_involute_hand_trace():
     assert involute(image) == pair
 
 
+def test_involute_excises_a_cycle_whose_vertex_stays_on_the_walk():
+    # 1 -> 2, a loop at 2, 2 -> 1: the first revisit is vertex 2, and 2
+    # stays on the walk once its loop is excised
+    pair = WalkGammaPair(Walk(1, ((2, 1), (2, 2), (1, 3))), EMPTY_SUBDIGRAPH)
+    image = involute(pair)
+    # Walk(start, steps) derives the masks the image must carry
+    assert image.walk == Walk(1, ((2, 1), (1, 3)))
+    assert image.gamma == make_subdigraph([[(2, 2, 2)]])
+    assert involute(image) == pair
+
+
+def test_involute_excises_a_cycle_whose_vertex_leaves_the_walk():
+    # 1 -> 2 -> 3 -> 2 -> 1: the cycle 2 -> 3 -> 2 is excised, and vertex 3
+    # leaves the walk, so its bit must leave the vertex mask
+    pair = WalkGammaPair(Walk(1, ((2, 1), (3, 2), (2, 3), (1, 4))), EMPTY_SUBDIGRAPH)
+    image = involute(pair)
+    assert image.walk == Walk(1, ((2, 1), (1, 4)))
+    assert image.walk.vertex_mask == 1 << 1 | 1 << 2
+    assert image.gamma == make_subdigraph([[(2, 3, 2), (3, 2, 3)]])
+    assert involute(image) == pair
+
+
 def test_involute_checks_gamma_before_cycle_completion():
     # both moves are available: the walk revisits its root *and* touches
     # gamma.  The gamma test runs first at the earlier vertex.
@@ -132,8 +154,7 @@ def test_involute_images_carry_the_facts_of_their_walks_and_subdigraphs():
                     continue
                 image = involute(pair)
                 w, gamma = image.walk, image.gamma
-                seq = w.vertex_seq()
-                assert seq == (w.start,) + tuple(v for v, _ in w.steps)
+                seq = (w.start,) + tuple(v for v, _ in w.steps)
                 # classify reads simplicity off the vertex mask, and
                 # refuses a walk that is not closed
                 simple = len(set(seq[:-1])) == w.length
@@ -327,12 +348,15 @@ def test_walks_are_enumerated_only_by_the_audit(monkeypatch):
 
 def test_audit_weighs_each_pair_once_and_involutes_each_bad_pair_once(monkeypatch):
     # the BAD pairs are walked as couples: one involute per pair of a couple
-    # (its image, then the image's image).  The pairs are weighed from
+    # (its image, then the image's image), and one classify per pair, whose
+    # class an image reads at its position.  The pairs are weighed from
     # their walks and subdigraphs, each weighed once: the subdigraphs of
     # the pairs, and the r-edge ones of the GOOD groups
     weighed = []
     involuted = []
+    classified = []
     original_involute = involution.involute
+    original_classify = involution.classify
 
     def counted(cls):
         original = cls.weight
@@ -346,9 +370,14 @@ def test_audit_weighs_each_pair_once_and_involutes_each_bad_pair_once(monkeypatc
         involuted.append(pair)
         return original_involute(pair)
 
+    def counted_classify(pair):
+        classified.append(pair)
+        return original_classify(pair)
+
     counted(enumeration.Walk)
     counted(enumeration.LinearSubdigraph)
     monkeypatch.setattr(involution, "involute", counted_involute)
+    monkeypatch.setattr(involution, "classify", counted_classify)
     g = random_digraph(3, 4, 1.0, 3, seed=41)
     subdigraphs = linear_subdigraphs(g, g.colors)
     for r in range(2, 5):  # both cases: r <= n and r > n; r = 1 has no BAD
@@ -357,6 +386,7 @@ def test_audit_weighs_each_pair_once_and_involutes_each_bad_pair_once(monkeypatc
         gammas = {pair.gamma for pair in pairs} | {s for s in subdigraphs if s.length == r}
         weighed.clear()
         involuted.clear()
+        classified.clear()
         audit = audit_involution(g, r)
         assert audit.ok
         assert audit.bad_count > 0
@@ -365,6 +395,8 @@ def test_audit_weighs_each_pair_once_and_involutes_each_bad_pair_once(monkeypatc
         assert set(weighed) == walks | gammas
         assert len(involuted) == audit.bad_count
         assert len(set(involuted)) == audit.bad_count
+        # each pair is classified once, an image at its own position
+        assert len(classified) == audit.pair_count
 
 
 def test_audit_reports_an_image_that_is_good(monkeypatch):
