@@ -289,10 +289,11 @@ def _note_vacuous(report: RunReport, trials: int, r: int, k: int) -> None:
 
 
 def _theorem1_work(m: int, r: int, limit: int) -> int:
-    """The work of the right side: the variable codes the 2^m - 1 products
-    Pi_r(V) write, partial products included, plus the m * 2^m (mask, bit)
-    visits of its subset transform, which dominate at r = 1.  Step j of a V
-    of size k builds k^j monomials of j codes, so the codes number
+    """The work of the right side: the variable codes of the monomials the
+    2^m - 1 products Pi_r(V) write, partial products included, one code per
+    unit of degree, plus the m * 2^m (mask, bit) visits of its subset
+    transform, which dominate at r = 1.  Step j of a V of size k builds k^j
+    monomials of degree j, so the codes number
     sum_k C(m, k) * sum_{j <= r} j * k^j.  The lhs and the good-word oracle
     build fewer.  The sum over k stops at the first partial sum past
     `limit`, and the visits are added only to a code count within it, so a

@@ -144,8 +144,7 @@ def _assemble(
     return NewtonReport(
         case="r>n" if r > n else "r<=n",
         breakdown=breakdown,
-        # Poly.const(r) coerces an int sum, and a constant left factor
-        # multiplies a symbolic one without re-sorting its monomials
+        # Poly.const(r) coerces an int sum
         aggregated_correction=Poly.const(r) * _closing_sum(ell, r),
         residual=poly_sum(residuals.values()),
         residuals=residuals,

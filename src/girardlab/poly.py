@@ -15,16 +15,22 @@ text.
 
 Representation.  At the interface a monomial is a sorted tuple of
 (variable, exponent) pairs with positive exponents (``Monomial``).
-Inside a ``Poly`` it is a sorted tuple of int variable codes, each code
-repeated once per unit of exponent, and the unit monomial is ``()``.
-The code of a variable is family + F·Cantor(sub, sup), F the number of
-families, a bijection with no lookup table behind it, so any number of
-threads can encode and decode at once.  A monomial product is
-``tuple(sorted(m1 + m2))``, one C-level merge of two sorted runs, with no
-exponent bound to guard; a product of polynomials with s and t terms
-costs s * t of them.  Codes are turned back into variables only where a
-caller sees monomials: ``terms``, ``variables``, ``evaluate`` and the
-text form.
+Inside a ``Poly`` it is an int, the product of p(v)^e over its variables
+v, and the unit monomial is ``1``.  Here p(v) is the prime that a
+process-wide registry gives to the code of v the first time that code is
+used: the least prime not yet given, so the primes given are the first
+few in order and none is built at import.  The code of a variable is
+family + F·Cantor(sub, sup), F the number of families, a bijection with
+no lookup table behind it.  A registry read takes no lock; a miss
+registers its prime under `_REGISTRY_LOCK`, and lists it for decoding
+before publishing it, so any number of threads can encode and decode at
+once.  A monomial product is ``m1 * m2``, one int multiplication, with
+no exponent bound to guard; a product of polynomials with s and t terms
+costs s * t of them.  A monomial is decoded, by trial division over the
+registered primes until the cofactor is 1, only where a caller sees
+variables: ``terms``, ``variables``, ``evaluate``, the text form and
+pickling.  Primes differ from one process to the next, so a pickle holds
+variable codes, never the ints.
 
 Text form: terms are ordered by descending total degree, ties broken by
 the variable order, and rendered like ``3*x[1]^(1)*y[2] - y[3]``.  An
@@ -33,8 +39,9 @@ exponent >= 2 is a trailing ``^e`` after the variable, e.g. ``y[2]^3`` or
 name, the bare one is the power).  ``parse_poly`` reads this format
 back, and the round trip is its grammar: it refuses a text unless ``str``
 writes exactly that text for what was read.  It is the one route by which
-a caller hands the ring an exponent, and nothing bounds it: ``y[1]^e``
-becomes a monomial of e codes.
+a caller hands the ring an exponent, and it refuses one above
+`_MAX_EXPONENT` before building any power: decoding p^e divides e times,
+so its cost grows as e squared.
 
 Canonical form is kept in one place: `_merge`, which adds terms into a
 map, and `_add_product`, the one product kernel, which adds p * q into a
@@ -48,7 +55,7 @@ from __future__ import annotations
 
 import re
 import sys
-from itertools import groupby
+import threading
 from math import isqrt
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -117,8 +124,6 @@ def avar(j: int, i: int) -> VarId:
 # exponents >= 1.  The empty tuple is the unit monomial.
 Monomial = tuple  # tuple[tuple[VarId, int], ...]
 
-_UNIT: Monomial = ()
-
 
 def _var_code(v: VarId) -> int:
     """family + F * Cantor(sub, sup), F the number of families: a bijection
@@ -145,8 +150,57 @@ def _code_var(code: int) -> VarId:
     return VarId(family, w - sup, sup)
 
 
-def _decode(codes: tuple[int, ...]) -> Monomial:
-    return tuple(sorted((_code_var(c), len(list(run))) for c, run in groupby(codes)))
+# The prime registry: `_PRIMES` maps a variable code to its prime, and
+# `_REGISTERED` lists the (prime, code) pairs in the order given, which is
+# ascending prime order.
+_PRIMES: dict[int, int] = {}
+_REGISTERED: list[tuple[int, int]] = []
+_REGISTRY_LOCK = threading.Lock()
+
+
+def _prime(code: int) -> int:
+    """The prime of variable code `code`; on a miss, the least prime above
+    every one given.  A pair is listed before its code is published, so
+    `_factor` knows every prime a monomial can hold."""
+    p = _PRIMES.get(code)
+    if p is None:
+        with _REGISTRY_LOCK:
+            p = _PRIMES.get(code)
+            if p is None:
+                p = _REGISTERED[-1][0] + 1 if _REGISTERED else 2
+                while not all(p % q for q in range(2, isqrt(p) + 1)):
+                    p += 1
+                _REGISTERED.append((p, code))
+                _PRIMES[code] = p
+    return p
+
+
+def _monomial(powers: Iterable[tuple[int, int]]) -> int:
+    """The monomial of (code, exponent) pairs."""
+    mono = 1
+    for code, e in powers:
+        mono *= _prime(code) ** e
+    return mono
+
+
+def _factor(mono: int) -> list[tuple[int, int]]:
+    """The (code, exponent) pairs of `mono`, in registry order, by trial
+    division over the registered primes until the cofactor is 1."""
+    powers = []
+    for p, code in _REGISTERED:
+        if mono == 1:
+            break
+        e = 0
+        while mono % p == 0:
+            mono //= p
+            e += 1
+        if e:
+            powers.append((code, e))
+    return powers
+
+
+def _decode(mono: int) -> Monomial:
+    return tuple(sorted((_code_var(code), e) for code, e in _factor(mono)))
 
 
 def _term_sort_key(m: Monomial):
@@ -155,8 +209,8 @@ def _term_sort_key(m: Monomial):
     return (-sum(e for _, e in m), tuple((v, -e) for v, e in m))
 
 
-def _merge(data: dict, terms: Iterable[tuple[tuple[int, ...], int]], sign: int = 1) -> dict:
-    """Add sign * coeff into `data` for each (code monomial, coeff) of
+def _merge(data: dict, terms: Iterable[tuple[int, int]], sign: int = 1) -> dict:
+    """Add sign * coeff into `data` for each (monomial, coeff) of
     `terms`, dropping every coefficient that cancels to zero; returns
     `data`.  sign is 1 or -1, taken by a branch: a product per term would
     cost a new int per term, about 10% of a large sum."""
@@ -171,15 +225,14 @@ def _merge(data: dict, terms: Iterable[tuple[tuple[int, ...], int]], sign: int =
 
 
 def _add_product(data: dict, left: dict, right: dict) -> dict:
-    """Add the product of the code-monomial maps `left` and `right` into
+    """Add the product of the monomial maps `left` and `right` into
     `data`, dropping every coefficient that cancels to zero; returns
     `data`.  The hot loop of theorem3: it makes no map per product and
-    calls no `_merge` per row.  A constant left factor needs no sort, so
-    a caller puts a constant on the left."""
+    calls no `_merge` per row."""
     get = data.get
     for m1, c1 in left.items():
         for m2, c2 in right.items():
-            mono = tuple(sorted(m1 + m2)) if m1 else m2
+            mono = m1 * m2
             new = get(mono, 0) + c1 * c2
             if new:
                 data[mono] = new
@@ -197,8 +250,8 @@ class Poly:
     coefficient} mapping.  Ints coerce in mixed arithmetic, so `2 * p + 1`
     works.  A coefficient that is a bool or not an int is a TypeError, and
     a `VarId` that `xvar`, `yvar` or `avar` would not return is a
-    ValueError, so every `Poly` has a text form that `parse_poly` reads
-    back.
+    ValueError, so every `Poly` has a text form, which `parse_poly` reads
+    back unless a product raised a variable past `_MAX_EXPONENT`.
     """
 
     __slots__ = ("_terms",)
@@ -218,18 +271,18 @@ class Poly:
 
     @staticmethod
     def const(c: int) -> "Poly":
-        return _poly({_UNIT: c} if _coefficient(c) else {})
+        return _poly({1: c} if _coefficient(c) else {})
 
     @staticmethod
     def variable(v: VarId) -> "Poly":
-        return _poly({(_var_code(_checked_var(v)),): 1})
+        return _poly({_prime(_var_code(_checked_var(v))): 1})
 
     # -- basic queries -----------------------------------------------------
 
     def constant_value(self) -> int:
         """The value of a constant polynomial; raises on a non-constant one."""
-        if self._terms.keys() <= {_UNIT}:
-            return self._terms.get(_UNIT, 0)
+        if self._terms.keys() <= {1}:
+            return self._terms.get(1, 0)
         raise ValueError(f"polynomial is not constant: {self}")
 
     def term_count(self) -> int:
@@ -242,7 +295,7 @@ class Poly:
         yield from decoded
 
     def variables(self) -> frozenset[VarId]:
-        return frozenset(map(_code_var, {c for mono in self._terms for c in mono}))
+        return frozenset(map(_code_var, {c for mono in self._terms for c, _ in _factor(mono)}))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -296,12 +349,16 @@ class Poly:
 
     def __hash__(self) -> int:
         terms = self._terms
-        if terms.keys() <= {_UNIT}:  # a constant hashes as the int it equals
-            return hash(terms.get(_UNIT, 0))
+        if terms.keys() <= {1}:  # a constant hashes as the int it equals
+            return hash(terms.get(1, 0))
         return hash(frozenset(terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
+
+    def __reduce__(self):
+        # primes are given per process, so a pickle holds variable codes
+        return _from_codes, (tuple((tuple(_factor(m)), c) for m, c in self._terms.items()),)
 
     # -- evaluation and text -----------------------------------------------
 
@@ -311,13 +368,14 @@ class Poly:
         total = 0
         for mono, coeff in self._terms.items():
             val = coeff
-            for code in mono:
+            # in code order, so every process names the same missing variable
+            for code, e in sorted(_factor(mono)):
                 if code not in values:
                     v = _code_var(code)
                     if v not in assignment:
                         raise ValueError(f"assignment missing variable {v}")
                     values[code] = assignment[v]
-                val *= values[code]
+                val *= values[code] ** e
             total += val
         return total
 
@@ -356,10 +414,16 @@ def value_text(value: object) -> str:
 
 
 def _poly(data: dict) -> Poly:
-    """Wrap `data`, a code-monomial map that is already canonical."""
+    """Wrap `data`, a monomial map that is already canonical."""
     out = Poly.__new__(Poly)
     out._terms = data
     return out
+
+
+def _from_codes(terms: Iterable[tuple[Iterable[tuple[int, int]], int]]) -> Poly:
+    """The `Poly` of ((code, exponent) pairs, coefficient) terms, as
+    `Poly.__reduce__` writes them."""
+    return _poly({_monomial(powers): coeff for powers, coeff in terms})
 
 
 def poly_sum(items: Iterable[Poly]) -> Poly:
@@ -373,9 +437,9 @@ def poly_sum(items: Iterable[Poly]) -> Poly:
 def poly_dot(pairs: Iterable[tuple[int | Poly, int | Poly]]) -> Poly:
     """The sum of p * q over `pairs`, each factor an int or a `Poly`, with
     one accumulator: no product becomes a `Poly` of its own.  int * int
-    pairs add up as plain ints; the others go through `_add_product`,
-    with an int factor on the left.  A factor that is neither, a bool
-    included, is a TypeError whatever its partner."""
+    pairs add up as plain ints; the others go through `_add_product`.  A
+    factor that is neither, a bool included, is a TypeError whatever its
+    partner."""
     data: dict = {}
     const = 0
     for p, q in pairs:
@@ -387,8 +451,8 @@ def poly_dot(pairs: Iterable[tuple[int | Poly, int | Poly]]) -> Poly:
         elif not isinstance(q, Poly):
             const += _coefficient(p) * _coefficient(q)
         elif _coefficient(p):
-            _add_product(data, {_UNIT: p}, q._terms)
-    return _poly(_merge(data, ((_UNIT, const),)))
+            _add_product(data, {1: p}, q._terms)
+    return _poly(_merge(data, ((1, const),)))
 
 
 def poly_prod(items: Iterable[Poly]) -> Poly:
@@ -406,6 +470,8 @@ class PolyParseError(ValueError):
     """Raised when polynomial text does not match the canonical format."""
 
 
+# The largest exponent `parse_poly` reads, of each variable in a term.
+_MAX_EXPONENT = 10_000
 _LETTERS = {letter: family for family, (letter, _) in enumerate(_FAMILIES)}
 # A factor: a sign it may carry, then a magnitude or a variable with the
 # power it may carry.  An index is a positive int, so each variable matched
@@ -416,10 +482,12 @@ _FACTOR_RE = re.compile(
 _SPLIT_RE = re.compile(r"\s+([+-])\s+")
 
 
-def _parse_term(sign: str, term: str) -> tuple[tuple[int, ...], int]:
-    """A term and the sign before it, as (code monomial, coefficient)."""
+def _parse_term(sign: str, term: str) -> tuple[int, int]:
+    """A term and the sign before it, as (monomial, coefficient).  Each
+    variable's exponent is checked against `_MAX_EXPONENT`, its digits
+    before they are read as an int, and the monomial is built once."""
     coeff = -1 if sign == "-" else 1
-    codes: list[int] = []
+    powers: dict[int, int] = {}
     for piece in term.split("*"):
         m = _FACTOR_RE.fullmatch(piece)
         if m is None:
@@ -435,8 +503,12 @@ def _parse_term(sign: str, term: str) -> tuple[tuple[int, ...], int]:
         if (sup is not None) != has_sup:
             need = "need a" if has_sup else "take no"
             raise PolyParseError(f"{letter} variables {need} superscript: {piece!r}")
-        codes += [_var_code(VarId(family, int(sub), int(sup or 0)))] * int(power or 1)
-    return tuple(sorted(codes)), coeff
+        too_long = power is not None and len(power.lstrip("0")) > len(str(_MAX_EXPONENT))
+        code = _var_code(VarId(family, int(sub), int(sup or 0)))
+        e = powers[code] = powers.get(code, 0) + (0 if too_long else int(power or 1))
+        if too_long or e > _MAX_EXPONENT:
+            raise PolyParseError(f"exponent past the limit of {_MAX_EXPONENT}: {piece!r}")
+    return _monomial(powers.items()), coeff
 
 
 def parse_poly(text: str) -> Poly:

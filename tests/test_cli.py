@@ -1416,8 +1416,9 @@ def test_lemma21_word_count_is_its_closed_form_and_bounds_the_row():
 
 
 def test_theorem1_code_count_is_exact():
-    # the count is what Poly writes: every code of every monomial of every
-    # partial product of every Pi_r(V), V a nonempty subset of [m]
+    # the count is the total degree of every monomial of every partial
+    # product of every Pi_r(V), V a nonempty subset of [m]: the variable
+    # codes a product writes, one per unit of exponent
     for m in range(1, 5):
         for r in range(1, 5):
             written = 0
@@ -1426,7 +1427,7 @@ def test_theorem1_code_count_is_exact():
                     out = Poly.one()
                     for j in range(1, r + 1):
                         out = out * poly_sum(Poly.variable(xvar(i, j)) for i in v)
-                        written += sum(len(mono) for mono in out._terms)
+                        written += sum(e for mono, _ in out.terms() for _, e in mono)
             # the charge adds the transform's visits: every bit of every mask
             assert cli._theorem1_work(m, r, 10**9) == written + m * 2**m, (m, r)
 

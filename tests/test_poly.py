@@ -1,16 +1,21 @@
 import functools
+import pickle
 import random
+import subprocess
 import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import girardlab
 from girardlab import (
     Poly, PolyParseError, VarId, avar, parse_poly, poly_dot, poly_prod, poly_sum, xvar, yvar,
 )
-from girardlab.poly import _FAMILIES, _code_var, _var_code
+from girardlab.poly import _FAMILIES, _PRIMES, _REGISTERED, _code_var, _var_code
 
 X11 = Poly.variable(xvar(1, 1))
 X21 = Poly.variable(xvar(2, 1))
@@ -72,6 +77,11 @@ def test_evaluate():
 def test_evaluate_missing_variable_names_it():
     with pytest.raises(ValueError, match=r"y\[3\]"):
         (X11 + Y3).evaluate({xvar(1, 1): 1})
+    # of two missing in one monomial, the one of lower code, whichever
+    # was made first
+    late, early = Poly.variable(yvar(9402)), Poly.variable(yvar(9401))
+    with pytest.raises(ValueError, match=r"y\[9401\]"):
+        (late * early).evaluate({})
 
 
 def test_variable_index_validation():
@@ -257,6 +267,77 @@ def test_no_exponent_cap():
     p = parse_poly(text)
     assert str(p) == text
     assert dict(p.terms()) == {((xvar(2, 3), 300),): 1, ((yvar(2), 257), (avar(1, 1), 1)): -7}
+
+
+def test_an_exponent_past_the_limit_is_refused():
+    # decoding p^e divides e times, so a few more digits of exponent would
+    # ask for minutes; the digits are measured before any power is built
+    for text in ["y[1]^3000000", "y[1]^10001", "y[1]^6000*y[1]^6000", "y[1]^" + "9" * 100]:
+        with pytest.raises(PolyParseError, match="limit of 10000"):
+            parse_poly(text)
+    assert str(parse_poly("y[1]^10000")) == "y[1]^10000"
+
+
+# Run by a child interpreter: it makes the variables of the parent's test in
+# the opposite order, so it gives them other primes, and pickles a `Poly`.
+PICKLING_CHILD = """
+import pickle, sys
+sys.path.insert(0, sys.argv[1])
+from girardlab.poly import _PRIMES, Poly, _var_code, avar, xvar, yvar
+a, y, x, w = map(Poly.variable, [avar(9103, 1), yvar(9102), xvar(9101, 2), yvar(9104)])
+assert _PRIMES[_var_code(xvar(9101, 2))] > _PRIMES[_var_code(avar(9103, 1))]
+p = 3 * x * y * y - a * w + 7
+sys.stdout.write(str(p) + "\\n" + pickle.dumps(p).hex())
+"""
+
+
+def test_a_pickle_loads_in_a_process_that_gave_other_primes():
+    x, y, a = map(Poly.variable, [xvar(9101, 2), yvar(9102), avar(9103, 1)])
+    assert _PRIMES[_var_code(xvar(9101, 2))] < _PRIMES[_var_code(avar(9103, 1))]
+    src = str(Path(girardlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", PICKLING_CHILD, src],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    text, dump = proc.stdout.split("\n")
+    # yvar(9104) is first made here, by the load
+    loaded = pickle.loads(bytes.fromhex(dump))
+    assert str(loaded) == text == "3*x[9101]^(2)*y[9102]^2 - y[9104]*a[9103]^(1) + 7"
+    assert loaded == 3 * x * y * y - a * Poly.variable(yvar(9104)) + 7
+
+
+def test_threads_give_each_code_one_prime():
+    # four threads make and multiply overlapping windows of fresh variables
+    # at once; each writes the text one thread alone writes
+    fresh = [yvar(9300 + i) for i in range(40)]
+
+    def build(start):
+        window = [Poly.variable(fresh[(start + i) % 40]) for i in range(20)]
+        return str(poly_prod(window) + poly_sum(p * q for p, q in zip(window, window[1:])))
+
+    texts = [None] * 4
+    barrier = threading.Barrier(4)
+
+    def run(t):
+        barrier.wait()
+        texts[t] = build(10 * t)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    assert texts == [build(10 * t) for t in range(4)]
+    primes = [p for p, _ in _REGISTERED]
+    codes = [code for _, code in _REGISTERED]
+    assert primes == sorted(set(primes)) and len(set(codes)) == len(codes)
+    assert _PRIMES == dict(zip(codes, primes))
+    assert {_var_code(v) for v in fresh} <= _PRIMES.keys()
 
 
 # the maker of each family of `_FAMILIES`, in its order
