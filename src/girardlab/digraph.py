@@ -12,7 +12,9 @@ The JSON file format carries integer weights only:
 with edges sorted by (from, to).  A duplicate (from, to) pair or a
 non-integer weight is a parse error; semantic problems (zero weight,
 wrong weights length, out-of-range endpoint) are reported by `validate`
-after parsing.
+after parsing.  Other keys, at the top level or in an edge object, are
+read past and ignored: a file with `"extra": 1` is the graph of the same
+file without it.
 
 The `ColoredDigraph` constructor is the one way to build a graph: it
 checks every weight and freezes a copy of the edge map, so no graph holds
@@ -59,8 +61,8 @@ class ColoredDigraph:
     Immutable: assigning or deleting an attribute raises AttributeError.
     Equal to another graph when n, colors and edges are; unhashable, as
     its edge map is.  Unlike the NamedTuple value classes it keeps a
-    `__dict__`, where `_out` and `_back` are cached on first use, and
-    which `copy.copy` fills in past the guard.
+    `__dict__`, where `_out`, `_out_by_color` and `_back` are cached on
+    first use, and which `copy.copy` fills in past the guard.
     """
 
     # a plain class, not a frozen dataclass: `dataclasses` and the
@@ -105,19 +107,30 @@ class ColoredDigraph:
         return weights[color - 1]
 
     def successors(self, u: int) -> list[int]:
-        return [v for v, _ in self._out.get(u, ())]
+        return list(self._out.get(u, ()))
 
     @cached_property
-    def _out(self) -> dict[int, tuple]:
-        """u -> its out-edges as (v, ((color, weight), ...)), in (v, color)
-        order, for every vertex u in 1..n: the table the enumerators and
-        DPs read.  Built on first use, through `weight`, so an edge with
-        fewer than k weights raises ValueError here."""
-        colors = range(1, self.colors + 1)
+    def _out(self) -> dict[int, tuple[int, ...]]:
+        """u -> the heads of its out-edges, in increasing order, for every
+        vertex u in 1..n: the table the searches and `_back` read, and
+        `_out_by_color` is built from.  An edge carries every color, so
+        the searches take the colors 1..k in order.  Built on first use."""
         return {
-            u: tuple((v, tuple((c, self.weight(u, v, c)) for c in colors))
-                     for v in sorted(v for uu, v in self.edges if uu == u))
+            u: tuple(sorted(v for uu, v in self.edges if uu == u))
             for u in range(1, self.n + 1)
+        }
+
+    @cached_property
+    def _out_by_color(self) -> dict[int, dict[int, tuple]]:
+        """color c -> u -> the out-edges of u in color c as (v, weight), in
+        the order of `_out`, for every color c in 1..k and vertex u in
+        1..n: the table the DPs' `_step` reads, one color at a time.  Built
+        on first use from `_out`, through `weight`, so an edge with fewer
+        than k weights raises ValueError here."""
+        return {
+            c: {u: tuple((v, self.weight(u, v, c)) for v in heads)
+                for u, heads in self._out.items()}
+            for c in range(1, self.colors + 1)
         }
 
     @cached_property
@@ -130,8 +143,8 @@ class ColoredDigraph:
         reach[-1] holds.  Built on first use, by a search back along
         `_out`."""
         into: dict[int, list[int]] = {}
-        for u, out in self._out.items():
-            for v, _ in out:
+        for u, heads in self._out.items():
+            for v in heads:
                 into.setdefault(v, []).append(u)
         table = {}
         for target in range(1, self.n + 1):
@@ -249,7 +262,8 @@ def parse_digraph(text: str) -> ColoredDigraph:
     Raises GraphFormatError with position information on malformed JSON,
     without it on JSON too deep or with a number too long to parse, and on
     schema violations (missing fields, non-integer weights, duplicate
-    edges).  Semantic violations are left to `validate`.
+    edges).  Unknown keys are ignored, as the format says.  Semantic
+    violations are left to `validate`.
     """
     try:
         obj = json.loads(text)

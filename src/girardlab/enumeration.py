@@ -34,14 +34,19 @@ package reads: a walk's vertex and color sets are its masks (bit i for
 vertex or color i), and the involution reads simplicity off the vertex
 mask; a subdigraph keeps `colors`, a set, for the demos to print.
 
-Every search and DP reads the graph's out-edges, each with its weights in
-color order, from the table the graph builds once (`ColoredDigraph._out`).
-The two generating sums do not enumerate anything; both run on `_step`,
-which pushes a (vertex, used-color mask) -> weight-sum layer one edge and
-one unused color further (Stanley, Enumerative Combinatorics I, 4.7).
-`closed_walk_buckets` sums every closed walk from each root in turn.
-`linear_subdigraph_buckets` sums signed clow sequences (Mahajan and Vinay
-1997), whose non-simple terms cancel, head by head.  Each costs at most
+Every search reads each vertex's out-neighbours from the table the graph
+builds once (`ColoredDigraph._out`), and takes the colors 1..k of each
+edge in order.  The two generating sums do not enumerate anything; both
+run on `_step`, which pushes a layer one edge and one unused color
+further (Stanley, Enumerative Combinatorics I, 4.7).  A layer maps each
+used-color mask to a vector {vertex: weight sum}; `_step` takes a mask's
+unused colors one at a time and reads that color's weighted out-edges
+(`ColoredDigraph._out_by_color`, built once from `_out`), so it builds no
+key per edge and never meets a used color.  `closed_walk_buckets` sums
+every closed walk from each root in turn.  `linear_subdigraph_buckets`
+sums signed clow sequences (Mahajan and Vinay 1997), whose non-simple
+terms cancel, head by head.  Both sum by color mask, and turn the masks
+into (length, color set) keys once, at the end.  Each costs at most
 n^2 * 2^k states times n * k weight products.  The DPs start from the int
 1 and multiply whatever the weights are: on an integer graph every product
 and every bucket is a plain int, and a `Poly` weight makes the sums it
@@ -267,15 +272,16 @@ def _cycles_at(g: ColoredDigraph, head: int, used_v: int, used_c: int, budget: i
     path: list[Edge] = []
     out: list = []
     reach = g._back[head, head]
+    colors = range(1, g.colors + 1)
 
     def grow(u: int, vmask: int, cmask: int) -> None:
         left = budget - cmask.bit_count() - 1  # colors left after this step
         # the free vertices above head that can close within `left` edges
         ahead = reach[min(left, len(reach) - 1)] & ~vmask
-        for v, weights in g._out[u]:
+        for v in g._out[u]:
             if v != head and not ahead >> v & 1:
                 continue
-            for c, _ in weights:
+            for c in colors:
                 if cmask >> c & 1:
                     continue
                 path.append((u, v, c))
@@ -346,6 +352,7 @@ def closed_walks(g: ColoredDigraph, max_length: int) -> list[Walk]:
     further from the root than the steps left after it is not taken.
     """
     cap = min(max_length, g.colors)
+    colors = range(1, g.colors + 1)
     out: list[Walk] = []
 
     def extend(root: int, current: int, steps: list[tuple[int, int]], used_v: int,
@@ -357,10 +364,10 @@ def closed_walks(g: ColoredDigraph, max_length: int) -> list[Walk]:
             return
         reach = g._back[root, 1]
         ahead = reach[min(left, len(reach) - 1)]  # the vertices within `left` edges of root
-        for v, weights in g._out[current]:
+        for v in g._out[current]:
             if not ahead >> v & 1:
                 continue
-            for c, _ in weights:
+            for c in colors:
                 if used_c >> c & 1:
                     continue
                 steps.append((v, c))
@@ -373,26 +380,42 @@ def closed_walks(g: ColoredDigraph, max_length: int) -> list[Walk]:
 
 
 def _step(layer: dict, g: ColoredDigraph, low: int) -> dict:
-    """One step of every walk in `layer`, a map (vertex, used-color mask)
-    -> weight sum: along every edge into a vertex >= `low`, in every
-    unused color.  The result is keyed the same way; each state costs at
-    most n * k weight products."""
+    """One step of every walk in `layer`, a map used-color mask -> {vertex
+    -> weight sum}: in every unused color, along every edge of that color
+    (`ColoredDigraph._out_by_color`) into a vertex >= `low`.  The result is
+    keyed the same way, and holds no empty vector; an empty vector in
+    `layer` is skipped.  Each mask's vector is pushed one color at a time
+    into the vector of the mask with that color added, so no key is built
+    per edge; each (vertex, mask) state costs at most n * k weight
+    products."""
     nxt: dict = {}
-    for (u, mask), val in layer.items():
-        for v, weights in g._out[u]:
-            if v < low:
+    tables = g._out_by_color
+    for mask, vec in layer.items():
+        if not vec:
+            continue
+        for c, table in tables.items():
+            if mask >> c & 1:
                 continue
-            for c, w in weights:
-                if mask >> c & 1:
-                    continue
-                key = (v, mask | 1 << c)
-                term = val * w
-                nxt[key] = nxt[key] + term if key in nxt else term
+            key = mask | 1 << c
+            out = nxt.get(key) or {}
+            for u, val in vec.items():
+                for v, w in table[u]:
+                    if v >= low:
+                        term = val * w
+                        out[v] = out[v] + term if v in out else term
+            if out:
+                nxt[key] = out
     return nxt
 
 
 def _color_set(mask: int, k: int) -> frozenset[int]:
     return frozenset(c for c in range(1, k + 1) if mask >> c & 1)
+
+
+def _by_length_and_colors(sums: dict, k: int) -> dict:
+    """A map color mask -> sum rekeyed (length, color set), the length
+    being the mask's color count."""
+    return {(m.bit_count(), _color_set(m, k)): val for m, val in sums.items()}
 
 
 def closed_walk_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], int | Poly]:
@@ -402,23 +425,24 @@ def closed_walk_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], i
     The map equals `closed_walks(g, g.colors)`, every closed walk,
     grouped by (length, colors), with a key for every pair some walk has,
     even when its sum is zero; but no walk is built.  For each root, a
-    layer maps (vertex, used-color mask) to the weight sum of the walks
-    from the root that end there, and `_step` pushes it along every edge
-    in every unused color.  The states back at the root are the closed
-    walks of that length; walks go on past the root, as in
-    `closed_walks`.  Every mask has one length, so a root costs at most
-    n * 2^k states times n * k weight products.
+    layer maps each used-color mask to {vertex: weight sum of the walks
+    from the root that end there}, and `_step` pushes it along every edge
+    in every unused color.  The root's entry in a mask's vector sums the
+    closed walks with that color set, and `sums` adds it up by mask over
+    the roots; walks go on past the root, as in `closed_walks`.  Every
+    mask has one length, so a root costs at most n * 2^k states times
+    n * k weight products, and the masks are rekeyed once, at the end.
     """
-    buckets: dict = {}
+    sums: dict = {}
     for root in range(1, g.n + 1):
-        layer = {(root, 0): 1}
-        for length in range(1, g.colors + 1):
+        layer = {0: {root: 1}}
+        for _ in range(g.colors):
             layer = _step(layer, g, 1)
-            for (v, mask), val in layer.items():
-                if v == root:
-                    key = (length, _color_set(mask, g.colors))
-                    buckets[key] = buckets[key] + val if key in buckets else val
-    return buckets
+            for mask, vec in layer.items():
+                if root in vec:
+                    val = vec[root]
+                    sums[mask] = sums[mask] + val if mask in sums else val
+    return _by_length_and_colors(sums, g.colors)
 
 
 def linear_subdigraph_buckets(
@@ -435,24 +459,30 @@ def linear_subdigraph_buckets(
     off the sequences that are not linear subdigraphs with opposite signs
     (the splice/excise move of Theorem 2), so only the subdigraphs remain.
     `done` maps a color mask to the signed sum of the finished sequences
-    with heads below h.  For head h they wait at (h, mask); the clow steps
-    through vertices > h, and each return to h is subtracted from `done`.
-    A step adds one color, so a waiting state joins the layer at the step
-    where its color count comes up: each (vertex, mask) is pushed once per
-    head, at most n^2 * 2^k states times n * k weight products in all.
-    Every mask some sequence reaches has a key, even when its sum is zero.
+    with heads below h.  For head h they wait at vertex h in their mask's
+    vector; the clow steps through vertices > h, and each return to h is
+    popped from its vector and subtracted from `done`.  A step adds one
+    color, so a waiting sequence joins the layer at the step where its
+    color count comes up: each (vertex, mask) is pushed once per head, at
+    most n^2 * 2^k states times n * k weight products in all.  Every mask
+    some sequence reaches has a key, even when its sum is zero; the masks
+    are rekeyed once, at the end.
     """
     done = {0: 1}
     for h in range(1, g.n + 1):
         start = list(done.items())
         layer: dict = {}
         for count in range(g.colors):
-            layer.update(((h, mask), val) for mask, val in start if mask.bit_count() == count)
+            for mask, val in start:
+                if mask.bit_count() == count:
+                    layer.setdefault(mask, {})[h] = val
             layer = _step(layer, g, h)
-            for key in [key for key in layer if key[0] == h]:
-                mask, val = key[1], layer.pop(key)
-                done[mask] = done[mask] - val if mask in done else -val
-    return {(m.bit_count(), _color_set(m, g.colors)): val for m, val in done.items() if m}
+            for mask, vec in layer.items():
+                if h in vec:
+                    val = vec.pop(h)
+                    done[mask] = done[mask] - val if mask in done else -val
+    del done[0]
+    return _by_length_and_colors(done, g.colors)
 
 
 def _lookup(buckets, g: ColoredDigraph, size: int, colors: Iterable[int]) -> Poly:

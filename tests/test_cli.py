@@ -1370,14 +1370,15 @@ def test_an_acyclic_graph_file_near_the_dp_bound_is_audited_at_once(tmp_path, ca
 def test_dp_state_bound_holds_for_both_dps(monkeypatch):
     # the walk DP and the clow DP take every step through enumeration._step;
     # the states they push and build on one graph stay within the bound
-    # the audit and theorem2 charge
+    # the audit and theorem2 charge.  A layer maps each color mask to a
+    # vector {vertex: value}, so its states are its vectors' entries
     pushed, built = [], []
     step = enumeration._step
 
     def counted(layer, g, low):
         out = step(layer, g, low)
-        pushed.append(len(layer))
-        built.append(len(out))
+        pushed.append(sum(map(len, layer.values())))
+        built.append(sum(map(len, out.values())))
         return out
 
     monkeypatch.setattr(enumeration, "_step", counted)

@@ -58,35 +58,40 @@ def test_edge_table_is_in_vertex_color_order_and_matches_weight():
         random_digraph(4, 3, 0.6, 5, seed=9),
         self_loop_digraph(3, 2),
     ]
+    # `_out` lists each vertex's heads; `_out_by_color` holds, color by
+    # color, the same edges with their weights
     for g in graphs:
         seen = set()
+        assert list(g._out_by_color) == list(range(1, g.colors + 1))
         for u in range(1, g.n + 1):
-            heads = [v for v, _ in g._out[u]]
+            heads = list(g._out[u])
             assert heads == sorted(set(heads)) == g.successors(u)
-            for v, weights in g._out[u]:
-                assert [c for c, _ in weights] == list(range(1, g.colors + 1))
-                for c, w in weights:
+            for c, table in g._out_by_color.items():
+                assert [v for v, _ in table[u]] == heads
+                for v, w in table[u]:
                     assert w == g.weight(u, v, c)
-                seen.add((u, v))
+            seen.update((u, v) for v in heads)
         assert seen == set(g.edges)
 
 
 def test_edge_table_is_built_once_per_graph(monkeypatch):
     # the DPs of the identity, the enumerators of the audit and the audit's
-    # identity recheck all read one table
-    table = ColoredDigraph.__dict__["_out"]
-    build = table.func
+    # identity recheck all read one heads table, and the DPs one table of
+    # weighted edges by color, built from it
     built = []
+    for name in ("_out", "_out_by_color"):
+        table = ColoredDigraph.__dict__[name]
 
-    def counted(g):
-        built.append(g)
-        return build(g)
+        def counted(g, build=table.func, name=name):
+            built.append((name, g))
+            return build(g)
 
-    monkeypatch.setattr(table, "func", counted)
+        monkeypatch.setattr(table, "func", counted)
     g = random_digraph(3, 3, 1.0, 4, seed=2)
     assert verify_walk_cycle_identity(g, 3).passed
     assert audit_involution(g, 2).ok
-    assert built == [g]
+    assert sorted(name for name, _ in built) == ["_out", "_out_by_color"]
+    assert all(graph is g for _, graph in built)
 
 
 def test_back_table_holds_the_shortest_paths_within_k_edges():
@@ -122,6 +127,13 @@ def test_short_weight_tuple_fails_at_first_use_and_in_validate():
         assert validate(g) == ["edge (1, 2) carries 1 weights, expected 2"]
         with pytest.raises(ValueError, match=r"no color 2 on edge \(1, 2\)"):
             closed_walk_buckets(g)
+
+
+def test_unknown_keys_are_ignored():
+    edges = [{"from": 1, "to": 2, "weights": [3, -1]}, {"from": 2, "to": 2, "weights": [1, 4]}]
+    plain = {"n": 2, "colors": 2, "edges": edges}
+    extra = dict(plain, extra=1, edges=[dict(edge, extra=1) for edge in edges])
+    assert parse_digraph(json.dumps(extra)) == parse_digraph(json.dumps(plain))
 
 
 def test_edges_mapping_is_read_only():

@@ -570,6 +570,88 @@ def test_subdigraph_buckets_match_enumeration_on_random_graphs():
         )
 
 
+def test_subdigraph_buckets_keep_a_key_whose_sum_is_zero():
+    # the loops at 1 and 2 in colors (1, 2) weigh 1 * 1, in colors (2, 1)
+    # 1 * -1: ell(2, {1, 2}) cancels but its subdigraphs exist.  With no
+    # edge between 1 and 2 every clow is a loop, so the clow sequences are
+    # the subdigraphs, key for key
+    g = ColoredDigraph(2, 2, {(1, 1): [1, 1], (2, 2): [-1, 1]})
+    buckets = linear_subdigraph_buckets(g)
+    assert buckets[(2, frozenset({1, 2}))] == Poly.zero()
+    assert set(buckets) == set(reference_subdigraph_buckets(g))
+    assert linear_subdigraph_sum(g, 2, {1, 2}) == Poly.zero()
+
+
+def clow_sequence_keys(g: ColoredDigraph) -> set:
+    """(length, color set) of every nonempty clow sequence of g, found by
+    search: heads increase, each clow runs from its head through vertices
+    above it and back, and no color repeats along the sequence."""
+
+    def clow_masks(head: int, u: int, used: int) -> set:
+        masks = set()
+        for v in g.successors(u):
+            for c in range(1, g.colors + 1):
+                if v < head or used >> c & 1:
+                    continue
+                if v == head:
+                    masks.add(used | 1 << c)
+                else:
+                    masks |= clow_masks(head, v, used | 1 << c)
+        return masks
+
+    found: set = set()
+    searched: set = set()
+
+    def extend(low: int, used: int) -> None:
+        if (low, used) in searched:
+            return
+        searched.add((low, used))
+        for head in range(low, g.n + 1):
+            for mask in clow_masks(head, head, used):
+                found.add(mask)
+                extend(head + 1, mask)
+
+    extend(1, 0)
+    return {(m.bit_count(), frozenset(c for c in range(1, g.colors + 1) if m >> c & 1))
+            for m in found}
+
+
+def test_a_mask_reached_only_by_cancelled_states_keeps_its_key():
+    # every edge out of 1 weighs 1 and every edge out of 2 weighs -1, so
+    # from either root the walks of two steps cancel over their middle
+    # vertex: each mask of two or three colors is reached through zero
+    # vectors alone.  The walks behind them exist, and their masks stay
+    g = ColoredDigraph(2, 3, {(1, 1): [1, 1, 1], (1, 2): [1, 1, 1],
+                              (2, 1): [-1, -1, -1], (2, 2): [-1, -1, -1]})
+    buckets = closed_walk_buckets(g)
+    for colors in ({1, 2}, {1, 3}, {2, 3}):
+        assert buckets[(2, frozenset(colors))] == Poly.zero()
+    assert buckets[(3, frozenset({1, 2, 3}))] == Poly.zero()
+    assert set(buckets) == set(reference_walk_buckets(g))
+    assert set(linear_subdigraph_buckets(g)) == clow_sequence_keys(g)
+    check_subdigraph_buckets(g)
+
+
+def test_both_maps_keep_every_reached_key_on_sparse_graphs_with_a_sink():
+    # the kernel skips empty vectors, and must drop no mask a walk or a clow
+    # sequence reaches: every graph here has a vertex with no out-edge, and
+    # weights of +-1, so that many sums cancel, whole vectors among them
+    rng = random.Random(41)
+    graphs = []
+    while len(graphs) < 16:
+        n, k = rng.randint(3, 5), rng.randint(2, 4)
+        g = random_digraph(n, k, rng.uniform(0.3, 0.5), 1, seed=rng.randrange(10**6))
+        if any(not g.successors(u) for u in range(1, n + 1)):
+            graphs.append(g)
+    for g in graphs:
+        assert set(closed_walk_buckets(g)) == set(reference_walk_buckets(g))
+        # every subdigraph is a clow sequence; the sequences that are not
+        # cancel, and leave their keys at zero
+        ell = linear_subdigraph_buckets(g)
+        assert set(ell) == clow_sequence_keys(g)
+        check_subdigraph_buckets(g)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_subdigraph_buckets_match_enumeration_on_the_loop_graphs(n):
     for r in range(1, 6):
