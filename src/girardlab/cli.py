@@ -96,17 +96,17 @@ PREFACTOR_NOTE = (
 # 0.13 s for its three routes in-process, best of 3 on a shared 2-core
 # host) and refuses (15, 1), (10, 3) and (8, 4) (0.35, 0.20 and 0.21 s).
 # The audit, charged the subdigraphs of at most r edges it builds, keeps
-# dense (5,5) at r <= 3, (4,4) at r = 4 and (35,4) at r = 1 (0.16-0.19,
-# 0.15-0.17 and 0.19-0.21 s in-process on a shared 2-core host), and
-# refuses dense (3,6) at r = 4 (118,998 objects, 84,240 of them pairs,
-# 0.64-0.96 s in-process), dense (6,5) at r = 3 (60,564 objects) and
-# dense (36,4) at r = 1 (41,472).  An acyclic (35,4) file, charged its
-# 39,200 DP states alone, is kept at every r.  theorem2 keeps dense
-# (12,6), (8,8) and (6,9) at r = k (0.056, 0.098 and 0.11 s of main() in
-# a fresh interpreter, BENCH_41.json) and refuses dense (6,10) and
-# (6,12).  theorem2 and the audit multiply their count by the 64-bit
-# words of the largest weight, newton-girard by those of the largest
-# root, so 4000-digit numbers (208 words) are refused;
+# dense (5,5) at r <= 3, (4,4) at r = 4 and (35,4) at r = 1 (0.15-0.24,
+# 0.14-0.24 and 0.19-0.23 s in-process, quartiles of 25 runs on a shared
+# 2-core host, BENCH_42.json), and refuses dense (3,6) at r = 4 (118,998
+# objects, 84,240 of them pairs, 0.65-0.87 s in-process), dense (6,5) at
+# r = 3 (60,564 objects) and dense (36,4) at r = 1 (41,472).  An acyclic
+# (35,4) file, charged its 39,200 DP states alone, is kept at every r.
+# theorem2 keeps dense (12,6), (8,8) and (6,9) at r = k (0.056, 0.098
+# and 0.11 s of main() in a fresh interpreter, BENCH_41.json) and
+# refuses dense (6,10) and (6,12).  theorem2 and the audit multiply their
+# count by the 64-bit words of the largest weight, newton-girard by those
+# of the largest root, so 4000-digit numbers (208 words) are refused;
 # numbers within 64 bits keep every count.  A lemma21 campaign charges its
 # one Stirling row once, so 21 trials at the benchmark's size pass.  The
 # others keep every benchmark invocation and refuse inputs that would run

@@ -17,19 +17,27 @@ equality and hashing read every field; every builder below gives the
 masks those fields give, so two walks are equal when their starts and
 steps are, and two subdigraphs when their cycles are.  `Walk(start,
 steps)`, the entry for hand-built walks, derives the two masks; the
-builders that already hold them pass them through `_walk`:
-`closed_walks` the masks its search grew, and `involution.involute`
-the walk's masks OR the cycle's for a splice, and for an excise the
-walk's colors XOR the cycle's and the vertices of the steps that remain.
-A `LinearSubdigraph` takes its canonical cycles and those masks; this
+builders that already hold them skip `__new__` through
+`tuple.__new__`, as `_walk` does: `closed_walks` (through `_walk`) the
+masks its search grew, and `involution.involute` the walk's masks OR
+the cycle's for a splice, and for an excise the walk's colors XOR the
+cycle's and the vertices of the steps that remain.  A
+`LinearSubdigraph` takes its canonical cycles and those masks; this
 module defines the canonical form, which a cycle dropped from it keeps.
-`linear_subdigraphs` passes the masks its search grew, `with_cycle` (the
-excise) adds one cycle's bits, `involute`'s splice XORs them out, and
-`make_subdigraph`, the entry for hand-built input, checks the cycles and
-computes their masks.  The test
+`linear_subdigraphs` passes the masks its search grew, and
+`involute`'s splice XORs one cycle's bits out.  One builder adds a
+cycle, `_add_cycle(gamma, edges, vertex_mask, color_mask)`: it rotates
+the cycle to its least vertex, sorts it into gamma's cycles and ORs in
+the masks its caller passes.  The excise passes the masks it took with
+the cycle's edges; the audit's GOOD grouping and
+`involution.underlying_subdigraph` pass the walk's own, as a GOOD
+pair's walk is one cycle; `with_cycle` computes the cycle's masks, and
+`make_subdigraph`, the entry for hand-built input, checks the cycles it
+adds through `with_cycle`.  The test
 `test_every_mask_matches_the_fields_it_is_computed_from` (in
 `tests/test_involution.py`) checks every builder's masks against
-`Walk(start, steps)` and the cycles.  Each value keeps only what the
+`Walk(start, steps)` and the cycles, and the involution's images
+against a literal copy of an earlier scan.  Each value keeps only what the
 package reads: a walk's vertex and color sets are its masks (bit i for
 vertex or color i), and the involution reads simplicity off the vertex
 mask; a subdigraph keeps `colors`, a set, for the demos to print.
@@ -114,7 +122,8 @@ class Walk(_WalkFields):
     the vertex and color bitmasks (bit i set for each vertex or color i)
     once, and a negative vertex or color has no bit, and raises
     ValueError there.  `closed_walks` and `involute` hold the masks
-    already, and pass them through `_walk`, which skips `__new__`; the
+    already, and build through `tuple.__new__` (`closed_walks` by way of
+    `_walk`), which skips `__new__`; the
     mask test of `tests/test_involution.py` compares their walks with
     `Walk(start, steps)`.  Equality and hashing read every field, and the
     masks follow from the first two, so two walks are equal when their
@@ -191,17 +200,19 @@ class LinearSubdigraph(NamedTuple):
     A NamedTuple of the canonical cycles and their vertex and color
     bitmasks (bit i set for each vertex or color i).  Each builder passes
     the masks it already holds: `linear_subdigraphs` those `_cycles_at`
-    grew, `with_cycle` this instance's with one cycle's bits added, and
-    `involute`'s splice this instance's with one cycle's bits taken out.  `make_subdigraph` is the entry for
-    hand-built cycles: it checks and canonicalizes them and computes their
-    masks.  Equality and hashing read every field, and the masks follow
-    from the cycles for every value those builders make.  As a tuple, a
-    subdigraph equals the plain tuple of its fields and sorts as one;
-    `len` counts those fields (`length` counts the edges), and `_replace`
-    and `_make` take masks unchecked.  The repr shows `cycles`.  Disjoint
-    cycles have one edge per vertex, so `length` is read off the vertex
-    mask, which also stands for the vertex set; `colors` gives the color
-    set as a frozenset.
+    grew, `_add_cycle` (under `with_cycle`, the excise and the GOOD
+    grouping) this instance's with one cycle's bits added, and
+    `involute`'s splice this instance's with one cycle's bits taken out.
+    `make_subdigraph` is the entry for hand-built cycles: it checks and
+    canonicalizes them and computes their masks.  Equality and hashing
+    read every field, and the masks follow from the cycles for every
+    value those builders make.  As a tuple, a subdigraph equals the plain
+    tuple of its fields and sorts as one; `len` counts those fields
+    (`length` counts the edges), and `_replace` and `_make` take masks
+    unchecked.  The repr shows `cycles`.  Disjoint cycles have one edge
+    per vertex, so `length` is read off the vertex mask, which also
+    stands for the vertex set; `colors` gives the color set as a
+    frozenset.
     """
 
     cycles: tuple[tuple[Edge, ...], ...]
@@ -221,15 +232,9 @@ class LinearSubdigraph(NamedTuple):
 
     def with_cycle(self, cycle: Iterable[Edge]) -> LinearSubdigraph:
         """This subdigraph plus `cycle`, whose vertices and colors are not
-        checked against its own.  Only the new cycle is rotated to its
-        least vertex, and a plain tuple sort orders the cycles by that
-        vertex, which differs from cycle to cycle."""
+        checked against its own: `_add_cycle` with the cycle's masks."""
         edges = tuple(cycle)
-        pivot = edges.index(min(edges))  # the edge out of the least vertex
-        cycle = edges[pivot:] + edges[:pivot]
-        vmask, cmask = _cycle_masks(cycle)
-        return LinearSubdigraph(tuple(sorted((*self.cycles, cycle))),
-                                self.vertex_mask | vmask, self.color_mask | cmask)
+        return _add_cycle(self, edges, *_cycle_masks(edges))
 
     def weight(self, g: ColoredDigraph) -> int | Poly:
         """As `Walk.weight`: the product of `ColoredDigraph.weight` over
@@ -238,6 +243,19 @@ class LinearSubdigraph(NamedTuple):
 
 
 EMPTY_SUBDIGRAPH = LinearSubdigraph((), 0, 0)
+
+
+def _add_cycle(gamma: LinearSubdigraph, edges: tuple[Edge, ...], vertex_mask: int,
+               color_mask: int) -> LinearSubdigraph:
+    """`gamma` plus the cycle `edges`, whose vertex and color masks the
+    caller holds, unchecked.  Only the new cycle is rotated to its least
+    vertex, and a plain tuple sort orders the cycles by that vertex, which
+    differs from cycle to cycle."""
+    pivot = edges.index(min(edges))  # the edge out of the least vertex
+    cycle = edges[pivot:] + edges[:pivot]
+    return tuple.__new__(LinearSubdigraph, (tuple(sorted((*gamma.cycles, cycle))),
+                                            gamma.vertex_mask | vertex_mask,
+                                            gamma.color_mask | color_mask))
 
 
 def make_subdigraph(cycles: Iterable[Iterable[Edge]]) -> LinearSubdigraph:
@@ -349,10 +367,13 @@ def closed_walks(g: ColoredDigraph, max_length: int) -> list[Walk]:
     steps, so `closed_walks(g, g.colors)` gives every closed walk, and a
     caller that needs every length up to r passes r and makes one pass;
     the walks of each length keep their order.  A step into a vertex
-    further from the root than the steps left after it is not taken.
+    further from the root than the steps left after it is not taken:
+    each root's reach list (`ColoredDigraph._back`) is read once, into a
+    table of the vertices within each count of steps left.
     """
     cap = min(max_length, g.colors)
     colors = range(1, g.colors + 1)
+    successors = g._out
     out: list[Walk] = []
 
     def extend(root: int, current: int, steps: list[tuple[int, int]], used_v: int,
@@ -362,10 +383,9 @@ def closed_walks(g: ColoredDigraph, max_length: int) -> list[Walk]:
         left = cap - len(steps) - 1  # steps left after this one
         if left < 0:
             return
-        reach = g._back[root, 1]
-        ahead = reach[min(left, len(reach) - 1)]  # the vertices within `left` edges of root
-        for v in g._out[current]:
-            if not ahead >> v & 1:
+        within = ahead[left]  # the vertices within `left` edges of root
+        for v in successors[current]:
+            if not within >> v & 1:
                 continue
             for c in colors:
                 if used_c >> c & 1:
@@ -375,6 +395,10 @@ def closed_walks(g: ColoredDigraph, max_length: int) -> list[Walk]:
                 steps.pop()
 
     for root in range(1, g.n + 1):
+        # `extend` reads this root's table: steps left -> the vertices within
+        # that many edges of root, reach[-1] past the end of the reach list
+        reach = g._back[root, 1]
+        ahead = [reach[min(left, len(reach) - 1)] for left in range(cap)]
         extend(root, root, [], 1 << root, 0)
     return out
 

@@ -36,11 +36,9 @@ from typing import NamedTuple, Sequence
 from .digraph import ColoredDigraph
 from .enumeration import (
     EMPTY_SUBDIGRAPH,
-    Edge,
     LinearSubdigraph,
     Walk,
-    _cycle_masks,
-    _walk,
+    _add_cycle,
     closed_walks,
     linear_subdigraphs,
 )
@@ -106,72 +104,73 @@ def classify(pair: WalkGammaPair) -> str:
     return GOOD if simple and not w.vertex_mask & pair.gamma.vertex_mask else BAD
 
 
-def _cycle_rooted_steps(cycle: tuple[Edge, ...], root: int) -> tuple[tuple[int, int], ...]:
-    """The cycle as walk steps, traversed once starting from `root`."""
-    tails = [e[0] for e in cycle]
-    pivot = tails.index(root)
-    rotated = cycle[pivot:] + cycle[:pivot]
-    return tuple((head, color) for _, head, color in rotated)
-
-
 def involute(pair: WalkGammaPair) -> WalkGammaPair:
     """The weight-negating partner of a BAD pair.
 
     Raises ValueError on a GOOD pair (the map is only defined on BAD
     ones): the scan below meets such a pair's first repeat at the walk's
     closing root, with no gamma vertex before it.  The scan keeps the
-    vertices seen as a bitmask, and each image carries masks derived
-    from the pair's own: a splice ORs the cycle's into the walk's and
-    XORs them out of gamma's, and an excise XORs the cycle's colors out
-    of the walk's and takes the vertices of the steps that remain.
+    list of the walk's vertices so far, and each image is built from what
+    it holds, with masks derived from the pair's own.  A splice finds
+    gamma's cycle through v by its tails, rotates it to v by slicing, ORs
+    its masks into the walk's and XORs them out of gamma's, whose other
+    cycles it keeps by slicing.  An excise takes the cycle's edges from
+    v's first visit on, and their masks in the same loop, XORs the colors
+    out of the walk's, takes the vertices of the steps that remain, and
+    adds the cycle to gamma with `_add_cycle`.
     """
-    w = _checked_walk(pair)
+    start, steps, walk_vmask, walk_cmask = _checked_walk(pair)
     gamma = pair.gamma
-    steps = w.steps
-    v, seen = w.start, 0
+    cycles, gamma_vmask, gamma_cmask = gamma
+    v, visited = start, []
     for i, (after, _) in enumerate(steps):
-        bit = 1 << v
-        if gamma.vertex_mask & bit:
+        if gamma_vmask >> v & 1:
             # case 1: splice the cycle through v into the walk
-            for cycle in gamma.cycles:
-                vmask, cmask = _cycle_masks(cycle)
-                if vmask & bit:
+            for p, cycle in enumerate(cycles):
+                tails = [e[0] for e in cycle]
+                if v in tails:
                     break
             else:
                 raise ValueError(f"no cycle contains vertex {v}")
-            new_steps = steps[:i] + _cycle_rooted_steps(cycle, v) + steps[i:]
-            rest = tuple(c for c in gamma.cycles if c is not cycle)
-            return WalkGammaPair(
-                _walk(w.start, new_steps, w.vertex_mask | vmask, w.color_mask | cmask),
-                LinearSubdigraph(rest, gamma.vertex_mask ^ vmask, gamma.color_mask ^ cmask))
-        if seen & bit:
-            # case 2: excise the first completed cycle, from v's first visit
-            j, u = 0, w.start
-            while u != v:
-                u = steps[j][0]
-                j += 1
-            cycle, cmask = [], 0
-            for head, c in steps[j:i]:
-                cycle.append((u, head, c))
+            pivot = tails.index(v)
+            spliced, vmask, cmask = [], 0, 0
+            for _, head, c in cycle[pivot:] + cycle[:pivot]:
+                spliced.append((head, c))
+                vmask |= 1 << head
                 cmask |= 1 << c
-                u = head
-            new_steps = steps[:j] + steps[i:]
-            vmask = 1 << w.start
-            for u, _ in new_steps:
+            image = tuple.__new__(Walk, (start, steps[:i] + tuple(spliced) + steps[i:],
+                                         walk_vmask | vmask, walk_cmask | cmask))
+            rest = tuple.__new__(LinearSubdigraph, (cycles[:p] + cycles[p + 1:],
+                                                    gamma_vmask ^ vmask, gamma_cmask ^ cmask))
+            return tuple.__new__(WalkGammaPair, (image, rest))
+        if v in visited:
+            # case 2: excise the first completed cycle, from v's first visit
+            j = visited.index(v)
+            edges, vmask, cmask = [], 0, 0
+            for u, (head, c) in zip(visited[j:], steps[j:i]):
+                edges.append((u, head, c))
                 vmask |= 1 << u
-            return WalkGammaPair(_walk(w.start, new_steps, vmask, w.color_mask ^ cmask),
-                                 gamma.with_cycle(cycle))
-        seen |= bit
+                cmask |= 1 << c
+            new_steps = steps[:j] + steps[i:]
+            new_vmask = 1 << start
+            for u, _ in new_steps:
+                new_vmask |= 1 << u
+            image = tuple.__new__(Walk, (start, new_steps, new_vmask, walk_cmask ^ cmask))
+            return tuple.__new__(WalkGammaPair,
+                                 (image, _add_cycle(gamma, tuple(edges), vmask, cmask)))
+        visited.append(v)
         v = after
     # the walk is closed, so its last step returns to the root, seen first
     raise ValueError("involution is undefined on GOOD pairs")
 
 
 def underlying_subdigraph(pair: WalkGammaPair) -> LinearSubdigraph:
-    """For a GOOD pair: gamma together with the walk's own cycle."""
+    """For a GOOD pair: gamma together with the walk's own cycle, whose
+    masks are the walk's."""
     if classify(pair) != GOOD:
         raise ValueError("only GOOD pairs have an underlying subdigraph")
-    return pair.gamma.with_cycle(pair.walk.edges())
+    w = pair.walk
+    return _add_cycle(pair.gamma, tuple(w.edges()), w.vertex_mask, w.color_mask)
 
 
 def enumerate_pairs(
@@ -185,11 +184,13 @@ def enumerate_pairs(
     cap of at least r - 1, as the gammas of the pairs have fewer than r
     edges and longer ones are skipped.  The audit passes its list capped
     at r, which it also reads, so the graph is enumerated once.  The
-    walks are those of `closed_walks(g, r)`, stable-sorted by length, and
-    each walk of length q meets the gammas of length r - q in
-    `subdigraphs` order, the empty one first.  The length-zero walk has no
-    object form, and the identity has no term for it (T is nonempty in
-    every (S, T) entry).
+    walks are those of `closed_walks(g, r)`, grouped by length into
+    min(r, k) + 1 lists (no walk is longer, and a list per r would not fit
+    in memory at a huge r), which keeps the walks of each length in their
+    order, as a stable sort by length would.  Each walk of length q meets
+    the gammas of length r - q in `subdigraphs` order, the empty one
+    first.  The length-zero walk has no object form, and the identity has
+    no term for it (T is nonempty in every (S, T) entry).
     """
     if r < 1:
         raise ValueError("enumerate_pairs requires r >= 1")
@@ -198,12 +199,18 @@ def enumerate_pairs(
     gammas_by_length: dict[int, list[LinearSubdigraph]] = {0: [EMPTY_SUBDIGRAPH]}
     for gamma in subdigraphs:
         gammas_by_length.setdefault(gamma.length, []).append(gamma)
+    walks_by_length: list[list[Walk]] = [[] for _ in range(min(r, g.colors) + 1)]
+    for w in closed_walks(g, r):
+        walks_by_length[len(w.steps)].append(w)
     pairs: list[WalkGammaPair] = []
-    for w in sorted(closed_walks(g, r), key=lambda walk: walk.length):
-        walk_mask = w.color_mask
-        for gamma in gammas_by_length.get(r - w.length, []):
-            if not walk_mask & gamma.color_mask:
-                pairs.append(WalkGammaPair(w, gamma))
+    for q, walks in enumerate(walks_by_length):
+        gammas = gammas_by_length.get(r - q)
+        if not gammas:
+            continue
+        for w in walks:
+            walk_mask = w.color_mask
+            pairs += [tuple.__new__(WalkGammaPair, (w, gamma))
+                      for gamma in gammas if not walk_mask & gamma.color_mask]
     return pairs
 
 
@@ -260,9 +267,9 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
       pair.  An `involute` that refuses a pair classified BAD, or its
       image, is one problem for that pair, and the audit goes on;
     * each GOOD pair joins the group of its underlying subdigraph, gamma
-      with the walk's cycle added (the pass has classified it, so the
-      grouping does not call `underlying_subdigraph`, which classifies
-      again).  Each group is an r-edge subdigraph with exactly r GOOD
+      with the walk's cycle added by `_add_cycle` with the walk's own
+      masks (the pass has classified it, so the grouping does not call
+      `underlying_subdigraph`, which classifies again).  Each group is an r-edge subdigraph with exactly r GOOD
       pairs, whose weights sum to r * (-1)^(c-1) * W; when r > n there is
       no r-edge subdigraph, so any GOOD pair is reported.  The GOOD count
       is the groups' total size, and the rest of the pairs are BAD;
@@ -285,32 +292,27 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
     if len(position) != len(pairs):
         problems.append("enumerate_pairs returned duplicates")
     weights = _pair_weights(g, pairs)
-
-    def image_of(pair: WalkGammaPair) -> WalkGammaPair | None:
-        # None, and one problem, when `involute` refuses a pair that
-        # `classify` calls BAD
-        try:
-            return involute(pair)
-        except ValueError:
-            problems.append("involute refuses a pair classified BAD")
-            return None
-
     kinds = [classify(pair) for pair in pairs]
     groups: dict[LinearSubdigraph, list] = {}  # subdigraph -> its GOOD pairs' weights
     bad_sum = 0
     met = bytearray(len(pairs))  # the BAD pairs met, by position
+    refused = "involute refuses a pair classified BAD"
     for i, pair in enumerate(pairs):
         if pair.total_length != r:
             problems.append(f"pair has total length {pair.total_length}, wanted {r}")
+        w, gamma = pair
         if kinds[i] == GOOD:
-            groups.setdefault(pair.gamma.with_cycle(pair.walk.edges()), []).append(weights[i])
+            groups.setdefault(_add_cycle(gamma, tuple(w.edges()), w.vertex_mask, w.color_mask),
+                              []).append(weights[i])
             continue
         bad_sum += weights[i]
         if met[i]:
             continue
         met[i] = 1
-        image = image_of(pair)
-        if image is None:
+        try:
+            image = involute(pair)
+        except ValueError:
+            problems.append(refused)
             continue
         j = position.get(image)
         if j is None:
@@ -322,9 +324,11 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
             continue
         if image == pair:
             problems.append("involution has a fixed point")
-        back = image_of(image)
-        if back is not None and back != pair:
-            problems.append("involution fails to return after two applications")
+        try:
+            if involute(image) != pair:
+                problems.append("involution fails to return after two applications")
+        except ValueError:
+            problems.append(refused)
         met[j] = 1
         if weights[j] != -weights[i]:
             problems.append("involution image weight is not the negation")

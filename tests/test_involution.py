@@ -168,17 +168,84 @@ def test_involute_images_carry_the_facts_of_their_walks_and_subdigraphs():
                 assert image.weight(g) == -pair.weight(g)
 
 
+# The builders of an earlier version, kept literally as the reference the
+# faster ones are checked against: the scan re-walks the steps to the
+# excised cycle's start, takes each cycle's masks until one holds the
+# splice vertex, and `with_cycle` computes the masks of the cycle it adds.
+def _reference_cycle_rooted_steps(cycle, root):
+    tails = [e[0] for e in cycle]
+    pivot = tails.index(root)
+    rotated = cycle[pivot:] + cycle[:pivot]
+    return tuple((head, color) for _, head, color in rotated)
+
+
+def _reference_with_cycle(gamma, cycle):
+    edges = tuple(cycle)
+    pivot = edges.index(min(edges))  # the edge out of the least vertex
+    cycle = edges[pivot:] + edges[:pivot]
+    vmask, cmask = enumeration._cycle_masks(cycle)
+    return enumeration.LinearSubdigraph(tuple(sorted((*gamma.cycles, cycle))),
+                                        gamma.vertex_mask | vmask, gamma.color_mask | cmask)
+
+
+def _reference_involute(pair):
+    w = involution._checked_walk(pair)
+    gamma = pair.gamma
+    steps = w.steps
+    v, seen = w.start, 0
+    for i, (after, _) in enumerate(steps):
+        bit = 1 << v
+        if gamma.vertex_mask & bit:
+            for cycle in gamma.cycles:
+                vmask, cmask = enumeration._cycle_masks(cycle)
+                if vmask & bit:
+                    break
+            else:
+                raise ValueError(f"no cycle contains vertex {v}")
+            new_steps = steps[:i] + _reference_cycle_rooted_steps(cycle, v) + steps[i:]
+            rest = tuple(c for c in gamma.cycles if c is not cycle)
+            return WalkGammaPair(
+                enumeration._walk(w.start, new_steps, w.vertex_mask | vmask,
+                                  w.color_mask | cmask),
+                enumeration.LinearSubdigraph(rest, gamma.vertex_mask ^ vmask,
+                                             gamma.color_mask ^ cmask))
+        if seen & bit:
+            j, u = 0, w.start
+            while u != v:
+                u = steps[j][0]
+                j += 1
+            cycle, cmask = [], 0
+            for head, c in steps[j:i]:
+                cycle.append((u, head, c))
+                cmask |= 1 << c
+                u = head
+            new_steps = steps[:j] + steps[i:]
+            vmask = 1 << w.start
+            for u, _ in new_steps:
+                vmask |= 1 << u
+            return WalkGammaPair(enumeration._walk(w.start, new_steps, vmask, w.color_mask ^ cmask),
+                                 _reference_with_cycle(gamma, cycle))
+        seen |= bit
+        v = after
+    raise ValueError("involution is undefined on GOOD pairs")
+
+
 def test_every_mask_matches_the_fields_it_is_computed_from():
     # equality and hashing read the masks, so equal starts and steps, or
     # equal cycles, make equal values only when every builder's masks are
-    # the ones the fields give
+    # the ones the fields give.  The images and underlying subdigraphs,
+    # built from what the scan holds, must also equal the reference's
     def check_walk(w):
+        assert type(w) is Walk
         assert w == Walk(w.start, w.steps)
 
     def check_subdigraph(gamma):
+        assert type(gamma) is enumeration.LinearSubdigraph
         edges = [e for cycle in gamma.cycles for e in cycle]
         assert gamma.vertex_mask == sum({1 << u for u, _, _ in edges})
         assert gamma.color_mask == sum({1 << c for _, _, c in edges})
+
+    counts = {GOOD: 0, BAD: 0, "splice": 0}
 
     rng = random.Random(3301)
     for _ in range(30):
@@ -195,12 +262,21 @@ def test_every_mask_matches_the_fields_it_is_computed_from():
             assert built == gamma
         for r in range(1, k + 2):
             for pair in enumerate_pairs(g, r, subdigraphs):
-                if classify(pair) == GOOD:
-                    check_subdigraph(underlying_subdigraph(pair))
+                kind = classify(pair)
+                counts[kind] += 1
+                if kind == GOOD:
+                    built = underlying_subdigraph(pair)
+                    check_subdigraph(built)
+                    assert built == _reference_with_cycle(pair.gamma, pair.walk.edges())
                 else:
                     image = involute(pair)
+                    assert type(image) is WalkGammaPair
+                    assert image == _reference_involute(pair)
                     check_walk(image.walk)
                     check_subdigraph(image.gamma)
+                    counts["splice"] += len(image.gamma.cycles) < len(pair.gamma.cycles)
+    assert counts[GOOD] > 1000 and counts[BAD] > 5000
+    assert 2 * counts["splice"] == counts[BAD]  # couples: one splice, one excise
 
 
 def test_underlying_subdigraph():
@@ -232,19 +308,22 @@ def test_enumerate_pairs_census_on_the_loop_graph():
 
 def test_enumerate_pairs_order_is_walks_by_length_then_subdigraphs():
     # the order the audit reports its problems in, and so the audit
-    # records of PLANTED_FAULTS, rest on this one
+    # records of PLANTED_FAULTS, rest on this one.  The walks are grouped
+    # by length into min(r, k) + 1 lists, so r = 10**23 costs no memory
     rng = random.Random(3203)
     for _ in range(40):
         n, k = rng.randint(1, 4), rng.randint(1, 4)
         g = random_digraph(n, k, rng.choice([0.3, 0.6, 1.0]), 3, seed=rng.randrange(10**6))
         gammas = [EMPTY_SUBDIGRAPH, *linear_subdigraphs(g, g.colors)]
-        for r in range(1, k + 3):
+        for r in [*range(1, k + 3), 10**23]:
             walks = sorted(closed_walks(g, r), key=lambda walk: walk.length)
             want = [
                 WalkGammaPair(w, gamma) for w in walks for gamma in gammas
                 if w.length + gamma.length == r and not w.color_mask & gamma.color_mask
             ]
-            assert enumerate_pairs(g, r, gammas[1:]) == want, (n, k, r)
+            pairs = enumerate_pairs(g, r, gammas[1:])
+            assert pairs == want, (n, k, r)
+            assert all(type(pair) is WalkGammaPair for pair in pairs)
 
 
 def test_audit_on_the_loop_graph():
