@@ -13,6 +13,12 @@ from girardlab import (
     verify_walk_cycle_identity,
 )
 
+
+def colors(mask):
+    """The sorted colors of a color mask, bit c for color c."""
+    return [c for c in range(mask.bit_length()) if mask >> c & 1]
+
+
 # -- the identity on a random digraph -----------------------------------------
 #
 # For any weighted k-colored digraph on n vertices and any r >= 1, the sum
@@ -26,10 +32,11 @@ for r in (1, 2):
     report = verify_walk_cycle_identity(g, r)
     print(f"r = {r}: case {report.case}, residual = {report.residual}, "
           f"passed = {report.passed}")
-    # each entry keeps its two factors c(|T|, T) and ell(|S|, S)
+    # each entry keeps its two factors c(|T|, T) and ell(|S|, S); the
+    # report keys S, T and U by color mask
     for (s, t), (c, ell) in sorted(report.breakdown.items(),
-                                   key=lambda kv: (sorted(kv[0][0]), sorted(kv[0][1]))):
-        print(f"    S = {sorted(s)!s:8} T = {sorted(t)!s:8} -> "
+                                   key=lambda kv: (colors(kv[0][0]), colors(kv[0][1]))):
+        print(f"    S = {colors(s)!s:8} T = {colors(t)!s:8} -> "
               f"({c}) * ({ell}) = {poly_dot(((c, ell),))}")
     if report.case == "r<=n":
         print(f"    closing term (aggregated) = {report.aggregated_correction}")
@@ -40,7 +47,7 @@ for r in (1, 2):
 report = verify_walk_cycle_identity(g, 1)
 print("\nresidual per color set U on the same graph at r = 1:")
 for u, residual in report.residuals.items():
-    print(f"    U = {sorted(u)}: residual = {residual}")
+    print(f"    U = {colors(u)}: residual = {residual}")
 
 # -- the multi-alphabet form ----------------------------------------------------
 #

@@ -371,10 +371,10 @@ def _run_theorem2(args, report: RunReport) -> None:
             return {"graph_seed": graph_seed, "n": g.n, "k": g.colors,
                     "compared": len(res.residuals), "expected": expected}
         # the first color set, in lexicographic order, whose identity fails
-        u = next((u for u, residual in res.residuals.items() if residual), None)
-        if u is not None:
+        failure = res.first_failure()
+        if failure is not None:
             return {"graph_seed": graph_seed, "n": g.n, "k": g.colors, "case": res.case,
-                    "color_set": sorted(u), "residual": value_text(res.residuals[u])}
+                    "color_set": failure[0], "residual": value_text(failure[1])}
 
     _check_each(report, instances, check)
 

@@ -45,22 +45,22 @@ mask; a subdigraph keeps `colors`, a set, for the demos to print.
 Every search reads each vertex's out-neighbours from the table the graph
 builds once (`ColoredDigraph._out`), and takes the colors 1..k of each
 edge in order.  The two generating sums do not enumerate anything; both
-run on `_step`, which pushes a layer one edge and one unused color
-further (Stanley, Enumerative Combinatorics I, 4.7).  A layer maps each
-used-color mask to a vector {vertex: weight sum}; `_step` takes a mask's
-unused colors one at a time and reads that color's weighted out-edges
+run on `_step`, which pushes a layer one edge and one unused color further
+(Stanley, Enumerative Combinatorics I, 4.7).  A layer maps each used-color
+mask to a vector {vertex: weight sum}; `_step` takes a mask's unused
+colors one at a time and reads that color's weighted out-edges
 (`ColoredDigraph._out_by_color`, built once from `_out`), so it builds no
 key per edge and never meets a used color.  `closed_walk_buckets` sums
 every closed walk from each root in turn.  `linear_subdigraph_buckets`
 sums signed clow sequences (Mahajan and Vinay 1997), whose non-simple
-terms cancel, head by head.  Both sum by color mask, and turn the masks
-into (length, color set) keys once, at the end.  Each costs at most
-n^2 * 2^k states times n * k weight products.  The DPs start from the int
-1 and multiply whatever the weights are: on an integer graph every product
-and every bucket is a plain int, and a `Poly` weight makes the sums it
-reaches `Poly` (through `Poly.__rmul__` and `__radd__`).  Only the two
-lookups, `linear_subdigraph_sum` and `closed_walk_sum`, return `Poly`
-always.
+terms cancel, head by head.  Both return their sums keyed by color mask
+(bit c for color c), a mask's color count being its objects' length.  Each
+costs at most n^2 * 2^k states times n * k weight products.  The DPs start
+from the int 1 and multiply whatever the weights are: on an integer graph
+every product and every bucket is a plain int, and a `Poly` weight makes
+the sums it reaches `Poly` (through `Poly.__rmul__` and `__radd__`).  Only
+the two lookups, `linear_subdigraph_sum` and `closed_walk_sum`, return
+`Poly` always.
 
 Both cycle enumerators share one search, `_cycles_at`, that grows the
 cycles of one head (least vertex); heads increase, as in the clow DP, so it
@@ -432,22 +432,12 @@ def _step(layer: dict, g: ColoredDigraph, low: int) -> dict:
     return nxt
 
 
-def _color_set(mask: int, k: int) -> frozenset[int]:
-    return frozenset(c for c in range(1, k + 1) if mask >> c & 1)
-
-
-def _by_length_and_colors(sums: dict, k: int) -> dict:
-    """A map color mask -> sum rekeyed (length, color set), the length
-    being the mask's color count."""
-    return {(m.bit_count(), _color_set(m, k)): val for m, val in sums.items()}
-
-
-def closed_walk_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], int | Poly]:
-    """(length, color set) -> weight sum of the closed walks with that
-    length and color set.
+def closed_walk_buckets(g: ColoredDigraph) -> dict[int, int | Poly]:
+    """Color mask -> weight sum of the closed walks with that color set,
+    whose length is the mask's color count.
 
     The map equals `closed_walks(g, g.colors)`, every closed walk,
-    grouped by (length, colors), with a key for every pair some walk has,
+    grouped by `color_mask`, with a key for every mask some walk has,
     even when its sum is zero; but no walk is built.  For each root, a
     layer maps each used-color mask to {vertex: weight sum of the walks
     from the root that end there}, and `_step` pushes it along every edge
@@ -455,7 +445,7 @@ def closed_walk_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], i
     closed walks with that color set, and `sums` adds it up by mask over
     the roots; walks go on past the root, as in `closed_walks`.  Every
     mask has one length, so a root costs at most n * 2^k states times
-    n * k weight products, and the masks are rekeyed once, at the end.
+    n * k weight products.
     """
     sums: dict = {}
     for root in range(1, g.n + 1):
@@ -466,14 +456,13 @@ def closed_walk_buckets(g: ColoredDigraph) -> dict[tuple[int, frozenset[int]], i
                 if root in vec:
                     val = vec[root]
                     sums[mask] = sums[mask] + val if mask in sums else val
-    return _by_length_and_colors(sums, g.colors)
+    return sums
 
 
-def linear_subdigraph_buckets(
-    g: ColoredDigraph,
-) -> dict[tuple[int, frozenset[int]], int | Poly]:
-    """(length, color set) -> sum of (-1)^(cycle count) * weight over the
-    linear subdigraphs with that length and color set.
+def linear_subdigraph_buckets(g: ColoredDigraph) -> dict[int, int | Poly]:
+    """Color mask -> sum of (-1)^(cycle count) * weight over the linear
+    subdigraphs with that color set, whose length is the mask's color
+    count.
 
     The sum runs over clow sequences instead (Mahajan and Vinay 1997).  A
     clow is a closed walk whose head, its least vertex, appears only at
@@ -489,8 +478,7 @@ def linear_subdigraph_buckets(
     color, so a waiting sequence joins the layer at the step where its
     color count comes up: each (vertex, mask) is pushed once per head, at
     most n^2 * 2^k states times n * k weight products in all.  Every mask
-    some sequence reaches has a key, even when its sum is zero; the masks
-    are rekeyed once, at the end.
+    some sequence reaches has a key, even when its sum is zero.
     """
     done = {0: 1}
     for h in range(1, g.n + 1):
@@ -506,16 +494,20 @@ def linear_subdigraph_buckets(
                     val = vec.pop(h)
                     done[mask] = done[mask] - val if mask in done else -val
     del done[0]
-    return _by_length_and_colors(done, g.colors)
+    return done
 
 
 def _lookup(buckets, g: ColoredDigraph, size: int, colors: Iterable[int]) -> Poly:
-    """The bucket (size, colors) of `buckets(g)` as a `Poly`: 1 at size 0
-    with no colors (the empty object), 0 for a key the map lacks."""
-    key = (size, frozenset(colors))
-    if key == (0, frozenset()):
+    """The sum of `buckets(g)` at the mask of `colors`, as a `Poly`: 1 at
+    size 0 with no colors (the empty object), 0 when `size` is not the
+    color count or a color is outside 1..k, and 0 for a mask the map
+    lacks.  A color named twice counts once."""
+    colors = set(colors)
+    if size != len(colors) or not all(1 <= c <= g.colors for c in colors):
+        return Poly.zero()
+    if not colors:
         return Poly.one()
-    value = buckets(g).get(key, 0)
+    value = buckets(g).get(sum(1 << c for c in colors), 0)
     return value if isinstance(value, Poly) else Poly.const(value)
 
 

@@ -352,10 +352,10 @@ def audit_involution(g: ColoredDigraph, r: int) -> InvolutionAudit:
     total = sum(weights) + correction  # a Poly, as the correction is
     if total != report.residual:
         problems.append("audit total disagrees with the identity residual")
-    u = next((u for u, residual in report.residuals.items() if residual), None)
-    if u is not None:
-        problems.append(f"identity residual at color set {sorted(u)} "
-                        f"is {value_text(report.residuals[u])}")
+    failure = report.first_failure()
+    if failure is not None:
+        problems.append(f"identity residual at color set {failure[0]} "
+                        f"is {value_text(failure[1])}")
 
     return InvolutionAudit(
         pair_count=len(pairs),

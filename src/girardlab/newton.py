@@ -20,16 +20,18 @@ sum_c t_c * A_c over Z[t_1..t_k]/(t_1^2, ..., t_k^2), A_c the color-c
 weight matrix.  A check passes when every U's residual is zero, so a
 fault that moves weight between two sets U cannot cancel in the sum.
 
-The c values come from `enumeration.closed_walk_buckets`, a transfer-matrix
-DP that builds no walk; the ell values come from
+The c values come from `enumeration.closed_walk_buckets`, a
+transfer-matrix DP that builds no walk; the ell values come from
 `enumeration.linear_subdigraph_buckets`, a signed sum over clow sequences
-on the same DP step that builds no subdigraph.  On an integer graph both
-maps hold ints, and the assembly multiplies ints too.  The residual sums
-each U's (S, T) products into one accumulator (`poly.poly_dot`), so no
-entry becomes a `Poly` of its own; the report's breakdown keeps each
-entry's two factors, and a reader multiplies one entry with `poly_dot`.
-A report's correction and residuals are `Poly` values whatever the
-weights.
+on the same DP step that builds no subdigraph.  Both maps are keyed by
+color mask (bit c for color c), the length of a key being its color count,
+and so are the report's breakdown and residuals: U is a mask, and its
+partitions (S, T) are its submasks S with T = U ^ S.  On an integer graph
+both maps hold ints, and the assembly multiplies ints too.  The residual
+sums each U's (S, T) products into one accumulator (`poly.poly_dot`), so
+no entry becomes a `Poly` of its own; the report's breakdown keeps each
+entry's two factors, and a reader multiplies one entry with `poly_dot`.  A
+report's correction and residuals are `Poly` values whatever the weights.
 
 Specializing to the all-loops graph (digraph.self_loop_digraph) turns the
 identity into a statement about n alphabets of r symbols a[j]^(1..r), the
@@ -74,9 +76,11 @@ __all__ = [
     "uniform_alpha_assignment",
 ]
 
-ColorPair = tuple[frozenset[int], frozenset[int]]
-# (length, color set) -> sum, as the c and ell maps are keyed
-Buckets = Mapping[tuple[int, frozenset[int]], int | Poly]
+# (S mask, T mask): the color sets of one breakdown entry
+ColorPair = tuple[int, int]
+# color mask -> sum, as the c and ell maps are keyed; a key's length is its
+# color count
+Buckets = Mapping[int, int | Poly]
 # (c(|T|, T), ell(|S|, S)): the two factors of one (S, T) entry
 Factors = tuple[int | Poly, int | Poly]
 
@@ -84,15 +88,17 @@ Factors = tuple[int | Poly, int | Poly]
 class NewtonReport(NamedTuple):
     """Outcome of one identity check, a plain value.
 
-    `breakdown` maps each (S, T) color pair with T nonempty to the two
-    factors (c(|T|, T), ell(|S|, S)) of its contribution, each an int or a
+    Color sets are masks, bit c for color c.  `breakdown` maps each
+    (S mask, T mask) pair with T nonempty to the two factors
+    (c(|T|, T), ell(|S|, S)) of its contribution, each an int or a
     `Poly`; `poly_dot((report.breakdown[key],))` multiplies one entry.
-    `residuals` maps each size-r color set U, in lexicographic order, to
-    the residual of U's own identity: the entries with S and T partitioning
-    U, plus r * ell(r, U).  `residual` is their sum, the breakdown total
-    plus the aggregated closing term `aggregated_correction`.  The check
-    passes when every U's residual is the zero polynomial.  `case` is
-    "r>n" or "r<=n", named in failure records.
+    `residuals` maps each size-r color set U's mask, in the lexicographic
+    order of U's sorted colors, to the residual of U's own identity: the
+    entries with S and T partitioning U, plus r * ell(r, U).  `residual`
+    is their sum, the breakdown total plus the aggregated closing term
+    `aggregated_correction`.  The check passes when every U's residual is
+    the zero polynomial, and `first_failure` names the first U that does
+    not.  `case` is "r>n" or "r<=n", named in failure records.
 
     Two reports are equal when their fields are: factor dicts and `Poly`
     values compare by their terms, so comparing reports multiplies no
@@ -104,48 +110,52 @@ class NewtonReport(NamedTuple):
     breakdown: dict[ColorPair, Factors]
     aggregated_correction: Poly
     residual: Poly
-    residuals: dict[frozenset[int], Poly]
+    residuals: dict[int, Poly]
 
     @property
     def passed(self) -> bool:
         return not any(self.residuals.values())
 
+    def first_failure(self) -> tuple[list[int], Poly] | None:
+        """(sorted colors, residual) of the first color set U, in the
+        order of `residuals`, whose residual is nonzero; None when every U
+        passes."""
+        for u, residual in self.residuals.items():
+            if residual:
+                return [c for c in range(u.bit_length()) if u >> c & 1], residual
+        return None
 
-def _closing_sum(ell: Buckets, r: int) -> int | Poly:
-    """sum over all size-r color sets S of ell(r, S), read off the buckets."""
-    return sum(val for (length, _), val in ell.items() if length == r)
 
-
-def _assemble(
-    n: int, colors: frozenset[int], r: int, c: Buckets, ell: Buckets
-) -> NewtonReport:
-    """The walk/cycle identity at r, built from the c and ell maps of a
-    graph with n vertices and color set `colors`, one size-r color set U
-    at a time: the factors (c(|T|, T), ell(|S|, S)) of each entry with S
-    and T partitioning U and T nonempty, closed by r * ell(r, U).  A key
-    missing from a map is a zero sum, and the empty S contributes 1.  Past
-    n every ell(r, .) is zero, and so is every closing term.
+def _assemble(n: int, k: int, r: int, c: Buckets, ell: Buckets) -> NewtonReport:
+    """The walk/cycle identity at r, built from the mask-keyed c and ell
+    maps of a graph with n vertices and colors 1..k, one size-r color set
+    U at a time, in the lexicographic order of its colors: the factors
+    (c(|T|, T), ell(|S|, S)) of each entry with S a proper submask of U
+    and T = U ^ S, closed by r * ell(r, U).  A key missing from a map is a
+    zero sum, and the empty S contributes 1.  Past n every ell(r, .) is
+    zero, and so is every closing term.
     """
     breakdown: dict[ColorPair, Factors] = {}
-    residuals: dict[frozenset[int], Poly] = {}
+    residuals: dict[int, Poly] = {}
+    closing: list[int | Poly] = []
     # no U when r exceeds the color count, and combinations would
     # allocate r slots before finding none, so a huge r skips the loop
-    for u_tuple in combinations(sorted(colors), r) if r <= len(colors) else ():
-        u = frozenset(u_tuple)
-        entries = [(r, ell.get((r, u), 0))]
-        for s_size in range(r):
-            for s_tuple in combinations(u_tuple, s_size):
-                s = frozenset(s_tuple)
-                t = u - s
-                factors = (c.get((r - s_size, t), 0), ell.get((s_size, s), 0) if s_size else 1)
-                breakdown[(s, t)] = factors
-                entries.append(factors)
+    for u_colors in combinations(range(1, k + 1), r) if r <= k else ():
+        u = sum(1 << color for color in u_colors)
+        closing.append(ell.get(u, 0))
+        entries = [(r, closing[-1])]
+        s = u
+        while s:  # the proper submasks of u, from u - 1 down to 0
+            s = (s - 1) & u
+            factors = (c.get(u ^ s, 0), ell.get(s, 0) if s else 1)
+            breakdown[(s, u ^ s)] = factors
+            entries.append(factors)
         residuals[u] = poly_dot(entries)
     return NewtonReport(
         case="r>n" if r > n else "r<=n",
         breakdown=breakdown,
         # Poly.const(r) coerces an int sum
-        aggregated_correction=Poly.const(r) * _closing_sum(ell, r),
+        aggregated_correction=Poly.const(r) * sum(closing),
         residual=poly_sum(residuals.values()),
         residuals=residuals,
     )
@@ -158,7 +168,8 @@ def total_subdigraph_sum(g: ColoredDigraph, r: int) -> Poly:
     `--trace 1` and `test_traced_counts_repeat`."""
     if r < 1:
         raise ValueError("total_subdigraph_sum requires r >= 1")
-    total = _closing_sum(linear_subdigraph_buckets(g), r)
+    total = sum(val for mask, val in linear_subdigraph_buckets(g).items()
+                if mask.bit_count() == r)
     return total if isinstance(total, Poly) else Poly.const(total)
 
 
@@ -168,8 +179,7 @@ def verify_walk_cycle_identity(g: ColoredDigraph, r: int) -> NewtonReport:
     the breakdown."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    return _assemble(g.n, frozenset(range(1, g.colors + 1)), r,
-                     closed_walk_buckets(g), linear_subdigraph_buckets(g))
+    return _assemble(g.n, g.colors, r, closed_walk_buckets(g), linear_subdigraph_buckets(g))
 
 
 def elementary_color_sum(n: int, colors: Iterable[int], length: int) -> Poly:
@@ -195,7 +205,7 @@ def elementary_color_sum(n: int, colors: Iterable[int], length: int) -> Poly:
 @lru_cache(maxsize=1)
 def _alphabet_walks(r: int, n: int) -> Buckets:
     """The c map of the all-loops graph (n vertices, r colors) in closed
-    form, keyed (length, color set) as `closed_walk_buckets` keys its own.
+    form, keyed by color mask as `closed_walk_buckets` keys its own.
 
     A closed walk with color set T stays at its root j, one loop per color
     in any order: c(|T|, T) = |T|! * sum_j prod_{i in T} a[j]^(i).  The
@@ -205,7 +215,7 @@ def _alphabet_walks(r: int, n: int) -> Buckets:
     """
     colors = range(1, r + 1)
     return MappingProxyType({
-        (size, frozenset(t)): Poly.const(factorial(size)) * poly_sum(
+        sum(1 << i for i in t): Poly.const(factorial(size)) * poly_sum(
             poly_prod(Poly.variable(avar(j, i)) for i in t) for j in range(1, n + 1)
         )
         for size in colors
@@ -233,7 +243,7 @@ def verify_colored_newton_girard(r: int, n: int) -> NewtonReport:
     if r < 1 or n < 1:
         raise ValueError("verify_colored_newton_girard requires r, n >= 1")
     ell = linear_subdigraph_buckets(self_loop_digraph(n, r))
-    return _assemble(n, frozenset(range(1, r + 1)), r, _alphabet_walks(r, n), ell)
+    return _assemble(n, r, r, _alphabet_walks(r, n), ell)
 
 
 def cross_check_against_loops(r: int, n: int) -> bool:

@@ -14,6 +14,13 @@ PRIMES = [
 ]
 
 
+def mask_of(*items: int) -> int:
+    """The bitmask of `items`, bit i for each i once: a vertex set as walks
+    and subdigraphs hold it, or a color set as they, the c and ell maps and
+    the identity reports key it."""
+    return sum(1 << i for i in set(items))
+
+
 def pattern_graph(n: int, k: int, mask: int) -> ColoredDigraph:
     """The graph whose edge set is the mask-th subset of all ordered pairs,
     with a distinct prime weight on every colored edge.

@@ -144,7 +144,8 @@ def test_c07_walk_cycle_identity_case_two():
             if res.residual:
                 failures.append((g.n, g.colors, r, "aggregated"))
             color_sets += len(res.residuals)
-            failures += [(g.n, g.colors, r, sorted(u)) for u, p in res.residuals.items() if p]
+            failures += [(g.n, g.colors, r, [c for c in range(1, g.colors + 1) if u >> c & 1])
+                         for u, p in res.residuals.items() if p]
     _report(
         "criterion 07",
         failures,
@@ -201,7 +202,7 @@ def test_c10_classical_corollary():
                 group = sum(
                     poly_dot((factors,)).evaluate(assign)
                     for (s, _), factors in res.breakdown.items()
-                    if len(s) == k
+                    if s.bit_count() == k
                 )
                 e_k = e[k] if k < len(e) else 0
                 if group != factorial(r) * e_k * p[r - k]:

@@ -27,7 +27,7 @@ from girardlab.enumeration import closed_walks, linear_subdigraph_buckets, linea
 from girardlab.involution import enumerate_pairs
 from girardlab.poly import Poly, poly_dot, poly_sum, xvar
 
-from _support import all_pattern_graphs
+from _support import all_pattern_graphs, mask_of
 from test_golden_reports import GOLDEN
 
 REPORT_KEYS = {
@@ -278,11 +278,11 @@ def _next_bad(original):
     return lambda pair: bad[(bad.index(pair) + 1) % len(bad)]
 
 
-def _without_color_1(original):
-    """A fault for `newton._assemble`: color 1 is dropped from its color
-    set, so fewer color sets U are compared than the sizes call for, and
+def _without_color_k(original):
+    """A fault for `newton._assemble`: color k is dropped from its colors
+    1..k, so fewer color sets U are compared than the sizes call for, and
     each one compared still has a zero residual."""
-    return lambda n, colors, r, c, ell: original(n, colors - {1}, r, c, ell)
+    return lambda n, k, r, c, ell: original(n, k - 1, r, c, ell)
 
 
 def _first_bad_called_good(original):
@@ -296,12 +296,12 @@ def _first_bad_called_good(original):
 # failure record the run must write, or the list of them for a campaign.
 PLANTED_FAULTS = [
     pytest.param(newton, "closed_walk_buckets",
-                 _one_bucket(lambda v: v + 1, (2, frozenset({1, 2}))), THEOREM2,
+                 _one_bucket(lambda v: v + 1, mask_of(1, 2)), THEOREM2,
                  {"instance": 0, "graph_seed": None, "n": 2, "k": 2, "case": "r<=n",
                   "color_set": [1, 2], "residual": "1"},
                  id="theorem2-walk-dp"),
     pytest.param(newton, "linear_subdigraph_buckets",
-                 _one_bucket(lambda v: -v, (1, frozenset({1}))), THEOREM2,
+                 _one_bucket(lambda v: -v, mask_of(1)), THEOREM2,
                  {"instance": 0, "graph_seed": None, "n": 2, "k": 2, "case": "r<=n",
                   "color_set": [1, 2], "residual": "12"},
                  id="theorem2-clow-dp-sign"),
@@ -309,21 +309,21 @@ PLANTED_FAULTS = [
     # alone: U = {1, 2} is off by +r * 5 or +5, and U = {1, 3} by as much
     # the other way
     pytest.param(newton, "linear_subdigraph_buckets",
-                 _moved(5, (2, frozenset({1, 3})), (2, frozenset({1, 2}))), THEOREM2_RANDOM,
+                 _moved(5, mask_of(1, 3), mask_of(1, 2)), THEOREM2_RANDOM,
                  _each_trial(20, 3, n=4, k=4, case="r<=n", color_set=[1, 2], residual="10"),
                  id="theorem2-ell-moved-between-color-sets"),
     pytest.param(newton, "closed_walk_buckets",
-                 _moved(5, (2, frozenset({1, 3})), (2, frozenset({1, 2}))), THEOREM2_RANDOM,
+                 _moved(5, mask_of(1, 3), mask_of(1, 2)), THEOREM2_RANDOM,
                  _each_trial(20, 3, n=4, k=4, case="r<=n", color_set=[1, 2], residual="5"),
                  id="theorem2-c-moved-between-color-sets"),
     # ell(2, {1, 2}) enters theorem3 at r = 2 only in the closing term
     pytest.param(newton, "linear_subdigraph_buckets",
-                 _one_bucket(lambda v: -v, (2, frozenset({1, 2}))),
+                 _one_bucket(lambda v: -v, mask_of(1, 2)),
                  ["verify", "theorem3", "--r", "2", "--n", "2"],
                  {"r": 2, "n": 2, "residual": "-4*a[1]^(1)*a[2]^(2) - 4*a[1]^(2)*a[2]^(1)"},
                  id="theorem3-closing-sign"),
     pytest.param(newton, "closed_walk_buckets",
-                 _one_bucket(lambda v: v + 1, (1, frozenset({1}))),
+                 _one_bucket(lambda v: v + 1, mask_of(1)),
                  ["verify", "theorem3", "--r", "2", "--n", "2"],
                  {"r": 2, "n": 2, "residual": "symbolic and all-loops-graph paths disagree"},
                  id="theorem3-cross-check"),
@@ -439,21 +439,21 @@ PLANTED_FAULTS = [
                  id="audit-classify-first-bad-good"),
     # too few color sets compared: no U of size 3 is left at k = 3, one of
     # the three of size 2, and none of theorem3's one set [3]
-    pytest.param(newton, "_assemble", _without_color_1,
+    pytest.param(newton, "_assemble", _without_color_k,
                  "verify theorem2 --random --n 3 --k 3 --r 3 --trials 3 --seed 0".split(),
                  _each_trial(3, 0, n=3, k=3, compared=0, expected=1),
                  id="theorem2-too-few-color-sets"),
-    pytest.param(newton, "_assemble", _without_color_1,
+    pytest.param(newton, "_assemble", _without_color_k,
                  "verify theorem2 --random --n 3 --k 3 --r 2 --trials 2 --seed 0".split(),
                  _each_trial(2, 0, n=3, k=3, compared=1, expected=3),
                  id="theorem2-one-of-three-color-sets"),
-    pytest.param(newton, "_assemble", _without_color_1,
+    pytest.param(newton, "_assemble", _without_color_k,
                  ["verify", "theorem3", "--r", "3", "--n", "3"],
                  {"r": 3, "n": 3, "compared": 0, "expected": 1},
                  id="theorem3-no-color-set"),
     # the audit's recheck of the identity through the DP maps
     pytest.param(newton, "closed_walk_buckets",
-                 _one_bucket(lambda v: v + 1, (2, frozenset({1, 2}))), AUDIT,
+                 _one_bucket(lambda v: v + 1, mask_of(1, 2)), AUDIT,
                  {"instance": 0, "graph_seed": None,
                   "problems": ["audit total disagrees with the identity residual",
                                "identity residual at color set [1, 2] is 1"],
@@ -461,12 +461,12 @@ PLANTED_FAULTS = [
                  id="audit-identity-recheck"),
     # weight moved between two color sets leaves the audit total alone
     pytest.param(newton, "linear_subdigraph_buckets",
-                 _moved(5, (2, frozenset({1, 3})), (2, frozenset({1, 2}))), AUDIT_RANDOM,
+                 _moved(5, mask_of(1, 3), mask_of(1, 2)), AUDIT_RANDOM,
                  _each_trial(5, 3, problems=["identity residual at color set [1, 2] is 10"],
                              total="0"),
                  id="audit-ell-moved-between-color-sets"),
     pytest.param(newton, "closed_walk_buckets",
-                 _moved(5, (2, frozenset({1, 3})), (2, frozenset({1, 2}))), AUDIT_RANDOM,
+                 _moved(5, mask_of(1, 3), mask_of(1, 2)), AUDIT_RANDOM,
                  _each_trial(5, 3, problems=["identity residual at color set [1, 2] is 5"],
                              total="0"),
                  id="audit-c-moved-between-color-sets"),
@@ -505,7 +505,7 @@ def test_powersum_records_a_value_that_is_not_an_integer(tmp_path, capsys, monke
 # a value whose text would pass the interpreter's 4,300-digit limit
 LONG_INT = 10**4400
 NOT_PRINTED = "(not printed: an integer past the 4300-digit limit)"
-LONG_ELL = _one_bucket(lambda v: v + LONG_INT, (2, frozenset({1, 2})))
+LONG_ELL = _one_bucket(lambda v: v + LONG_INT, mask_of(1, 2))
 
 
 @pytest.mark.parametrize("module, name, fault, argv, record", [

@@ -30,7 +30,9 @@ from girardlab import (
     xvar,
 )
 
-from _support import INT_GRAPHS, all_pattern_graphs, parsed_dense_graph, permute_vertices
+from _support import (
+    INT_GRAPHS, all_pattern_graphs, mask_of, parsed_dense_graph, permute_vertices,
+)
 
 
 def two_cycle_graph(k: int = 2) -> ColoredDigraph:
@@ -70,10 +72,6 @@ def test_walk_weight_multiplies_edge_weights():
     assert w.weight(g) == Poly.const(6)
 
 
-def _bits(items) -> int:
-    return sum(1 << i for i in set(items))
-
-
 def _facts_graphs():
     rng = random.Random(808)
     graphs = [random_digraph(rng.randint(1, 4), rng.randint(1, 4), rng.choice([0.5, 1.0]),
@@ -93,16 +91,17 @@ def test_walk_and_subdigraph_facts_agree_with_their_definitions():
                  Walk(1, ((2, 1), (2, 2)))]
         for w in closed_walks(g, g.colors) + extra:
             seq = (w.start,) + tuple(v for v, _ in w.steps)
-            assert w.vertex_mask == _bits(seq)
-            assert w.color_mask == _bits(c for _, c in w.steps)
+            assert w.vertex_mask == mask_of(*seq)
+            assert w.color_mask == mask_of(*(c for _, c in w.steps))
             interior = seq[:-1]
             if w.steps and seq[-1] == w.start:  # closed, as `classify` requires
                 simple = len(set(interior)) == len(interior)
                 assert (classify(WalkGammaPair(w, EMPTY_SUBDIGRAPH)) == GOOD) == simple
             seen += 1
         for gamma in linear_subdigraphs(g, g.colors) + [EMPTY_SUBDIGRAPH]:
-            assert gamma.vertex_mask == _bits(u for cycle in gamma.cycles for u, _, _ in cycle)
-            assert gamma.color_mask == _bits(gamma.colors)
+            tails = [u for cycle in gamma.cycles for u, _, _ in cycle]
+            assert gamma.vertex_mask == mask_of(*tails)
+            assert gamma.color_mask == mask_of(*gamma.colors)
             assert gamma.length == sum(len(c) for c in gamma.cycles)
             seen += 1
     assert seen > 500
@@ -399,7 +398,7 @@ def near_acyclic_digraph(n: int, k: int, rng: random.Random) -> ColoredDigraph:
 
 def _facts_from_cycles(gamma) -> tuple[int, int, int]:
     edges = [e for cycle in gamma.cycles for e in cycle]
-    return len(edges), _bits(e[0] for e in edges), _bits(e[2] for e in edges)
+    return len(edges), mask_of(*(e[0] for e in edges)), mask_of(*(e[2] for e in edges))
 
 
 def test_enumerated_subdigraphs_keep_the_constructor_facts():
@@ -439,12 +438,11 @@ def test_enumerated_subdigraphs_keep_the_constructor_facts():
 
 
 def reference_walk_buckets(g: ColoredDigraph) -> dict:
-    """closed_walks(g, g.colors) grouped by (length, color set), weights
-    summed."""
+    """closed_walks(g, g.colors) grouped by color mask, weights summed."""
     buckets: dict = {}
     for w in closed_walks(g, g.colors):
-        key = (w.length, frozenset(c for _, c in w.steps))
-        buckets[key] = buckets.get(key, Poly.zero()) + w.weight(g)
+        assert w.length == w.color_mask.bit_count()
+        buckets[w.color_mask] = buckets.get(w.color_mask, Poly.zero()) + w.weight(g)
     return buckets
 
 
@@ -494,7 +492,7 @@ def test_walk_buckets_keep_a_key_whose_sum_is_zero():
     # and likewise from root 2: c(2, {1, 2}) cancels but its walks exist.
     g = ColoredDigraph(2, 2, {(1, 2): [1, 1], (2, 1): [1, -1]})
     buckets = closed_walk_buckets(g)
-    assert buckets[(2, frozenset({1, 2}))] == Poly.zero()
+    assert buckets[mask_of(1, 2)] == Poly.zero()
     assert set(buckets) == set(reference_walk_buckets(g))
     assert closed_walk_sum(g, 2, {1, 2}) == Poly.zero()
 
@@ -504,7 +502,7 @@ def test_walk_sum_is_a_bucket_lookup():
     buckets = closed_walk_buckets(g)
     for size in range(0, 5):
         for t in combinations(range(0, 5), size):
-            want = buckets.get((size, frozenset(t)), Poly.zero())
+            want = buckets.get(mask_of(*t), Poly.zero())
             if size == 0:
                 want = Poly.one()
             assert closed_walk_sum(g, size, t) == want
@@ -529,11 +527,12 @@ def test_max_length_caps_without_filtering():
 
 
 def reference_subdigraph_buckets(g: ColoredDigraph) -> dict:
-    """linear_subdigraphs(g, g.colors) grouped by (length, color set), signed
-    weights summed."""
+    """linear_subdigraphs(g, g.colors) grouped by color mask, signed weights
+    summed."""
     buckets: dict = {}
     for gamma in linear_subdigraphs(g, g.colors):
-        key = (gamma.length, gamma.colors)
+        assert gamma.length == gamma.color_mask.bit_count()
+        key = gamma.color_mask
         sign = -1 if len(gamma.cycles) % 2 else 1
         buckets[key] = buckets.get(key, Poly.zero()) + sign * gamma.weight(g)
     return buckets
@@ -577,13 +576,13 @@ def test_subdigraph_buckets_keep_a_key_whose_sum_is_zero():
     # the subdigraphs, key for key
     g = ColoredDigraph(2, 2, {(1, 1): [1, 1], (2, 2): [-1, 1]})
     buckets = linear_subdigraph_buckets(g)
-    assert buckets[(2, frozenset({1, 2}))] == Poly.zero()
+    assert buckets[mask_of(1, 2)] == Poly.zero()
     assert set(buckets) == set(reference_subdigraph_buckets(g))
     assert linear_subdigraph_sum(g, 2, {1, 2}) == Poly.zero()
 
 
 def clow_sequence_keys(g: ColoredDigraph) -> set:
-    """(length, color set) of every nonempty clow sequence of g, found by
+    """The color mask of every nonempty clow sequence of g, found by
     search: heads increase, each clow runs from its head through vertices
     above it and back, and no color repeats along the sequence."""
 
@@ -612,8 +611,7 @@ def clow_sequence_keys(g: ColoredDigraph) -> set:
                 extend(head + 1, mask)
 
     extend(1, 0)
-    return {(m.bit_count(), frozenset(c for c in range(1, g.colors + 1) if m >> c & 1))
-            for m in found}
+    return found
 
 
 def test_a_mask_reached_only_by_cancelled_states_keeps_its_key():
@@ -625,8 +623,8 @@ def test_a_mask_reached_only_by_cancelled_states_keeps_its_key():
                               (2, 1): [-1, -1, -1], (2, 2): [-1, -1, -1]})
     buckets = closed_walk_buckets(g)
     for colors in ({1, 2}, {1, 3}, {2, 3}):
-        assert buckets[(2, frozenset(colors))] == Poly.zero()
-    assert buckets[(3, frozenset({1, 2, 3}))] == Poly.zero()
+        assert buckets[mask_of(*colors)] == Poly.zero()
+    assert buckets[mask_of(1, 2, 3)] == Poly.zero()
     assert set(buckets) == set(reference_walk_buckets(g))
     assert set(linear_subdigraph_buckets(g)) == clow_sequence_keys(g)
     check_subdigraph_buckets(g)
@@ -663,12 +661,30 @@ def test_subdigraph_sum_is_a_bucket_lookup():
     buckets = linear_subdigraph_buckets(g)
     for size in range(0, 4):
         for s in combinations(range(1, 4), size):
-            want = Poly.one() if size == 0 else buckets[(size, frozenset(s))]
+            want = Poly.one() if size == 0 else buckets[mask_of(*s)]
             assert linear_subdigraph_sum(g, size, s) == want
             assert linear_subdigraph_sum(g, size + 1, s) == Poly.zero()
     # a color the graph lacks gives no subdigraph
     for s in ({g.colors + 1}, {0, 1}, {-1}):
         assert linear_subdigraph_sum(g, len(s), s) == Poly.zero()
+
+
+@pytest.mark.parametrize("lookup", [closed_walk_sum, linear_subdigraph_sum])
+def test_sum_lookups_read_zero_off_the_map_and_count_a_repeated_color_once(lookup):
+    g = prime_weighted_dense_graph(3, 3)
+    for colors in ([0], [0, 1], [-1], [-1, 2], [4], [1, 4], [10**9], [-10**9]):
+        assert lookup(g, len(colors), colors) == Poly.zero(), colors
+    for size in range(0, 5):
+        for colors in ([], [1], [1, 2], [1, 2, 3]):
+            if size != len(colors):
+                assert lookup(g, size, colors) == Poly.zero(), (size, colors)
+    assert lookup(g, 0, [0]) == Poly.zero()
+    assert lookup(g, -1, []) == Poly.zero()
+    assert lookup(g, 0, []) == Poly.one()
+    # a color named twice is one color: the size is the set's
+    assert lookup(g, 1, [2, 2]) == lookup(g, 1, [2]) != Poly.zero()
+    assert lookup(g, 2, [1, 3, 1]) == lookup(g, 2, [3, 1]) != Poly.zero()
+    assert lookup(g, 2, [2, 2]) == Poly.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +746,6 @@ def test_sum_lookups_return_poly_on_an_integer_graph(g):
             for colors in combinations(range(1, g.colors + 1), size):
                 value = lookup(g, size, colors)
                 assert isinstance(value, Poly)
-                assert value.constant_value() == buckets.get((size, frozenset(colors)), 0)
+                assert value.constant_value() == buckets.get(mask_of(*colors), 0)
                 off = lookup(g, size + 1, colors)
                 assert isinstance(off, Poly) and not off

@@ -28,7 +28,7 @@ from girardlab import (
     yvar,
 )
 
-from _support import INT_GRAPHS, all_pattern_graphs, parsed_dense_graph
+from _support import INT_GRAPHS, all_pattern_graphs, mask_of, parsed_dense_graph
 
 
 def one_loop_graph() -> ColoredDigraph:
@@ -56,7 +56,7 @@ def test_split_sum_vanishes_when_r_exceeds_n():
 def subdigraph_sums_past_n(g: ColoredDigraph) -> list:
     """The ell values of g whose length exceeds its vertex count."""
     buckets = linear_subdigraph_buckets(g)
-    return [val for (length, _), val in buckets.items() if length > g.n]
+    return [val for mask, val in buckets.items() if mask.bit_count() > g.n]
 
 
 def test_no_subdigraph_sum_survives_past_n():
@@ -82,7 +82,7 @@ def test_report_case_r_greater_than_n():
     assert report.case == "r>n"
     assert report.passed
     assert report.residual == Poly.zero()
-    assert report.residuals == {frozenset({1, 2}): Poly.zero()}
+    assert report.residuals == {mask_of(1, 2): Poly.zero()}
     assert report.aggregated_correction == Poly.zero()
     # one formula: the breakdown holds the nonempty-T pairs only, and the
     # closing term is zero because no ell survives past n
@@ -100,7 +100,7 @@ def test_report_case_r_at_most_n_hand_example():
     assert report.passed
     assert report.aggregated_correction == Poly.const(-5)
     assert report.residual == Poly.zero()
-    assert report.residuals == {frozenset({1}): Poly.zero(), frozenset({2}): Poly.zero()}
+    assert report.residuals == {mask_of(1): Poly.zero(), mask_of(2): Poly.zero()}
 
 
 def test_one_color_set_when_k_equals_r():
@@ -110,7 +110,7 @@ def test_one_color_set_when_k_equals_r():
         k = rng.randint(1, min(n, 3))
         g = random_digraph(n, k, 0.8, 3, seed=rng.randrange(10**6))
         report = verify_walk_cycle_identity(g, k)  # r == k
-        assert report.residuals == {frozenset(range(1, k + 1)): report.residual}
+        assert report.residuals == {mask_of(*range(1, k + 1)): report.residual}
         assert report.passed, (n, k)
 
 
@@ -124,7 +124,7 @@ def test_each_color_set_closes_on_its_own_on_random_graphs():
         for r in range(1, k + 2):
             report = verify_walk_cycle_identity(g, r)
             assert list(report.residuals) == [
-                frozenset(u) for u in combinations(range(1, k + 1), r)], (n, k, r)
+                mask_of(*u) for u in combinations(range(1, k + 1), r)], (n, k, r)
             assert not any(report.residuals.values()), (n, k, r)
             assert report.residual == poly_sum(report.residuals.values())
 
@@ -136,17 +136,42 @@ def test_one_failing_color_set_fails_the_check_when_the_sum_cancels(monkeypatch)
 
     def moved(g):
         buckets = dict(original(g))
-        buckets[(2, frozenset({1, 3}))] -= 5
-        buckets[(2, frozenset({1, 2}))] += 5
+        buckets[mask_of(1, 3)] -= 5
+        buckets[mask_of(1, 2)] += 5
         return buckets
 
     monkeypatch.setattr(newton, "linear_subdigraph_buckets", moved)
     report = verify_walk_cycle_identity(random_digraph(3, 3, 1.0, 3, seed=5), 2)
     assert report.residual == Poly.zero()
-    assert report.residuals == {frozenset({1, 2}): Poly.const(10),
-                                frozenset({1, 3}): Poly.const(-10),
-                                frozenset({2, 3}): Poly.zero()}
+    assert report.residuals == {mask_of(1, 2): Poly.const(10),
+                                mask_of(1, 3): Poly.const(-10),
+                                mask_of(2, 3): Poly.zero()}
     assert not report.passed
+    # both failing sets are named in order: {1, 2} comes first
+    assert report.first_failure() == ([1, 2], Poly.const(10))
+
+
+def test_first_failure_names_the_first_failing_color_set_or_none(monkeypatch):
+    g = random_digraph(4, 4, 1.0, 3, seed=5)
+    assert verify_walk_cycle_identity(g, 2).first_failure() is None
+    # ell(2, {2, 3}) and ell(2, {1, 4}) off: {1, 4} comes first in the
+    # lexicographic order of the sorted colors, though its mask is the
+    # larger, and each closing term is r times its own fault
+    original = newton.linear_subdigraph_buckets
+
+    def two_faults(g):
+        buckets = dict(original(g))
+        buckets[mask_of(2, 3)] += 5
+        buckets[mask_of(1, 4)] += 1
+        return buckets
+
+    monkeypatch.setattr(newton, "linear_subdigraph_buckets", two_faults)
+    report = verify_walk_cycle_identity(g, 2)
+    assert [u for u, residual in report.residuals.items() if residual] == [
+        mask_of(1, 4), mask_of(2, 3)]
+    assert report.first_failure() == ([1, 4], Poly.const(2))
+    assert report._replace(residuals={mask_of(2, 3): Poly.const(10)}).first_failure() == (
+        [2, 3], Poly.const(10))
 
 
 def test_identity_holds_on_random_graphs():
@@ -201,7 +226,7 @@ def test_loop_graph_ell_map_equals_the_per_set_enumeration():
         for n in range(1, 6):
             ell = linear_subdigraph_buckets(self_loop_digraph(n, r))
             expected = {
-                (k, frozenset(s)): elementary_color_sum(n, s, k) * Poly.const((-1) ** k)
+                mask_of(*s): elementary_color_sum(n, s, k) * Poly.const((-1) ** k)
                 for k in range(1, min(r, n) + 1)
                 for s in combinations(range(1, r + 1), k)
             }
@@ -231,7 +256,7 @@ def test_colored_newton_girard_residual_vanishes():
             report = verify_colored_newton_girard(r, n)
             assert report.passed, (r, n)
             assert report.case == ("r>n" if r > n else "r<=n")
-            assert list(report.residuals) == [frozenset(range(1, r + 1))]
+            assert list(report.residuals) == [mask_of(*range(1, r + 1))]
 
 
 def test_closing_term_needs_the_parity_sign():
@@ -270,7 +295,7 @@ def test_cross_check_fails_when_one_walk_bucket_is_off(monkeypatch, capsys):
 
     def off_by_one(g):
         buckets = original(g)
-        key = min(buckets, key=lambda k: (k[0], sorted(k[1])))
+        key = min(buckets, key=lambda mask: (mask.bit_count(), mask))
         buckets[key] = buckets[key] + Poly.one()
         return buckets
 
@@ -334,7 +359,7 @@ def test_residual_is_the_breakdown_plus_the_closing_term_when_it_fails(monkeypat
 
     def perturbed(g):
         buckets = dict(original(g))
-        key = (1, frozenset({1}))
+        key = mask_of(1)
         buckets[key] = buckets[key] + Poly.variable(yvar(1))
         return buckets
 
@@ -361,7 +386,7 @@ def test_breakdown_length_and_keys_make_no_product(monkeypatch):
     products.clear()
     assert len(report.breakdown) == len(list(report.breakdown)) == 2**4 - 1
     assert all(key in report.breakdown for key in report.breakdown)
-    assert (frozenset(), frozenset({5})) not in report.breakdown
+    assert (0, mask_of(5)) not in report.breakdown
     assert report == twin and report is not twin
     assert products == []
 
@@ -436,7 +461,7 @@ def test_uniform_collapse_reproduces_classical_terms():
             group = sum(
                 poly_dot((factors,)).evaluate(assign)
                 for (s, _), factors in report.breakdown.items()
-                if len(s) == k
+                if s.bit_count() == k
             )
             e_k = e[k] if k < len(e) else 0
             assert group == factorial(r) * e_k * p[r - k], (r, n, k)

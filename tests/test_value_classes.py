@@ -54,9 +54,9 @@ CASES = {
     ),
     NewtonReport: (
         lambda: NewtonReport("r<=n", {}, Poly.zero(), Poly.one(),
-                             residuals={frozenset({1}): Poly.one()}),
+                             residuals={1 << 1: Poly.one()}),
         "NewtonReport(case='r<=n', breakdown={}, aggregated_correction=Poly('0'), "
-        "residual=Poly('1'), residuals={frozenset({1}): Poly('1')})",
+        "residual=Poly('1'), residuals={2: Poly('1')})",
         ["case", "breakdown", "aggregated_correction", "residual", "residuals"],
     ),
     RunReport: (
